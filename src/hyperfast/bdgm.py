@@ -25,6 +25,7 @@ minimizer so that downstream agreement checks are meaningful; see solve().
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -46,6 +47,15 @@ _W = 2.0 + np.sqrt(2.0)
 #: and tau ~ 1e-2 keeps the amplification near 1e-12 while the truncation
 #: bias (zero on quartic objectives) stays fourth order in the step radius.
 TAU_FLOOR = 1e-2
+
+#: Newton on the radius equation stops once its step falls below this:
+#: relative in the boundary multiplier, absolute in log r for the interior
+#: radius. Convergence is quadratic, so the step accepted last lands at
+#: roundoff distance from the root.
+_NEWTON_TOL = 1e-9
+
+#: Newton steps allowed in one radius solve before the Bregman step gives up.
+_MAX_NEWTON_STEPS = 100
 
 
 class SubproblemError(RuntimeError):
@@ -209,43 +219,98 @@ def _rho_grad(state: BdgmState, s: Vector) -> Vector:
     return state.B @ s + state.L3 * float(s @ s) * s
 
 
-def _solve_shifted(state: BdgmState, b_proj: Vector, sigma: float) -> Vector:
-    return b_proj / (state.evals + sigma)
+def _radius_terms(evals: Vector, p: Vector, sigma: float) -> tuple[float, float]:
+    """Step norm n and q = sum p^2/(evals + sigma)^3 at the multiplier sigma.
+
+    n(sigma) = ||p/(evals + sigma)|| is the norm of the shifted solve in the
+    eigenbasis, and dn/dsigma = -q/n.
+    """
+    shifted = evals + sigma
+    coeff = p / shifted
+    return math.sqrt(float(coeff @ coeff)), float(coeff @ (coeff / shifted))
 
 
 def bregman_step(state: BdgmState, z_i: Vector, g: Vector) -> Vector:
     """Minimize <g, z - z_i> + a*breg_rho(z_i, z) over the anchor ball.
 
     The first-order condition reduces to the shifted linear system
-    (B + L3*r^2*I)s = rho'(z_i) - g/a with r = ||s||; r is found by
-    bisection (the norm of the solution is decreasing in r, so the crossing
-    is unique) and capped at the ball radius, where the bisection switches
-    to the boundary multiplier. Uses the one-time eigendecomposition of B so
-    each trial is O(n); a dense per-trial variant for cross-checking lives
-    in bregman_step_dense.
+    (B + L3*r^2*I)s = b with b = rho'(z_i) - g/a and r = ||s||. With the
+    one-time eigendecomposition B = V diag(lam) V^T, b is projected once,
+    p = V^T b, after which the step norm at any multiplier sigma,
+
+        n(sigma)^2 = sum p^2/(lam + sigma)^2,
+
+    costs O(n), and its slope comes from q(sigma) = sum p^2/(lam + sigma)^3
+    (see _radius_terms). The multiplier is found by safeguarded Newton:
+
+    * boundary, n(L3*R^2) >= R: the answer sits on the ball ||s|| = R.
+      Newton on 1/n(sigma) - 1/R from sigma = L3*R^2; the function is
+      increasing and concave there, so the iterates climb monotonically to
+      the root (the Moré-Sorensen trust-region iteration).
+    * interior: r solves r = n(L3*r^2) inside (n(L3*R^2), R). Newton on
+      log r - log n(L3*r^2), whose slope in log r lies in [1, 3] for PSD B,
+      starts from ||s_i|| (the previous radius) and falls back to bisecting
+      the bracket whenever a step leaves it. Convergence is tested before
+      that safeguard, so a converged step is never bisected away.
+
+    s = V (p/(lam + sigma)) is formed only at the final multiplier.
+    bregman_step_dense solves the same equation by bisection with a dense
+    solve per trial radius and serves as the cross-check.
     """
-    return _bregman_core(state, z_i, g, _eig_norm_and_vec)
+    a = state.step_scale
+    s_i = np.asarray(z_i, dtype=np.float64) - state.x_tilde
+    b = _rho_grad(state, s_i) - np.asarray(g, dtype=np.float64) / a
+    R = state.ball_radius
+    if R == 0.0:
+        return state.x_tilde.copy()
+    evals, L3 = state.evals, state.L3
+    p = state.evecs.T @ b
+    sigma = L3 * R * R
+    n, q = _radius_terms(evals, p, sigma)
+    if n == 0.0:
+        # b = 0, or a step so small that its norm underflows.
+        return state.x_tilde.copy()
+    if n >= R:
+        for _ in range(_MAX_NEWTON_STEPS):
+            step = (n - R) * n * n / (R * q)
+            sigma += step
+            if step <= _NEWTON_TOL * sigma:
+                break
+            n, q = _radius_terms(evals, p, sigma)
+        else:
+            raise SubproblemError("boundary multiplier did not converge")
+    else:
+        # n(L3 r^2) > n(L3 R^2) for every r < R, so the root lies above n.
+        lo, hi = n, R
+        r = float(np.linalg.norm(s_i))
+        if lo < r < hi:
+            n, q = _radius_terms(evals, p, L3 * r * r)
+        else:
+            r = hi
+        for _ in range(_MAX_NEWTON_STEPS):
+            dt = math.log(r / n) / (1.0 + 2.0 * L3 * r * r * q / (n * n))
+            if abs(dt) <= _NEWTON_TOL:
+                r *= math.exp(-dt)
+                break
+            if r > n:
+                hi = r
+            else:
+                lo = r
+            r_next = r * math.exp(-dt)
+            r = r_next if lo < r_next < hi else 0.5 * (lo + hi)
+            n, q = _radius_terms(evals, p, L3 * r * r)
+        else:
+            raise SubproblemError("interior radius did not converge")
+        sigma = L3 * r * r
+    return state.x_tilde + state.evecs @ (p / (evals + sigma))
 
 
 def bregman_step_dense(state: BdgmState, z_i: Vector, g: Vector) -> Vector:
-    """Same contract as bregman_step with a dense solve per trial radius."""
-    return _bregman_core(state, z_i, g, _dense_norm_and_vec)
+    """Same contract as bregman_step with a dense solve per trial radius.
 
-
-def _eig_norm_and_vec(state, b, sigma, want_vec):
-    proj = state.evecs.T @ b
-    coeff = _solve_shifted(state, proj, sigma)
-    if want_vec:
-        return float(np.linalg.norm(coeff)), state.evecs @ coeff
-    return float(np.linalg.norm(coeff)), None
-
-
-def _dense_norm_and_vec(state, b, sigma, want_vec):
-    s = np.linalg.solve(state.B + sigma * np.eye(b.size), b)
-    return float(np.linalg.norm(s)), (s if want_vec else None)
-
-
-def _bregman_core(state, z_i, g, norm_and_vec):
+    Bisects the radius equation instead of running Newton, so it shares no
+    root-finding logic with bregman_step.
+    """
     a = state.step_scale
     s_i = np.asarray(z_i, dtype=np.float64) - state.x_tilde
     b = _rho_grad(state, s_i) - np.asarray(g, dtype=np.float64) / a
@@ -253,41 +318,42 @@ def _bregman_core(state, z_i, g, norm_and_vec):
     if float(np.linalg.norm(b)) == 0.0 or R == 0.0:
         return state.x_tilde.copy()
 
-    norm_at_cap, _ = norm_and_vec(state, b, state.L3 * R * R, False)
-    if norm_at_cap >= R:
+    def norm_and_vec(sigma):
+        s = np.linalg.solve(state.B + sigma * np.eye(b.size), b)
+        return float(np.linalg.norm(s)), s
+
+    if norm_and_vec(state.L3 * R * R)[0] >= R:
         # Crossing sits beyond the ball: pin ||s|| = R via the multiplier.
         sig_lo = state.L3 * R * R
         sig_hi = max(2.0 * sig_lo, float(np.linalg.norm(b)) / R)
         for _ in range(200):
-            if norm_and_vec(state, b, sig_hi, False)[0] <= R:
+            if norm_and_vec(sig_hi)[0] <= R:
                 break
             sig_hi *= 2.0
         else:
             raise SubproblemError("no upper bracket for the boundary multiplier")
         for _ in range(200):
             mid = 0.5 * (sig_lo + sig_hi)
-            if norm_and_vec(state, b, mid, False)[0] > R:
+            if norm_and_vec(mid)[0] > R:
                 sig_lo = mid
             else:
                 sig_hi = mid
             if sig_hi - sig_lo <= 1e-13 * sig_hi:
                 break
-        _, s = norm_and_vec(state, b, sig_hi, True)
-        return state.x_tilde + s
+        return state.x_tilde + norm_and_vec(sig_hi)[1]
 
     # Interior: ||s(L3 r^2)|| - r changes sign on (0, R]. It is positive as
     # r -> 0 because b != 0, and non-positive at r = R by the check above.
     lo, hi = 0.0, R
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        if norm_and_vec(state, b, state.L3 * mid * mid, False)[0] > mid:
+        if norm_and_vec(state.L3 * mid * mid)[0] > mid:
             lo = mid
         else:
             hi = mid
         if hi - lo <= 1e-13 * max(1.0, hi):
             break
-    _, s = norm_and_vec(state, b, state.L3 * hi * hi, True)
-    return state.x_tilde + s
+    return state.x_tilde + norm_and_vec(state.L3 * hi * hi)[1]
 
 
 def solve(state: BdgmState, max_iters: int = 10000) -> BdgmResult:

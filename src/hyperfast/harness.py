@@ -1,9 +1,10 @@
 """Benchmark plumbing: configs, problem registry, traces, fits, baselines.
 
-Configuration is a flat key=value text format ('#' starts a comment line).
-Traces are CSV with a '#'-prefixed header block echoing the configuration,
-one row per outer iteration, floats printed with 17 significant digits so
-reruns are byte-comparable. Wall-clock columns are written as 0 unless
+Configuration is a flat key=value text format ('#' starts a comment, on a
+line of its own or after a value). Traces are CSV with a '#'-prefixed block
+echoing the configuration, then a bare column row and one row per outer
+iteration, floats printed with 17 significant digits so reruns are
+byte-comparable. Wall-clock columns are written as 0 unless
 timing is switched on, because measured times would break the byte-identical
 determinism contract.
 """
@@ -65,11 +66,12 @@ class RunConfig:
 
 
 def parse_config_text(text: str) -> dict[str, str]:
-    """Flat key=value lines; '#' comment lines and blanks are skipped."""
+    """Flat key=value lines; everything after a '#' is a comment, and lines
+    left blank are skipped."""
     mapping: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        line = raw.partition("#")[0].strip()
+        if not line:
             continue
         if "=" not in line:
             raise ConfigError(f"line {lineno}: expected key=value, got {raw!r}")
@@ -195,6 +197,8 @@ def _quartic1d(params, seed):
 
 def _quadratic(params, seed):
     n = _p_int(params, "n", 10)
+    if n < 1:
+        raise ConfigError(f"problem.n must be >= 1, got {n}")
     rng = np.random.default_rng(_p_int(params, "seed", seed))
     M = rng.standard_normal((n, n)) / math.sqrt(n)
     Q = M.T @ M + 0.1 * np.eye(n)
@@ -259,7 +263,14 @@ def make_problem(cfg: RunConfig) -> ProblemBundle:
     if builder is None:
         raise ConfigError(f"unknown problem {cfg.problem!r} "
                           f"(choose from {', '.join(sorted(PROBLEMS))})")
-    return builder(cfg.problem_params, cfg.seed)
+    try:
+        return builder(cfg.problem_params, cfg.seed)
+    except ConfigError:
+        raise
+    except ValueError as exc:
+        # Builders reject inadmissible parameters (a negative ridge, say)
+        # with ValueError; to the caller that is a configuration error.
+        raise ConfigError(f"problem {cfg.problem}: {exc}") from exc
 
 
 def _fmt(value) -> str:

@@ -146,6 +146,8 @@ class SolverState:
     sigma_observed: float = 0.0
     lam_prev: float | None = None
     status: str | None = None
+    #: ||grad f(y)||, once an accepted step or a floor exit has measured it.
+    grad_norm: float | None = None
     max_grad_norm: float = 0.0
     max_hess_norm: float = 0.0
     records: list = field(default_factory=list)
@@ -338,7 +340,8 @@ def outer_step(cfg: NatmiConfig, oracle: ProblemOracle,
     Terminal subproblem outcomes (gradient already zero at the anchor, or
     the accuracy floor for the configured eps reached) set state.status and
     leave the iterate where it is useful: the anchor for a true stationary
-    point, the previous y for the floor.
+    point; for the floor, the floor trial's point when its gradient is
+    smaller than that of the previous y, else the previous y.
     """
     t_start = time.perf_counter() if cfg.timing else 0.0
     co = state.oracle if state.oracle is not None else counted(oracle)
@@ -349,10 +352,16 @@ def outer_step(cfg: NatmiConfig, oracle: ProblemOracle,
         state.status = "stationary"
         return state
     if t.reason == "accuracy_floor":
+        # The floor trial solved its model to the arithmetic limit, so its
+        # point can lie closer to the optimum than the last accepted y.
+        floor_grad = float(np.linalg.norm(t.grad_y))
+        if state.grad_norm is not None and floor_grad < state.grad_norm:
+            state.y, state.grad_norm = t.y.copy(), floor_grad
         state.status = "accuracy_floor"
         return state
     grad_y = t.grad_y if t.grad_y is not None else co.grad(t.y)
     grad_norm = float(np.linalg.norm(grad_y))
+    state.grad_norm = grad_norm
     state.max_grad_norm = max(state.max_grad_norm, grad_norm)
     sigma_obs = 0.0
     if t.r > 0.0:
@@ -404,8 +413,8 @@ def solve(cfg: NatmiConfig, oracle: ProblemOracle, x0: Vector) -> SolveResult:
     if state.status is None:
         state.status = "k_max"
     f_final = co.value(state.y)
-    if state.records:
-        grad_final = state.records[-1].grad_norm
+    if state.grad_norm is not None:
+        grad_final = state.grad_norm
     else:
         grad_final = float(np.linalg.norm(co.grad(state.y)))
     sigma_max = max((rec.sigma_observed for rec in state.records), default=0.0)

@@ -7,14 +7,12 @@ derivative analytically also expose directional third-derivative actions,
 which the verification layers use to cross-check the finite-difference route.
 
 Oracles are pure functions of their inputs: no internal state, no caching of
-iterates. :class:`CountedOracle` wraps any oracle and counts calls; the
-counters are guarded by a lock so concurrent probes cannot drop increments,
-although the solvers themselves are single-threaded.
+iterates. :class:`CountedOracle` wraps any oracle and counts calls. Its
+counters are plain integers: the solvers are single-threaded, and sharing one
+counted oracle between threads is not supported.
 """
 
 from __future__ import annotations
-
-import threading
 
 import numpy as np
 from numpy.typing import NDArray
@@ -167,35 +165,28 @@ class CountedOracle(ProblemOracle):
         self.n_grad = 0
         self.n_hess = 0
         self.n_third = 0
-        self._lock = threading.Lock()
 
     def reset(self) -> None:
-        with self._lock:
-            self.n_value = self.n_grad = self.n_hess = self.n_third = 0
+        self.n_value = self.n_grad = self.n_hess = self.n_third = 0
 
     def value(self, x: Vector) -> float:
-        with self._lock:
-            self.n_value += 1
+        self.n_value += 1
         return self.inner.value(x)
 
     def grad(self, x: Vector) -> Vector:
-        with self._lock:
-            self.n_grad += 1
+        self.n_grad += 1
         return self.inner.grad(x)
 
     def hess(self, x: Vector) -> Matrix:
-        with self._lock:
-            self.n_hess += 1
+        self.n_hess += 1
         return self.inner.hess(x)
 
     def third_action(self, x: Vector, s: Vector) -> Vector:
-        with self._lock:
-            self.n_third += 1
+        self.n_third += 1
         return self.inner.third_action(x, s)
 
     def third_dir(self, x: Vector, s: Vector) -> Matrix:
-        with self._lock:
-            self.n_third += 1
+        self.n_third += 1
         return self.inner.third_dir(x, s)
 
 

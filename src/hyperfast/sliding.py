@@ -21,6 +21,7 @@ of the construction and are reported alongside the trace.
 
 from __future__ import annotations
 
+import time
 import warnings
 from dataclasses import dataclass
 
@@ -356,6 +357,7 @@ def _composite_loop(prob: CompositeProblem, cfg: NatmiConfig, x0: Vector,
     mid_warm: dict = {}
 
     while k < cfg.k_max and status is None:
+        t_start = time.perf_counter() if cfg.timing else 0.0
         A_cur, x_cur, y_cur = A, x, y
 
         def make_trial(lam: float) -> TrialPoint:
@@ -397,6 +399,11 @@ def _composite_loop(prob: CompositeProblem, cfg: NatmiConfig, x0: Vector,
             grad_final = 0.0
             break
         if t.reason == "accuracy_floor":
+            # As in natmi.outer_step: keep the floor trial's point when its
+            # gradient is below the last accepted y's.
+            floor_grad = float(np.linalg.norm(t.grad_y))
+            if grad_final is not None and floor_grad < grad_final:
+                y, grad_final = t.y.copy(), floor_grad
             status = "accuracy_floor"
             break
         grad_y = t.grad_y
@@ -413,13 +420,14 @@ def _composite_loop(prob: CompositeProblem, cfg: NatmiConfig, x0: Vector,
         lam_prev = t.lam
         grad_final = grad_norm
         f_y = g_or.value(y) + h_or.value(y)
+        wall_ms = (time.perf_counter() - t_start) * 1e3 if cfg.timing else 0.0
         c = prob.counts
         records.append(SlidingRecord(
             k=k, f=f_y, grad_norm=grad_norm, step_radius=t.r, lam=t.lam,
             A=A, inner_iters=t.inner_iters,
             n_grad=(c["grad_g"] - base["grad_g"]) + (c["grad_h"] - base["grad_h"]),
             n_hess=(c["hess_g"] - base["hess_g"]) + (c["hess_h"] - base["hess_h"]),
-            max_grad_norm=G_max, max_hess_norm=H_max, wall_ms=0.0,
+            max_grad_norm=G_max, max_hess_norm=H_max, wall_ms=wall_ms,
             n_grad_g=c["grad_g"] - base["grad_g"],
             n_hess_g=c["hess_g"] - base["hess_g"],
             n_grad_h=c["grad_h"] - base["grad_h"],

@@ -7,6 +7,10 @@ and the CLI exit-code contract.
 """
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -52,6 +56,10 @@ class TestConfigParsing:
     def test_empty_key_rejected(self):
         with pytest.raises(ConfigError):
             parse_config_text("=3\n")
+
+    def test_trailing_comment_stripped(self):
+        text = "problem=quartic1d  # scalar\neps=1e-6 # tight\n"
+        assert parse_config_text(text) == {"problem": "quartic1d", "eps": "1e-6"}
 
 
 class TestBuildRunConfig:
@@ -359,6 +367,15 @@ class TestRun:
         assert out.summary["n_hess_g"] > 0
         assert out.summary["n_hess_h"] > 0
 
+    def test_sliding_timing_records_wall_time(self):
+        cfg = build_run_config({
+            "problem": "sliding_bench", "method": "sliding",
+            "eps": "1e-6", "max_iters": "2", "timing": "on",
+            "problem.n": "4", "problem.m": "20"})
+        records = run(cfg).records
+        assert records
+        assert all(rec.wall_ms > 0.0 for rec in records)
+
     def test_invalid_regime_is_a_config_error(self):
         cfg = build_run_config({"problem": "quartic1d", "gamma": "0.5",
                                 "xi": "1.0"})
@@ -431,3 +448,30 @@ class TestCli:
         monkeypatch.setattr(cli, "run", boom)
         assert cli.main(["solve", "--problem", "quartic1d"]) == 3
         assert "solver failure" in capsys.readouterr().err
+
+
+_SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+@pytest.mark.parametrize("config, code, stderr_start", [
+    ("problem=quartic1d\neps=1e-6 # tight\nmax_iters=3\n", 0, None),
+    ("problem=logreg\nproblem.ridge=-1\n", 2, "config error: "),
+    ("problem=quadratic\nproblem.n=0\n", 2, "config error: "),
+])
+def test_cli_exit_codes(tmp_path, config, code, stderr_start):
+    """The command line as a user runs it: exit code, and a bad config
+    costs one stderr line and no traceback."""
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text(config)
+    proc = subprocess.run(
+        [sys.executable, "-m", "hyperfast.cli", "solve", "--config", str(cfgfile)],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": str(_SRC)})
+    assert proc.returncode == code, proc.stderr
+    if stderr_start is None:
+        assert proc.stderr == ""
+    else:
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1, proc.stderr
+        assert lines[0].startswith(stderr_start)
+        assert "Traceback" not in proc.stderr

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from hyperfast import natmi
+from hyperfast.harness import reference_fstar
 from hyperfast.natmi import (
     LambdaSearchError,
     NatmiConfig,
@@ -294,6 +295,16 @@ class TestSolveEndToEnd:
         res = solve(NatmiConfig(k_max=60, subsolver="exact"), orc, np.ones(1))
         assert res.status == "accuracy_floor"
         assert res.converged
+
+    def test_floor_exit_keeps_the_better_point(self):
+        """On this instance the last lambda trial stops at the accuracy floor
+        at a point far closer to the optimum than the last accepted y
+        (f - f* of 0 against 1.1e-9); the solve must end on it."""
+        orc = LogisticLoss(synth_logreg(3030, 200, 20), ridge=1e-3)
+        res = solve(NatmiConfig(eps=1e-9, k_max=30), orc, np.zeros(20))
+        assert res.status == "accuracy_floor"
+        assert res.grad_norm < res.records[-1].grad_norm
+        assert res.f - reference_fstar(orc, tol=1e-8) <= 1e-9
 
     def test_deterministic_replay(self):
         orc = LogisticLoss(synth_logreg(3, 80, 6), ridge=1e-3)

@@ -17,8 +17,6 @@ import sys
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
-import numpy as np
-
 from hyperfast.harness import _FSTAR_PATH, reference_fstar
 from hyperfast.problems import LogisticLoss, synth_logreg
 
@@ -32,24 +30,9 @@ def main() -> int:
     table["logreg_fixture"] = fstar
     print(f"logreg_fixture: f* = {fstar!r}")
 
-    grad_check = oracle.grad(_newton_argmin(oracle))
-    print(f"  recheck grad norm at argmin: {float(np.linalg.norm(grad_check)):.3e}")
-
     _FSTAR_PATH.write_text(json.dumps(table, indent=2, sort_keys=True) + "\n")
     print(f"wrote {_FSTAR_PATH}")
     return 0
-
-
-def _newton_argmin(oracle):
-    # Same iteration as reference_fstar but returns the point, for the
-    # printed gradient check.
-    x = np.zeros(oracle.dim)
-    for _ in range(500):
-        g = oracle.grad(x)
-        if float(np.linalg.norm(g)) <= 1e-13:
-            return x
-        x = x - np.linalg.solve(oracle.hess(x), g)
-    raise RuntimeError("argmin recheck did not converge")
 
 
 if __name__ == "__main__":

@@ -15,7 +15,7 @@ from .problems import (
     make_worst_case,
     synth_logreg,
 )
-from .sliding import CompositeProblem, SlidingResult, solve_sliding
+from .sliding import CompositeProblem, solve_sliding
 from .taylor import MembershipResult, ModelError, ModelSpec, exact_model_min, membership_residual, model_grad, model_hess, model_value
 
 __all__ = [
@@ -35,7 +35,6 @@ __all__ = [
     "ProblemOracle",
     "QuarticChain",
     "QuarticObjective",
-    "SlidingResult",
     "SolveResult",
     "SubproblemError",
     "SumOracle",

@@ -21,10 +21,10 @@ import numpy as np
 from . import natmi, sliding
 from .bdgm import SubproblemError
 from .natmi import IterationRecord, LambdaSearchError, NatmiConfig
-from .oracles import CountedOracle, ProblemOracle, SumOracle, Vector, ZeroOracle, counted
+from .oracles import ProblemOracle, SumOracle, Vector, ZeroOracle, counted
 from .problems import LogisticLoss, QuarticChain, QuarticObjective, synth_logreg
-from .sliding import CompositeProblem, SlidingRecord
-from .taylor import ModelError
+from .sliding import CompositeProblem
+from .taylor import ModelError, newton_step
 
 BASE_COLUMNS = ("k", "f", "grad_norm", "step_radius", "lambda", "A",
                 "inner_iters", "n_grad", "n_hess", "max_grad_norm",
@@ -140,8 +140,14 @@ def build_run_config(mapping: dict[str, str]) -> RunConfig:
         seed=_int("seed", 0), timing=timing_raw in ("on", "true", "1"),
         trace_path=plain.get("trace"), summary_path=plain.get("summary"),
         problem_params=problem_params)
-    if cfg.eps <= 0.0:
-        raise ConfigError(f"eps must be positive, got {cfg.eps}")
+    # Written as "not (...)" so that NaN, which fails every comparison, is
+    # rejected too.
+    if not (0.0 < cfg.eps < math.inf):
+        raise ConfigError(f"eps must be positive and finite, got {cfg.eps}")
+    if not (0.0 < cfg.c_delta < math.inf):
+        raise ConfigError(f"c_delta must be positive and finite, got {cfg.c_delta}")
+    if not (0.0 <= cfg.grad_tol < math.inf):
+        raise ConfigError(f"grad_tol must be >= 0 and finite, got {cfg.grad_tol}")
     if cfg.max_iters < 1:
         raise ConfigError(f"max_iters must be >= 1, got {cfg.max_iters}")
     return cfg
@@ -282,18 +288,8 @@ def _fmt(value) -> str:
 
 
 def _record_row(rec, columns) -> str:
-    lut = {
-        "k": rec.k, "f": rec.f, "grad_norm": rec.grad_norm,
-        "step_radius": rec.step_radius, "lambda": rec.lam, "A": rec.A,
-        "inner_iters": rec.inner_iters, "n_grad": rec.n_grad,
-        "n_hess": rec.n_hess, "max_grad_norm": rec.max_grad_norm,
-        "max_hess_norm": rec.max_hess_norm, "wall_ms": rec.wall_ms,
-    }
-    if isinstance(rec, SlidingRecord):
-        lut.update(n_grad_g=rec.n_grad_g, n_hess_g=rec.n_hess_g,
-                   n_grad_h=rec.n_grad_h, n_hess_h=rec.n_hess_h,
-                   n_third_g=rec.n_third_g, mid_iters=rec.mid_iters)
-    return ",".join(_fmt(lut[col]) for col in columns)
+    return ",".join(_fmt(getattr(rec, "lam" if col == "lambda" else col))
+                    for col in columns)
 
 
 def write_trace(path: str, records, config_echo: dict, columns=BASE_COLUMNS,
@@ -362,28 +358,8 @@ def reference_fstar(oracle: ProblemOracle, budget: int = 500,
         g = oracle.grad(x)
         if float(np.linalg.norm(g)) <= tol:
             return float(oracle.value(x))
-        Hm = oracle.hess(x)
-        shift = 0.0
-        while True:
-            try:
-                chol = np.linalg.cholesky(Hm + shift * np.eye(x.size))
-                break
-            except np.linalg.LinAlgError:
-                shift = max(1e-12 * scale, 4.0 * shift)
-                if shift > 1e8 * scale:
-                    raise ModelError("objective Hessian is not positive "
-                                     "definite") from None
-        d = -np.linalg.solve(chol.T, np.linalg.solve(chol, g))
-        base = oracle.value(x)
-        slope = float(g @ d)
-        step = 1.0
-        for _ in range(60):
-            if oracle.value(x + step * d) <= base + 1e-4 * step * slope:
-                break
-            step *= 0.5
-        else:
-            raise ModelError("reference line search failed")
-        x = x + step * d
+        x = x + newton_step(oracle.value, g, oracle.hess(x), x, scale,
+                            "objective")[0]
     raise ModelError(f"reference optimum not reached in {budget} Newton steps")
 
 
@@ -487,9 +463,14 @@ def run(cfg: RunConfig) -> RunOutcome:
     records: tuple = ()
     summary: dict = {}
     try:
-        if cfg.method == "sliding":
-            prob = bundle.composite()
-            res = sliding.solve_sliding(prob, bundle.x0, _natmi_config(cfg))
+        if cfg.method in ("hyperfast", "natmi_exact", "sliding"):
+            if cfg.method == "sliding":
+                res = sliding.solve_sliding(bundle.composite(), bundle.x0,
+                                            _natmi_config(cfg))
+            else:
+                sub = "bdgm" if cfg.method == "hyperfast" else "exact"
+                res = natmi.solve(_natmi_config(cfg, sub), bundle.single(),
+                                  bundle.x0)
             records = res.records
             summary.update(final_f=res.f, final_grad_norm=res.grad_norm,
                            iters=res.iters, status=res.status,
@@ -497,20 +478,7 @@ def run(cfg: RunConfig) -> RunOutcome:
                            sigma_max=res.sigma_max,
                            max_grad_norm=res.max_grad_norm,
                            max_hess_norm=res.max_hess_norm)
-            for key, value in res.counts.items():
-                summary[f"n_{key}"] = value
-        elif cfg.method in ("hyperfast", "natmi_exact"):
-            sub = "bdgm" if cfg.method == "hyperfast" else "exact"
-            res = natmi.solve(_natmi_config(cfg, sub), bundle.single(), bundle.x0)
-            records = res.records
-            summary.update(final_f=res.f, final_grad_norm=res.grad_norm,
-                           iters=res.iters, status=res.status,
-                           converged=int(res.converged),
-                           sigma_max=res.sigma_max, n_value=res.n_value,
-                           n_grad=res.n_grad, n_hess=res.n_hess,
-                           n_third=res.n_third,
-                           max_grad_norm=res.max_grad_norm,
-                           max_hess_norm=res.max_hess_norm)
+            summary.update((f"n_{key}", value) for key, value in res.counts.items())
         elif cfg.method == "gd_baseline":
             records = tuple(baseline_gd(bundle.single(), bundle.x0,
                                         cfg.max_iters))

@@ -12,18 +12,23 @@ per-iteration contraction ratio recorded as sigma_observed.
 The search procedure (warm-started geometric bracketing, then bisection on
 log lambda) is plumbing around the acceptance window; the window's
 multiplicative width of 3/2 is what guarantees the bisection lands.
+
+accelerated_steps is this scheme for any subproblem builder, and outer_loop
+runs it to a stop and keeps the records. The single-function solver and both
+levels of the sliding solver (sliding.py) differ only in the builder.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
 from . import bdgm
-from .oracles import CountedOracle, ProblemOracle, Vector, counted, operator_norm
+from .oracles import ProblemOracle, Vector, counted, operator_norm
 from .taylor import ModelSpec, exact_model_min
 
 WINDOW_LO = 0.5
@@ -77,7 +82,7 @@ class ParamReport:
 def validate_params(cfg: NatmiConfig) -> ParamReport:
     """Check the parameter regime and report the predicted contraction.
 
-    Accepts iff p = 3, gamma in [0, 1), xi >= 1 and
+    Accepts iff p = 3, gamma in [0, 1), xi >= 1 is finite and
     2*gamma + 1/(xi*(p+1)) <= 1. The predicted per-iteration contraction is
     sigma = (p*xi + 1 - xi + 2*gamma*xi) / ((1 - gamma)*2*p*xi); the regime
     (3, 1/6, 3/2) gives exactly 0.6 and (3, 0, 1) gives 0.5.
@@ -90,8 +95,9 @@ def validate_params(cfg: NatmiConfig) -> ParamReport:
         violations.append(f"p must equal 3, got {p}")
     if not 0.0 <= gamma < 1.0:
         violations.append(f"gamma must lie in [0, 1), got {gamma}")
-    if xi < 1.0:
-        violations.append(f"xi must be >= 1 so H = xi*L3 dominates L3, got {xi}")
+    if not 1.0 <= xi < math.inf:
+        violations.append(
+            f"xi must be finite and >= 1 so H = xi*L3 dominates L3, got {xi}")
     if xi > 0.0 and p + 1 != 0:
         hypothesis = 2.0 * gamma + 1.0 / (xi * (p + 1))
         if hypothesis > 1.0:
@@ -136,29 +142,28 @@ class TrialPoint:
     extra: dict | None = None
 
 
-@dataclass
-class SolverState:
-    oracle: CountedOracle
-    A: float
-    x: Vector
+class Answer(NamedTuple):
+    """A subproblem builder's answer at one anchor.
+
+    grad_y is the gradient the dual update steps along, and the two anchor
+    norms feed the max_grad_norm / max_hess_norm columns. extra carries
+    whatever else the builder's caller needs from the trial.
+    """
+
     y: Vector
-    k: int = 0
-    sigma_observed: float = 0.0
-    lam_prev: float | None = None
-    status: str | None = None
-    #: ||grad f(y)||, once an accepted step or a floor exit has measured it.
-    grad_norm: float | None = None
-    max_grad_norm: float = 0.0
-    max_hess_norm: float = 0.0
-    records: list = field(default_factory=list)
-    base_value: int = 0
-    base_grad: int = 0
-    base_hess: int = 0
-    base_third: int = 0
+    grad_y: Vector
+    inner_iters: int
+    reason: str
+    grad_anchor_norm: float
+    hess_anchor_norm: float
+    extra: dict | None = None
 
 
 @dataclass(frozen=True)
 class IterationRecord:
+    """One accepted outer step. Counters are cumulative over the solve; the
+    per-part counters and mid_iters stay 0 outside the composite solver."""
+
     k: int
     f: float
     grad_norm: float
@@ -178,10 +183,19 @@ class IterationRecord:
     n_trials: int = 1
     reason: str = "certified"
     y: Vector | None = None
+    n_grad_g: int = 0
+    n_hess_g: int = 0
+    n_grad_h: int = 0
+    n_hess_h: int = 0
+    n_third_g: int = 0
+    mid_iters: int = 0
 
 
 @dataclass(frozen=True)
 class SolveResult:
+    """Outcome of a solve. counts holds the oracle calls it made, keyed
+    value/grad/hess/third, or the same with _g/_h suffixes for a composite."""
+
     y: Vector
     f: float
     grad_norm: float
@@ -191,66 +205,43 @@ class SolveResult:
     A: float
     records: tuple
     sigma_max: float
-    n_value: int
-    n_grad: int
-    n_hess: int
-    n_third: int
+    counts: dict
     max_grad_norm: float
     max_hess_norm: float
     report: ParamReport
 
 
-def init_state(oracle: ProblemOracle, x0: Vector) -> SolverState:
-    co = counted(oracle)
-    x0 = np.array(x0, dtype=np.float64)
-    return SolverState(oracle=co, A=0.0, x=x0.copy(), y=x0.copy(),
-                       base_value=co.n_value, base_grad=co.n_grad,
-                       base_hess=co.n_hess, base_third=co.n_third)
+def oracle_subproblem(cfg: NatmiConfig, oracle: ProblemOracle):
+    """Subproblem builder for a single function: the regularized third-order
+    model of oracle at each anchor, solved by the inexact engine or, with
+    subsolver="exact", by the reference Newton minimizer."""
+    L3 = oracle.lipschitz_L3
 
-
-def _make_trial_fn(cfg: NatmiConfig, co: CountedOracle, state: SolverState):
-    L3 = co.lipschitz_L3
-    A = state.A
-    y_k = state.y
-    x_k = state.x
-
-    def make_trial(lam: float) -> TrialPoint:
-        a = step_weight(lam, A)
-        A_next = A + a
-        assert abs(A_next - a * a / lam) <= 1e-10 * max(1.0, A_next)
-        x_t = (A / A_next) * y_k + (a / A_next) * x_k
-        if cfg.subsolver == "exact":
-            spec = ModelSpec(co, x_t, cfg.xi * L3)
-            ga_norm = float(np.linalg.norm(spec.grad_anchor))
-            h_norm = operator_norm(spec.hess_anchor)
-            if ga_norm == 0.0:
-                y, grad_y, inner, reason = x_t.copy(), spec.grad_anchor, 0, "zero_gradient"
-            elif cfg.gamma * ga_norm <= 1e-12 * (1.0 + ga_norm):
-                # The reference minimizer stops at 1e-12*(1+||g||); below
-                # that line it returns the anchor itself and the window
-                # statistic stays zero for every lambda. Same floor
-                # semantics as the inexact engine's delta short-circuit.
-                y, grad_y, inner, reason = x_t.copy(), spec.grad_anchor, 0, "accuracy_floor"
-            else:
-                y = exact_model_min(spec)
-                grad_y, inner, reason = co.grad(y), 0, "exact"
-                if float(np.linalg.norm(y - x_t)) == 0.0:
-                    reason = "accuracy_floor"
-        else:
-            sub = bdgm.setup(co, x_t, cfg.eps, c_delta=cfg.c_delta,
+    def subproblem(x_t: Vector) -> Answer:
+        if cfg.subsolver == "bdgm":
+            sub = bdgm.setup(oracle, x_t, cfg.eps, c_delta=cfg.c_delta,
                              gamma=cfg.gamma, xi=cfg.xi)
-            ga_norm, h_norm = sub.grad_norm0, sub.hess_norm0
             res = bdgm.solve(sub, cfg.inner_max_iters)
-            y, grad_y, inner, reason = res.z, res.grad_at_z, res.iters, res.reason
-        r = float(np.linalg.norm(y - x_t))
-        state.max_grad_norm = max(state.max_grad_norm, ga_norm)
-        state.max_hess_norm = max(state.max_hess_norm, h_norm)
-        return TrialPoint(lam=lam, a=a, A_next=A_next, x_tilde=x_t, y=y, r=r,
-                          w=lam * 0.75 * L3 * r * r, inner_iters=inner,
-                          reason=reason, grad_y=grad_y,
-                          grad_anchor_norm=ga_norm, hess_anchor_norm=h_norm)
+            return Answer(res.z, res.grad_at_z, res.iters, res.reason,
+                          sub.grad_norm0, sub.hess_norm0)
+        spec = ModelSpec(oracle, x_t, cfg.xi * L3)
+        ga_norm = float(np.linalg.norm(spec.grad_anchor))
+        h_norm = operator_norm(spec.hess_anchor)
+        if ga_norm == 0.0:
+            return Answer(x_t.copy(), spec.grad_anchor, 0, "zero_gradient",
+                          ga_norm, h_norm)
+        if cfg.gamma * ga_norm <= 1e-12 * (1.0 + ga_norm):
+            # The reference minimizer stops at 1e-12*(1+||g||); below
+            # that line it returns the anchor itself and the window
+            # statistic stays zero for every lambda. Same floor
+            # semantics as the inexact engine's delta short-circuit.
+            return Answer(x_t.copy(), spec.grad_anchor, 0, "accuracy_floor",
+                          ga_norm, h_norm)
+        y = exact_model_min(spec)
+        reason = "accuracy_floor" if float(np.linalg.norm(y - x_t)) == 0.0 else "exact"
+        return Answer(y, oracle.grad(y), 0, reason, ga_norm, h_norm)
 
-    return make_trial
+    return subproblem
 
 
 def search_lambda(make_trial, L3: float, lam_warm: float | None, A: float,
@@ -323,109 +314,160 @@ def search_lambda(make_trial, L3: float, lam_warm: float | None, A: float,
         "the step radius may be discontinuous in lambda, check L3")
 
 
-def lambda_search(cfg: NatmiConfig, oracle: ProblemOracle,
-                  state: SolverState) -> tuple[TrialPoint, int]:
-    """Window search at the current outer state; see search_lambda."""
-    co = state.oracle if state.oracle is not None else counted(oracle)
-    return search_lambda(_make_trial_fn(cfg, co, state), co.lipschitz_L3,
-                         state.lam_prev, state.A, growth=cfg.lam_growth,
-                         max_expand=cfg.lam_max_expand,
-                         max_bisect=cfg.lam_max_bisect)
+def accelerated_steps(subproblem, L3: float, x0: Vector, cfg: NatmiConfig,
+                      k_max: int, warm: dict | None = None):
+    """The accelerated scheme: yield (trial, n_trials) per window search.
 
+    Each step blends the anchor x~ = (A*y + a*x)/(A + a) for a trial lambda,
+    asks subproblem(x~) for an Answer, and lets search_lambda pick the lambda
+    whose answer lands in the window. The generator ends after a terminal
+    answer (zero_gradient, accuracy_floor) and after k_max steps; otherwise,
+    when resumed, it takes the dual step x -= a*grad_y and moves y to the
+    answer. The caller decides whether to resume.
 
-def outer_step(cfg: NatmiConfig, oracle: ProblemOracle,
-               state: SolverState) -> SolverState:
-    """One accepted iteration: lambda search, dual update, bookkeeping.
-
-    Terminal subproblem outcomes (gradient already zero at the anchor, or
-    the accuracy floor for the configured eps reached) set state.status and
-    leave the iterate where it is useful: the anchor for a true stationary
-    point; for the floor, the floor trial's point when its gradient is
-    smaller than that of the previous y, else the previous y.
+    warm, when given, maps the step index (from 1) to the lambda accepted at
+    that stage of an earlier run, and this run adds its own. It seeds the
+    search ahead of the previous step's lambda: the sliding middle loop runs
+    once per outer trial from nearby anchors, so the same-stage lambda
+    usually lands in the window on the first attempt.
     """
+    x = np.array(x0, dtype=np.float64)
+    y = x.copy()
+    A = 0.0
+    lam_prev = None
+    for k in range(1, k_max + 1):
+
+        def make_trial(lam: float) -> TrialPoint:
+            a = step_weight(lam, A)
+            A_next = A + a
+            assert abs(A_next - a * a / lam) <= 1e-10 * max(1.0, A_next)
+            x_t = (A / A_next) * y + (a / A_next) * x
+            ans = subproblem(x_t)
+            r = float(np.linalg.norm(ans.y - x_t))
+            return TrialPoint(lam=lam, a=a, A_next=A_next, x_tilde=x_t, r=r,
+                              w=lam * 0.75 * L3 * r * r, **ans._asdict())
+
+        seed = warm.get(k) if warm is not None else None
+        t, n_trials = search_lambda(make_trial, L3,
+                                    lam_prev if seed is None else seed, A,
+                                    growth=cfg.lam_growth,
+                                    max_expand=cfg.lam_max_expand,
+                                    max_bisect=cfg.lam_max_bisect)
+        terminal = t.reason in _TERMINAL
+        if warm is not None and A > 0.0 and not terminal:
+            warm[k] = t.lam
+        yield t, n_trials
+        if terminal:
+            return
+        x = x - t.a * t.grad_y
+        y = t.y
+        A = t.A_next
+        lam_prev = t.lam
+
+
+def outer_loop(subproblem, L3: float, x0: Vector, cfg: NatmiConfig,
+               objective, counts, measure=None) -> SolveResult:
+    """Run accelerated_steps for up to cfg.k_max steps and keep the records.
+
+    objective has value(y) and grad(y) of the minimized function, counts()
+    returns its oracle call totals, and measure(y) gives f at each accepted
+    iterate (objective.value unless the caller counts more there).
+
+    Stops: stationary (zero gradient at the anchor or at the accepted
+    iterate), accuracy_floor (the anchor is at the floor for eps; the solve
+    ends on the floor trial's point when its gradient is smaller than the
+    last accepted y's), grad_tol and k_max. A failure re-raises with the
+    rows recorded so far in exc.records.
+    """
+    report = validate_params(cfg)
+    if not report.ok:
+        raise ValueError("invalid parameters: " + "; ".join(report.violations))
+    measure = measure or objective.value
+    base = counts()
+    # Largest anchor gradient and Hessian norms over every trial, and the
+    # gradient norms at accepted iterates.
+    peak = [0.0, 0.0]
+
+    def tracked(x_t: Vector) -> Answer:
+        ans = subproblem(x_t)
+        peak[0] = max(peak[0], ans.grad_anchor_norm)
+        peak[1] = max(peak[1], ans.hess_anchor_norm)
+        return ans
+
+    y = np.array(x0, dtype=np.float64)
+    A = 0.0
+    status = grad_norm = None
+    records: list[IterationRecord] = []
     t_start = time.perf_counter() if cfg.timing else 0.0
-    co = state.oracle if state.oracle is not None else counted(oracle)
-    state.oracle = co
-    t, n_trials = lambda_search(cfg, oracle, state)
-    if t.reason == "zero_gradient":
-        state.y = t.x_tilde.copy()
-        state.status = "stationary"
-        return state
-    if t.reason == "accuracy_floor":
-        # The floor trial solved its model to the arithmetic limit, so its
-        # point can lie closer to the optimum than the last accepted y.
-        floor_grad = float(np.linalg.norm(t.grad_y))
-        if state.grad_norm is not None and floor_grad < state.grad_norm:
-            state.y, state.grad_norm = t.y.copy(), floor_grad
-        state.status = "accuracy_floor"
-        return state
-    grad_y = t.grad_y if t.grad_y is not None else co.grad(t.y)
-    grad_norm = float(np.linalg.norm(grad_y))
-    state.grad_norm = grad_norm
-    state.max_grad_norm = max(state.max_grad_norm, grad_norm)
-    sigma_obs = 0.0
-    if t.r > 0.0:
-        drift = t.y - (t.x_tilde - t.lam * grad_y)
-        sigma_obs = float(np.linalg.norm(drift)) / t.r
-    state.x = state.x - t.a * grad_y
-    state.y = t.y
-    state.A = t.A_next
-    state.k += 1
-    state.lam_prev = t.lam
-    state.sigma_observed = sigma_obs
-    f_y = co.value(t.y)
-    wall_ms = (time.perf_counter() - t_start) * 1e3 if cfg.timing else 0.0
-    state.records.append(IterationRecord(
-        k=state.k, f=f_y, grad_norm=grad_norm, step_radius=t.r, lam=t.lam,
-        A=state.A, inner_iters=t.inner_iters,
-        n_grad=co.n_grad - state.base_grad, n_hess=co.n_hess - state.base_hess,
-        max_grad_norm=state.max_grad_norm, max_hess_norm=state.max_hess_norm,
-        wall_ms=wall_ms, sigma_observed=sigma_obs, window_value=t.w,
-        n_value=co.n_value - state.base_value,
-        n_third=co.n_third - state.base_third,
-        n_trials=n_trials, reason=t.reason, y=t.y.copy()))
-    if t.reason == "zero_gradient_at_iterate":
-        state.status = "stationary"
-    return state
+    try:
+        for t, n_trials in accelerated_steps(tracked, L3, y, cfg, cfg.k_max):
+            if t.reason == "zero_gradient":
+                y, grad_norm, status = t.x_tilde.copy(), 0.0, "stationary"
+                break
+            if t.reason == "accuracy_floor":
+                # The floor trial solved its model to the arithmetic limit,
+                # so its point can lie closer to the optimum than the last y.
+                floor_grad = float(np.linalg.norm(t.grad_y))
+                if grad_norm is not None and floor_grad < grad_norm:
+                    y, grad_norm = t.y.copy(), floor_grad
+                status = "accuracy_floor"
+                break
+            grad_norm = float(np.linalg.norm(t.grad_y))
+            peak[0] = max(peak[0], grad_norm)
+            sigma_obs = 0.0
+            if t.r > 0.0:
+                drift = t.y - (t.x_tilde - t.lam * t.grad_y)
+                sigma_obs = float(np.linalg.norm(drift)) / t.r
+            y, A = t.y, t.A_next
+            f_y = measure(y)
+            wall_ms = (time.perf_counter() - t_start) * 1e3 if cfg.timing else 0.0
+            c = {key: value - base[key] for key, value in counts().items()}
+            records.append(IterationRecord(
+                k=len(records) + 1, f=f_y, grad_norm=grad_norm,
+                step_radius=t.r, lam=t.lam, A=A, inner_iters=t.inner_iters,
+                n_grad=_total(c, "grad"), n_hess=_total(c, "hess"),
+                max_grad_norm=peak[0], max_hess_norm=peak[1], wall_ms=wall_ms,
+                sigma_observed=sigma_obs, window_value=t.w,
+                n_value=_total(c, "value"), n_third=_total(c, "third"),
+                n_trials=n_trials, reason=t.reason, y=y.copy(),
+                n_grad_g=c.get("grad_g", 0), n_hess_g=c.get("hess_g", 0),
+                n_grad_h=c.get("grad_h", 0), n_hess_h=c.get("hess_h", 0),
+                n_third_g=c.get("third_g", 0),
+                mid_iters=t.extra.get("mid_iters", 0) if t.extra else 0))
+            if t.reason == "zero_gradient_at_iterate":
+                status = "stationary"
+                break
+            if cfg.grad_tol > 0.0 and grad_norm <= cfg.grad_tol:
+                status = "grad_tol"
+                break
+            t_start = time.perf_counter() if cfg.timing else 0.0
+    except Exception as exc:
+        # Let the harness flush whatever rows exist before dying.
+        exc.records = tuple(records)
+        raise
+    status = status or "k_max"
+    f_final = objective.value(y)
+    if grad_norm is None:
+        grad_norm = float(np.linalg.norm(objective.grad(y)))
+    return SolveResult(
+        y=y, f=f_final, grad_norm=grad_norm, status=status,
+        converged=status in ("stationary", "grad_tol", "accuracy_floor"),
+        iters=len(records), A=A, records=tuple(records),
+        sigma_max=max((rec.sigma_observed for rec in records), default=0.0),
+        counts={key: value - base[key] for key, value in counts().items()},
+        max_grad_norm=peak[0], max_hess_norm=peak[1], report=report)
+
+
+def _total(counts: dict, kind: str) -> int:
+    """Calls of one kind summed over the parts: grad, or grad_g + grad_h."""
+    return sum(value for key, value in counts.items()
+               if key.partition("_")[0] == kind)
 
 
 def solve(cfg: NatmiConfig, oracle: ProblemOracle, x0: Vector) -> SolveResult:
     """Run the outer loop from x0 until k_max, grad_tol, or a terminal state."""
-    report = validate_params(cfg)
-    if not report.ok:
-        raise ValueError("invalid parameters: " + "; ".join(report.violations))
     if cfg.subsolver not in ("bdgm", "exact"):
         raise ValueError(f"unknown subsolver {cfg.subsolver!r}")
-    state = init_state(oracle, x0)
-    co = state.oracle
-    try:
-        for _ in range(cfg.k_max):
-            outer_step(cfg, oracle, state)
-            if state.status is not None:
-                break
-            if cfg.grad_tol > 0.0 and state.records[-1].grad_norm <= cfg.grad_tol:
-                state.status = "grad_tol"
-                break
-    except Exception as exc:
-        # Let the harness flush whatever rows exist before dying.
-        exc.records = tuple(state.records)
-        raise
-    if state.status is None:
-        state.status = "k_max"
-    f_final = co.value(state.y)
-    if state.grad_norm is not None:
-        grad_final = state.grad_norm
-    else:
-        grad_final = float(np.linalg.norm(co.grad(state.y)))
-    sigma_max = max((rec.sigma_observed for rec in state.records), default=0.0)
-    return SolveResult(
-        y=state.y, f=f_final, grad_norm=grad_final, status=state.status,
-        converged=state.status in ("stationary", "grad_tol", "accuracy_floor"),
-        iters=state.k, A=state.A, records=tuple(state.records),
-        sigma_max=sigma_max,
-        n_value=co.n_value - state.base_value,
-        n_grad=co.n_grad - state.base_grad,
-        n_hess=co.n_hess - state.base_hess,
-        n_third=co.n_third - state.base_third,
-        max_grad_norm=state.max_grad_norm, max_hess_norm=state.max_hess_norm,
-        report=report)
+    co = counted(oracle)
+    return outer_loop(oracle_subproblem(cfg, co), co.lipschitz_L3, x0, cfg,
+                      co, lambda: co.counts)

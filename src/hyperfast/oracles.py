@@ -169,6 +169,11 @@ class CountedOracle(ProblemOracle):
     def reset(self) -> None:
         self.n_value = self.n_grad = self.n_hess = self.n_third = 0
 
+    @property
+    def counts(self) -> dict[str, int]:
+        return {"value": self.n_value, "grad": self.n_grad,
+                "hess": self.n_hess, "third": self.n_third}
+
     def value(self, x: Vector) -> float:
         self.n_value += 1
         return self.inner.value(x)

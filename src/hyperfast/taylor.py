@@ -125,13 +125,44 @@ def membership_residual(spec: ModelSpec, gamma: float, T: Vector):
     return MembershipResult(lhs, rhs, lhs <= rhs + abs_tol)
 
 
+def newton_step(value, g: Vector, Hm: Matrix, y: Vector, scale: float,
+                what: str) -> tuple[Vector, float, float]:
+    """One damped Newton step for a convex function at y.
+
+    Solves with the Cholesky factor of Hm + shift*I, the Levenberg shift
+    starting at zero and growing from 1e-12*scale by factors of 4 until the
+    matrix factors, then halves the step until the Armijo test on value
+    holds. Returns (step, value(y), value(y + step)); the caller moves to
+    y + step. what names the function in the errors: a shift past 1e8*scale
+    or 60 halvings without decrease raise ModelError.
+    """
+    shift = 0.0
+    while True:
+        try:
+            chol = np.linalg.cholesky(Hm + shift * np.eye(y.size))
+            break
+        except np.linalg.LinAlgError:
+            shift = max(1e-12 * scale, 4.0 * shift)
+            if shift > 1e8 * scale:
+                raise ModelError(f"{what} Hessian is not positive definite") from None
+    d = -np.linalg.solve(chol.T, np.linalg.solve(chol, g))
+    base = value(y)
+    slope = float(g @ d)
+    step = 1.0
+    for _ in range(60):
+        trial = value(y + step * d)
+        if trial <= base + 1e-4 * step * slope:
+            return step * d, base, trial
+        step *= 0.5
+    raise ModelError(f"line search failed on the {what}")
+
+
 def exact_model_min(spec: ModelSpec, tol: float | None = None,
                     max_iters: int = 500) -> Vector:
     """Reference model minimizer by damped Newton (small n only).
 
-    Backtracking on the model value plus a Levenberg shift when the model
-    Hessian fails to factor. Intended as the slow-but-sure oracle the
-    iterative solver is compared against; n is capped at 50.
+    Each step is newton_step on the model. Intended as the slow-but-sure
+    oracle the iterative solver is compared against; n is capped at 50.
     """
     if spec.oracle.dim > 50:
         raise ValueError("reference minimizer is restricted to n <= 50")
@@ -143,35 +174,15 @@ def exact_model_min(spec: ModelSpec, tol: float | None = None,
         g = model_grad(spec, y)
         if float(np.linalg.norm(g)) <= tol:
             return y
-        Hm = model_hess(spec, y)
-        shift = 0.0
-        while True:
-            try:
-                chol = np.linalg.cholesky(Hm + shift * np.eye(y.size))
-                break
-            except np.linalg.LinAlgError:
-                shift = max(1e-12 * scale, 4.0 * shift)
-                if shift > 1e8 * scale:
-                    raise ModelError("model Hessian is not positive definite "
-                                     "(is H below the third-derivative constant?)")
-        d = -np.linalg.solve(chol.T, np.linalg.solve(chol, g))
-        base = model_value(spec, y)
-        slope = float(g @ d)
-        step = 1.0
-        for _ in range(60):
-            trial = model_value(spec, y + step * d)
-            if trial <= base + 1e-4 * step * slope:
-                break
-            step *= 0.5
-        else:
-            raise ModelError("line search failed on the model")
-        y = y + step * d
+        step, base, trial = newton_step(lambda z: model_value(spec, z), g,
+                                        model_hess(spec, y), y, scale, "model")
+        y = y + step
         # Float-limit stop: when tol sits below what float64 can represent
         # for this instance, steps stop decreasing the value (or stop moving
         # y) near the minimizer; accept the point instead of spinning.
         if trial >= base:
             return y
-        if float(np.linalg.norm(step * d)) <= 1e-15 * (1.0 + float(np.linalg.norm(y))):
+        if float(np.linalg.norm(step)) <= 1e-15 * (1.0 + float(np.linalg.norm(y))):
             return y
     raise ModelError(f"no convergence in {max_iters} Newton steps "
                      "(non-convex model or degenerate anchor)")

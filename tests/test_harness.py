@@ -382,6 +382,10 @@ class TestRun:
         with pytest.raises(ConfigError, match="hypothesis"):
             run(cfg)
 
+    def test_unknown_method_is_a_config_error(self):
+        with pytest.raises(ConfigError, match="unknown method"):
+            run(RunConfig(problem="quartic1d", method="bogus"))
+
     def test_reruns_are_byte_identical(self, tmp_path):
         for name in ("a.csv", "b.csv"):
             cfg = build_run_config({
@@ -457,6 +461,14 @@ _SRC = Path(__file__).resolve().parents[1] / "src"
     ("problem=quartic1d\neps=1e-6 # tight\nmax_iters=3\n", 0, None),
     ("problem=logreg\nproblem.ridge=-1\n", 2, "config error: "),
     ("problem=quadratic\nproblem.n=0\n", 2, "config error: "),
+    ("problem=quartic1d\neps=nan\n", 2, "config error: "),
+    ("problem=quartic1d\neps=inf\n", 2, "config error: "),
+    ("problem=quartic1d\nc_delta=nan\n", 2, "config error: "),
+    ("problem=quartic1d\nc_delta=-1\n", 2, "config error: "),
+    ("problem=quartic1d\ngrad_tol=nan\n", 2, "config error: "),
+    ("problem=quartic1d\ngrad_tol=-1\n", 2, "config error: "),
+    ("problem=quartic1d\nmethod=natmi_exact\nxi=nan\n", 2, "config error: "),
+    ("problem=quartic1d\nmethod=sliding\nxi=inf\n", 2, "config error: "),
 ])
 def test_cli_exit_codes(tmp_path, config, code, stderr_start):
     """The command line as a user runs it: exit code, and a bad config

@@ -203,8 +203,8 @@ class TestRecordInvariants:
         assert all(b >= a for a, b in zip(hessians, hessians[1:]))
         # A terminal probe after the last accepted step still costs calls,
         # so the result totals may exceed the last record's counters.
-        assert logreg_run.n_grad >= grads[-1]
-        assert logreg_run.n_hess >= hessians[-1]
+        assert logreg_run.counts["grad"] >= grads[-1]
+        assert logreg_run.counts["hess"] >= hessians[-1]
 
     def test_trial_counts_bounded(self, logreg_run):
         for rec in logreg_run.records:
@@ -219,18 +219,15 @@ class TestAcceptedStepCertificate:
         rng = np.random.default_rng(23)
         orc = QuarticObjective(np.eye(3), rng.standard_normal(3), 0.6)
         L3 = orc.lipschitz_L3
-        state = natmi.init_state(orc, rng.standard_normal(3))
         cfg = NatmiConfig(eps=1e-10)
-        for _ in range(4):
-            t, _ = natmi.lambda_search(cfg, orc, state)
+        steps = natmi.accelerated_steps(natmi.oracle_subproblem(cfg, orc), L3,
+                                        rng.standard_normal(3), cfg, k_max=4)
+        for t, _ in steps:
             assert t.reason == "certified"
             spec = ModelSpec(orc, t.x_tilde, H=1.5 * L3)
             lhs = float(np.linalg.norm(model_grad(spec, t.y)))
             bound = (1.0 / 5.0) * (7.0 * L3 / 6.0) * t.r ** 3
             assert lhs <= bound * (1.0 + 1e-8) + 1e-15
-            natmi.outer_step(cfg, orc, state)
-            if state.status is not None:
-                break
 
 
 class TestSolveEndToEnd:

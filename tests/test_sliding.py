@@ -17,7 +17,6 @@ from hyperfast.problems import QuarticObjective, make_quartic
 from hyperfast.sliding import (
     CompositeProblem,
     composite_membership,
-    solve_composite_natmi,
     solve_sliding,
 )
 from hyperfast.taylor import ModelSpec, membership_residual, model_grad, model_hess, model_value
@@ -146,6 +145,19 @@ class TestDegeneratePath:
         assert res.counts["grad_h"] == len(res.records)
         assert res.counts["hess_g"] > 0
 
+    def test_stationary_start_takes_one_gradient(self):
+        # The zero anchor gradient the first trial measured is the final
+        # gradient norm; no second call confirms it.
+        orc = make_quartic(np.eye(2), np.zeros(2), 1.0)
+        res_n = natmi_solve(NatmiConfig(), orc, np.zeros(2))
+        res_s = solve_sliding(CompositeProblem(orc, ZeroOracle(2)),
+                              np.zeros(2), NatmiConfig())
+        for res, key in ((res_n, "grad"), (res_s, "grad_g")):
+            assert res.status == "stationary"
+            assert res.grad_norm == 0.0
+            assert res.counts[key] == 1
+        assert res_s.counts["grad_h"] == 0
+
     def test_record_counters_include_both_parts(self):
         prob = CompositeProblem(
             QuarticObjective(np.zeros((2, 2)), np.zeros(2), 0.5), ZeroOracle(2))
@@ -255,15 +267,3 @@ class TestCompositeSolve:
         np.testing.assert_array_equal(a.y, b.y)
         assert [r.f for r in a.records] == [r.f for r in b.records]
         assert a.counts == b.counts
-
-    def test_alias_entry_point(self):
-        prob1 = CompositeProblem(
-            QuarticObjective(np.zeros((1, 1)), np.zeros(1), 1.0),
-            QuarticObjective(np.eye(1), np.zeros(1), 1.0))
-        prob2 = CompositeProblem(
-            QuarticObjective(np.zeros((1, 1)), np.zeros(1), 1.0),
-            QuarticObjective(np.eye(1), np.zeros(1), 1.0))
-        cfg = NatmiConfig(eps=1e-8, k_max=10)
-        a = solve_sliding(prob1, np.ones(1), cfg)
-        b = solve_composite_natmi(prob2, np.ones(1), cfg)
-        assert [r.f for r in a.records] == [r.f for r in b.records]

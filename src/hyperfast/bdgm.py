@@ -26,7 +26,8 @@ minimizer so that downstream agreement checks are meaningful; see solve().
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -35,11 +36,13 @@ from .oracles import Matrix, ProblemOracle, Vector, operator_norm
 
 _EPS = float(np.finfo(np.float64).eps)
 
-#: Bregman step scale 2*(1 + 1/sqrt(2)), equal to 2 + sqrt(2).
+#: Bregman step scale 2*(1 + 1/sqrt(2)), equal to 2 + sqrt(2); the same
+#: constant appears in the difference-step and ball formulas.
 STEP_SCALE = 2.0 * (1.0 + 1.0 / np.sqrt(2.0))
 
-#: Same constant in the difference-step and ball formulas.
-_W = 2.0 + np.sqrt(2.0)
+#: Regularization weight H = XI*L3 the engine's model is built for; the step
+#: scale and the ball radius are derived for it.
+XI = 1.5
 
 #: Floor on the difference step. The nominal step is proportional to delta
 #: and collapses below float64 resolution for small eps; second differences
@@ -84,22 +87,20 @@ def fd_third_action(oracle: ProblemOracle, x: Vector, s: Vector, tau: float,
 
 @dataclass
 class BdgmState:
-    """Frozen subproblem data plus the current iterate.
+    """Frozen subproblem data.
 
     tau is the nominal difference step 3*delta/(8*(2+sqrt(2))*||grad f(x~)||);
     tau_used = max(tau, TAU_FLOOR) is what the solver actually passes to the
     difference formula. ball_radius = 2*((2+sqrt(2))*||grad f(x~)||/L3)^(1/3).
+    inexact_grad_fn(state, z) estimates the model gradient at z and
+    target_grad_fn(z) is the gradient the certificate is measured against.
     """
 
-    oracle: ProblemOracle | None
     x_tilde: Vector
-    eps: float
-    c_delta: float
     gamma: float
     g0: Vector
     B: Matrix
     L3: float
-    H: float
     grad_norm0: float
     hess_norm0: float
     delta: float
@@ -107,35 +108,23 @@ class BdgmState:
     tau_used: float
     theta_abs: float
     ball_radius: float
-    step_scale: float
     evals: Vector
     evecs: Matrix
-    solved_reason: str | None = None
-    z: Vector = field(default=None)  # type: ignore[assignment]
-    iters: int = 0
-    inexact_grad_fn: Callable[["BdgmState", Vector], Vector] | None = None
-    target_grad_fn: Callable[[Vector], Vector] | None = None
-
-    def target_grad(self, z: Vector) -> Vector:
-        if self.target_grad_fn is not None:
-            return self.target_grad_fn(z)
-        assert self.oracle is not None
-        return self.oracle.grad(z)
+    solved_reason: str | None
+    inexact_grad_fn: Callable[["BdgmState", Vector], Vector]
+    target_grad_fn: Callable[[Vector], Vector]
 
 
 @dataclass
 class BdgmResult:
     z: Vector
     iters: int
-    converged: bool
     reason: str
     grad_at_z: Vector
-    stop_lhs: float
-    stop_rhs: float
 
 
-def _build_state(oracle, x_tilde, eps, c_delta, gamma, xi, g0, B, L3,
-                 inexact_grad_fn=None, target_grad_fn=None) -> BdgmState:
+def _build_state(x_tilde, eps, c_delta, gamma, g0, B, L3,
+                 inexact_grad_fn, target_grad_fn) -> BdgmState:
     eps = float(eps)
     if eps <= 0.0:
         raise ValueError("eps must be positive")
@@ -150,9 +139,9 @@ def _build_state(oracle, x_tilde, eps, c_delta, gamma, xi, g0, B, L3,
         solved_reason = "zero_gradient"
     else:
         delta = c_delta * eps**1.5 / (np.sqrt(grad_norm0) + hess_norm0**1.5 / np.sqrt(L3))
-        tau = 3.0 * delta / (8.0 * _W * grad_norm0)
+        tau = 3.0 * delta / (8.0 * STEP_SCALE * grad_norm0)
         tau_used = max(tau, TAU_FLOOR)
-        ball = 2.0 * (_W * grad_norm0 / L3) ** (1.0 / 3.0)
+        ball = 2.0 * (STEP_SCALE * grad_norm0 / L3) ** (1.0 / 3.0)
         noise = 4.0 * _EPS * (grad_norm0 + hess_norm0 * ball + L3 * ball**3) / tau_used**2
         theta_abs = max(delta, 2.0 * noise)
         if delta >= gamma * grad_norm0:
@@ -160,29 +149,38 @@ def _build_state(oracle, x_tilde, eps, c_delta, gamma, xi, g0, B, L3,
             # the anchor gradient is already at the accuracy floor for eps.
             solved_reason = "accuracy_floor"
     evals, evecs = np.linalg.eigh(B)
-    state = BdgmState(
-        oracle=oracle, x_tilde=np.array(x_tilde, dtype=np.float64), eps=eps,
-        c_delta=float(c_delta), gamma=float(gamma), g0=np.asarray(g0, dtype=np.float64),
-        B=np.asarray(B, dtype=np.float64), L3=float(L3), H=float(xi) * float(L3),
-        grad_norm0=grad_norm0, hess_norm0=hess_norm0, delta=float(delta),
-        tau=float(tau), tau_used=float(tau_used), theta_abs=float(theta_abs),
-        ball_radius=float(ball), step_scale=STEP_SCALE, evals=evals, evecs=evecs,
-        solved_reason=solved_reason, inexact_grad_fn=inexact_grad_fn,
-        target_grad_fn=target_grad_fn,
+    return BdgmState(
+        x_tilde=np.array(x_tilde, dtype=np.float64), gamma=float(gamma),
+        g0=np.asarray(g0, dtype=np.float64), B=np.asarray(B, dtype=np.float64),
+        L3=float(L3), grad_norm0=grad_norm0, hess_norm0=hess_norm0,
+        delta=float(delta), tau=float(tau), tau_used=float(tau_used),
+        theta_abs=float(theta_abs), ball_radius=float(ball), evals=evals,
+        evecs=evecs, solved_reason=solved_reason,
+        inexact_grad_fn=inexact_grad_fn, target_grad_fn=target_grad_fn,
     )
-    state.z = state.x_tilde.copy()
-    return state
+
+
+def _fd_model_grad(oracle: ProblemOracle, state: BdgmState, z: Vector) -> Vector:
+    """g0 + B s + 0.5*(gradient second difference along s) + L3*||s||^2 * s,
+    where the last term is the regularizer gradient at H = XI*L3."""
+    s = np.asarray(z, dtype=np.float64) - state.x_tilde
+    if not np.any(s):
+        return state.g0.copy()
+    fd3 = fd_third_action(oracle, state.x_tilde, s, state.tau_used,
+                          g0=state.g0)
+    return (state.g0 + state.B @ s + 0.5 * fd3
+            + state.L3 * float(s @ s) * s)
 
 
 def setup(oracle: ProblemOracle, x_tilde: Vector, eps: float,
-          c_delta: float = 1.0, gamma: float = 1.0 / 6.0,
-          xi: float = 1.5) -> BdgmState:
+          c_delta: float = 1.0, gamma: float = 1.0 / 6.0) -> BdgmState:
     """Prepare the subproblem at an anchor: one gradient and one Hessian."""
     x_tilde = np.asarray(x_tilde, dtype=np.float64)
     g0 = oracle.grad(x_tilde)
     B = oracle.hess(x_tilde)
-    return _build_state(oracle, x_tilde, eps, c_delta, gamma, xi, g0, B,
-                        oracle.lipschitz_L3)
+    return _build_state(x_tilde, eps, c_delta, gamma, g0, B,
+                        oracle.lipschitz_L3, partial(_fd_model_grad, oracle),
+                        oracle.grad)
 
 
 def custom_setup(anchor: Vector, g0: Vector, B: Matrix, L3: float, eps: float,
@@ -193,26 +191,13 @@ def custom_setup(anchor: Vector, g0: Vector, B: Matrix, L3: float, eps: float,
     Used by the composite path, where the objective is a sum of two cached
     models and the stopping gradient belongs to the enclosing subproblem.
     """
-    return _build_state(None, anchor, eps, c_delta, gamma, 1.5, g0, B, L3,
-                        inexact_grad_fn=inexact_grad_fn,
-                        target_grad_fn=target_grad_fn)
+    return _build_state(anchor, eps, c_delta, gamma, g0, B, L3,
+                        inexact_grad_fn, target_grad_fn)
 
 
 def approx_grad(state: BdgmState, z: Vector) -> Vector:
-    """Estimated gradient of the regularized model at z.
-
-    g0 + B s + 0.5*(gradient second difference along s) + L3*||s||^2 * s,
-    where the last term is the regularizer gradient at H = 3*L3/2.
-    """
-    if state.inexact_grad_fn is not None:
-        return state.inexact_grad_fn(state, z)
-    s = np.asarray(z, dtype=np.float64) - state.x_tilde
-    if not np.any(s):
-        return state.g0.copy()
-    fd3 = fd_third_action(state.oracle, state.x_tilde, s, state.tau_used,
-                          g0=state.g0)
-    return (state.g0 + state.B @ s + 0.5 * fd3
-            + state.L3 * float(s @ s) * s)
+    """Estimated gradient of the regularized model at z."""
+    return state.inexact_grad_fn(state, z)
 
 
 def _rho_grad(state: BdgmState, s: Vector) -> Vector:
@@ -257,9 +242,8 @@ def bregman_step(state: BdgmState, z_i: Vector, g: Vector) -> Vector:
     bregman_step_dense solves the same equation by bisection with a dense
     solve per trial radius and serves as the cross-check.
     """
-    a = state.step_scale
     s_i = np.asarray(z_i, dtype=np.float64) - state.x_tilde
-    b = _rho_grad(state, s_i) - np.asarray(g, dtype=np.float64) / a
+    b = _rho_grad(state, s_i) - np.asarray(g, dtype=np.float64) / STEP_SCALE
     R = state.ball_radius
     if R == 0.0:
         return state.x_tilde.copy()
@@ -311,9 +295,8 @@ def bregman_step_dense(state: BdgmState, z_i: Vector, g: Vector) -> Vector:
     Bisects the radius equation instead of running Newton, so it shares no
     root-finding logic with bregman_step.
     """
-    a = state.step_scale
     s_i = np.asarray(z_i, dtype=np.float64) - state.x_tilde
-    b = _rho_grad(state, s_i) - np.asarray(g, dtype=np.float64) / a
+    b = _rho_grad(state, s_i) - np.asarray(g, dtype=np.float64) / STEP_SCALE
     R = state.ball_radius
     if float(np.linalg.norm(b)) == 0.0 or R == 0.0:
         return state.x_tilde.copy()
@@ -371,29 +354,25 @@ def solve(state: BdgmState, max_iters: int = 10000) -> BdgmResult:
     minimizer relies on.
     """
     if state.solved_reason is not None:
-        return BdgmResult(state.x_tilde.copy(), 0, True, state.solved_reason,
-                          state.g0.copy(), 0.0, 0.0)
+        return BdgmResult(state.x_tilde.copy(), 0, state.solved_reason,
+                          state.g0.copy())
     z = state.x_tilde.copy()
     for i in range(max_iters):
         g_hat = approx_grad(state, z)
-        grad_z = state.g0 if i == 0 else state.target_grad(z)
+        grad_z = state.g0 if i == 0 else state.target_grad_fn(z)
         grad_z_norm = float(np.linalg.norm(grad_z))
         lhs = float(np.linalg.norm(g_hat))
         rhs = state.gamma * grad_z_norm - state.delta
         if grad_z_norm == 0.0:
-            state.z, state.iters = z, i
-            return BdgmResult(z, i, True, "zero_gradient_at_iterate",
-                              grad_z, lhs, rhs)
+            return BdgmResult(z, i, "zero_gradient_at_iterate", grad_z)
         if lhs <= rhs and lhs <= state.theta_abs:
-            state.z, state.iters = z, i
-            return BdgmResult(z, i, True, "certified", grad_z, lhs, rhs)
+            return BdgmResult(z, i, "certified", grad_z)
         if lhs <= state.theta_abs:
             # rhs < lhs <= theta_abs: the certification line sits below the
             # arithmetic floor, so no further step can reach it. z already
             # minimizes the model to that floor; hand it back as the same
             # accuracy-floor outcome the setup short-circuit reports.
-            state.z, state.iters = z, i
-            return BdgmResult(z, i, True, "accuracy_floor", grad_z, lhs, rhs)
+            return BdgmResult(z, i, "accuracy_floor", grad_z)
         z = bregman_step(state, z, g_hat)
         shift = float(np.linalg.norm(z - state.x_tilde))
         if shift > state.ball_radius * (1.0 + 1e-9):

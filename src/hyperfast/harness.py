@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import natmi, sliding
+from . import bdgm, natmi, sliding
 from .bdgm import SubproblemError
 from .natmi import IterationRecord, LambdaSearchError, NatmiConfig
 from .oracles import ProblemOracle, SumOracle, Vector, ZeroOracle, counted
@@ -38,6 +38,9 @@ _CLI_METHOD_ALIASES = {"hyperfast": "hyperfast", "natmi-exact": "natmi_exact",
                        "gd": "gd_baseline", "gd_baseline": "gd_baseline"}
 
 _FSTAR_PATH = Path(__file__).with_name("fstar_fixture.json")
+
+#: Newton steps reference_fstar may take before it gives up.
+_FSTAR_BUDGET = 500
 
 
 class ConfigError(ValueError):
@@ -63,6 +66,18 @@ class RunConfig:
     trace_path: str | None = None
     summary_path: str | None = None
     problem_params: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        # Written as "not (...)" so that NaN, which fails every comparison,
+        # is rejected too.
+        if not (0.0 < self.eps < math.inf):
+            raise ConfigError(f"eps must be positive and finite, got {self.eps}")
+        if not (0.0 < self.c_delta < math.inf):
+            raise ConfigError(f"c_delta must be positive and finite, got {self.c_delta}")
+        if not (0.0 <= self.grad_tol < math.inf):
+            raise ConfigError(f"grad_tol must be >= 0 and finite, got {self.grad_tol}")
+        if self.max_iters < 1:
+            raise ConfigError(f"max_iters must be >= 1, got {self.max_iters}")
 
 
 def parse_config_text(text: str) -> dict[str, str]:
@@ -132,7 +147,7 @@ def build_run_config(mapping: dict[str, str]) -> RunConfig:
     timing_raw = str(plain.get("timing", "off")).lower()
     if timing_raw not in ("on", "off", "true", "false", "0", "1"):
         raise ConfigError(f"timing must be on/off, got {plain['timing']!r}")
-    cfg = RunConfig(
+    return RunConfig(
         problem=plain["problem"], method=method,
         eps=_float("eps", 1e-8), max_iters=_int("max_iters", 30),
         grad_tol=_float("grad_tol", 0.0), gamma=_float("gamma", 1.0 / 6.0),
@@ -140,17 +155,6 @@ def build_run_config(mapping: dict[str, str]) -> RunConfig:
         seed=_int("seed", 0), timing=timing_raw in ("on", "true", "1"),
         trace_path=plain.get("trace"), summary_path=plain.get("summary"),
         problem_params=problem_params)
-    # Written as "not (...)" so that NaN, which fails every comparison, is
-    # rejected too.
-    if not (0.0 < cfg.eps < math.inf):
-        raise ConfigError(f"eps must be positive and finite, got {cfg.eps}")
-    if not (0.0 < cfg.c_delta < math.inf):
-        raise ConfigError(f"c_delta must be positive and finite, got {cfg.c_delta}")
-    if not (0.0 <= cfg.grad_tol < math.inf):
-        raise ConfigError(f"grad_tol must be >= 0 and finite, got {cfg.grad_tol}")
-    if cfg.max_iters < 1:
-        raise ConfigError(f"max_iters must be >= 1, got {cfg.max_iters}")
-    return cfg
 
 
 @dataclass(frozen=True)
@@ -254,21 +258,27 @@ def _sliding_bench(params, seed):
     return ProblemBundle("sliding_bench", (g, h), np.zeros(n), f_star=None)
 
 
+#: Registered problems: the builder and the problem.* keys it reads.
 PROBLEMS = {
-    "quartic1d": _quartic1d,
-    "quadratic": _quadratic,
-    "quartic_chain": _quartic_chain,
-    "logreg": _logreg,
-    "logreg_fixture": _logreg_fixture,
-    "sliding_bench": _sliding_bench,
+    "quartic1d": (_quartic1d, ()),
+    "quadratic": (_quadratic, ("n", "seed")),
+    "quartic_chain": (_quartic_chain, ("n",)),
+    "logreg": (_logreg, ("m", "n", "ridge", "seed")),
+    "logreg_fixture": (_logreg_fixture, ()),
+    "sliding_bench": (_sliding_bench, ("m", "n", "seed")),
 }
 
 
 def make_problem(cfg: RunConfig) -> ProblemBundle:
-    builder = PROBLEMS.get(cfg.problem)
-    if builder is None:
+    if cfg.problem not in PROBLEMS:
         raise ConfigError(f"unknown problem {cfg.problem!r} "
                           f"(choose from {', '.join(sorted(PROBLEMS))})")
+    builder, keys = PROBLEMS[cfg.problem]
+    unknown = sorted(set(cfg.problem_params) - set(keys))
+    if unknown:
+        takes = ", ".join(f"problem.{key}" for key in keys) or "none"
+        raise ConfigError(f"problem {cfg.problem} has no parameter "
+                          f"problem.{unknown[0]} (it takes: {takes})")
     try:
         return builder(cfg.problem_params, cfg.seed)
     except ConfigError:
@@ -345,8 +355,7 @@ def fit_rate(trace, k_window, f_star: float) -> float:
     return float(slope)
 
 
-def reference_fstar(oracle: ProblemOracle, budget: int = 500,
-                    tol: float = 1e-13) -> float:
+def reference_fstar(oracle: ProblemOracle, tol: float = 1e-13) -> float:
     """High-accuracy optimum value by damped Newton from zero.
 
     Runs until ||grad f|| <= tol; exhausting the budget is an error so a
@@ -354,13 +363,13 @@ def reference_fstar(oracle: ProblemOracle, budget: int = 500,
     """
     x = np.zeros(oracle.dim)
     scale = 1.0 + float(np.linalg.norm(oracle.hess(x)))
-    for _ in range(budget):
+    for _ in range(_FSTAR_BUDGET):
         g = oracle.grad(x)
         if float(np.linalg.norm(g)) <= tol:
             return float(oracle.value(x))
         x = x + newton_step(oracle.value, g, oracle.hess(x), x, scale,
                             "objective")[0]
-    raise ModelError(f"reference optimum not reached in {budget} Newton steps")
+    raise ModelError(f"reference optimum not reached in {_FSTAR_BUDGET} Newton steps")
 
 
 def baseline_gd(oracle: ProblemOracle, x0: Vector, steps: int):
@@ -458,6 +467,11 @@ def run(cfg: RunConfig) -> RunOutcome:
             raise ConfigError("invalid solver parameters: "
                               + "; ".join(report.violations))
     bundle = make_problem(cfg)
+    # hyperfast, and sliding with no second part, run only the inexact engine.
+    if cfg.xi != bdgm.XI and (cfg.method == "hyperfast" or (
+            cfg.method == "sliding" and len(bundle.parts) == 1)):
+        raise ConfigError(f"method {cfg.method} on {cfg.problem} runs at "
+                          f"xi = {bdgm.XI}, got xi = {cfg.xi}")
     echo = config_echo(cfg)
     columns = SLIDING_COLUMNS if cfg.method == "sliding" else BASE_COLUMNS
     records: tuple = ()

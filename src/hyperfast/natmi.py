@@ -36,6 +36,11 @@ WINDOW_HI = 0.75
 #: First-iteration target for lambda * 3*L3*r^2/4, the window midpoint.
 _WINDOW_MID = 0.625
 
+#: Step weight search: bracket growth factor, expansion and bisection caps.
+_LAM_GROWTH = 2.0
+_MAX_EXPAND = 60
+_MAX_BISECT = 60
+
 #: Subproblem outcomes that end the outer loop instead of being stepped on.
 _TERMINAL = ("zero_gradient", "accuracy_floor")
 
@@ -48,26 +53,20 @@ class LambdaSearchError(RuntimeError):
 class NatmiConfig:
     """Solver parameters.
 
-    gamma, xi, p form the contraction regime checked by validate_params;
-    the shipped defaults (1/6, 3/2, 3) give sigma = 0.6. eps feeds the inner
+    gamma and xi form the contraction regime checked by validate_params;
+    the shipped defaults (1/6, 3/2) give sigma = 0.6. eps feeds the inner
     solver's difference-error budget, grad_tol is the outer stopping norm
-    (0 disables it, leaving only k_max). The lam_* fields control the step
-    weight search and subsolver picks the inner engine ("bdgm" or "exact").
+    (0 disables it, leaving only k_max), and subsolver picks the inner
+    engine ("bdgm", which is built for xi = 3/2, or "exact").
     """
 
     eps: float = 1e-8
     k_max: int = 100
     gamma: float = 1.0 / 6.0
     xi: float = 1.5
-    p: int = 3
     c_delta: float = 1.0
     grad_tol: float = 0.0
     subsolver: str = "bdgm"
-    lam_growth: float = 2.0
-    lam_max_expand: int = 60
-    lam_max_bisect: int = 60
-    inner_max_iters: int = 10000
-    middle_k_max: int = 300
     timing: bool = False
 
 
@@ -82,23 +81,21 @@ class ParamReport:
 def validate_params(cfg: NatmiConfig) -> ParamReport:
     """Check the parameter regime and report the predicted contraction.
 
-    Accepts iff p = 3, gamma in [0, 1), xi >= 1 is finite and
+    Accepts iff gamma in [0, 1), xi >= 1 is finite and, at the order p = 3,
     2*gamma + 1/(xi*(p+1)) <= 1. The predicted per-iteration contraction is
     sigma = (p*xi + 1 - xi + 2*gamma*xi) / ((1 - gamma)*2*p*xi); the regime
-    (3, 1/6, 3/2) gives exactly 0.6 and (3, 0, 1) gives 0.5.
+    (1/6, 3/2) gives exactly 0.6 and (0, 1) gives 0.5.
     """
     violations = []
-    p = cfg.p
+    p = 3
     gamma = float(cfg.gamma)
     xi = float(cfg.xi)
-    if p != 3:
-        violations.append(f"p must equal 3, got {p}")
     if not 0.0 <= gamma < 1.0:
         violations.append(f"gamma must lie in [0, 1), got {gamma}")
     if not 1.0 <= xi < math.inf:
         violations.append(
             f"xi must be finite and >= 1 so H = xi*L3 dominates L3, got {xi}")
-    if xi > 0.0 and p + 1 != 0:
+    if xi > 0.0:
         hypothesis = 2.0 * gamma + 1.0 / (xi * (p + 1))
         if hypothesis > 1.0:
             violations.append(
@@ -214,14 +211,18 @@ class SolveResult:
 def oracle_subproblem(cfg: NatmiConfig, oracle: ProblemOracle):
     """Subproblem builder for a single function: the regularized third-order
     model of oracle at each anchor, solved by the inexact engine or, with
-    subsolver="exact", by the reference Newton minimizer."""
+    subsolver="exact", by the reference Newton minimizer. The inexact engine
+    is built for xi = bdgm.XI and refuses any other xi."""
+    if cfg.subsolver == "bdgm" and cfg.xi != bdgm.XI:
+        raise ValueError(f"subsolver 'bdgm' is built for xi = {bdgm.XI}, "
+                         f"got xi = {cfg.xi}")
     L3 = oracle.lipschitz_L3
 
     def subproblem(x_t: Vector) -> Answer:
         if cfg.subsolver == "bdgm":
             sub = bdgm.setup(oracle, x_t, cfg.eps, c_delta=cfg.c_delta,
-                             gamma=cfg.gamma, xi=cfg.xi)
-            res = bdgm.solve(sub, cfg.inner_max_iters)
+                             gamma=cfg.gamma)
+            res = bdgm.solve(sub)
             return Answer(res.z, res.grad_at_z, res.iters, res.reason,
                           sub.grad_norm0, sub.hess_norm0)
         spec = ModelSpec(oracle, x_t, cfg.xi * L3)
@@ -244,9 +245,8 @@ def oracle_subproblem(cfg: NatmiConfig, oracle: ProblemOracle):
     return subproblem
 
 
-def search_lambda(make_trial, L3: float, lam_warm: float | None, A: float,
-                  growth: float = 2.0, max_expand: int = 60,
-                  max_bisect: int = 60) -> tuple[TrialPoint, int]:
+def search_lambda(make_trial, L3: float, lam_warm: float | None,
+                  A: float) -> tuple[TrialPoint, int]:
     """Find a step weight whose trial lands in the window.
 
     With A = 0 the anchor does not depend on lambda, so a single subproblem
@@ -275,12 +275,10 @@ def search_lambda(make_trial, L3: float, lam_warm: float | None, A: float,
         return replace(t, lam=lam, a=lam, A_next=lam,
                        w=lam * 0.75 * L3 * t.r * t.r), n_trials
 
-    if growth <= 1.0:
-        raise ValueError("bracket growth factor must exceed 1")
     lam = lam_warm if lam_warm is not None else 1.0
     t = None
     lam_lo = lam_hi = None  # below-window / above-window bracket edges
-    for _ in range(max_expand):
+    for _ in range(_MAX_EXPAND):
         t = attempt(lam)
         if t.reason in _TERMINAL or WINDOW_LO <= t.w <= WINDOW_HI:
             return t, n_trials
@@ -288,18 +286,18 @@ def search_lambda(make_trial, L3: float, lam_warm: float | None, A: float,
             lam_lo = lam
             if lam_hi is not None:
                 break
-            lam *= growth
+            lam *= _LAM_GROWTH
         else:
             lam_hi = lam
             if lam_lo is not None:
                 break
-            lam /= growth
+            lam /= _LAM_GROWTH
     if lam_lo is None or lam_hi is None:
         last = f"last lambda = {t.lam:.6g}, w = {t.w:.6g}" if t is not None else "no trials"
         raise LambdaSearchError(
-            f"no window bracket within {max_expand} expansions "
+            f"no window bracket within {_MAX_EXPAND} expansions "
             f"(L3 = {L3:.6g}, {last}); check the oracle's L3")
-    for _ in range(max_bisect):
+    for _ in range(_MAX_BISECT):
         lam = math.sqrt(lam_lo * lam_hi)
         t = attempt(lam)
         if t.reason in _TERMINAL or WINDOW_LO <= t.w <= WINDOW_HI:
@@ -309,7 +307,7 @@ def search_lambda(make_trial, L3: float, lam_warm: float | None, A: float,
         else:
             lam_hi = lam
     raise LambdaSearchError(
-        f"window not hit within {max_bisect} bisections "
+        f"window not hit within {_MAX_BISECT} bisections "
         f"(L3 = {L3:.6g}, bracket [{lam_lo:.6g}, {lam_hi:.6g}]); "
         "the step radius may be discontinuous in lambda, check L3")
 
@@ -349,10 +347,7 @@ def accelerated_steps(subproblem, L3: float, x0: Vector, cfg: NatmiConfig,
 
         seed = warm.get(k) if warm is not None else None
         t, n_trials = search_lambda(make_trial, L3,
-                                    lam_prev if seed is None else seed, A,
-                                    growth=cfg.lam_growth,
-                                    max_expand=cfg.lam_max_expand,
-                                    max_bisect=cfg.lam_max_bisect)
+                                    lam_prev if seed is None else seed, A)
         terminal = t.reason in _TERMINAL
         if warm is not None and A > 0.0 and not terminal:
             warm[k] = t.lam

@@ -38,6 +38,9 @@ from .natmi import (
 from .oracles import ProblemOracle, Vector, counted
 from .taylor import MembershipResult, ModelSpec, model_grad, model_hess
 
+#: Middle-loop steps allowed per outer trial before the solve fails.
+_MIDDLE_K_MAX = 300
+
 
 class CompositeProblem:
     """Pair of counted oracles with the cheaper-to-model part first.
@@ -143,7 +146,7 @@ def _middle_solve(cfg: NatmiConfig, prob: CompositeProblem, gspec: ModelSpec,
         eng = bdgm.custom_setup(x_tm, g0, B, L3_inner, cfg.eps,
                                 inexact, target, c_delta=cfg.c_delta,
                                 gamma=cfg.gamma)
-        res = bdgm.solve(eng, cfg.inner_max_iters)
+        res = bdgm.solve(eng)
         # The engine answers either at the anchor or at the last point whose
         # target gradient it took.
         gh = last["gh"] if last.get("z") is res.z else gh_anchor
@@ -153,7 +156,7 @@ def _middle_solve(cfg: NatmiConfig, prob: CompositeProblem, gspec: ModelSpec,
     mid_iters = inner_total = 0
     peak_grad, peak_hess = ga_norm, 0.0
     for t, _ in accelerated_steps(subproblem, L3h, x_anchor, cfg,
-                                  cfg.middle_k_max, warm):
+                                  _MIDDLE_K_MAX, warm):
         mid_iters += 1
         inner_total += t.inner_iters
         peak_grad = max(peak_grad, t.grad_anchor_norm)
@@ -166,7 +169,7 @@ def _middle_solve(cfg: NatmiConfig, prob: CompositeProblem, gspec: ModelSpec,
                           "certified" if member else "accuracy_floor",
                           peak_grad, peak_hess, {"mid_iters": mid_iters})
     raise bdgm.SubproblemError(
-        f"middle loop exhausted {cfg.middle_k_max} iterations without "
+        f"middle loop exhausted {_MIDDLE_K_MAX} iterations without "
         "reaching the outer membership set")
 
 

@@ -23,6 +23,12 @@ from typing import NamedTuple
 from .oracles import Matrix, ProblemOracle, Vector
 from .bdgm import fd_third_action
 
+#: Step of the difference formulas on the "fd" third-derivative route.
+_FD_TAU = 1e-4
+
+#: Newton steps exact_model_min may take before it gives up.
+_MAX_NEWTON_STEPS = 500
+
 
 class ModelError(RuntimeError):
     """Reference minimization failed (typically a non-convex model)."""
@@ -42,17 +48,13 @@ class ModelSpec:
         x_tilde: anchor point.
         H: regularization weight, non-negative. H = 0 gives the raw
             third-order expansion (used by remainder-bound checks).
-        p: model order; only 3 is implemented and anything else raises.
         third: "exact" to use the oracle's analytic third derivative,
-            "fd" to use difference formulas. Default picks "exact" when the
-            oracle has it.
-        fd_tau: step for the "fd" route.
+            "fd" to use difference formulas with step _FD_TAU. Default picks
+            "exact" when the oracle has it.
     """
 
     def __init__(self, oracle: ProblemOracle, x_tilde: Vector, H: float,
-                 p: int = 3, third: str | None = None, fd_tau: float = 1e-4):
-        if p != 3:
-            raise ValueError(f"only p = 3 models are implemented, got p = {p}")
+                 third: str | None = None):
         H = float(H)
         if not np.isfinite(H) or H < 0.0:
             raise ValueError(f"H must be finite and non-negative, got {H}")
@@ -64,10 +66,8 @@ class ModelSpec:
             raise ValueError("oracle has no analytic third derivative")
         self.oracle = oracle
         self.x_tilde = np.array(x_tilde, dtype=np.float64)
-        self.p = 3
         self.H = H
         self.third = third
-        self.fd_tau = float(fd_tau)
         self.value_anchor = oracle.value(self.x_tilde)
         self.grad_anchor = oracle.grad(self.x_tilde)
         self.hess_anchor = oracle.hess(self.x_tilde)
@@ -75,15 +75,14 @@ class ModelSpec:
     def third_action(self, s: Vector) -> Vector:
         if self.third == "exact":
             return self.oracle.third_action(self.x_tilde, s)
-        return fd_third_action(self.oracle, self.x_tilde, s, self.fd_tau)
+        return fd_third_action(self.oracle, self.x_tilde, s, _FD_TAU)
 
     def third_dir(self, s: Vector) -> Matrix:
         if self.third == "exact":
             return self.oracle.third_dir(self.x_tilde, s)
-        tau = self.fd_tau
-        plus = self.oracle.hess(self.x_tilde + tau * s)
-        minus = self.oracle.hess(self.x_tilde - tau * s)
-        return (plus - minus) / (2.0 * tau)
+        plus = self.oracle.hess(self.x_tilde + _FD_TAU * s)
+        minus = self.oracle.hess(self.x_tilde - _FD_TAU * s)
+        return (plus - minus) / (2.0 * _FD_TAU)
 
 
 def model_value(spec: ModelSpec, y: Vector) -> float:
@@ -157,20 +156,19 @@ def newton_step(value, g: Vector, Hm: Matrix, y: Vector, scale: float,
     raise ModelError(f"line search failed on the {what}")
 
 
-def exact_model_min(spec: ModelSpec, tol: float | None = None,
-                    max_iters: int = 500) -> Vector:
+def exact_model_min(spec: ModelSpec) -> Vector:
     """Reference model minimizer by damped Newton (small n only).
 
-    Each step is newton_step on the model. Intended as the slow-but-sure
-    oracle the iterative solver is compared against; n is capped at 50.
+    Each step is newton_step on the model, until the model gradient is at
+    most 1e-12*(1 + ||grad f(x~)||). Intended as the slow-but-sure oracle the
+    iterative solver is compared against; n is capped at 50.
     """
     if spec.oracle.dim > 50:
         raise ValueError("reference minimizer is restricted to n <= 50")
-    if tol is None:
-        tol = 1e-12 * (1.0 + float(np.linalg.norm(spec.grad_anchor)))
+    tol = 1e-12 * (1.0 + float(np.linalg.norm(spec.grad_anchor)))
     y = spec.x_tilde.copy()
     scale = 1.0 + float(np.linalg.norm(spec.hess_anchor))
-    for _ in range(max_iters):
+    for _ in range(_MAX_NEWTON_STEPS):
         g = model_grad(spec, y)
         if float(np.linalg.norm(g)) <= tol:
             return y
@@ -184,5 +182,5 @@ def exact_model_min(spec: ModelSpec, tol: float | None = None,
             return y
         if float(np.linalg.norm(step)) <= 1e-15 * (1.0 + float(np.linalg.norm(y))):
             return y
-    raise ModelError(f"no convergence in {max_iters} Newton steps "
+    raise ModelError(f"no convergence in {_MAX_NEWTON_STEPS} Newton steps "
                      "(non-convex model or degenerate anchor)")

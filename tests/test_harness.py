@@ -102,6 +102,14 @@ class TestBuildRunConfig:
         with pytest.raises(ConfigError, match="max_iters"):
             build_run_config({"problem": "x", "max_iters": "0"})
 
+    @pytest.mark.parametrize("field, value", [
+        ("eps", math.nan), ("eps", 0.0), ("c_delta", -1.0),
+        ("grad_tol", math.nan), ("max_iters", 0),
+    ])
+    def test_direct_construction_validated(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            RunConfig(problem="quartic1d", **{field: value})
+
     def test_timing_flag_forms(self):
         for raw, expect in (("on", True), ("true", True), ("1", True),
                             ("off", False), ("false", False), ("0", False)):
@@ -469,6 +477,10 @@ _SRC = Path(__file__).resolve().parents[1] / "src"
     ("problem=quartic1d\ngrad_tol=-1\n", 2, "config error: "),
     ("problem=quartic1d\nmethod=natmi_exact\nxi=nan\n", 2, "config error: "),
     ("problem=quartic1d\nmethod=sliding\nxi=inf\n", 2, "config error: "),
+    ("problem=quartic1d\nxi=7\n", 2, "config error: "),
+    ("problem=quartic1d\nmethod=sliding\nxi=7\n", 2, "config error: "),
+    ("problem=quartic1d\nproblem.nn=5\n", 2, "config error: "),
+    ("problem=logreg\nproblem.rigde=5\n", 2, "config error: "),
 ])
 def test_cli_exit_codes(tmp_path, config, code, stderr_start):
     """The command line as a user runs it: exit code, and a bad config

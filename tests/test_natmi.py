@@ -50,10 +50,6 @@ class TestValidateParams:
         assert not rep.ok
         assert any("hypothesis" in v for v in rep.violations)
 
-    def test_wrong_order_rejected(self):
-        rep = validate_params(NatmiConfig(p=2))
-        assert not rep.ok
-
     def test_gamma_out_of_range_rejected(self):
         assert not validate_params(NatmiConfig(gamma=1.0)).ok
         assert not validate_params(NatmiConfig(gamma=-0.1)).ok
@@ -65,6 +61,15 @@ class TestValidateParams:
         orc = make_quartic(np.eye(1), np.ones(1), 0.5)
         with pytest.raises(ValueError):
             solve(NatmiConfig(gamma=0.5, xi=1.0), orc, np.ones(1))
+
+    def test_inexact_engine_refuses_other_xi(self):
+        # The engine's step scale and ball are derived for xi = 3/2; the
+        # exact subsolver takes any admissible xi.
+        orc = make_quartic(np.eye(1), np.ones(1), 0.5)
+        with pytest.raises(ValueError, match="xi"):
+            solve(NatmiConfig(xi=7.0), orc, np.ones(1))
+        assert solve(NatmiConfig(xi=7.0, subsolver="exact", k_max=2), orc,
+                     np.ones(1)).iters >= 1
 
     def test_solve_refuses_unknown_subsolver(self):
         orc = make_quartic(np.eye(1), np.ones(1), 0.5)
@@ -153,12 +158,7 @@ class TestSearchLambda:
     def test_flat_zero_curve_exhausts_bracket(self):
         make = lambda lam: _fake_trial(lam, w=0.0, r=0.0)
         with pytest.raises(LambdaSearchError):
-            search_lambda(make, L3=1.0, lam_warm=1.0, A=1.0, max_expand=10)
-
-    def test_bad_growth_rejected(self):
-        make = lambda lam: _fake_trial(lam, w=lam)
-        with pytest.raises(ValueError):
-            search_lambda(make, L3=1.0, lam_warm=1.0, A=1.0, growth=1.0)
+            search_lambda(make, L3=1.0, lam_warm=1.0, A=1.0)
 
 
 @pytest.fixture(scope="module")

@@ -253,6 +253,14 @@ class TestCompositeSolve:
         with pytest.raises(ValueError):
             solve_sliding(prob, np.zeros(1), NatmiConfig(gamma=0.5, xi=1.0))
 
+    def test_zero_part_refuses_other_xi(self):
+        # With h zero the single-function inexact engine runs on g, and it
+        # is built for xi = 3/2 only.
+        prob = CompositeProblem(QuarticObjective(np.eye(1), np.ones(1), 0.5),
+                                ZeroOracle(1))
+        with pytest.raises(ValueError, match="xi"):
+            solve_sliding(prob, np.zeros(1), NatmiConfig(xi=7.0))
+
     def test_deterministic_replay(self):
         rng = np.random.default_rng(37)
         c1, c2 = rng.standard_normal(2), rng.standard_normal(2)

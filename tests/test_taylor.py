@@ -49,11 +49,6 @@ class TestSpecConstruction:
         np.testing.assert_array_equal(spec.grad_anchor, orc.grad(x))
         np.testing.assert_array_equal(spec.hess_anchor, orc.hess(x))
 
-    def test_only_cubic_order_supported(self):
-        orc = _pure_quartic_1d()
-        with pytest.raises(ValueError):
-            ModelSpec(orc, np.zeros(1), H=1.0, p=2)
-
     def test_h_must_be_nonnegative(self):
         with pytest.raises(ValueError):
             ModelSpec(_pure_quartic_1d(), np.zeros(1), H=-1.0)

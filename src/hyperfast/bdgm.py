@@ -14,7 +14,15 @@ proximal steps with the scaling kernel
 
 restricted to a ball around the anchor large enough to contain the model
 minimizer. The relative-smoothness constant of the model with respect to rho
-fixes the step scale a = 2*(1 + 1/sqrt(2)).
+is at most STEP_SCALE = 2*(1 + 1/sqrt(2)), so a step at that scale always
+decreases the model; the difference step and the ball radius are derived for
+it. That bound is a worst case: relative smoothness needs the scale to bound
+only the model's curvature between the two points of a step, and near the
+minimizer the cubic term is small and scale 1 is nearly a Newton step. So
+the plain engine (setup) adapts the scale in [1, STEP_SCALE]: each solve
+starts at 1, doubles it when a step fails the curvature test and halves it
+after each accepted step; see solve(). The composite engine (custom_setup)
+keeps the fixed scale STEP_SCALE.
 
 Termination certifies the relative inexactness condition: once the estimated
 model gradient at z is below (1/6)*||grad f(z)|| minus the difference-error
@@ -94,6 +102,8 @@ class BdgmState:
     difference formula. ball_radius = 2*((2+sqrt(2))*||grad f(x~)||/L3)^(1/3).
     inexact_grad_fn(state, z) estimates the model gradient at z and
     target_grad_fn(z) is the gradient the certificate is measured against.
+    Each solve starts its Bregman steps at scale min_scale: 1 for the plain
+    engine, STEP_SCALE (a fixed scale) for custom_setup.
     """
 
     x_tilde: Vector
@@ -111,6 +121,7 @@ class BdgmState:
     evals: Vector
     evecs: Matrix
     solved_reason: str | None
+    min_scale: float
     inexact_grad_fn: Callable[["BdgmState", Vector], Vector]
     target_grad_fn: Callable[[Vector], Vector]
 
@@ -123,7 +134,7 @@ class BdgmResult:
     grad_at_z: Vector
 
 
-def _build_state(x_tilde, eps, c_delta, gamma, g0, B, L3,
+def _build_state(x_tilde, eps, c_delta, gamma, g0, B, L3, min_scale,
                  inexact_grad_fn, target_grad_fn) -> BdgmState:
     eps = float(eps)
     if eps <= 0.0:
@@ -155,7 +166,7 @@ def _build_state(x_tilde, eps, c_delta, gamma, g0, B, L3,
         L3=float(L3), grad_norm0=grad_norm0, hess_norm0=hess_norm0,
         delta=float(delta), tau=float(tau), tau_used=float(tau_used),
         theta_abs=float(theta_abs), ball_radius=float(ball), evals=evals,
-        evecs=evecs, solved_reason=solved_reason,
+        evecs=evecs, solved_reason=solved_reason, min_scale=float(min_scale),
         inexact_grad_fn=inexact_grad_fn, target_grad_fn=target_grad_fn,
     )
 
@@ -179,8 +190,8 @@ def setup(oracle: ProblemOracle, x_tilde: Vector, eps: float,
     g0 = oracle.grad(x_tilde)
     B = oracle.hess(x_tilde)
     return _build_state(x_tilde, eps, c_delta, gamma, g0, B,
-                        oracle.lipschitz_L3, partial(_fd_model_grad, oracle),
-                        oracle.grad)
+                        oracle.lipschitz_L3, 1.0,
+                        partial(_fd_model_grad, oracle), oracle.grad)
 
 
 def custom_setup(anchor: Vector, g0: Vector, B: Matrix, L3: float, eps: float,
@@ -190,8 +201,9 @@ def custom_setup(anchor: Vector, g0: Vector, B: Matrix, L3: float, eps: float,
 
     Used by the composite path, where the objective is a sum of two cached
     models and the stopping gradient belongs to the enclosing subproblem.
+    Its steps keep the fixed scale STEP_SCALE.
     """
-    return _build_state(anchor, eps, c_delta, gamma, g0, B, L3,
+    return _build_state(anchor, eps, c_delta, gamma, g0, B, L3, STEP_SCALE,
                         inexact_grad_fn, target_grad_fn)
 
 
@@ -215,11 +227,12 @@ def _radius_terms(evals: Vector, p: Vector, sigma: float) -> tuple[float, float]
     return math.sqrt(float(coeff @ coeff)), float(coeff @ (coeff / shifted))
 
 
-def bregman_step(state: BdgmState, z_i: Vector, g: Vector) -> Vector:
+def bregman_step(state: BdgmState, z_i: Vector, g: Vector,
+                 scale: float = STEP_SCALE) -> Vector:
     """Minimize <g, z - z_i> + a*breg_rho(z_i, z) over the anchor ball.
 
-    The first-order condition reduces to the shifted linear system
-    (B + L3*r^2*I)s = b with b = rho'(z_i) - g/a and r = ||s||. With the
+    a is the step scale. The first-order condition reduces to the shifted
+    linear system (B + L3*r^2*I)s = b with b = rho'(z_i) - g/a and r = ||s||. With the
     one-time eigendecomposition B = V diag(lam) V^T, b is projected once,
     p = V^T b, after which the step norm at any multiplier sigma,
 
@@ -243,7 +256,7 @@ def bregman_step(state: BdgmState, z_i: Vector, g: Vector) -> Vector:
     solve per trial radius and serves as the cross-check.
     """
     s_i = np.asarray(z_i, dtype=np.float64) - state.x_tilde
-    b = _rho_grad(state, s_i) - np.asarray(g, dtype=np.float64) / STEP_SCALE
+    b = _rho_grad(state, s_i) - np.asarray(g, dtype=np.float64) / scale
     R = state.ball_radius
     if R == 0.0:
         return state.x_tilde.copy()
@@ -289,14 +302,15 @@ def bregman_step(state: BdgmState, z_i: Vector, g: Vector) -> Vector:
     return state.x_tilde + state.evecs @ (p / (evals + sigma))
 
 
-def bregman_step_dense(state: BdgmState, z_i: Vector, g: Vector) -> Vector:
+def bregman_step_dense(state: BdgmState, z_i: Vector, g: Vector,
+                       scale: float = STEP_SCALE) -> Vector:
     """Same contract as bregman_step with a dense solve per trial radius.
 
     Bisects the radius equation instead of running Newton, so it shares no
     root-finding logic with bregman_step.
     """
     s_i = np.asarray(z_i, dtype=np.float64) - state.x_tilde
-    b = _rho_grad(state, s_i) - np.asarray(g, dtype=np.float64) / STEP_SCALE
+    b = _rho_grad(state, s_i) - np.asarray(g, dtype=np.float64) / scale
     R = state.ball_radius
     if float(np.linalg.norm(b)) == 0.0 or R == 0.0:
         return state.x_tilde.copy()
@@ -339,6 +353,37 @@ def bregman_step_dense(state: BdgmState, z_i: Vector, g: Vector) -> Vector:
     return state.x_tilde + norm_and_vec(state.L3 * hi * hi)[1]
 
 
+def _accepted_step(state: BdgmState, z: Vector, g_hat: Vector,
+                   scale: float) -> tuple[Vector, Vector, float]:
+    """One Bregman step from z at the first accepted scale c, 2c, 4c, ...
+
+    A step z+ at scale c < STEP_SCALE is accepted when the model's
+    curvature along it is at most c times rho's,
+
+        <g(z+) - g(z), z+ - z> <= c*<rho'(z+) - rho'(z), z+ - z>,
+
+    with g the estimated model gradient; otherwise c doubles, up to
+    STEP_SCALE, where every step is accepted. Returns z+, g(z+), which the
+    next iteration reuses, and the next step's scale: half the accepted
+    one, at least state.min_scale.
+    """
+    rho_z = _rho_grad(state, z - state.x_tilde)
+    while True:
+        z_next = bregman_step(state, z, g_hat, scale)
+        shift = float(np.linalg.norm(z_next - state.x_tilde))
+        if shift > state.ball_radius * (1.0 + 1e-9):
+            raise SubproblemError("iterate escaped the anchor ball")
+        g_next = approx_grad(state, z_next)
+        if scale >= STEP_SCALE:
+            break
+        d = z_next - z
+        rho_next = _rho_grad(state, z_next - state.x_tilde)
+        if float((g_next - g_hat) @ d) <= scale * float((rho_next - rho_z) @ d):
+            break
+        scale = min(2.0 * scale, STEP_SCALE)
+    return z_next, g_next, max(state.min_scale, 0.5 * scale)
+
+
 def solve(state: BdgmState, max_iters: int = 10000) -> BdgmResult:
     """Run Bregman steps until the subproblem answer is certified.
 
@@ -351,14 +396,22 @@ def solve(state: BdgmState, max_iters: int = 10000) -> BdgmResult:
     floor theta_abs = max(delta, difference-noise estimate) additionally
     pins z to the exact model minimizer at the accuracy the arithmetic
     supports, which the cross-validation against the reference Newton
-    minimizer relies on.
+    minimizer relies on. grad F(z) is taken only once approx_grad(z) is
+    below the floor, so a solve spends one target gradient, at its answer.
+
+    Steps start at scale state.min_scale and adapt in [min_scale,
+    STEP_SCALE] (see _accepted_step): 1 on the plain engine, which costs no
+    extra oracle call because the test reuses approx_grad at the new point,
+    and the fixed STEP_SCALE on custom_setup's. iters counts accepted steps;
+    a rejected step costs one more Bregman step and approx_grad call.
     """
     if state.solved_reason is not None:
         return BdgmResult(state.x_tilde.copy(), 0, state.solved_reason,
                           state.g0.copy())
     z = state.x_tilde.copy()
+    g_hat = approx_grad(state, z)
+    scale = state.min_scale
     for i in range(max_iters):
-        g_hat = approx_grad(state, z)
         lhs = float(np.linalg.norm(g_hat))
         if lhs <= state.theta_abs:
             # Both stop lines need the floor, and no step depends on the
@@ -374,10 +427,8 @@ def solve(state: BdgmState, max_iters: int = 10000) -> BdgmResult:
             # that floor; hand it back as the same accuracy-floor outcome
             # the setup short-circuit reports.
             return BdgmResult(z, i, "accuracy_floor", grad_z)
-        z = bregman_step(state, z, g_hat)
-        shift = float(np.linalg.norm(z - state.x_tilde))
-        if shift > state.ball_radius * (1.0 + 1e-9):
-            raise SubproblemError("iterate escaped the anchor ball")
+        z, g_hat, scale = _accepted_step(state, z, g_hat, scale)
     raise SubproblemError(
         f"no certificate in {max_iters} iterations "
         f"(last lhs {lhs:.3e}, floor {state.theta_abs:.3e})")
+

@@ -70,7 +70,8 @@ _MAX_NEWTON_STEPS = 100
 
 
 class SubproblemError(RuntimeError):
-    """Inner solver exhausted its iteration budget."""
+    """Inner solver failed: a non-finite value, an iterate outside the
+    ball, a radius solve that did not converge or an exhausted budget."""
 
 
 def fd_third_action(oracle: ProblemOracle, x: Vector, s: Vector, tau: float,
@@ -141,6 +142,8 @@ def _build_state(x_tilde, eps, c_delta, gamma, g0, B, L3, min_scale,
         raise ValueError("eps must be positive")
     if L3 <= 0.0:
         raise ValueError("L3 must be positive")
+    if not (np.all(np.isfinite(g0)) and np.all(np.isfinite(B))):
+        raise SubproblemError("non-finite gradient or Hessian at the anchor")
     grad_norm0 = float(np.linalg.norm(g0))
     hess_norm0 = operator_norm(B)
     solved_reason = None
@@ -374,6 +377,8 @@ def _accepted_step(state: BdgmState, z: Vector, g_hat: Vector,
         if shift > state.ball_radius * (1.0 + 1e-9):
             raise SubproblemError("iterate escaped the anchor ball")
         g_next = approx_grad(state, z_next)
+        if not math.isfinite(float(np.linalg.norm(g_next))):
+            raise SubproblemError("non-finite model gradient in the inner solve")
         if scale >= STEP_SCALE:
             break
         d = z_next - z
@@ -418,6 +423,8 @@ def solve(state: BdgmState, max_iters: int = 10000) -> BdgmResult:
             # target gradient, so it is taken only here, once per solve.
             grad_z = state.g0 if i == 0 else state.target_grad_fn(z)
             grad_z_norm = float(np.linalg.norm(grad_z))
+            if not math.isfinite(grad_z_norm):
+                raise SubproblemError("non-finite target gradient at the answer")
             if grad_z_norm == 0.0:
                 return BdgmResult(z, i, "zero_gradient_at_iterate", grad_z)
             if lhs <= state.gamma * grad_z_norm - state.delta:

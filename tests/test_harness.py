@@ -36,7 +36,7 @@ from hyperfast.harness import (
 )
 from hyperfast.natmi import IterationRecord
 from hyperfast.oracles import ProblemOracle, SumOracle
-from hyperfast.problems import QuarticObjective, make_quartic
+from hyperfast.problems import LogisticLoss, QuarticObjective, make_quartic
 from hyperfast.taylor import ModelError
 
 
@@ -419,6 +419,40 @@ class TestRun:
         text = (tmp_path / "p.csv").read_text()
         assert "# ERROR: SubproblemError: forced failure" in text
         assert len(read_trace(tmp_path / "p.csv")) == 2
+
+
+class TestNonFiniteGradient:
+    """A NaN gradient in the middle of a solve stops it at once with a
+    SubproblemError that names it, instead of failing later in a radius
+    solve."""
+
+    @pytest.fixture
+    def nan_from_call_200(self, monkeypatch):
+        clean = LogisticLoss.grad
+        calls = [0]
+
+        def grad(self, x):
+            calls[0] += 1
+            g = clean(self, x)
+            return g * math.nan if calls[0] >= 200 else g
+
+        monkeypatch.setattr(LogisticLoss, "grad", grad)
+
+    def test_partial_trace_keeps_error_footer(self, tmp_path, nan_from_call_200):
+        trace = tmp_path / "t.csv"
+        with pytest.raises(SubproblemError, match="non-finite"):
+            run(build_run_config({"problem": "logreg_fixture", "eps": "1e-9",
+                                  "trace": str(trace)}))
+        last = trace.read_text().splitlines()[-1]
+        assert last.startswith("# ERROR: SubproblemError: non-finite")
+        assert 0 < len(read_trace(trace)) < 15
+
+    def test_cli_exit_three(self, nan_from_call_200, capsys):
+        assert cli.main(["solve", "--problem", "logreg_fixture",
+                         "--eps", "1e-9"]) == 3
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("solver failure: non-finite")
 
 
 class TestCli:

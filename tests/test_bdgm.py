@@ -2,8 +2,9 @@
 
 Covers the difference formula for third-derivative actions, the setup
 arithmetic (difference step, ball radius, accuracy floor), single Bregman
-steps against scalar and dense reference solves, and full certified solves
-against the damped-Newton reference minimizer.
+steps against scalar and dense reference solves, full certified solves
+against the damped-Newton reference minimizer, and the solve's oracle budget
+and step-scale contract.
 """
 
 import numpy as np
@@ -329,3 +330,71 @@ class TestSolve:
         ystar = exact_model_min(spec)
         for res in (rc, rp):
             assert np.linalg.norm(res.z - ystar) <= 1e-4 * (1.0 + np.linalg.norm(ystar))
+
+
+def _recording_steps(monkeypatch):
+    """Route bdgm.bregman_step through a wrapper; returns the list of
+    (scale, new point) pairs it sees."""
+    step = bdgm.bregman_step
+    seen = []
+
+    def recording(state, z, g, scale=STEP_SCALE):
+        out = step(state, z, g, scale)
+        seen.append((scale, out))
+        return out
+
+    monkeypatch.setattr(bdgm, "bregman_step", recording)
+    return seen
+
+
+class TestEngineContract:
+    def test_gradient_budget_per_solve(self, monkeypatch):
+        """A solve spends two gradients per Bregman step, rejected steps
+        included, plus one target gradient at its answer when it stepped."""
+        steps = _recording_steps(monkeypatch)
+        rng = np.random.default_rng(21)
+        problems = (LogisticLoss(synth_logreg(3, 60, 8), ridge=1e-3),
+                    QuarticObjective(np.diag([1.0, 2.0, 0.5]),
+                                     np.array([0.8, -0.6, 0.3]), 0.5))
+        n_steps = n_iters = 0
+        for orc in problems:
+            co = counted(orc)
+            for _ in range(6):
+                x = 0.5 * rng.standard_normal(orc.dim)
+                st = bdgm.setup(co, x, eps=1e-8)
+                co.reset()
+                steps.clear()
+                res = bdgm.solve(st)
+                assert co.n_grad == 2 * len(steps) + (res.iters > 0)
+                n_steps += len(steps)
+                n_iters += res.iters
+        # Some steps were rejected, so the identity covers them too.
+        assert n_steps > n_iters
+
+    def test_custom_setup_keeps_fixed_scale_trajectory(self, monkeypatch):
+        """The composite engine's solve is the plain fixed-scale iteration
+        z <- bregman_step(z, approx_grad(z)), point for point."""
+        orc = QuarticObjective(np.eye(2), np.array([0.9, -0.3]), 0.8)
+        x = np.zeros(2)
+
+        def inexact(state, z):
+            s = z - state.x_tilde
+            if not np.any(s):
+                return state.g0.copy()
+            return (state.g0 + state.B @ s + 0.5 * orc.third_action(x, s)
+                    + state.L3 * float(s @ s) * s)
+
+        st = bdgm.custom_setup(x, orc.grad(x), orc.hess(x), orc.lipschitz_L3,
+                               eps=1e-8, inexact_grad_fn=inexact,
+                               target_grad_fn=orc.grad)
+        step = bdgm.bregman_step
+        seen = _recording_steps(monkeypatch)
+        res = bdgm.solve(st)
+        assert res.reason == "certified"
+        assert len(seen) == res.iters > 0
+        z = st.x_tilde.copy()
+        for scale, point in seen:
+            assert scale == STEP_SCALE
+            z = step(st, z, approx_grad(st, z))
+            np.testing.assert_array_equal(z, point)
+        np.testing.assert_array_equal(res.z, z)

@@ -6,8 +6,13 @@ inside the interior branch (||b|| well below L3*R^3) to deep in the boundary
 branch (||b|| above R*(lam_max + L3*R^2)). Every step must match the dense
 bisection reference, satisfy its first-order condition, stay in the ball,
 and solve the radius equation in a bounded number of evaluations.
+
+Whole inner solves at the adaptive step scale are drawn over quartic and
+logistic anchors: each answer must be certified, stay in the ball and agree
+with a fixed-scale solve of the same state.
 """
 
+import dataclasses
 from unittest import mock
 
 import numpy as np
@@ -19,6 +24,8 @@ from hypothesis import strategies as st  # noqa: E402
 
 from hyperfast import bdgm  # noqa: E402
 from hyperfast.bdgm import STEP_SCALE, bregman_step, bregman_step_dense  # noqa: E402
+from hyperfast.problems import LogisticLoss, QuarticObjective, synth_logreg  # noqa: E402
+from hyperfast.taylor import ModelSpec, membership_residual  # noqa: E402
 
 #: Radius evaluations allowed per Bregman step (the bisection it replaced
 #: averaged about 43).
@@ -91,3 +98,40 @@ def test_bregman_step_properties(branch, data):
         mu = -float(resid @ s) / (r * r)
         assert mu >= -1e-8 * scale / r
         assert np.linalg.norm(resid + mu * s) <= 1e-8 * scale
+
+
+@st.composite
+def _anchors(draw):
+    """A mu-strongly convex quartic or logistic objective and an anchor."""
+    n = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        mu = draw(st.floats(1e-2, 1.0))
+        M = rng.standard_normal((n, n)) / np.sqrt(n)
+        orc = QuarticObjective(M.T @ M + mu * np.eye(n),
+                               rng.standard_normal(n), draw(st.floats(0.05, 2.0)))
+    else:
+        mu = draw(st.floats(1e-3, 1e-1))
+        orc = LogisticLoss(synth_logreg(int(rng.integers(2**31)), 40, n),
+                           ridge=mu)
+    x = draw(st.floats(1e-2, 1.0)) * rng.standard_normal(n)
+    return orc, x, mu
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_adaptive_solve_agrees_with_fixed_scale(data):
+    orc, x, mu = data.draw(_anchors())
+    state = bdgm.setup(orc, x, eps=1e-8)
+    assert state.solved_reason is None
+    adaptive = bdgm.solve(state)
+    fixed = bdgm.solve(dataclasses.replace(state, min_scale=STEP_SCALE))
+
+    assert adaptive.reason == "certified"
+    spec = ModelSpec(orc, x, H=1.5 * orc.lipschitz_L3)
+    assert membership_residual(spec, 1.0 / 6.0, adaptive.z).member
+    assert np.linalg.norm(adaptive.z - x) <= state.ball_radius * (1.0 + 1e-9)
+    # The regularized model is mu-strongly convex like f, and both answers
+    # have model gradient at most theta_abs, so they lie within
+    # 2*theta_abs/mu of each other.
+    assert mu * np.linalg.norm(adaptive.z - fixed.z) <= 2.0 * state.theta_abs

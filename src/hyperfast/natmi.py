@@ -106,14 +106,6 @@ def validate_params(cfg: NatmiConfig) -> ParamReport:
     return ParamReport(ok=not violations, sigma=sigma, violations=tuple(violations))
 
 
-def lambda_window(lam: float, r: float, L3: float) -> bool:
-    """True iff 1/2 <= lam * 3*L3*r^2/4 <= 3/4. r = 0 is never inside."""
-    if r < 0.0:
-        raise ValueError("step radius must be non-negative")
-    w = lam * 0.75 * L3 * r * r
-    return WINDOW_LO <= w <= WINDOW_HI
-
-
 def step_weight(lam: float, A: float) -> float:
     """Root a of a^2 = lam*(A + a), the accumulator increment for lam."""
     return 0.5 * (lam + math.sqrt(lam * lam + 4.0 * lam * A))

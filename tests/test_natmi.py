@@ -17,7 +17,6 @@ from hyperfast.natmi import (
     TrialPoint,
     WINDOW_HI,
     WINDOW_LO,
-    lambda_window,
     search_lambda,
     solve,
     step_weight,
@@ -89,23 +88,6 @@ class TestStepWeight:
 
     def test_zero_accumulator(self):
         assert step_weight(2.0, 0.0) == pytest.approx(2.0, rel=1e-15)
-
-
-class TestLambdaWindow:
-    def test_bounds(self):
-        # At L3 = 4/3 and r = 1 the statistic equals lam.
-        L3 = 4.0 / 3.0
-        assert lambda_window(0.5, 1.0, L3)
-        assert lambda_window(0.75, 1.0, L3)
-        assert not lambda_window(0.49, 1.0, L3)
-        assert not lambda_window(0.76, 1.0, L3)
-
-    def test_zero_radius_never_inside(self):
-        assert not lambda_window(1e12, 0.0, 1.0)
-
-    def test_negative_radius_rejected(self):
-        with pytest.raises(ValueError):
-            lambda_window(1.0, -1.0, 1.0)
 
 
 def _fake_trial(lam, w, r=1.0, reason="certified"):

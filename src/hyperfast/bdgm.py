@@ -235,9 +235,10 @@ def bregman_step(state: BdgmState, z_i: Vector, g: Vector,
     """Minimize <g, z - z_i> + a*breg_rho(z_i, z) over the anchor ball.
 
     a is the step scale. The first-order condition reduces to the shifted
-    linear system (B + L3*r^2*I)s = b with b = rho'(z_i) - g/a and r = ||s||. With the
-    one-time eigendecomposition B = V diag(lam) V^T, b is projected once,
-    p = V^T b, after which the step norm at any multiplier sigma,
+    linear system (B + L3*r^2*I)s = b with b = rho'(z_i) - g/a and
+    r = ||s||. With the one-time eigendecomposition B = V diag(lam) V^T, b
+    is projected once, p = V^T b, after which the step norm at any
+    multiplier sigma,
 
         n(sigma)^2 = sum p^2/(lam + sigma)^2,
 
@@ -438,4 +439,3 @@ def solve(state: BdgmState, max_iters: int = 10000) -> BdgmResult:
     raise SubproblemError(
         f"no certificate in {max_iters} iterations "
         f"(last lhs {lhs:.3e}, floor {state.theta_abs:.3e})")
-

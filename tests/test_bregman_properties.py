@@ -1,11 +1,12 @@
 """Generated-instance properties of the Bregman step.
 
 Hypothesis draws positive semidefinite B, singular ones with an exact zero
-eigenvalue included, and right-hand sides b = rho'(s_i) - g/a from far
-inside the interior branch (||b|| well below L3*R^3) to deep in the boundary
-branch (||b|| above R*(lam_max + L3*R^2)). Every step must match the dense
-bisection reference, satisfy its first-order condition, stay in the ball,
-and solve the radius equation in a bounded number of evaluations.
+eigenvalue included, step scales a in [1, STEP_SCALE], and right-hand sides
+b = rho'(s_i) - g/a from far inside the interior branch (||b|| well below
+L3*R^3) to deep in the boundary branch (||b|| above R*(lam_max + L3*R^2)).
+Every step must match the dense bisection reference, satisfy its first-order
+condition, stay in the ball, and solve the radius equation in a bounded
+number of evaluations.
 
 Whole inner solves at the adaptive step scale are drawn over quartic and
 logistic anchors: each answer must be certified, stay in the ball and agree
@@ -58,8 +59,9 @@ def _instances(draw, branch):
         b_norm = R * (float(np.max(evals)) + L3 * R * R) * 10.0 ** draw(st.floats(0.01, 3.0))
     b = rng.standard_normal(n)
     b *= b_norm / np.linalg.norm(b)
-    g = STEP_SCALE * (_rho_grad(state, s_i) - b)
-    return state, s_i, g
+    a = draw(st.one_of(st.just(STEP_SCALE), st.floats(1.0, STEP_SCALE)))
+    g = a * (_rho_grad(state, s_i) - b)
+    return state, s_i, g, a
 
 
 def _rho_grad(state, s):
@@ -70,15 +72,15 @@ def _rho_grad(state, s):
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(data=st.data())
 def test_bregman_step_properties(branch, data):
-    state, s_i, g = data.draw(_instances(branch))
+    state, s_i, g, a = data.draw(_instances(branch))
     R = state.ball_radius
     with mock.patch.object(bdgm, "_radius_terms",
                            wraps=bdgm._radius_terms) as terms:
-        z = bregman_step(state, state.x_tilde + s_i, g)
+        z = bregman_step(state, state.x_tilde + s_i, g, a)
     assert terms.call_count <= MAX_RADIUS_EVALS
 
     np.testing.assert_allclose(
-        z, bregman_step_dense(state, state.x_tilde + s_i, g), rtol=0, atol=1e-10)
+        z, bregman_step_dense(state, state.x_tilde + s_i, g, a), rtol=0, atol=1e-10)
 
     s = z - state.x_tilde
     r = float(np.linalg.norm(s))
@@ -86,8 +88,8 @@ def test_bregman_step_properties(branch, data):
 
     # a*(rho'(s) - rho'(s_i)) + g = -mu*s with mu = 0 inside the ball and
     # mu >= 0 on its boundary.
-    resid = STEP_SCALE * (_rho_grad(state, s) - _rho_grad(state, s_i)) + g
-    scale = 1.0 + float(np.linalg.norm(g)) + STEP_SCALE * (
+    resid = a * (_rho_grad(state, s) - _rho_grad(state, s_i)) + g
+    scale = 1.0 + float(np.linalg.norm(g)) + a * (
         float(np.linalg.norm(_rho_grad(state, s)))
         + float(np.linalg.norm(_rho_grad(state, s_i))))
     if branch == "interior":

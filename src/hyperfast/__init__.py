@@ -5,14 +5,9 @@ from .natmi import IterationRecord, NatmiConfig, ParamReport, SolveResult, solve
 from .oracles import CountedOracle, OracleCapabilityError, ProblemOracle, SumOracle, ZeroOracle, counted
 from .problems import (
     Dataset,
-    DatasetFormatError,
     LogisticLoss,
     QuarticChain,
     QuarticObjective,
-    load_libsvm,
-    make_logreg,
-    make_quartic,
-    make_worst_case,
     synth_logreg,
 )
 from .sliding import CompositeProblem, solve_sliding
@@ -24,7 +19,6 @@ __all__ = [
     "CompositeProblem",
     "CountedOracle",
     "Dataset",
-    "DatasetFormatError",
     "IterationRecord",
     "LogisticLoss",
     "ModelError",
@@ -42,10 +36,6 @@ __all__ = [
     "counted",
     "exact_model_min",
     "fd_third_action",
-    "load_libsvm",
-    "make_logreg",
-    "make_quartic",
-    "make_worst_case",
     "MembershipResult",
     "membership_residual",
     "model_grad",

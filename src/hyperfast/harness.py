@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -24,7 +25,7 @@ from .natmi import IterationRecord, LambdaSearchError, NatmiConfig
 from .oracles import ProblemOracle, SumOracle, Vector, ZeroOracle, counted
 from .problems import LogisticLoss, QuarticChain, QuarticObjective, synth_logreg
 from .sliding import CompositeProblem
-from .taylor import ModelError, newton_step
+from .taylor import EXACT_MAX_DIM, ModelError, newton_step
 
 BASE_COLUMNS = ("k", "f", "grad_norm", "step_radius", "lambda", "A",
                 "inner_iters", "n_grad", "n_hess", "max_grad_norm",
@@ -329,7 +330,7 @@ def read_trace(path: str):
 
 
 def fit_rate(trace, k_window, f_star: float) -> float:
-    """Least-squares slope of log(f_k - f_star) against log k.
+    """Least-squares slope of log(rec.f - f_star) against log(rec.k).
 
     Points inside [k_lo, k_hi] with f_k > f_star are used; anything at or
     below the reference value carries no rate information and is dropped.
@@ -340,15 +341,9 @@ def fit_rate(trace, k_window, f_star: float) -> float:
         raise ValueError(f"bad fit window [{k_lo}, {k_hi}]")
     ks, gaps = [], []
     for rec in trace:
-        if isinstance(rec, dict):
-            k, f = rec["k"], rec["f"]
-        elif hasattr(rec, "k"):
-            k, f = rec.k, rec.f
-        else:
-            k, f = rec[0], rec[1]
-        if k_lo <= k <= k_hi and f > f_star:
-            ks.append(float(k))
-            gaps.append(float(f) - f_star)
+        if k_lo <= rec.k <= k_hi and rec.f > f_star:
+            ks.append(float(rec.k))
+            gaps.append(float(rec.f) - f_star)
     if len(ks) < 3:
         raise ValueError(f"only {len(ks)} usable points in [{k_lo}, {k_hi}]")
     slope, _ = np.polyfit(np.log(np.asarray(ks)), np.log(np.asarray(gaps)), 1)
@@ -432,8 +427,6 @@ class RunOutcome:
     config: RunConfig
     records: tuple
     summary: dict
-    trace_path: str | None
-    summary_path: str | None
 
 
 def _natmi_config(cfg: RunConfig, subsolver: str = "bdgm") -> NatmiConfig:
@@ -466,12 +459,21 @@ def run(cfg: RunConfig) -> RunOutcome:
         if not report.ok:
             raise ConfigError("invalid solver parameters: "
                               + "; ".join(report.violations))
+        if cfg.gamma == 0.0:
+            raise ConfigError("gamma must be positive: gamma = 0 stops at the start point")
     bundle = make_problem(cfg)
     # hyperfast, and sliding with no second part, run only the inexact engine.
     if cfg.xi != bdgm.XI and (cfg.method == "hyperfast" or (
             cfg.method == "sliding" and len(bundle.parts) == 1)):
         raise ConfigError(f"method {cfg.method} on {cfg.problem} runs at "
                           f"xi = {bdgm.XI}, got xi = {cfg.xi}")
+    if cfg.method == "natmi_exact" and bundle.x0.size > EXACT_MAX_DIM:
+        raise ConfigError(f"natmi_exact needs n <= {EXACT_MAX_DIM}, got n = {bundle.x0.size}")
+    for key, path in (("trace", cfg.trace_path), ("summary", cfg.summary_path)):
+        target = Path(path or ".")
+        writable = os.access(target if target.exists() else target.parent, os.W_OK)
+        if path and (target.is_dir() or not writable):
+            raise ConfigError(f"cannot write the {key} file {path}")
     echo = config_echo(cfg)
     columns = SLIDING_COLUMNS if cfg.method == "sliding" else BASE_COLUMNS
     records: tuple = ()
@@ -534,5 +536,4 @@ def run(cfg: RunConfig) -> RunOutcome:
         lines = [f"{key}={_fmt(v) if isinstance(v, (int, float, np.floating, np.integer)) else v}"
                  for key, v in sorted(summary.items())]
         Path(cfg.summary_path).write_text("\n".join(lines) + "\n")
-    return RunOutcome(config=cfg, records=records, summary=summary,
-                      trace_path=cfg.trace_path, summary_path=cfg.summary_path)
+    return RunOutcome(config=cfg, records=records, summary=summary)

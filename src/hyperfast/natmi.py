@@ -75,7 +75,6 @@ class ParamReport:
     ok: bool
     sigma: float
     violations: tuple[str, ...]
-    window: tuple[float, float] = (WINDOW_LO, WINDOW_HI)
 
 
 def validate_params(cfg: NatmiConfig) -> ParamReport:
@@ -369,6 +368,8 @@ def outer_loop(subproblem, L3: float, x0: Vector, cfg: NatmiConfig,
     report = validate_params(cfg)
     if not report.ok:
         raise ValueError("invalid parameters: " + "; ".join(report.violations))
+    if cfg.gamma == 0.0:
+        raise ValueError("gamma must be positive: gamma = 0 stops at the start point")
     measure = measure or objective.value
     base = counts()
     # Largest anchor gradient and Hessian norms over every trial, and the

@@ -52,15 +52,6 @@ class ProblemOracle:
         self.dim = dim
         self.lipschitz_L3 = l3
 
-    @property
-    def capabilities(self) -> dict[str, bool]:
-        return {
-            "value": True,
-            "gradient": True,
-            "hessian": True,
-            "third_action": self.has_third,
-        }
-
     def value(self, x: Vector) -> float:
         raise NotImplementedError
 

@@ -24,10 +24,6 @@ from scipy.special import expit
 from .oracles import Matrix, ProblemOracle, Vector
 
 
-class DatasetFormatError(ValueError):
-    """Malformed dataset file; message carries the 1-based line number."""
-
-
 @dataclass(frozen=True)
 class Dataset:
     """Feature matrix (m, n) with labels in {-1.0, +1.0}."""
@@ -56,64 +52,6 @@ class Dataset:
     @property
     def n(self) -> int:
         return self.features.shape[1]
-
-
-def load_libsvm(path: str) -> Dataset:
-    """Read a sparse ``<label> <index>:<value> ...`` file.
-
-    Indices are 1-based and must be strictly increasing within a line; the
-    dimension is the largest index seen anywhere in the file. Labels 0 and -1
-    map to -1; labels 1 and +1 map to +1.
-    """
-    rows: list[dict[int, float]] = []
-    labels: list[float] = []
-    max_index = 0
-    with open(path, "r", encoding="ascii") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            tokens = line.split()
-            try:
-                label_value = float(tokens[0])
-            except ValueError:
-                raise DatasetFormatError(f"line {lineno}: unreadable label {tokens[0]!r}") from None
-            if label_value in (0.0, -1.0):
-                labels.append(-1.0)
-            elif label_value == 1.0:
-                labels.append(1.0)
-            else:
-                raise DatasetFormatError(f"line {lineno}: label must be one of 0, -1, +1")
-            entries: dict[int, float] = {}
-            previous = 0
-            for token in tokens[1:]:
-                part = token.split(":")
-                if len(part) != 2:
-                    raise DatasetFormatError(f"line {lineno}: expected index:value, got {token!r}")
-                try:
-                    idx = int(part[0])
-                    val = float(part[1])
-                except ValueError:
-                    raise DatasetFormatError(f"line {lineno}: unreadable pair {token!r}") from None
-                if idx < 1:
-                    raise DatasetFormatError(f"line {lineno}: index {idx} must be >= 1")
-                if idx <= previous:
-                    raise DatasetFormatError(f"line {lineno}: indices must be strictly increasing")
-                if not np.isfinite(val):
-                    raise DatasetFormatError(f"line {lineno}: non-finite value")
-                entries[idx] = val
-                previous = idx
-            rows.append(entries)
-            max_index = max(max_index, previous)
-    if not rows:
-        raise DatasetFormatError("file contains no samples")
-    if max_index == 0:
-        raise DatasetFormatError("file contains no feature entries")
-    feats = np.zeros((len(rows), max_index))
-    for i, entries in enumerate(rows):
-        for idx, val in entries.items():
-            feats[i, idx - 1] = val
-    return Dataset(feats, np.asarray(labels))
 
 
 def synth_logreg(seed: int, m: int, n: int) -> Dataset:
@@ -316,29 +254,8 @@ class QuarticChain(ProblemOracle):
         return self.D.T @ np.diag(24.0 * u * w) @ self.D
 
 
-def make_logreg(data: Dataset, ridge: float = 0.0) -> LogisticLoss:
-    return LogisticLoss(data, ridge)
-
-
-def make_quartic(Q: Matrix, c: Vector, a4: float) -> QuarticObjective:
-    return QuarticObjective(Q, c, a4)
-
-
-def make_worst_case(p: int, n: int) -> QuarticChain:
-    """Chained-difference hard instance; only the cubic-model order p = 3."""
-    if p != 3:
-        raise ValueError(f"only p = 3 is supported, got p = {p}")
-    return QuarticChain(n)
-
-
-@dataclass(frozen=True)
-class L3Estimate:
-    value: float
-    method: str  # "analytic" or "sampled"
-
-
 def sampled_l3(oracle: ProblemOracle, n_samples: int = 64, seed: int = 0,
-               radius: float = 1.0, tau: float = 1e-3) -> L3Estimate:
+               radius: float = 1.0, tau: float = 1e-3) -> float:
     """Empirical lower estimate of the third-derivative Lipschitz constant.
 
     Maximizes ||(D3f(x) - D3f(y))[s, s]|| / (||x - y||*||s||^2) over random
@@ -361,4 +278,4 @@ def sampled_l3(oracle: ProblemOracle, n_samples: int = 64, seed: int = 0,
         s /= s_norm
         diff = fd_third_action(oracle, x, s, tau) - fd_third_action(oracle, y, s, tau)
         best = max(best, float(np.linalg.norm(diff)) / gap)
-    return L3Estimate(best, "sampled")
+    return best

@@ -11,8 +11,9 @@ that sum: it models h at its own anchors (one Hessian of h per middle
 trial), keeps the cached g-model exact, and stops as soon as its iterate
 satisfies the membership test the outer loop consumes. The innermost level
 is the Bregman-step engine minimizing [model of h] + [model of g], with h's
-cubic term estimated from gradient differences and the g-model's derivatives
-evaluated from the cached anchor data.
+cubic term estimated from gradient differences. The g-model reuses g's cached
+anchor gradient and Hessian, but each of its evaluations takes one analytic
+third-derivative action of g (counted as n_third_g; see ROADMAP.md item 4).
 
 Outer acceptance uses the composite membership residual; outer windows use
 L3_g and middle windows use L3_h. Per-component call counters are the point

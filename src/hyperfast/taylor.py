@@ -23,11 +23,14 @@ from typing import NamedTuple
 from .oracles import Matrix, ProblemOracle, Vector
 from .bdgm import fd_third_action
 
-#: Step of the difference formulas on the "fd" third-derivative route.
+#: Difference step for oracles without an analytic third derivative.
 _FD_TAU = 1e-4
 
 #: Newton steps exact_model_min may take before it gives up.
 _MAX_NEWTON_STEPS = 500
+
+#: Largest dimension exact_model_min accepts.
+EXACT_MAX_DIM = 50
 
 
 class ModelError(RuntimeError):
@@ -48,37 +51,26 @@ class ModelSpec:
         x_tilde: anchor point.
         H: regularization weight, non-negative. H = 0 gives the raw
             third-order expansion (used by remainder-bound checks).
-        third: "exact" to use the oracle's analytic third derivative,
-            "fd" to use difference formulas with step _FD_TAU. Default picks
-            "exact" when the oracle has it.
     """
 
-    def __init__(self, oracle: ProblemOracle, x_tilde: Vector, H: float,
-                 third: str | None = None):
+    def __init__(self, oracle: ProblemOracle, x_tilde: Vector, H: float):
         H = float(H)
         if not np.isfinite(H) or H < 0.0:
             raise ValueError(f"H must be finite and non-negative, got {H}")
-        if third is None:
-            third = "exact" if oracle.has_third else "fd"
-        if third not in ("exact", "fd"):
-            raise ValueError(f"third must be 'exact' or 'fd', got {third!r}")
-        if third == "exact" and not oracle.has_third:
-            raise ValueError("oracle has no analytic third derivative")
         self.oracle = oracle
         self.x_tilde = np.array(x_tilde, dtype=np.float64)
         self.H = H
-        self.third = third
         self.value_anchor = oracle.value(self.x_tilde)
         self.grad_anchor = oracle.grad(self.x_tilde)
         self.hess_anchor = oracle.hess(self.x_tilde)
 
     def third_action(self, s: Vector) -> Vector:
-        if self.third == "exact":
+        if self.oracle.has_third:
             return self.oracle.third_action(self.x_tilde, s)
         return fd_third_action(self.oracle, self.x_tilde, s, _FD_TAU)
 
     def third_dir(self, s: Vector) -> Matrix:
-        if self.third == "exact":
+        if self.oracle.has_third:
             return self.oracle.third_dir(self.x_tilde, s)
         plus = self.oracle.hess(self.x_tilde + _FD_TAU * s)
         minus = self.oracle.hess(self.x_tilde - _FD_TAU * s)
@@ -163,8 +155,8 @@ def exact_model_min(spec: ModelSpec) -> Vector:
     most 1e-12*(1 + ||grad f(x~)||). Intended as the slow-but-sure oracle the
     iterative solver is compared against; n is capped at 50.
     """
-    if spec.oracle.dim > 50:
-        raise ValueError("reference minimizer is restricted to n <= 50")
+    if spec.oracle.dim > EXACT_MAX_DIM:
+        raise ValueError(f"reference minimizer is restricted to n <= {EXACT_MAX_DIM}")
     tol = 1e-12 * (1.0 + float(np.linalg.norm(spec.grad_anchor)))
     y = spec.x_tilde.copy()
     scale = 1.0 + float(np.linalg.norm(spec.hess_anchor))

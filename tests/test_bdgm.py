@@ -24,7 +24,6 @@ from hyperfast.oracles import ProblemOracle, counted
 from hyperfast.problems import (
     LogisticLoss,
     QuarticObjective,
-    make_quartic,
     synth_logreg,
 )
 from hyperfast.taylor import ModelSpec, exact_model_min, membership_residual, model_grad, model_value
@@ -56,12 +55,12 @@ class _Cubic1D(ProblemOracle):
 
 class TestFdThirdAction:
     def test_zero_direction(self):
-        orc = make_quartic(np.eye(2), np.zeros(2), 1.0)
+        orc = QuarticObjective(np.eye(2), np.zeros(2), 1.0)
         out = fd_third_action(orc, np.ones(2), np.zeros(2), 1e-3)
         np.testing.assert_array_equal(out, np.zeros(2))
 
     def test_quadratic_gives_zero(self):
-        orc = make_quartic(np.diag([2.0, 5.0]), np.array([1.0, -1.0]), 0.0)
+        orc = QuarticObjective(np.diag([2.0, 5.0]), np.array([1.0, -1.0]), 0.0)
         rng = np.random.default_rng(1)
         for tau in (1e-1, 1e-3):
             out = fd_third_action(orc, rng.standard_normal(2),
@@ -98,7 +97,7 @@ class TestFdThirdAction:
         assert 3.5 <= wide / narrow <= 4.5
 
     def test_cached_gradient_saves_one_call(self):
-        co = counted(make_quartic(np.eye(2), np.ones(2), 0.5))
+        co = counted(QuarticObjective(np.eye(2), np.ones(2), 0.5))
         x, s = np.zeros(2), np.ones(2)
         g0 = co.grad(x)
         co.reset()
@@ -109,7 +108,7 @@ class TestFdThirdAction:
         assert co.n_grad == 2
 
     def test_nonpositive_step_rejected(self):
-        orc = make_quartic(np.eye(1), np.zeros(1), 1.0)
+        orc = QuarticObjective(np.eye(1), np.zeros(1), 1.0)
         with pytest.raises(ValueError):
             fd_third_action(orc, np.zeros(1), np.ones(1), 0.0)
 
@@ -118,7 +117,7 @@ class TestSetup:
     def test_difference_step_arithmetic(self):
         # ||grad|| = 1 and zero Hessian at the anchor make delta = eps^1.5,
         # so eps = 1e-4 pins delta = 1e-6 and the nominal step follows.
-        orc = make_quartic(np.zeros((1, 1)), np.ones(1), 1.0 / 6.0)
+        orc = QuarticObjective(np.zeros((1, 1)), np.ones(1), 1.0 / 6.0)
         st = bdgm.setup(orc, np.zeros(1), eps=1e-4)
         assert st.delta == pytest.approx(1e-6, rel=1e-12)
         assert st.tau == pytest.approx(TAU_EXAMPLE, rel=1e-12)
@@ -128,13 +127,13 @@ class TestSetup:
             rel=1e-14)
 
     def test_ball_radius_arithmetic(self):
-        orc = make_quartic(np.zeros((1, 1)), np.ones(1), 4.0)
+        orc = QuarticObjective(np.zeros((1, 1)), np.ones(1), 4.0)
         st = bdgm.setup(orc, np.zeros(1), eps=1e-8)
         assert st.L3 == 24.0
         assert st.ball_radius == pytest.approx(BALL_EXAMPLE, rel=1e-12)
 
     def test_zero_gradient_short_circuit(self):
-        orc = make_quartic(np.eye(2), np.zeros(2), 1.0)
+        orc = QuarticObjective(np.eye(2), np.zeros(2), 1.0)
         st = bdgm.setup(orc, np.zeros(2), eps=1e-8)
         assert st.solved_reason == "zero_gradient"
         res = bdgm.solve(st)
@@ -144,7 +143,7 @@ class TestSetup:
     def test_accuracy_floor_short_circuit(self):
         # Asking for eps far above the anchor gradient scale makes the
         # difference-error margin unmeetable; setup reports it up front.
-        orc = make_quartic(np.zeros((1, 1)), np.ones(1), 0.25)
+        orc = QuarticObjective(np.zeros((1, 1)), np.ones(1), 0.25)
         st = bdgm.setup(orc, np.zeros(1), eps=10.0)
         assert st.solved_reason == "accuracy_floor"
         res = bdgm.solve(st)
@@ -152,7 +151,7 @@ class TestSetup:
         np.testing.assert_array_equal(res.z, np.zeros(1))
 
     def test_bad_eps_rejected(self):
-        orc = make_quartic(np.eye(1), np.ones(1), 1.0)
+        orc = QuarticObjective(np.eye(1), np.ones(1), 1.0)
         with pytest.raises(ValueError):
             bdgm.setup(orc, np.zeros(1), eps=0.0)
 
@@ -162,7 +161,7 @@ class TestSetup:
 
 class TestApproxGrad:
     def test_at_anchor_returns_cached_gradient(self):
-        orc = make_quartic(np.eye(2), np.array([0.5, -0.25]), 0.5)
+        orc = QuarticObjective(np.eye(2), np.array([0.5, -0.25]), 0.5)
         st = bdgm.setup(orc, np.zeros(2), eps=1e-8)
         out = approx_grad(st, np.zeros(2))
         np.testing.assert_array_equal(out, st.g0)
@@ -170,7 +169,7 @@ class TestApproxGrad:
 
     def test_quadratic_matches_model_gradient_exactly(self):
         rng = np.random.default_rng(7)
-        orc = make_quartic(np.diag([1.0, 3.0]), rng.standard_normal(2), 0.0)
+        orc = QuarticObjective(np.diag([1.0, 3.0]), rng.standard_normal(2), 0.0)
         x = rng.standard_normal(2)
         st = bdgm.setup(orc, x, eps=1e-8)
         spec = ModelSpec(orc, x, H=1.5 * orc.lipschitz_L3)
@@ -193,7 +192,7 @@ class TestApproxGrad:
 
 class TestBregmanStep:
     def test_zero_gradient_stays_put(self):
-        orc = make_quartic(np.eye(2), np.array([1.0, 0.0]), 0.5)
+        orc = QuarticObjective(np.eye(2), np.array([1.0, 0.0]), 0.5)
         st = bdgm.setup(orc, np.zeros(2), eps=1e-8)
         z_i = st.x_tilde + np.array([0.05, -0.02])
         out = bregman_step(st, z_i, np.zeros(2))
@@ -202,7 +201,7 @@ class TestBregmanStep:
     def test_scalar_reference_root(self):
         """One step from the anchor solves a*(mu*s + L3*s^3) = -g in 1D;
         the root for mu=2, L3=3, g=-0.7 was bisected up front."""
-        orc = make_quartic(np.array([[2.0]]), np.array([0.7]), 0.5)
+        orc = QuarticObjective(np.array([[2.0]]), np.array([0.7]), 0.5)
         st = bdgm.setup(orc, np.zeros(1), eps=1e-8)
         assert st.L3 == 3.0
         out = bregman_step(st, st.x_tilde, np.array([-0.7]))
@@ -241,7 +240,7 @@ class TestBregmanStep:
             np.testing.assert_allclose(a, b, atol=1e-10)
 
     def test_boundary_case_lands_on_ball(self):
-        orc = make_quartic(np.eye(2), np.array([0.1, 0.0]), 0.5)
+        orc = QuarticObjective(np.eye(2), np.array([0.1, 0.0]), 0.5)
         st = bdgm.setup(orc, np.zeros(2), eps=1e-8)
         g = np.array([500.0, -250.0])
         out = bregman_step(st, st.x_tilde, g)
@@ -269,7 +268,7 @@ class TestBregmanStep:
 
 class TestSolve:
     def test_agrees_with_reference_minimizer(self):
-        orc = make_quartic(np.zeros((1, 1)), np.zeros(1), 0.25)
+        orc = QuarticObjective(np.zeros((1, 1)), np.zeros(1), 0.25)
         st = bdgm.setup(orc, np.ones(1), eps=1e-8)
         res = bdgm.solve(st)
         assert res.reason == "certified"
@@ -298,7 +297,7 @@ class TestSolve:
         assert iters[1e-8] - iters[1e-6] <= 40
 
     def test_budget_exhaustion_raises(self):
-        orc = make_quartic(np.zeros((1, 1)), np.zeros(1), 0.25)
+        orc = QuarticObjective(np.zeros((1, 1)), np.zeros(1), 0.25)
         st = bdgm.setup(orc, np.ones(1), eps=1e-8)
         with pytest.raises(SubproblemError):
             bdgm.solve(st, max_iters=1)

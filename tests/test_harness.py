@@ -11,6 +11,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -36,7 +37,7 @@ from hyperfast.harness import (
 )
 from hyperfast.natmi import IterationRecord
 from hyperfast.oracles import ProblemOracle, SumOracle
-from hyperfast.problems import LogisticLoss, QuarticObjective, make_quartic
+from hyperfast.problems import LogisticLoss, QuarticObjective
 from hyperfast.taylor import ModelError
 
 
@@ -220,13 +221,18 @@ class TestTraceIO:
         assert read_trace(path)[0]["f"] == value
 
 
+def _rows(pairs):
+    """Minimal records with the k and f attributes fit_rate reads."""
+    return [SimpleNamespace(k=k, f=f) for k, f in pairs]
+
+
 class TestFitRate:
     def test_quartic_power_law(self):
-        rows = [(k, 2.0 + k ** -4.0) for k in range(1, 40)]
+        rows = _rows((k, 2.0 + k ** -4.0) for k in range(1, 40))
         assert fit_rate(rows, (3, 30), 2.0) == pytest.approx(-4.0, abs=1e-9)
 
     def test_seventh_power_law(self):
-        rows = [{"k": k, "f": k ** -7.0} for k in range(1, 40)]
+        rows = _rows((k, k ** -7.0) for k in range(1, 40))
         assert fit_rate(rows, (3, 30), 0.0) == pytest.approx(-7.0, abs=1e-9)
 
     def test_attribute_records_accepted(self):
@@ -239,19 +245,19 @@ class TestFitRate:
         assert fit_rate(recs, (3, 30), 0.0) == pytest.approx(-4.0, abs=1e-9)
 
     def test_points_at_reference_are_dropped(self):
-        rows = [(k, k ** -4.0) for k in range(1, 31)]
-        rows += [(31, 0.0), (32, 0.0)]
+        rows = _rows([(k, k ** -4.0) for k in range(1, 31)]
+                     + [(31, 0.0), (32, 0.0)])
         assert fit_rate(rows, (3, 32), 0.0) == pytest.approx(-4.0, abs=1e-9)
 
     def test_too_few_points(self):
         with pytest.raises(ValueError, match="usable points"):
-            fit_rate([(3, 1.0), (4, 0.5)], (3, 30), 0.0)
+            fit_rate(_rows([(3, 1.0), (4, 0.5)]), (3, 30), 0.0)
 
     def test_bad_window(self):
         with pytest.raises(ValueError, match="window"):
-            fit_rate([(1, 1.0)], (10, 10), 0.0)
+            fit_rate(_rows([(1, 1.0)]), (10, 10), 0.0)
         with pytest.raises(ValueError, match="window"):
-            fit_rate([(1, 1.0)], (0, 5), 0.0)
+            fit_rate(_rows([(1, 1.0)]), (0, 5), 0.0)
 
 
 class _NanObjective(ProblemOracle):
@@ -278,7 +284,7 @@ class TestReferenceFstar:
         M = rng.standard_normal((4, 4))
         Q = M @ M.T + np.eye(4)
         c = rng.standard_normal(4)
-        orc = make_quartic(Q, c, 0.0)
+        orc = QuarticObjective(Q, c, 0.0)
         expect = -0.5 * float(c @ np.linalg.solve(Q, c))
         assert reference_fstar(orc) == pytest.approx(expect, abs=1e-12)
 
@@ -308,7 +314,7 @@ class TestBaselineGd:
     def test_hundred_rows_on_quadratic(self):
         rng = np.random.default_rng(42)
         M = rng.standard_normal((5, 5))
-        orc = make_quartic(M @ M.T + 0.5 * np.eye(5), rng.standard_normal(5), 0.0)
+        orc = QuarticObjective(M @ M.T + 0.5 * np.eye(5), rng.standard_normal(5), 0.0)
         recs = baseline_gd(orc, np.zeros(5), 100)
         assert len(recs) == 100
         assert [r.k for r in recs] == list(range(1, 101))
@@ -317,7 +323,7 @@ class TestBaselineGd:
         assert recs[-1].n_grad == 100
 
     def test_stationary_start_stops_early(self):
-        orc = make_quartic(np.eye(2), np.zeros(2), 0.5)
+        orc = QuarticObjective(np.eye(2), np.zeros(2), 0.5)
         recs = baseline_gd(orc, np.zeros(2), 50)
         assert len(recs) == 1
         assert recs[0].reason == "stationary"
@@ -515,12 +521,22 @@ _SRC = Path(__file__).resolve().parents[1] / "src"
     ("problem=quartic1d\nmethod=sliding\nxi=7\n", 2, "config error: "),
     ("problem=quartic1d\nproblem.nn=5\n", 2, "config error: "),
     ("problem=logreg\nproblem.rigde=5\n", 2, "config error: "),
+    ("problem=quartic1d\ngamma=0\n", 2, "config error: "),
+    ("problem=quartic1d\nmethod=natmi_exact\ngamma=0\n", 2, "config error: "),
+    ("problem=sliding_bench\nmethod=sliding\ngamma=0\n", 2, "config error: "),
+    ("problem=quartic_chain\nproblem.n=60\nmethod=natmi_exact\n", 2,
+     "config error: "),
+    ("problem=quartic1d\ntrace={tmp}/missing/t.csv\n", 2, "config error: "),
+    ("problem=quartic1d\ntrace={tmp}/t.csv\nsummary={tmp}/missing/s.txt\n", 2,
+     "config error: "),
+    ("problem=quartic1d\nsummary={tmp}\n", 2, "config error: "),
 ])
 def test_cli_exit_codes(tmp_path, config, code, stderr_start):
     """The command line as a user runs it: exit code, and a bad config
-    costs one stderr line and no traceback."""
+    costs one stderr line and no traceback, and is refused before any
+    output file is written. {tmp} in a config stands for tmp_path."""
     cfgfile = tmp_path / "run.cfg"
-    cfgfile.write_text(config)
+    cfgfile.write_text(config.replace("{tmp}", str(tmp_path)))
     proc = subprocess.run(
         [sys.executable, "-m", "hyperfast.cli", "solve", "--config", str(cfgfile)],
         capture_output=True, text=True, timeout=120,
@@ -533,3 +549,5 @@ def test_cli_exit_codes(tmp_path, config, code, stderr_start):
         assert len(lines) == 1, proc.stderr
         assert lines[0].startswith(stderr_start)
         assert "Traceback" not in proc.stderr
+    if code == 2:
+        assert [p.name for p in tmp_path.iterdir()] == ["run.cfg"]

@@ -26,7 +26,6 @@ from hyperfast.problems import (
     LogisticLoss,
     QuarticChain,
     QuarticObjective,
-    make_quartic,
     synth_logreg,
 )
 from hyperfast.taylor import ModelSpec, model_grad
@@ -37,7 +36,6 @@ class TestValidateParams:
         rep = validate_params(NatmiConfig())
         assert rep.ok
         assert rep.sigma == 0.6
-        assert rep.window == (0.5, 0.75)
 
     def test_unregularized_regime_sigma_is_half(self):
         rep = validate_params(NatmiConfig(gamma=0.0, xi=1.0))
@@ -57,21 +55,27 @@ class TestValidateParams:
         assert not validate_params(NatmiConfig(xi=0.5)).ok
 
     def test_solve_refuses_bad_regime(self):
-        orc = make_quartic(np.eye(1), np.ones(1), 0.5)
+        orc = QuarticObjective(np.eye(1), np.ones(1), 0.5)
         with pytest.raises(ValueError):
             solve(NatmiConfig(gamma=0.5, xi=1.0), orc, np.ones(1))
+        # validate_params admits gamma = 0, but no subproblem answer can be
+        # certified with it, so every solve would stop at its start point.
+        for subsolver in ("bdgm", "exact"):
+            with pytest.raises(ValueError, match="gamma"):
+                solve(NatmiConfig(gamma=0.0, subsolver=subsolver), orc,
+                      np.ones(1))
 
     def test_inexact_engine_refuses_other_xi(self):
         # The engine's step scale and ball are derived for xi = 3/2; the
         # exact subsolver takes any admissible xi.
-        orc = make_quartic(np.eye(1), np.ones(1), 0.5)
+        orc = QuarticObjective(np.eye(1), np.ones(1), 0.5)
         with pytest.raises(ValueError, match="xi"):
             solve(NatmiConfig(xi=7.0), orc, np.ones(1))
         assert solve(NatmiConfig(xi=7.0, subsolver="exact", k_max=2), orc,
                      np.ones(1)).iters >= 1
 
     def test_solve_refuses_unknown_subsolver(self):
-        orc = make_quartic(np.eye(1), np.ones(1), 0.5)
+        orc = QuarticObjective(np.eye(1), np.ones(1), 0.5)
         with pytest.raises(ValueError):
             solve(NatmiConfig(subsolver="cg"), orc, np.ones(1))
 
@@ -218,13 +222,13 @@ class TestSolveEndToEnd:
         M = rng.standard_normal((5, 5))
         Q = M @ M.T + np.eye(5)
         c = rng.standard_normal(5)
-        orc = make_quartic(Q, c, 0.0)
+        orc = QuarticObjective(Q, c, 0.0)
         f_star = -0.5 * float(c @ np.linalg.solve(Q, c))
         res = solve(NatmiConfig(eps=1e-9, k_max=5), orc, np.zeros(5))
         assert res.records[-1].f - f_star < 1e-12
 
     def test_scalar_quartic_converges(self):
-        orc = make_quartic(np.zeros((1, 1)), np.zeros(1), 0.25)
+        orc = QuarticObjective(np.zeros((1, 1)), np.zeros(1), 0.25)
         res = solve(NatmiConfig(eps=1e-10, k_max=30), orc, np.ones(1))
         assert res.f <= 1e-12
         assert res.status in ("k_max", "accuracy_floor")
@@ -240,7 +244,7 @@ class TestSolveEndToEnd:
         assert res.grad_norm <= 1e-6
 
     def test_zero_gradient_start_is_stationary(self):
-        orc = make_quartic(np.eye(2), np.zeros(2), 1.0)
+        orc = QuarticObjective(np.eye(2), np.zeros(2), 1.0)
         res = solve(NatmiConfig(), orc, np.zeros(2))
         assert res.status == "stationary"
         assert res.converged
@@ -256,7 +260,7 @@ class TestSolveEndToEnd:
         assert res.iters == 3
 
     def test_exact_subsolver_matches_inexact(self):
-        orc = make_quartic(np.zeros((1, 1)), np.zeros(1), 0.25)
+        orc = QuarticObjective(np.zeros((1, 1)), np.zeros(1), 0.25)
         res_b = solve(NatmiConfig(eps=1e-8, k_max=12), orc, np.ones(1))
         res_e = solve(NatmiConfig(eps=1e-8, k_max=12, subsolver="exact"),
                       orc, np.ones(1))
@@ -270,7 +274,7 @@ class TestSolveEndToEnd:
         assert k >= 3
 
     def test_exact_subsolver_hits_accuracy_floor(self):
-        orc = make_quartic(np.zeros((1, 1)), np.zeros(1), 0.25)
+        orc = QuarticObjective(np.zeros((1, 1)), np.zeros(1), 0.25)
         res = solve(NatmiConfig(k_max=60, subsolver="exact"), orc, np.ones(1))
         assert res.status == "accuracy_floor"
         assert res.converged

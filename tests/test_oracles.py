@@ -59,7 +59,6 @@ class TestBaseContract:
             pass
 
         orc = NoThird(2, 1.0)
-        assert orc.capabilities["third_action"] is False
         with pytest.raises(OracleCapabilityError):
             orc.third_action(np.zeros(2), np.ones(2))
         with pytest.raises(OracleCapabilityError):

@@ -13,7 +13,7 @@ import pytest
 
 from hyperfast.natmi import NatmiConfig, solve as natmi_solve
 from hyperfast.oracles import ProblemOracle, ZeroOracle
-from hyperfast.problems import QuarticObjective, make_quartic
+from hyperfast.problems import QuarticObjective
 from hyperfast.sliding import (
     CompositeProblem,
     composite_membership,
@@ -46,19 +46,19 @@ def _newton_composite_min(spec, h, y0, tol=1e-12):
 
 class TestCompositeProblem:
     def test_dimension_mismatch_rejected(self):
-        g = make_quartic(np.eye(2), np.zeros(2), 0.5)
-        h = make_quartic(np.eye(3), np.zeros(3), 1.0)
+        g = QuarticObjective(np.eye(2), np.zeros(2), 0.5)
+        h = QuarticObjective(np.eye(3), np.zeros(3), 1.0)
         with pytest.raises(ValueError):
             CompositeProblem(g, h)
 
     def test_zero_part_must_be_second(self):
-        h = make_quartic(np.eye(2), np.zeros(2), 0.5)
+        h = QuarticObjective(np.eye(2), np.zeros(2), 0.5)
         with pytest.raises(ValueError):
             CompositeProblem(ZeroOracle(2), h)
 
     def test_nonpositive_l3_rejected(self):
         flat = ProblemOracle(2, 0.0, allow_zero_l3=True)
-        h = make_quartic(np.eye(2), np.zeros(2), 0.5)
+        h = QuarticObjective(np.eye(2), np.zeros(2), 0.5)
         with pytest.raises(ValueError):
             CompositeProblem(flat, h)
 
@@ -70,8 +70,8 @@ class TestCompositeProblem:
         assert prob.g.lipschitz_L3 <= prob.h.lipschitz_L3
 
     def test_counts_start_at_zero(self):
-        prob = CompositeProblem(make_quartic(np.eye(2), np.ones(2), 0.5),
-                                make_quartic(np.eye(2), np.ones(2), 1.0))
+        prob = CompositeProblem(QuarticObjective(np.eye(2), np.ones(2), 0.5),
+                                QuarticObjective(np.eye(2), np.ones(2), 1.0))
         assert set(prob.counts) == {
             "value_g", "grad_g", "hess_g", "third_g",
             "value_h", "grad_h", "hess_h", "third_h"}
@@ -101,7 +101,7 @@ class TestCompositeMembership:
         with pytest.warns(UserWarning):
             prob = CompositeProblem(
                 QuarticObjective(np.zeros((1, 1)), np.zeros(1), 1.0),
-                make_quartic(np.eye(1), np.zeros(1), 0.0))
+                QuarticObjective(np.eye(1), np.zeros(1), 0.0))
         m = composite_membership(prob, np.ones(1), np.ones(1))
         assert m.lhs == pytest.approx(2.0, rel=1e-15)
         assert m.rhs == pytest.approx(1.0 / 3.0, rel=1e-15)
@@ -148,7 +148,7 @@ class TestDegeneratePath:
     def test_stationary_start_takes_one_gradient(self):
         # The zero anchor gradient the first trial measured is the final
         # gradient norm; no second call confirms it.
-        orc = make_quartic(np.eye(2), np.zeros(2), 1.0)
+        orc = QuarticObjective(np.eye(2), np.zeros(2), 1.0)
         res_n = natmi_solve(NatmiConfig(), orc, np.zeros(2))
         res_s = solve_sliding(CompositeProblem(orc, ZeroOracle(2)),
                               np.zeros(2), NatmiConfig())
@@ -252,6 +252,8 @@ class TestCompositeSolve:
             QuarticObjective(np.eye(1), np.ones(1), 1.0))
         with pytest.raises(ValueError):
             solve_sliding(prob, np.zeros(1), NatmiConfig(gamma=0.5, xi=1.0))
+        with pytest.raises(ValueError, match="gamma"):
+            solve_sliding(prob, np.zeros(1), NatmiConfig(gamma=0.0))
 
     def test_zero_part_refuses_other_xi(self):
         # With h zero the single-function inexact engine runs on g, and it

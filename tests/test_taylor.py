@@ -13,7 +13,6 @@ from hyperfast.oracles import counted
 from hyperfast.problems import (
     LogisticLoss,
     QuarticObjective,
-    make_quartic,
     synth_logreg,
 )
 from hyperfast.taylor import (
@@ -31,7 +30,7 @@ HALFSQ_MODEL_ROOT = 0.41024548769854163
 
 
 def _pure_quartic_1d():
-    return make_quartic(np.zeros((1, 1)), np.zeros(1), 4.0)  # f = x^4
+    return QuarticObjective(np.zeros((1, 1)), np.zeros(1), 4.0)  # f = x^4
 
 
 def _quadratic(n, rng):
@@ -54,14 +53,21 @@ class TestSpecConstruction:
             ModelSpec(_pure_quartic_1d(), np.zeros(1), H=-1.0)
 
     def test_exact_route_needs_analytic_third(self):
+        """Without has_third the model takes its cubic term from gradient
+        and Hessian differences and never calls the analytic routines."""
+
         class GradOnly(QuarticObjective):
             has_third = False
 
-        orc = GradOnly(np.zeros((1, 1)), np.zeros(1), 1.0)
-        with pytest.raises(ValueError):
-            ModelSpec(orc, np.zeros(1), H=1.0, third="exact")
-        spec = ModelSpec(orc, np.zeros(1), H=1.0)
-        assert spec.third == "fd"
+        orc = counted(GradOnly(np.eye(2), np.zeros(2), 1.0))
+        x, y = np.array([0.3, -0.2]), np.array([0.9, 0.4])
+        spec = ModelSpec(orc, x, H=1.0)
+        exact = ModelSpec(QuarticObjective(np.eye(2), np.zeros(2), 1.0), x, H=1.0)
+        np.testing.assert_allclose(model_grad(spec, y), model_grad(exact, y),
+                                   rtol=1e-6)
+        np.testing.assert_allclose(model_hess(spec, y), model_hess(exact, y),
+                                   rtol=1e-6)
+        assert orc.n_third == 0
 
 
 class TestModelValue:
@@ -192,7 +198,7 @@ class TestExactModelMin:
     def test_half_square_shifted_anchor(self):
         """For f = x^2/2 anchored at 1 with H=3 the model gradient is
         y + 2*(y-1)^3; its root was bisected to full precision up front."""
-        orc = make_quartic(np.eye(1), np.zeros(1), 0.0)
+        orc = QuarticObjective(np.eye(1), np.zeros(1), 0.0)
         spec = ModelSpec(orc, np.ones(1), H=3.0)
         y = exact_model_min(spec)
         assert y[0] == pytest.approx(HALFSQ_MODEL_ROOT, abs=1e-10)

@@ -9,9 +9,10 @@ iterate carries a relative model-gradient certificate from the subproblem
 solver, and the combination of certificate and window produces the
 per-iteration contraction ratio recorded as sigma_observed.
 
-The search procedure (warm-started geometric bracketing, then bisection on
-log lambda) is plumbing around the acceptance window; the window's
-multiplicative width of 3/2 is what guarantees the bisection lands.
+The search procedure (warm-started secant steps on log w against log lambda,
+safeguarded by the log-midpoint once the window is bracketed) is plumbing
+around the acceptance window; the window's multiplicative width of 3/2 is
+what guarantees the bracketed search lands.
 
 accelerated_steps is this scheme for any subproblem builder, and outer_loop
 runs it to a stop and keeps the records. The single-function solver and both
@@ -36,10 +37,13 @@ WINDOW_HI = 0.75
 #: First-iteration target for lambda * 3*L3*r^2/4, the window midpoint.
 _WINDOW_MID = 0.625
 
-#: Step weight search: bracket growth factor, expansion and bisection caps.
-_LAM_GROWTH = 2.0
-_MAX_EXPAND = 60
-_MAX_BISECT = 60
+#: Step weight search: the first secant slope of log w against log lambda
+#: (w grows about like lambda^1.2-1.4), the clamp on later slopes, the
+#: largest factor one step moves lambda by, and the trial cap.
+_FIRST_SLOPE = 1.3
+_SLOPE_MIN, _SLOPE_MAX = 0.5, 3.0
+_MAX_STEP = 64.0
+_MAX_TRIALS = 60
 
 #: Subproblem outcomes that end the outer loop instead of being stepped on.
 _TERMINAL = ("zero_gradient", "accuracy_floor")
@@ -242,9 +246,13 @@ def search_lambda(make_trial, L3: float, lam_warm: float | None,
 
     With A = 0 the anchor does not depend on lambda, so a single subproblem
     solve fixes r and lambda is set analytically to hit the window midpoint.
-    Otherwise: warm start at the previous accepted lambda, grow or shrink
-    geometrically until the window statistic brackets [1/2, 3/4], then
-    bisect on log lambda. Returns the accepted trial and the trial count.
+    Otherwise warm start at the previous accepted lambda and take secant
+    steps on (log lambda, log w) aimed at the window midpoint. Until a trial
+    on each side brackets the window, the slope comes from the last two
+    trials (the first step assumes 1.3), clamped to [1/2, 3], and a step
+    moves lambda by at most 64x, or by exactly 64x when w = 0. Inside a
+    bracket the secant falls back to the log-midpoint when it lands in the
+    outer tenth at either end. Returns the accepted trial and the trial count.
     """
     n_trials = 0
 
@@ -267,40 +275,34 @@ def search_lambda(make_trial, L3: float, lam_warm: float | None,
                        w=lam * 0.75 * L3 * t.r * t.r), n_trials
 
     lam = lam_warm if lam_warm is not None else 1.0
-    t = None
-    lam_lo = lam_hi = None  # below-window / above-window bracket edges
-    for _ in range(_MAX_EXPAND):
+    lo = hi = prev = None  # below-window, above-window and previous trials
+    for _ in range(_MAX_TRIALS):
         t = attempt(lam)
         if t.reason in _TERMINAL or WINDOW_LO <= t.w <= WINDOW_HI:
             return t, n_trials
         if t.w < WINDOW_LO:
-            lam_lo = lam
-            if lam_hi is not None:
-                break
-            lam *= _LAM_GROWTH
+            lo = t
         else:
-            lam_hi = lam
-            if lam_lo is not None:
-                break
-            lam /= _LAM_GROWTH
-    if lam_lo is None or lam_hi is None:
-        last = f"last lambda = {t.lam:.6g}, w = {t.w:.6g}" if t is not None else "no trials"
-        raise LambdaSearchError(
-            f"no window bracket within {_MAX_EXPAND} expansions "
-            f"(L3 = {L3:.6g}, {last}); check the oracle's L3")
-    for _ in range(_MAX_BISECT):
-        lam = math.sqrt(lam_lo * lam_hi)
-        t = attempt(lam)
-        if t.reason in _TERMINAL or WINDOW_LO <= t.w <= WINDOW_HI:
-            return t, n_trials
-        if t.w < WINDOW_LO:
-            lam_lo = lam
+            hi = t
+        if lo is not None and hi is not None:
+            # Secant inside the bracket; the log-midpoint when the secant
+            # lands in the outer tenth at either end.
+            s = (math.log(_WINDOW_MID / lo.w) / math.log(hi.w / lo.w)
+                 if lo.w > 0.0 else 1.0)
+            lam = lo.lam * (hi.lam / lo.lam) ** (s if 0.1 <= s <= 0.9 else 0.5)
+        elif t.w == 0.0:
+            lam *= _MAX_STEP
         else:
-            lam_hi = lam
+            slope = _FIRST_SLOPE
+            if prev is not None and prev.w > 0.0:
+                slope = math.log(t.w / prev.w) / math.log(t.lam / prev.lam)
+                slope = min(max(slope, _SLOPE_MIN), _SLOPE_MAX)
+            step = (_WINDOW_MID / t.w) ** (1.0 / slope)
+            lam *= min(max(step, 1.0 / _MAX_STEP), _MAX_STEP)
+        prev = t
     raise LambdaSearchError(
-        f"window not hit within {_MAX_BISECT} bisections "
-        f"(L3 = {L3:.6g}, bracket [{lam_lo:.6g}, {lam_hi:.6g}]); "
-        "the step radius may be discontinuous in lambda, check L3")
+        f"window not hit within {_MAX_TRIALS} trials (L3 = {L3:.6g}, "
+        f"last lambda = {t.lam:.6g}, w = {t.w:.6g}); check the oracle's L3")
 
 
 def accelerated_steps(subproblem, L3: float, x0: Vector, cfg: NatmiConfig,

@@ -1,13 +1,15 @@
 """Outer accelerated loop tests.
 
 Parameter-regime validation, the step-weight accumulator identity, the
-acceptance window search (exercised both against synthetic trial curves and
-real solves), per-record invariants, and end-to-end convergence checks on
+acceptance window search (exercised against synthetic trial curves, drawn
+power and kinked curves included, and real solves), per-record invariants, and end-to-end convergence checks on
 quadratic, quartic, and logistic problems.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hyperfast import natmi
 from hyperfast.harness import reference_fstar
@@ -145,6 +147,68 @@ class TestSearchLambda:
         make = lambda lam: _fake_trial(lam, w=0.0, r=0.0)
         with pytest.raises(LambdaSearchError):
             search_lambda(make, L3=1.0, lam_warm=1.0, A=1.0)
+
+
+#: Trials a search may take on a drawn curve: the worst seen over 40,000
+#: draws of each family was 10 on power curves and 11 on kinked ones.
+_SEARCH_TRIALS = 16
+
+
+@st.composite
+def _window_curves(draw, kinked):
+    """A warm start lam0 and a curve w(lambda) through w(lam0) = w0 in
+    [1e-8, 1e8]: the power curve w0*(lambda/lam0)^p with p in [1/2, 3], or
+    with kinked=True one whose slope turns from p to q in [1/2, 3] at a kink
+    up to 8 decades away from lam0."""
+    lam0 = 10.0 ** draw(st.floats(-6.0, 6.0))
+    w0 = 10.0 ** draw(st.floats(-8.0, 8.0))
+    p = draw(st.floats(0.5, 3.0))
+    if not kinked:
+        return lam0, lambda lam: w0 * (lam / lam0) ** p
+    q = draw(st.floats(0.5, 3.0))
+    lam_k = lam0 * 10.0 ** draw(st.floats(-8.0, 8.0))
+    w_k = w0 * (lam_k / lam0) ** p
+
+    def curve(lam):
+        if (lam < lam_k) == (lam0 < lam_k):
+            return w0 * (lam / lam0) ** p
+        return w_k * (lam / lam_k) ** q
+
+    return lam0, curve
+
+
+class TestSearchLambdaProperties:
+    """The search against drawn window curves, no oracle involved."""
+
+    @pytest.mark.parametrize("kinked", [False, True], ids=["power", "kink"])
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_lands_in_window(self, kinked, data):
+        lam0, curve = data.draw(_window_curves(kinked))
+        t, n = search_lambda(lambda lam: _fake_trial(lam, w=curve(lam)),
+                             L3=1.0, lam_warm=lam0, A=1.0)
+        assert WINDOW_LO <= t.w <= WINDOW_HI
+        assert t.w == curve(t.lam)
+        assert n <= _SEARCH_TRIALS
+
+    @settings(max_examples=100, deadline=None)
+    @given(lam_jump=st.floats(-6.0, 6.0), lam_warm=st.floats(-6.0, 6.0),
+           p=st.floats(0.5, 3.0), below=st.floats(1e-3, 0.49),
+           above=st.floats(0.76, 1e3))
+    def test_jump_over_window_raises(self, lam_jump, lam_warm, p, below, above):
+        """w jumps from below 1/2 straight past 3/4 at lam_jump, so no lambda
+        lands in the window and the search must give up at its trial cap."""
+        lam_jump, lam_warm = 10.0 ** lam_jump, 10.0 ** lam_warm
+        calls = []
+
+        def make_trial(lam):
+            calls.append(lam)
+            w = (below if lam < lam_jump else above) * (lam / lam_jump) ** p
+            return _fake_trial(lam, w=w)
+
+        with pytest.raises(LambdaSearchError, match="L3 = 1, last lambda"):
+            search_lambda(make_trial, L3=1.0, lam_warm=lam_warm, A=1.0)
+        assert len(calls) == natmi._MAX_TRIALS
 
 
 @pytest.fixture(scope="module")

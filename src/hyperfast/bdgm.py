@@ -162,7 +162,10 @@ def _build_state(x_tilde, eps, c_delta, gamma, g0, B, L3, min_scale,
             # The certification margin exceeds what any iterate could attain:
             # the anchor gradient is already at the accuracy floor for eps.
             solved_reason = "accuracy_floor"
-    evals, evecs = np.linalg.eigh(B)
+    try:
+        evals, evecs = np.linalg.eigh(B)
+    except np.linalg.LinAlgError as exc:
+        raise SubproblemError(f"anchor Hessian eigendecomposition failed: {exc}") from exc
     return BdgmState(
         x_tilde=np.array(x_tilde, dtype=np.float64), gamma=float(gamma),
         g0=np.asarray(g0, dtype=np.float64), B=np.asarray(B, dtype=np.float64),

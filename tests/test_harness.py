@@ -461,6 +461,43 @@ class TestNonFiniteGradient:
         assert lines[0].startswith("solver failure: non-finite")
 
 
+class TestEighFailure:
+    """A LinAlgError from the anchor Hessian's eigendecomposition in the
+    middle of a solve is a numeric failure like any other: SubproblemError,
+    the partial trace with its error footer, and exit 3."""
+
+    @pytest.fixture
+    def eigh_fails_from_call_10(self, monkeypatch):
+        clean = np.linalg.eigh
+        calls = [0]
+
+        def eigh(a, *args, **kwargs):
+            calls[0] += 1
+            if calls[0] >= 10:
+                raise np.linalg.LinAlgError("Eigenvalues did not converge")
+            return clean(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", eigh)
+
+    def test_partial_trace_keeps_error_footer(self, tmp_path, eigh_fails_from_call_10):
+        trace = tmp_path / "t.csv"
+        with pytest.raises(SubproblemError, match="eigendecomposition"):
+            run(build_run_config({"problem": "logreg_fixture", "eps": "1e-9",
+                                  "trace": str(trace)}))
+        last = trace.read_text().splitlines()[-1]
+        assert last.startswith("# ERROR: SubproblemError: anchor Hessian "
+                               "eigendecomposition failed")
+        assert 0 < len(read_trace(trace)) < 14
+
+    def test_cli_exit_three(self, eigh_fails_from_call_10, capsys):
+        assert cli.main(["solve", "--problem", "logreg_fixture",
+                         "--eps", "1e-9"]) == 3
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("solver failure: anchor Hessian "
+                                   "eigendecomposition failed")
+
+
 class TestCli:
     def test_success_exit_zero(self, tmp_path, capsys):
         code = cli.main(["solve", "--problem", "quartic1d",

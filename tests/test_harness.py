@@ -26,7 +26,6 @@ from hyperfast.harness import (
     RunConfig,
     baseline_gd,
     build_run_config,
-    config_echo,
     fit_rate,
     make_problem,
     parse_config_text,

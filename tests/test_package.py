@@ -1,9 +1,43 @@
-"""The package's public names."""
+"""The package's public names, and no unused imports in the source or tests."""
+
+import ast
+from pathlib import Path
 
 import hyperfast
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def test_every_exported_name_resolves():
     missing = [name for name in hyperfast.__all__ if not hasattr(hyperfast, name)]
     assert missing == []
     assert len(set(hyperfast.__all__)) == len(hyperfast.__all__)
+
+
+def _unused_imports(path: Path) -> list[str]:
+    """Names a module's top-level imports bind and it never reads or lists
+    in __all__. `import a.b` binds a; __future__ imports bind nothing."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    bound = {}
+    exported = set()
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                bound[alias.asname or alias.name.partition(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                bound[alias.asname or alias.name] = node.lineno
+        elif isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            exported = set(ast.literal_eval(node.value))
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"{path.relative_to(ROOT)}:{line}: {name}"
+            for name, line in sorted(bound.items(), key=lambda kv: kv[1])
+            if name not in read and name not in exported]
+
+
+def test_no_unused_top_level_imports():
+    files = sorted((ROOT / "src").rglob("*.py")) + sorted((ROOT / "tests").rglob("*.py"))
+    assert files
+    unused = [entry for path in files for entry in _unused_imports(path)]
+    assert unused == []

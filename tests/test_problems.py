@@ -5,7 +5,7 @@ bounds every oracle must honor with its own reported constant."""
 import numpy as np
 import pytest
 
-from hyperfast.oracles import counted, fd_check_grad
+from hyperfast.oracles import fd_check_grad
 from hyperfast.problems import (
     Dataset,
     LogisticLoss,

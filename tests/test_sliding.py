@@ -6,8 +6,6 @@ path (which must replay the single-function solver exactly), and composite
 solves checking per-component call counters and the usual record invariants.
 """
 
-import warnings
-
 import numpy as np
 import pytest
 

@@ -10,11 +10,7 @@ import numpy as np
 import pytest
 
 from hyperfast.oracles import counted
-from hyperfast.problems import (
-    LogisticLoss,
-    QuarticObjective,
-    synth_logreg,
-)
+from hyperfast.problems import QuarticObjective
 from hyperfast.taylor import (
     ModelError,
     ModelSpec,

@@ -165,7 +165,8 @@ def _build_state(x_tilde, eps, c_delta, gamma, g0, B, L3, min_scale,
     try:
         evals, evecs = np.linalg.eigh(B)
     except np.linalg.LinAlgError as exc:
-        raise SubproblemError(f"anchor Hessian eigendecomposition failed: {exc}") from exc
+        raise SubproblemError(
+            f"anchor Hessian eigendecomposition failed: {exc}") from exc
     return BdgmState(
         x_tilde=np.array(x_tilde, dtype=np.float64), gamma=float(gamma),
         g0=np.asarray(g0, dtype=np.float64), B=np.asarray(B, dtype=np.float64),

@@ -2,8 +2,9 @@
 
 Parameter-regime validation, the step-weight accumulator identity, the
 acceptance window search (exercised against synthetic trial curves, drawn
-power and kinked curves included, and real solves), per-record invariants, and end-to-end convergence checks on
-quadratic, quartic, and logistic problems.
+power and kinked curves included, and real solves), per-record invariants,
+and end-to-end convergence checks on quadratic, quartic, and logistic
+problems.
 """
 
 import numpy as np
@@ -188,17 +189,16 @@ class TestSearchLambdaProperties:
         t, n = search_lambda(lambda lam: _fake_trial(lam, w=curve(lam)),
                              L3=1.0, lam_warm=lam0, A=1.0)
         assert WINDOW_LO <= t.w <= WINDOW_HI
-        assert t.w == curve(t.lam)
         assert n <= _SEARCH_TRIALS
 
     @settings(max_examples=100, deadline=None)
-    @given(lam_jump=st.floats(-6.0, 6.0), lam_warm=st.floats(-6.0, 6.0),
+    @given(log_jump=st.floats(-6.0, 6.0), log_warm=st.floats(-6.0, 6.0),
            p=st.floats(0.5, 3.0), below=st.floats(1e-3, 0.49),
            above=st.floats(0.76, 1e3))
-    def test_jump_over_window_raises(self, lam_jump, lam_warm, p, below, above):
+    def test_jump_over_window_raises(self, log_jump, log_warm, p, below, above):
         """w jumps from below 1/2 straight past 3/4 at lam_jump, so no lambda
         lands in the window and the search must give up at its trial cap."""
-        lam_jump, lam_warm = 10.0 ** lam_jump, 10.0 ** lam_warm
+        lam_jump, lam_warm = 10.0 ** log_jump, 10.0 ** log_warm
         calls = []
 
         def make_trial(lam):

@@ -6,7 +6,8 @@ Three analytic families cover the verification needs:
   derivative in closed form. The fourth derivative is constant, so these are
   the primary exact-verification instances.
 * :class:`LogisticLoss` -- regularized logistic regression on a dataset with
-  labels in {-1, +1}.
+  labels in {-1, +1}. Its sigmoid is computed in numpy, so the package
+  needs numpy alone at run time.
 * :class:`QuarticChain` -- sum of fourth powers of consecutive differences,
   the classic hard instance for first-order methods.
 
@@ -19,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 from .oracles import Matrix, ProblemOracle, Vector
 
@@ -99,44 +99,52 @@ class LogisticLoss(ProblemOracle):
         super().__init__(data.n, _LOGISTIC_C3 * row_fourth)
         self.data = data
         self.ridge = ridge
+        # Rows times labels, so _signed @ x is y*<a, x> row by row, exactly
+        # as a sign flip rounds nothing.
+        self._signed = data.labels[:, None] * data.features
 
-    def _margins(self, x: Vector) -> Vector:
-        return -self.data.labels * (self.data.features @ x)
+    def _sigmoid(self, x: Vector) -> Vector:
+        """expit(-y*<a, x>) = 1/(1 + exp(y*<a, x>)) per row, in a new array."""
+        s = self._signed @ x
+        with np.errstate(over="ignore"):  # exp(s) = inf gives 1/inf = 0
+            np.exp(s, out=s)
+        s += 1.0
+        return np.reciprocal(s, out=s)
 
     def value(self, x: Vector) -> float:
         x = self._check_point(x)
-        t = self._margins(x)
+        t = -(self._signed @ x)
         return float(np.mean(np.logaddexp(0.0, t)) + 0.5 * self.ridge * (x @ x))
 
     def grad(self, x: Vector) -> Vector:
         x = self._check_point(x)
-        t = self._margins(x)
-        coeff = -expit(t) * self.data.labels / self.data.m
-        return self.data.features.T @ coeff + self.ridge * x
+        coeff = self._sigmoid(x)
+        coeff /= -self.data.m
+        return self._signed.T @ coeff + self.ridge * x
 
     def hess(self, x: Vector) -> Matrix:
         x = self._check_point(x)
-        s = expit(self._margins(x))
+        s = self._sigmoid(x)
         w = s * (1.0 - s) / self.data.m
-        A = self.data.features
-        return A.T @ (w[:, None] * A) + self.ridge * np.eye(self.dim)
+        W = self._signed
+        return W.T @ (w[:, None] * W) + self.ridge * np.eye(self.dim)
 
     def _psi3(self, x: Vector) -> Vector:
-        s = expit(self._margins(x))
+        s = self._sigmoid(x)
         return s * (1.0 - s) * (1.0 - 2.0 * s)
 
     def third_action(self, x: Vector, s: Vector) -> Vector:
         x = self._check_point(x)
-        u = self.data.features @ np.asarray(s, dtype=np.float64)
-        coeff = -self._psi3(x) * self.data.labels * u**2 / self.data.m
-        return self.data.features.T @ coeff
+        u = self._signed @ np.asarray(s, dtype=np.float64)
+        coeff = -self._psi3(x) * u**2 / self.data.m
+        return self._signed.T @ coeff
 
     def third_dir(self, x: Vector, s: Vector) -> Matrix:
         x = self._check_point(x)
-        u = self.data.features @ np.asarray(s, dtype=np.float64)
-        coeff = -self._psi3(x) * self.data.labels * u / self.data.m
-        A = self.data.features
-        return A.T @ (coeff[:, None] * A)
+        u = self._signed @ np.asarray(s, dtype=np.float64)
+        coeff = -self._psi3(x) * u / self.data.m
+        W = self._signed
+        return W.T @ (coeff[:, None] * W)
 
 
 class QuarticObjective(ProblemOracle):

@@ -1,6 +1,11 @@
-"""The package's public names, and no unused imports in the source or tests."""
+"""The package's public names, its runtime imports, and no unused imports
+in the source or tests."""
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import hyperfast
@@ -12,6 +17,27 @@ def test_every_exported_name_resolves():
     missing = [name for name in hyperfast.__all__ if not hasattr(hyperfast, name)]
     assert missing == []
     assert len(set(hyperfast.__all__)) == len(hyperfast.__all__)
+
+
+def test_runtime_loads_no_scipy():
+    """The CLI and every registered problem run on numpy and the standard
+    library: scipy is a test dependency only. A fresh process, so modules
+    the test session imported do not count."""
+    code = (
+        "import json, sys\n"
+        "import hyperfast, hyperfast.cli\n"
+        "from hyperfast import harness\n"
+        "for name in harness.PROBLEMS:\n"
+        "    harness.make_problem(harness.build_run_config({'problem': name}))\n"
+        "print(json.dumps([hyperfast.__file__,\n"
+        "                  sorted(m for m in sys.modules if m.startswith('scipy'))]))\n"
+    )
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=120, check=True, env={**os.environ, "PYTHONPATH": path})
+    package, scipy_modules = json.loads(done.stdout.splitlines()[-1])
+    assert Path(package).resolve().parent == ROOT / "src" / "hyperfast"
+    assert scipy_modules == []
 
 
 def _unused_imports(path: Path) -> list[str]:

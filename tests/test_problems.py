@@ -1,9 +1,15 @@
 """Problem-oracle tests: dataset validation and synthesis, hand-checked
-derivative values, smoothness constants, and the fourth-order remainder
-bounds every oracle must honor with its own reported constant."""
+derivative values, the logistic sigmoid kernel against scipy's expit,
+smoothness constants, and the fourth-order remainder bounds every oracle
+must honor with its own reported constant."""
+
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.special import expit
 
 from hyperfast.oracles import fd_check_grad
 from hyperfast.problems import (
@@ -84,6 +90,85 @@ class TestLogisticLoss:
         np.testing.assert_allclose(orc.third_action(x, s),
                                    orc.third_dir(x, s) @ s, rtol=1e-11,
                                    atol=1e-14)
+
+
+def _expit_reference(orc, x, d):
+    """Each LogisticLoss output at x (third derivatives along d) from scipy's
+    expit and the unsigned features, with the sum of the absolute values of
+    its terms: the scale its roundoff is measured against."""
+    A, y, m, ridge = orc.data.features, orc.data.labels, orc.data.m, orc.ridge
+    t = -y * (A @ x)
+    sig = expit(t)
+    psi3 = sig * (1.0 - sig) * (1.0 - 2.0 * sig)
+    u = A @ d
+    absA = np.abs(A)
+    eye = np.eye(orc.dim)
+    value = np.mean(np.logaddexp(0.0, t)) + 0.5 * ridge * (x @ x)
+    return {
+        "value": (value, value),
+        "grad": (A.T @ (-sig * y / m) + ridge * x,
+                 absA.T @ (sig / m) + ridge * np.abs(x)),
+        "hess": (A.T @ ((sig * (1.0 - sig) / m)[:, None] * A) + ridge * eye,
+                 absA.T @ ((sig / m)[:, None] * absA) + ridge * eye),
+        "third_action": (A.T @ (-psi3 * y * u**2 / m),
+                         absA.T @ (sig * u**2 / m)),
+        "third_dir": (A.T @ ((-psi3 * y * u / m)[:, None] * A),
+                      absA.T @ ((sig * np.abs(u) / m)[:, None] * absA)),
+    }
+
+
+def _outputs(orc, x, d):
+    return {"value": orc.value(x), "grad": orc.grad(x), "hess": orc.hess(x),
+            "third_action": orc.third_action(x, d),
+            "third_dir": orc.third_dir(x, d)}
+
+
+@st.composite
+def _logistic_points(draw):
+    """A logistic instance, a point whose norm spans 1e-6..2e3 (so some
+    margins overflow exp), and a direction."""
+    m = draw(st.integers(1, 60))
+    n = draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    ridge = draw(st.one_of(st.just(0.0), st.floats(1e-6, 1.0)))
+    orc = LogisticLoss(synth_logreg(int(rng.integers(2**31)), m, n), ridge=ridge)
+    x = 10.0 ** draw(st.floats(-6.0, 3.3)) * rng.standard_normal(n)
+    return orc, x, rng.standard_normal(n)
+
+
+class TestLogisticKernel:
+    """The numpy sigmoid on label-signed features against scipy's expit on
+    the plain ones. Each sigma agrees to a few ulps (numpy's exp and libm's
+    differ by one ulp now and then), and a sum of m terms then differs by
+    roundoff that grows like sqrt(m): the bound is ULPS*eps*sqrt(m) times
+    the sum of the absolute terms. The worst over 160,000 random draws was
+    2.0*eps*sqrt(m)."""
+
+    ULPS = 4.0
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(case=_logistic_points())
+    def test_matches_expit_reference(self, case):
+        orc, x, d = case
+        tol = self.ULPS * np.finfo(np.float64).eps * np.sqrt(orc.data.m)
+        got = _outputs(orc, x, d)
+        for name, (ref, scale) in _expit_reference(orc, x, d).items():
+            assert np.all(np.abs(got[name] - ref) <= tol * scale), name
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_huge_points_finite_without_warnings(self, sign):
+        orc = LogisticLoss(synth_logreg(5, 30, 6), ridge=1e-3)
+        rng = np.random.default_rng(8)
+        x = rng.standard_normal(6)
+        x *= sign * 1e5 / np.linalg.norm(x)
+        d = rng.standard_normal(6)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _outputs(orc, x, d)
+        assert all(np.all(np.isfinite(v)) for v in got.values())
+        tol = self.ULPS * np.finfo(np.float64).eps * np.sqrt(orc.data.m)
+        for name, (ref, scale) in _expit_reference(orc, x, d).items():
+            assert np.all(np.abs(got[name] - ref) <= tol * scale), name
 
 
 class TestQuarticObjective:

@@ -40,7 +40,7 @@ from typing import Callable
 
 import numpy as np
 
-from .oracles import Matrix, ProblemOracle, Vector, operator_norm
+from .oracles import Matrix, ProblemOracle, Vector
 
 _EPS = float(np.finfo(np.float64).eps)
 
@@ -144,8 +144,13 @@ def _build_state(x_tilde, eps, c_delta, gamma, g0, B, L3, min_scale,
         raise ValueError("L3 must be positive")
     if not (np.all(np.isfinite(g0)) and np.all(np.isfinite(B))):
         raise SubproblemError("non-finite gradient or Hessian at the anchor")
+    try:
+        evals, evecs = np.linalg.eigh(B)
+    except np.linalg.LinAlgError as exc:
+        raise SubproblemError(
+            f"anchor Hessian eigendecomposition failed: {exc}") from exc
     grad_norm0 = float(np.linalg.norm(g0))
-    hess_norm0 = operator_norm(B)
+    hess_norm0 = float(np.max(np.abs(evals)))
     solved_reason = None
     if grad_norm0 == 0.0:
         delta = tau = tau_used = theta_abs = 0.0
@@ -162,11 +167,6 @@ def _build_state(x_tilde, eps, c_delta, gamma, g0, B, L3, min_scale,
             # The certification margin exceeds what any iterate could attain:
             # the anchor gradient is already at the accuracy floor for eps.
             solved_reason = "accuracy_floor"
-    try:
-        evals, evecs = np.linalg.eigh(B)
-    except np.linalg.LinAlgError as exc:
-        raise SubproblemError(
-            f"anchor Hessian eigendecomposition failed: {exc}") from exc
     return BdgmState(
         x_tilde=np.array(x_tilde, dtype=np.float64), gamma=float(gamma),
         g0=np.asarray(g0, dtype=np.float64), B=np.asarray(B, dtype=np.float64),

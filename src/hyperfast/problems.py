@@ -103,13 +103,14 @@ class LogisticLoss(ProblemOracle):
         # as a sign flip rounds nothing.
         self._signed = data.labels[:, None] * data.features
 
-    def _sigmoid(self, x: Vector) -> Vector:
-        """expit(-y*<a, x>) = 1/(1 + exp(y*<a, x>)) per row, in a new array."""
+    def _sigmoid(self, x: Vector, scale: float = 1.0) -> Vector:
+        """scale*expit(-y*<a, x>) = scale/(1 + exp(y*<a, x>)) per row, in a
+        new array."""
         s = self._signed @ x
-        with np.errstate(over="ignore"):  # exp(s) = inf gives 1/inf = 0
+        with np.errstate(over="ignore"):  # exp(s) = inf gives scale/inf = 0
             np.exp(s, out=s)
         s += 1.0
-        return np.reciprocal(s, out=s)
+        return np.divide(scale, s, out=s)
 
     def value(self, x: Vector) -> float:
         x = self._check_point(x)
@@ -118,8 +119,7 @@ class LogisticLoss(ProblemOracle):
 
     def grad(self, x: Vector) -> Vector:
         x = self._check_point(x)
-        coeff = self._sigmoid(x)
-        coeff /= -self.data.m
+        coeff = self._sigmoid(x, -1.0 / self.data.m)
         return self._signed.T @ coeff + self.ridge * x
 
     def hess(self, x: Vector) -> Matrix:

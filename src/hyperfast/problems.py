@@ -99,16 +99,17 @@ class LogisticLoss(ProblemOracle):
         super().__init__(data.n, _LOGISTIC_C3 * row_fourth)
         self.data = data
         self.ridge = ridge
-        # Rows times labels, so _signed @ x is y*<a, x> row by row, exactly
-        # as a sign flip rounds nothing.
+        # Each row times its label: _signed @ x is y*<a, x> exactly (a sign
+        # flip rounds nothing), and y**2 = 1 leaves every outer product a*a'.
         self._signed = data.labels[:, None] * data.features
 
     def _sigmoid(self, x: Vector, scale: float = 1.0) -> Vector:
         """scale*expit(-y*<a, x>) = scale/(1 + exp(y*<a, x>)) per row, in a
-        new array."""
+        new array. Exponents are capped at 709, below exp's overflow, so a
+        sigma under 1.2e-308 comes out as 1.2e-308."""
         s = self._signed @ x
-        with np.errstate(over="ignore"):  # exp(s) = inf gives scale/inf = 0
-            np.exp(s, out=s)
+        np.minimum(s, 709.0, out=s)
+        np.exp(s, out=s)
         s += 1.0
         return np.divide(scale, s, out=s)
 

@@ -92,28 +92,29 @@ class TestLogisticLoss:
                                    atol=1e-14)
 
 
-def _expit_reference(orc, x, d):
+def _expit_reference(orc, x, d, tol):
     """Each LogisticLoss output at x (third derivatives along d) from scipy's
-    expit and the unsigned features, with the sum of the absolute values of
-    its terms: the scale its roundoff is measured against."""
+    expit and the unsigned features, with the error it may carry: tol times
+    each sigma, plus the smallest normal float for the kernel's exponent cap,
+    carried through the sum of the absolute values of the terms."""
     A, y, m, ridge = orc.data.features, orc.data.labels, orc.data.m, orc.ridge
     t = -y * (A @ x)
     sig = expit(t)
+    err = (tol * sig + np.finfo(np.float64).tiny) / m
     psi3 = sig * (1.0 - sig) * (1.0 - 2.0 * sig)
     u = A @ d
     absA = np.abs(A)
     eye = np.eye(orc.dim)
     value = np.mean(np.logaddexp(0.0, t)) + 0.5 * ridge * (x @ x)
     return {
-        "value": (value, value),
+        "value": (value, tol * value),
         "grad": (A.T @ (-sig * y / m) + ridge * x,
-                 absA.T @ (sig / m) + ridge * np.abs(x)),
+                 absA.T @ err + tol * ridge * np.abs(x)),
         "hess": (A.T @ ((sig * (1.0 - sig) / m)[:, None] * A) + ridge * eye,
-                 absA.T @ ((sig / m)[:, None] * absA) + ridge * eye),
-        "third_action": (A.T @ (-psi3 * y * u**2 / m),
-                         absA.T @ (sig * u**2 / m)),
+                 absA.T @ (err[:, None] * absA) + tol * ridge * eye),
+        "third_action": (A.T @ (-psi3 * y * u**2 / m), absA.T @ (err * u**2)),
         "third_dir": (A.T @ ((-psi3 * y * u / m)[:, None] * A),
-                      absA.T @ ((sig * np.abs(u) / m)[:, None] * absA)),
+                      absA.T @ ((err * np.abs(u))[:, None] * absA)),
     }
 
 
@@ -146,14 +147,16 @@ class TestLogisticKernel:
 
     ULPS = 4.0
 
+    def assert_matches_reference(self, orc, x, d, got):
+        tol = self.ULPS * np.finfo(np.float64).eps * np.sqrt(orc.data.m)
+        for name, (ref, err) in _expit_reference(orc, x, d, tol).items():
+            assert np.all(np.abs(got[name] - ref) <= err), name
+
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(case=_logistic_points())
     def test_matches_expit_reference(self, case):
         orc, x, d = case
-        tol = self.ULPS * np.finfo(np.float64).eps * np.sqrt(orc.data.m)
-        got = _outputs(orc, x, d)
-        for name, (ref, scale) in _expit_reference(orc, x, d).items():
-            assert np.all(np.abs(got[name] - ref) <= tol * scale), name
+        self.assert_matches_reference(orc, x, d, _outputs(orc, x, d))
 
     @pytest.mark.parametrize("sign", [1.0, -1.0])
     def test_huge_points_finite_without_warnings(self, sign):
@@ -166,9 +169,7 @@ class TestLogisticKernel:
             warnings.simplefilter("error")
             got = _outputs(orc, x, d)
         assert all(np.all(np.isfinite(v)) for v in got.values())
-        tol = self.ULPS * np.finfo(np.float64).eps * np.sqrt(orc.data.m)
-        for name, (ref, scale) in _expit_reference(orc, x, d).items():
-            assert np.all(np.abs(got[name] - ref) <= tol * scale), name
+        self.assert_matches_reference(orc, x, d, got)
 
 
 class TestQuarticObjective:

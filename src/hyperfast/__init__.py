@@ -2,7 +2,7 @@
 
 from .bdgm import BdgmResult, BdgmState, SubproblemError, fd_third_action
 from .natmi import IterationRecord, NatmiConfig, ParamReport, SolveResult, solve, validate_params
-from .oracles import CountedOracle, OracleCapabilityError, ProblemOracle, SumOracle, ZeroOracle, counted
+from .oracles import ConfigError, CountedOracle, OracleCapabilityError, ProblemOracle, SolverError, SumOracle, ZeroOracle, counted
 from .problems import (
     Dataset,
     LogisticLoss,
@@ -17,6 +17,7 @@ __all__ = [
     "BdgmResult",
     "BdgmState",
     "CompositeProblem",
+    "ConfigError",
     "CountedOracle",
     "Dataset",
     "IterationRecord",
@@ -30,6 +31,7 @@ __all__ = [
     "QuarticChain",
     "QuarticObjective",
     "SolveResult",
+    "SolverError",
     "SubproblemError",
     "SumOracle",
     "ZeroOracle",

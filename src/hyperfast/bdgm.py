@@ -40,7 +40,7 @@ from typing import Callable
 
 import numpy as np
 
-from .oracles import Matrix, ProblemOracle, Vector
+from .oracles import Matrix, ProblemOracle, SolverError, Vector
 
 _EPS = float(np.finfo(np.float64).eps)
 
@@ -69,7 +69,7 @@ _NEWTON_TOL = 1e-9
 _MAX_NEWTON_STEPS = 100
 
 
-class SubproblemError(RuntimeError):
+class SubproblemError(SolverError):
     """Inner solver failed: a non-finite value, an iterate outside the
     ball, a radius solve that did not converge or an exhausted budget."""
 

@@ -10,10 +10,8 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .bdgm import SubproblemError
-from .harness import ConfigError, DivergenceError, build_run_config, load_config, run
-from .natmi import LambdaSearchError
-from .taylor import ModelError
+from .harness import build_run_config, load_config, run
+from .oracles import ConfigError, SolverError
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -52,8 +50,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (LambdaSearchError, SubproblemError, ModelError,
-            DivergenceError) as exc:
+    except SolverError as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return 3
     s = outcome.summary

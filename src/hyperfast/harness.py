@@ -19,13 +19,13 @@ from pathlib import Path
 
 import numpy as np
 
-from . import bdgm, natmi, sliding
-from .bdgm import SubproblemError
-from .natmi import IterationRecord, LambdaSearchError, NatmiConfig
-from .oracles import ProblemOracle, SumOracle, Vector, ZeroOracle, counted
+from . import natmi, sliding
+from .natmi import IterationRecord, NatmiConfig
+from .oracles import (ConfigError, ProblemOracle, SolverError, SumOracle, Vector,
+                      ZeroOracle, counted)
 from .problems import LogisticLoss, QuarticChain, QuarticObjective, synth_logreg
 from .sliding import CompositeProblem
-from .taylor import EXACT_MAX_DIM, ModelError, newton_step
+from .taylor import ModelError, newton_step
 
 BASE_COLUMNS = ("k", "f", "grad_norm", "step_radius", "lambda", "A",
                 "inner_iters", "n_grad", "n_hess", "max_grad_norm",
@@ -44,11 +44,7 @@ _FSTAR_PATH = Path(__file__).with_name("fstar_fixture.json")
 _FSTAR_BUDGET = 500
 
 
-class ConfigError(ValueError):
-    """Malformed or inconsistent run configuration."""
-
-
-class DivergenceError(RuntimeError):
+class DivergenceError(SolverError):
     """Baseline failed to make progress at any admissible step size."""
 
 
@@ -391,34 +387,35 @@ def baseline_gd(oracle: ProblemOracle, x0: Vector, steps: int):
     f_cur = co.value(x)
     records = []
     G_max = 0.0
-    for k in range(1, steps + 1):
-        g = co.grad(x)
-        gn = float(np.linalg.norm(g))
-        G_max = max(G_max, gn)
-        if gn == 0.0:
+    try:
+        for k in range(1, steps + 1):
+            g = co.grad(x)
+            gn = float(np.linalg.norm(g))
+            G_max = max(G_max, gn)
+            step = 1.0 / L1
+            if gn != 0.0:
+                for _ in range(200):
+                    step = 1.0 / L1
+                    x_new = x - step * g
+                    f_new = co.value(x_new)
+                    if f_new <= f_cur:
+                        break
+                    L1 *= 2.0
+                else:
+                    raise DivergenceError("no decrease even at vanishing step size")
+                x, f_cur = x_new, f_new
             records.append(IterationRecord(
-                k=k, f=f_cur, grad_norm=0.0, step_radius=0.0, lam=1.0 / L1,
+                k=k, f=f_cur, grad_norm=gn, step_radius=step * gn, lam=step,
                 A=0.0, inner_iters=0, n_grad=co.n_grad - base_grad,
                 n_hess=co.n_hess - base_hess, max_grad_norm=G_max,
-                max_hess_norm=hess_norm, wall_ms=0.0, reason="stationary",
+                max_hess_norm=hess_norm, wall_ms=0.0,
+                reason="gd" if gn != 0.0 else "stationary",
                 n_value=co.n_value - base_value, y=x.copy()))
-            break
-        for _ in range(200):
-            step = 1.0 / L1
-            x_new = x - step * g
-            f_new = co.value(x_new)
-            if f_new <= f_cur:
+            if gn == 0.0:
                 break
-            L1 *= 2.0
-        else:
-            raise DivergenceError("no decrease even at vanishing step size")
-        x, f_cur = x_new, f_new
-        records.append(IterationRecord(
-            k=k, f=f_cur, grad_norm=gn, step_radius=step * gn, lam=step,
-            A=0.0, inner_iters=0, n_grad=co.n_grad - base_grad,
-            n_hess=co.n_hess - base_hess, max_grad_norm=G_max,
-            max_hess_norm=hess_norm, wall_ms=0.0, reason="gd",
-            n_value=co.n_value - base_value, y=x.copy()))
+    except SolverError as exc:
+        exc.records = tuple(records)
+        raise
     return records
 
 
@@ -451,24 +448,11 @@ def config_echo(cfg: RunConfig) -> dict:
 def run(cfg: RunConfig) -> RunOutcome:
     """Execute one configured run; write the trace and summary files.
 
-    Solver failures still flush the partial trace with an error footer
-    before the exception propagates.
+    A ConfigError, from here or from a solver, comes before any output. A
+    SolverError flushes the rows it carries as a partial trace with an
+    error footer before it propagates.
     """
-    if cfg.method in ("hyperfast", "natmi_exact", "sliding"):
-        report = natmi.validate_params(_natmi_config(cfg))
-        if not report.ok:
-            raise ConfigError("invalid solver parameters: "
-                              + "; ".join(report.violations))
-        if cfg.gamma == 0.0:
-            raise ConfigError("gamma must be positive: gamma = 0 stops at the start point")
     bundle = make_problem(cfg)
-    # hyperfast, and sliding with no second part, run only the inexact engine.
-    if cfg.xi != bdgm.XI and (cfg.method == "hyperfast" or (
-            cfg.method == "sliding" and len(bundle.parts) == 1)):
-        raise ConfigError(f"method {cfg.method} on {cfg.problem} runs at "
-                          f"xi = {bdgm.XI}, got xi = {cfg.xi}")
-    if cfg.method == "natmi_exact" and bundle.x0.size > EXACT_MAX_DIM:
-        raise ConfigError(f"natmi_exact needs n <= {EXACT_MAX_DIM}, got n = {bundle.x0.size}")
     for key, path in (("trace", cfg.trace_path), ("summary", cfg.summary_path)):
         target = Path(path or ".")
         writable = os.access(target if target.exists() else target.parent, os.W_OK)
@@ -510,11 +494,9 @@ def run(cfg: RunConfig) -> RunOutcome:
                 max_hess_norm=last.max_hess_norm if last else 0.0)
         else:
             raise ConfigError(f"unknown method {cfg.method!r}")
-    except (LambdaSearchError, SubproblemError, ModelError,
-            DivergenceError) as exc:
-        records = tuple(getattr(exc, "records", ()))
+    except SolverError as exc:
         if cfg.trace_path:
-            write_trace(cfg.trace_path, records, echo, columns,
+            write_trace(cfg.trace_path, exc.records, echo, columns,
                         error=f"{type(exc).__name__}: {exc}")
         raise
     slope = math.nan

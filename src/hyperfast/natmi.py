@@ -29,8 +29,8 @@ from typing import NamedTuple
 import numpy as np
 
 from . import bdgm
-from .oracles import ProblemOracle, Vector, counted, operator_norm
-from .taylor import ModelSpec, exact_model_min
+from .oracles import ConfigError, ProblemOracle, SolverError, Vector, counted, operator_norm
+from .taylor import EXACT_MAX_DIM, ModelSpec, exact_model_min
 
 WINDOW_LO = 0.5
 WINDOW_HI = 0.75
@@ -49,7 +49,7 @@ _MAX_TRIALS = 60
 _TERMINAL = ("zero_gradient", "accuracy_floor")
 
 
-class LambdaSearchError(RuntimeError):
+class LambdaSearchError(SolverError):
     """No acceptable step weight found; usually a mis-specified L3."""
 
 
@@ -107,6 +107,16 @@ def validate_params(cfg: NatmiConfig) -> ParamReport:
     denom = (1.0 - gamma) * 2.0 * p * xi
     sigma = (p * xi + 1.0 - xi + 2.0 * gamma * xi) / denom if denom != 0.0 else math.nan
     return ParamReport(ok=not violations, sigma=sigma, violations=tuple(violations))
+
+
+def _require_regime(cfg: NatmiConfig) -> ParamReport:
+    """validate_params, enforced; also refuses gamma = 0, which stalls."""
+    report = validate_params(cfg)
+    if not report.ok:
+        raise ConfigError("invalid parameters: " + "; ".join(report.violations))
+    if cfg.gamma == 0.0:
+        raise ConfigError("gamma must be positive: gamma = 0 stops at the start point")
+    return report
 
 
 def step_weight(lam: float, A: float) -> float:
@@ -207,10 +217,13 @@ def oracle_subproblem(cfg: NatmiConfig, oracle: ProblemOracle):
     """Subproblem builder for a single function: the regularized third-order
     model of oracle at each anchor, solved by the inexact engine or, with
     subsolver="exact", by the reference Newton minimizer. The inexact engine
-    is built for xi = bdgm.XI and refuses any other xi."""
+    is built for xi = bdgm.XI and the exact one for n <= EXACT_MAX_DIM; after
+    the regime, these are checked (ConfigError) before any oracle call."""
+    _require_regime(cfg)
     if cfg.subsolver == "bdgm" and cfg.xi != bdgm.XI:
-        raise ValueError(f"subsolver 'bdgm' is built for xi = {bdgm.XI}, "
-                         f"got xi = {cfg.xi}")
+        raise ConfigError(f"subsolver 'bdgm' needs xi = {bdgm.XI}, got xi = {cfg.xi}")
+    if cfg.subsolver == "exact" and oracle.dim > EXACT_MAX_DIM:
+        raise ConfigError(f"subsolver 'exact' needs n <= {EXACT_MAX_DIM}, got n = {oracle.dim}")
     L3 = oracle.lipschitz_L3
 
     def subproblem(x_t: Vector) -> Answer:
@@ -354,25 +367,20 @@ def accelerated_steps(subproblem, L3: float, x0: Vector, cfg: NatmiConfig,
 
 
 def outer_loop(subproblem, L3: float, x0: Vector, cfg: NatmiConfig,
-               objective, counts, measure=None) -> SolveResult:
+               objective, counts) -> SolveResult:
     """Run accelerated_steps for up to cfg.k_max steps and keep the records.
 
-    objective has value(y) and grad(y) of the minimized function, counts()
-    returns its oracle call totals, and measure(y) gives f at each accepted
-    iterate (objective.value unless the caller counts more there).
+    objective has value(y) and grad(y) of the minimized function, and
+    counts() returns its oracle call totals. A bad regime or gamma = 0 is a
+    ConfigError before the first subproblem.
 
     Stops: stationary (zero gradient at the anchor or at the accepted
     iterate), accuracy_floor (the anchor is at the floor for eps; the solve
     ends on the floor trial's point when its gradient is smaller than the
-    last accepted y's), grad_tol and k_max. A failure re-raises with the
-    rows recorded so far in exc.records.
+    last accepted y's), grad_tol and k_max. A SolverError propagates with
+    the rows recorded so far in its records.
     """
-    report = validate_params(cfg)
-    if not report.ok:
-        raise ValueError("invalid parameters: " + "; ".join(report.violations))
-    if cfg.gamma == 0.0:
-        raise ValueError("gamma must be positive: gamma = 0 stops at the start point")
-    measure = measure or objective.value
+    report = _require_regime(cfg)
     base = counts()
     # Largest anchor gradient and Hessian norms over every trial, and the
     # gradient norms at accepted iterates.
@@ -409,7 +417,7 @@ def outer_loop(subproblem, L3: float, x0: Vector, cfg: NatmiConfig,
                 drift = t.y - (t.x_tilde - t.lam * t.grad_y)
                 sigma_obs = float(np.linalg.norm(drift)) / t.r
             y, A = t.y, t.A_next
-            f_y = measure(y)
+            f_y = objective.value(y)
             wall_ms = (time.perf_counter() - t_start) * 1e3 if cfg.timing else 0.0
             c = {key: value - base[key] for key, value in counts().items()}
             records.append(IterationRecord(
@@ -431,7 +439,7 @@ def outer_loop(subproblem, L3: float, x0: Vector, cfg: NatmiConfig,
                 status = "grad_tol"
                 break
             t_start = time.perf_counter() if cfg.timing else 0.0
-    except Exception as exc:
+    except SolverError as exc:
         # Let the harness flush whatever rows exist before dying.
         exc.records = tuple(records)
         raise
@@ -457,7 +465,7 @@ def _total(counts: dict, kind: str) -> int:
 def solve(cfg: NatmiConfig, oracle: ProblemOracle, x0: Vector) -> SolveResult:
     """Run the outer loop from x0 until k_max, grad_tol, or a terminal state."""
     if cfg.subsolver not in ("bdgm", "exact"):
-        raise ValueError(f"unknown subsolver {cfg.subsolver!r}")
+        raise ConfigError(f"unknown subsolver {cfg.subsolver!r}")
     co = counted(oracle)
     return outer_loop(oracle_subproblem(cfg, co), co.lipschitz_L3, x0, cfg,
                       co, lambda: co.counts)

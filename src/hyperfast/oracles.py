@@ -27,6 +27,22 @@ class OracleCapabilityError(NotImplementedError):
     """Raised when an oracle is asked for a derivative it does not provide."""
 
 
+class ConfigError(ValueError):
+    """Malformed or inconsistent run configuration, or solver parameters
+    that a solver refuses before its first oracle call."""
+
+
+class SolverError(RuntimeError):
+    """A numeric failure in the middle of a solve; records holds the rows
+    written before it, which the harness flushes as a partial trace."""
+
+    records: tuple = ()
+
+
+class NonFiniteError(SolverError, ValueError):
+    """A non-finite point reached an oracle."""
+
+
 class ProblemOracle:
     """Base class for convex objectives.
 
@@ -74,7 +90,7 @@ class ProblemOracle:
         if x.shape != (self.dim,):
             raise ValueError(f"point shape {x.shape} does not match dim {self.dim}")
         if not np.all(np.isfinite(x)):
-            raise ValueError("point contains non-finite entries")
+            raise NonFiniteError("point contains non-finite entries")
         return x
 
 

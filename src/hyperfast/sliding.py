@@ -185,14 +185,8 @@ def solve_sliding(prob: CompositeProblem, x0: Vector,
     """
     g, h = prob.g, prob.h
     if h.is_zero:
-        def measure(y: Vector) -> float:
-            # The composite residual at an accepted iterate contains
-            # grad h(y); it adds nothing here, but it is taken and counted.
-            h.grad(y)
-            return g.value(y)
-
         return outer_loop(oracle_subproblem(cfg, g), g.lipschitz_L3, x0, cfg,
-                          g, lambda: prob.counts, measure)
+                          g, lambda: prob.counts)
     H_g = cfg.xi * g.lipschitz_L3
     mid_warm: dict = {}
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 import numpy as np
 from typing import NamedTuple
 
-from .oracles import Matrix, ProblemOracle, Vector
+from .oracles import Matrix, ProblemOracle, SolverError, Vector
 from .bdgm import fd_third_action
 
 #: Difference step for oracles without an analytic third derivative.
@@ -33,7 +33,7 @@ _MAX_NEWTON_STEPS = 500
 EXACT_MAX_DIM = 50
 
 
-class ModelError(RuntimeError):
+class ModelError(SolverError):
     """Reference minimization failed (typically a non-convex model)."""
 
 

@@ -139,8 +139,7 @@ class TestDegeneratePath:
             QuarticObjective(np.zeros((2, 2)), np.zeros(2), 0.5), ZeroOracle(2))
         res = solve_sliding(prob, np.ones(2), NatmiConfig(eps=1e-8, k_max=12))
         assert res.counts["hess_h"] == 0
-        assert res.counts["grad_h"] > 0
-        assert res.counts["grad_h"] == len(res.records)
+        assert res.counts["grad_h"] == 0
         assert res.counts["hess_g"] > 0
 
     def test_stationary_start_takes_one_gradient(self):

@@ -460,7 +460,6 @@ def run(cfg: RunConfig) -> RunOutcome:
             raise ConfigError(f"cannot write the {key} file {path}")
     echo = config_echo(cfg)
     columns = SLIDING_COLUMNS if cfg.method == "sliding" else BASE_COLUMNS
-    records: tuple = ()
     summary: dict = {}
     try:
         if cfg.method in ("hyperfast", "natmi_exact", "sliding"):

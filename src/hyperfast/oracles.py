@@ -1,4 +1,4 @@
-"""Oracle interfaces, call counting and finite-difference derivative checks.
+"""Oracle interfaces, call counting, finite-difference checks and the error roots.
 
 Every solver in this package talks to objectives through :class:`ProblemOracle`:
 a deterministic bundle of value, gradient and Hessian callables with a reported

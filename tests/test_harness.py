@@ -39,6 +39,8 @@ from hyperfast.oracles import ProblemOracle, SumOracle
 from hyperfast.problems import LogisticLoss, QuarticObjective
 from hyperfast.taylor import ModelError
 
+_GOLDEN = Path(__file__).resolve().parent / "golden"
+
 
 class TestConfigParsing:
     def test_basic_mapping(self):
@@ -458,6 +460,40 @@ class TestNonFiniteGradient:
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1
         assert lines[0].startswith("solver failure: non-finite")
+
+
+class TestNonFinitePoint:
+    """A non-finite point that reaches an oracle is a solver failure on
+    every method: NonFiniteError, exit 3 with one stderr line, and a trace
+    that keeps the rows done before it and ends in the error footer. Here a
+    NaN gradient turns the next iterate into NaN: on gd the line-search
+    trial point, on natmi_exact the next anchor after a recorded step."""
+
+    @pytest.mark.parametrize("method, golden, first_nan_call, n_rows", [
+        ("gd", "logreg_fixture_gd", 6, 5),
+        ("natmi-exact", "logreg_fixture_natmi_exact", 20, 6),
+    ])
+    def test_cli_exit_three_with_partial_trace(self, tmp_path, monkeypatch, capsys,
+                                               method, golden, first_nan_call, n_rows):
+        clean = LogisticLoss.grad
+        calls = [0]
+
+        def grad(self, x):
+            calls[0] += 1
+            g = clean(self, x)
+            return g * math.nan if calls[0] >= first_nan_call else g
+
+        monkeypatch.setattr(LogisticLoss, "grad", grad)
+        trace = tmp_path / "t.csv"
+        assert cli.main(["solve", "--problem", "logreg_fixture", "--method", method,
+                         "--eps", "1e-9", "--trace", str(trace)]) == 3
+        assert capsys.readouterr().err.splitlines() == [
+            "solver failure: point contains non-finite entries"]
+        assert trace.read_text().splitlines()[-1] == (
+            "# ERROR: NonFiniteError: point contains non-finite entries")
+        rows = read_trace(trace)
+        assert len(rows) == n_rows
+        assert rows[:5] == read_trace(_GOLDEN / f"{golden}.trace")[:5]
 
 
 class TestEighFailure:

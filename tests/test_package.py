@@ -1,7 +1,8 @@
-"""The package's public names, its runtime imports, and no unused imports
-in the source or tests."""
+"""The package's public names, its runtime imports, its two exception
+roots, and no unused imports in the source or tests."""
 
 import ast
+import builtins
 import json
 import os
 import subprocess
@@ -38,6 +39,40 @@ def test_runtime_loads_no_scipy():
     package, scipy_modules = json.loads(done.stdout.splitlines()[-1])
     assert Path(package).resolve().parent == ROOT / "src" / "hyperfast"
     assert scipy_modules == []
+
+
+def test_every_exception_has_one_of_two_roots():
+    """Every exception class under src/ derives from ConfigError (a refused
+    run, exit 2) or SolverError (a failed solve, exit 3), so the CLI and
+    the harness need name no other type. OracleCapabilityError, a missing
+    derivative routine, is the one named exception."""
+    bases = {}
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.ClassDef):
+                bases[node.name] = [getattr(b, "id", getattr(b, "attr", None))
+                                    for b in node.bases]
+
+    def ancestors(name):
+        found, todo = set(), list(bases.get(name, ()))
+        while todo:
+            base = todo.pop()
+            found.add(base)
+            todo.extend(bases.get(base, ()))
+        return found
+
+    def is_exception(name):
+        return any(isinstance(getattr(builtins, base, None), type)
+                   and issubclass(getattr(builtins, base), BaseException)
+                   for base in ancestors(name))
+
+    roots = {"ConfigError", "SolverError"}
+    exceptions = {name for name in bases if is_exception(name)}
+    assert roots | {"SubproblemError", "LambdaSearchError", "ModelError",
+                    "DivergenceError", "NonFiniteError"} <= exceptions
+    stray = sorted(name for name in exceptions - roots - {"OracleCapabilityError"}
+                   if not roots & ancestors(name))
+    assert stray == []
 
 
 def _unused_imports(path: Path) -> list[str]:

@@ -19,10 +19,10 @@ decreases the model; the difference step and the ball radius are derived for
 it. That bound is a worst case: relative smoothness needs the scale to bound
 only the model's curvature between the two points of a step, and near the
 minimizer the cubic term is small and scale 1 is nearly a Newton step. So
-the plain engine (setup) adapts the scale in [1, STEP_SCALE]: each solve
-starts at 1, doubles it when a step fails the curvature test and halves it
-after each accepted step; see solve(). The composite engine (custom_setup)
-keeps the fixed scale STEP_SCALE.
+both engines (setup and custom_setup) adapt the scale in [1, STEP_SCALE]
+by one rule: each solve starts at 1, a step that fails the curvature test
+doubles it, and an accepted step divides it by 1.5 when it passed on the
+first try and keeps it when it needed a doubling; see _accepted_step().
 
 Termination certifies the relative inexactness condition: once the estimated
 model gradient at z is below (1/6)*||grad f(z)|| minus the difference-error
@@ -103,8 +103,6 @@ class BdgmState:
     difference formula. ball_radius = 2*((2+sqrt(2))*||grad f(x~)||/L3)^(1/3).
     inexact_grad_fn(state, z) estimates the model gradient at z and
     target_grad_fn(z) is the gradient the certificate is measured against.
-    Each solve starts its Bregman steps at scale min_scale: 1 for the plain
-    engine, STEP_SCALE (a fixed scale) for custom_setup.
     """
 
     x_tilde: Vector
@@ -122,7 +120,6 @@ class BdgmState:
     evals: Vector
     evecs: Matrix
     solved_reason: str | None
-    min_scale: float
     inexact_grad_fn: Callable[["BdgmState", Vector], Vector]
     target_grad_fn: Callable[[Vector], Vector]
 
@@ -135,8 +132,8 @@ class BdgmResult:
     grad_at_z: Vector
 
 
-def _build_state(x_tilde, eps, c_delta, gamma, g0, B, L3, min_scale,
-                 inexact_grad_fn, target_grad_fn) -> BdgmState:
+def _build_state(x_tilde, eps, c_delta, gamma, g0, B, L3, inexact_grad_fn,
+                 target_grad_fn) -> BdgmState:
     eps = float(eps)
     if eps <= 0.0:
         raise ValueError("eps must be positive")
@@ -173,8 +170,7 @@ def _build_state(x_tilde, eps, c_delta, gamma, g0, B, L3, min_scale,
         L3=float(L3), grad_norm0=grad_norm0, hess_norm0=hess_norm0,
         delta=float(delta), tau=float(tau), tau_used=float(tau_used),
         theta_abs=float(theta_abs), ball_radius=float(ball), evals=evals,
-        evecs=evecs, solved_reason=solved_reason, min_scale=float(min_scale),
-        inexact_grad_fn=inexact_grad_fn, target_grad_fn=target_grad_fn,
+        evecs=evecs, solved_reason=solved_reason, inexact_grad_fn=inexact_grad_fn, target_grad_fn=target_grad_fn,
     )
 
 
@@ -197,8 +193,8 @@ def setup(oracle: ProblemOracle, x_tilde: Vector, eps: float,
     g0 = oracle.grad(x_tilde)
     B = oracle.hess(x_tilde)
     return _build_state(x_tilde, eps, c_delta, gamma, g0, B,
-                        oracle.lipschitz_L3, 1.0,
-                        partial(_fd_model_grad, oracle), oracle.grad)
+                        oracle.lipschitz_L3, partial(_fd_model_grad, oracle),
+                        oracle.grad)
 
 
 def custom_setup(anchor: Vector, g0: Vector, B: Matrix, L3: float, eps: float,
@@ -208,9 +204,8 @@ def custom_setup(anchor: Vector, g0: Vector, B: Matrix, L3: float, eps: float,
 
     Used by the composite path, where the objective is a sum of two cached
     models and the stopping gradient belongs to the enclosing subproblem.
-    Its steps keep the fixed scale STEP_SCALE.
     """
-    return _build_state(anchor, eps, c_delta, gamma, g0, B, L3, STEP_SCALE,
+    return _build_state(anchor, eps, c_delta, gamma, g0, B, L3,
                         inexact_grad_fn, target_grad_fn)
 
 
@@ -372,10 +367,13 @@ def _accepted_step(state: BdgmState, z: Vector, g_hat: Vector,
 
     with g the estimated model gradient; otherwise c doubles, up to
     STEP_SCALE, where every step is accepted. Returns z+, g(z+), which the
-    next iteration reuses, and the next step's scale: half the accepted
-    one, at least state.min_scale.
+    next iteration reuses, and the next step's scale: the accepted one
+    divided by 1.5, at least 1, after a first-try accept, and the accepted
+    one unchanged after a step that needed a doubling, which would likely
+    need it again.
     """
     rho_z = _rho_grad(state, z - state.x_tilde)
+    first_scale = scale
     while True:
         z_next = bregman_step(state, z, g_hat, scale)
         shift = float(np.linalg.norm(z_next - state.x_tilde))
@@ -391,7 +389,9 @@ def _accepted_step(state: BdgmState, z: Vector, g_hat: Vector,
         if float((g_next - g_hat) @ d) <= scale * float((rho_next - rho_z) @ d):
             break
         scale = min(2.0 * scale, STEP_SCALE)
-    return z_next, g_next, max(state.min_scale, 0.5 * scale)
+    if scale == first_scale:
+        scale = max(1.0, scale / 1.5)
+    return z_next, g_next, scale
 
 
 def solve(state: BdgmState, max_iters: int = 10000) -> BdgmResult:
@@ -409,18 +409,17 @@ def solve(state: BdgmState, max_iters: int = 10000) -> BdgmResult:
     minimizer relies on. grad F(z) is taken only once approx_grad(z) is
     below the floor, so a solve spends one target gradient, at its answer.
 
-    Steps start at scale state.min_scale and adapt in [min_scale,
-    STEP_SCALE] (see _accepted_step): 1 on the plain engine, which costs no
-    extra oracle call because the test reuses approx_grad at the new point,
-    and the fixed STEP_SCALE on custom_setup's. iters counts accepted steps;
-    a rejected step costs one more Bregman step and approx_grad call.
+    Steps start at scale 1 and adapt in [1, STEP_SCALE] on both engines
+    (see _accepted_step); the curvature test costs no extra oracle call
+    because it reuses approx_grad at the new point. iters counts accepted
+    steps; a rejected step costs one more Bregman step and approx_grad call.
     """
     if state.solved_reason is not None:
         return BdgmResult(state.x_tilde.copy(), 0, state.solved_reason,
                           state.g0.copy())
     z = state.x_tilde.copy()
     g_hat = approx_grad(state, z)
-    scale = state.min_scale
+    scale = 1.0
     for i in range(max_iters):
         lhs = float(np.linalg.norm(g_hat))
         if lhs <= state.theta_abs:

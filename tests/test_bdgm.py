@@ -7,6 +7,8 @@ against the damped-Newton reference minimizer, and the solve's oracle budget
 and step-scale contract.
 """
 
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -370,30 +372,61 @@ class TestEngineContract:
         # Some steps were rejected, so the identity covers them too.
         assert n_steps > n_iters
 
-    def test_custom_setup_keeps_fixed_scale_trajectory(self, monkeypatch):
-        """The composite engine's solve is the plain fixed-scale iteration
-        z <- bregman_step(z, approx_grad(z)), point for point."""
-        orc = QuarticObjective(np.eye(2), np.array([0.9, -0.3]), 0.8)
-        x = np.zeros(2)
+    def test_both_engines_share_one_step_scale_rule(self, monkeypatch):
+        """Given the plain model's two callbacks, the composite engine takes
+        the plain engine's steps: the same scales and the same points. Its
+        solve spends two gradients per Bregman step, rejected steps
+        included, plus one target gradient at its answer."""
+        steps = _recording_steps(monkeypatch)
+        co = counted(LogisticLoss(synth_logreg(3, 60, 8), ridge=1e-3))
+        rng = np.random.default_rng(22)
+        n_steps = n_iters = 0
+        for _ in range(4):
+            x = 0.5 * rng.standard_normal(co.dim)
+            plain = bdgm.setup(co, x, eps=1e-8)
+            steps.clear()
+            res_plain = bdgm.solve(plain)
+            plain_steps = list(steps)
+            custom = bdgm.custom_setup(
+                x, co.grad(x), co.hess(x), co.lipschitz_L3, eps=1e-8,
+                inexact_grad_fn=partial(bdgm._fd_model_grad, co),
+                target_grad_fn=co.grad)
+            co.reset()
+            steps.clear()
+            res = bdgm.solve(custom)
+            assert co.n_grad == 2 * len(steps) + (res.iters > 0)
+            assert [scale for scale, _ in steps] == [scale for scale, _ in plain_steps]
+            for (_, point), (_, plain_point) in zip(steps, plain_steps):
+                np.testing.assert_array_equal(point, plain_point)
+            np.testing.assert_array_equal(res.z, res_plain.z)
+            assert res.iters == res_plain.iters > 0
+            n_steps += len(steps)
+            n_iters += res.iters
+        assert n_steps > n_iters
 
-        def inexact(state, z):
-            s = z - state.x_tilde
-            if not np.any(s):
-                return state.g0.copy()
-            return (state.g0 + state.B @ s + 0.5 * orc.third_action(x, s)
-                    + state.L3 * float(s @ s) * s)
+    def test_next_scale_after_an_accepted_step(self, monkeypatch):
+        """After a first-try accept at scale c the next step starts at
+        max(1, c/1.5); after an accept that needed a doubling, at the
+        accepted c."""
+        steps = _recording_steps(monkeypatch)
+        accepted = bdgm._accepted_step
+        seen = []
 
-        st = bdgm.custom_setup(x, orc.grad(x), orc.hess(x), orc.lipschitz_L3,
-                               eps=1e-8, inexact_grad_fn=inexact,
-                               target_grad_fn=orc.grad)
-        step = bdgm.bregman_step
-        seen = _recording_steps(monkeypatch)
-        res = bdgm.solve(st)
-        assert res.reason == "certified"
-        assert len(seen) == res.iters > 0
-        z = st.x_tilde.copy()
-        for scale, point in seen:
-            assert scale == STEP_SCALE
-            z = step(st, z, approx_grad(st, z))
-            np.testing.assert_array_equal(z, point)
-        np.testing.assert_array_equal(res.z, z)
+        def recording(state, z, g_hat, scale):
+            steps.clear()
+            out = accepted(state, z, g_hat, scale)
+            seen.append(([c for c, _ in steps], out[2]))
+            return out
+
+        monkeypatch.setattr(bdgm, "_accepted_step", recording)
+        orc = LogisticLoss(synth_logreg(3, 60, 8), ridge=1e-3)
+        rng = np.random.default_rng(23)
+        for _ in range(4):
+            bdgm.solve(bdgm.setup(orc, 0.5 * rng.standard_normal(orc.dim), eps=1e-8))
+        first_try = [(tried, nxt) for tried, nxt in seen if len(tried) == 1]
+        doubled = [(tried, nxt) for tried, nxt in seen if len(tried) > 1]
+        assert first_try and doubled
+        for tried, nxt in first_try:
+            assert nxt == max(1.0, tried[0] / 1.5)
+        for tried, nxt in doubled:
+            assert nxt == tried[-1]

@@ -13,7 +13,6 @@ logistic anchors: each answer must be certified, stay in the ball and agree
 with a fixed-scale solve of the same state.
 """
 
-import dataclasses
 from unittest import mock
 
 import numpy as np
@@ -127,7 +126,17 @@ def test_adaptive_solve_agrees_with_fixed_scale(data):
     state = bdgm.setup(orc, x, eps=1e-8)
     assert state.solved_reason is None
     adaptive = bdgm.solve(state)
-    fixed = bdgm.solve(dataclasses.replace(state, min_scale=STEP_SCALE))
+    # Fixed-scale reference: Bregman steps at STEP_SCALE down to the same
+    # model-gradient floor.
+    fixed = state.x_tilde.copy()
+    g_hat = bdgm.approx_grad(state, fixed)
+    for _ in range(10000):
+        if np.linalg.norm(g_hat) <= state.theta_abs:
+            break
+        fixed = bregman_step(state, fixed, g_hat, STEP_SCALE)
+        g_hat = bdgm.approx_grad(state, fixed)
+    else:
+        pytest.fail("fixed-scale reference did not reach the floor")
 
     assert adaptive.reason == "certified"
     spec = ModelSpec(orc, x, H=1.5 * orc.lipschitz_L3)
@@ -136,4 +145,4 @@ def test_adaptive_solve_agrees_with_fixed_scale(data):
     # The regularized model is mu-strongly convex like f, and both answers
     # have model gradient at most theta_abs, so they lie within
     # 2*theta_abs/mu of each other.
-    assert mu * np.linalg.norm(adaptive.z - fixed.z) <= 2.0 * state.theta_abs
+    assert mu * np.linalg.norm(adaptive.z - fixed) <= 2.0 * state.theta_abs

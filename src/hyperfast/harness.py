@@ -419,8 +419,11 @@ def baseline_gd(oracle: ProblemOracle, x0: Vector, steps: int):
     return records
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RunOutcome:
+    """A finished run: its config, its records and its results. summary
+    holds results only; the summary file adds the config.* echo of config."""
+
     config: RunConfig
     records: tuple
     summary: dict
@@ -509,12 +512,11 @@ def run(cfg: RunConfig) -> RunOutcome:
     # not claimed to equal the true distance to the optimum.
     summary["r_hat"] = (float(np.linalg.norm(records[-1].y - bundle.x0))
                         if records else 0.0)
-    for key, value in echo.items():
-        summary[f"config.{key}"] = value
     if cfg.trace_path:
         write_trace(cfg.trace_path, records, echo, columns)
     if cfg.summary_path:
+        written = {**summary, **{f"config.{key}": v for key, v in echo.items()}}
         lines = [f"{key}={_fmt(v) if isinstance(v, (int, float, np.floating, np.integer)) else v}"
-                 for key, v in sorted(summary.items())]
+                 for key, v in sorted(written.items())]
         Path(cfg.summary_path).write_text("\n".join(lines) + "\n")
     return RunOutcome(config=cfg, records=records, summary=summary)

@@ -161,7 +161,7 @@ class Answer(NamedTuple):
     extra: dict | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IterationRecord:
     """One accepted outer step. Counters are cumulative over the solve; the
     per-part counters and mid_iters stay 0 outside the composite solver."""

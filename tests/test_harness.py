@@ -26,6 +26,7 @@ from hyperfast.harness import (
     RunConfig,
     baseline_gd,
     build_run_config,
+    config_echo,
     fit_rate,
     make_problem,
     parse_config_text,
@@ -352,6 +353,23 @@ class TestRun:
         assert out.summary["r_hat"] == pytest.approx(1.0, abs=0.05)
         text = (tmp_path / "s.txt").read_text()
         assert "final_f=" in text and "config.problem=quartic1d" in text
+
+    def test_kept_outcome_is_small(self, tmp_path):
+        """A kept outcome holds its records in slots and its summary holds
+        results only; the summary file still echoes the whole config."""
+        cfg = build_run_config({
+            "problem": "logreg", "problem.m": "40", "problem.n": "4",
+            "max_iters": "3", "summary": str(tmp_path / "s.txt")})
+        out = run(cfg)
+        assert out.records
+        for obj in (out, *out.records):
+            assert not hasattr(obj, "__dict__")
+        assert not [key for key in out.summary if key.startswith("config.")]
+        lines = (tmp_path / "s.txt").read_text().splitlines()
+        echo = [line for line in lines if line.startswith("config.")]
+        assert echo == [f"config.{key}={value}"
+                        for key, value in sorted(config_echo(cfg).items())]
+        assert len(lines) == len(out.summary) + len(echo)
 
     def test_natmi_exact_method(self):
         cfg = build_run_config({"problem": "quartic1d",

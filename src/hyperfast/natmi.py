@@ -234,6 +234,9 @@ def oracle_subproblem(cfg: NatmiConfig, oracle: ProblemOracle):
             return Answer(res.z, res.grad_at_z, res.iters, res.reason,
                           sub.grad_norm0, sub.hess_norm0)
         spec = ModelSpec(oracle, x_t, cfg.xi * L3)
+        if not (np.all(np.isfinite(spec.grad_anchor))
+                and np.all(np.isfinite(spec.hess_anchor))):
+            raise bdgm.SubproblemError("non-finite gradient or Hessian at the anchor")
         ga_norm = float(np.linalg.norm(spec.grad_anchor))
         h_norm = operator_norm(spec.hess_anchor)
         if ga_norm == 0.0:
@@ -248,7 +251,10 @@ def oracle_subproblem(cfg: NatmiConfig, oracle: ProblemOracle):
                           ga_norm, h_norm)
         y = exact_model_min(spec)
         reason = "accuracy_floor" if float(np.linalg.norm(y - x_t)) == 0.0 else "exact"
-        return Answer(y, oracle.grad(y), 0, reason, ga_norm, h_norm)
+        grad_y = oracle.grad(y)
+        if not np.all(np.isfinite(grad_y)):
+            raise bdgm.SubproblemError("non-finite target gradient at the answer")
+        return Answer(y, grad_y, 0, reason, ga_norm, h_norm)
 
     return subproblem
 

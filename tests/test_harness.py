@@ -484,12 +484,10 @@ class TestNonFinitePoint:
     """A non-finite point that reaches an oracle is a solver failure on
     every method: NonFiniteError, exit 3 with one stderr line, and a trace
     that keeps the rows done before it and ends in the error footer. Here a
-    NaN gradient turns the next iterate into NaN: on gd the line-search
-    trial point, on natmi_exact the next anchor after a recorded step."""
+    NaN gradient turns gd's next line-search trial point into NaN."""
 
     @pytest.mark.parametrize("method, golden, first_nan_call, n_rows", [
         ("gd", "logreg_fixture_gd", 6, 5),
-        ("natmi-exact", "logreg_fixture_natmi_exact", 20, 6),
     ])
     def test_cli_exit_three_with_partial_trace(self, tmp_path, monkeypatch, capsys,
                                                method, golden, first_nan_call, n_rows):
@@ -512,6 +510,40 @@ class TestNonFinitePoint:
         rows = read_trace(trace)
         assert len(rows) == n_rows
         assert rows[:5] == read_trace(_GOLDEN / f"{golden}.trace")[:5]
+
+
+class TestNonFiniteExact:
+    """natmi_exact checks its oracle values as the inexact engine does: a
+    NaN gradient at an anchor or at an answer is a SubproblemError that
+    names it, exit 3 with one stderr line, and a trace of the clean rows
+    before it, ending in the error footer. Each step takes the anchor
+    gradient, then the answer gradient, once per lambda trial."""
+
+    @pytest.mark.parametrize("first_nan_call, n_rows, message", [
+        (5, 2, "non-finite gradient or Hessian at the anchor"),
+        (6, 2, "non-finite target gradient at the answer"),
+        (20, 5, "non-finite target gradient at the answer"),
+    ])
+    def test_cli_exit_three_names_the_nan(self, tmp_path, monkeypatch, capsys,
+                                          first_nan_call, n_rows, message):
+        clean = LogisticLoss.grad
+        calls = [0]
+
+        def grad(self, x):
+            calls[0] += 1
+            g = clean(self, x)
+            return g * math.nan if calls[0] >= first_nan_call else g
+
+        monkeypatch.setattr(LogisticLoss, "grad", grad)
+        trace = tmp_path / "t.csv"
+        assert cli.main(["solve", "--problem", "logreg_fixture", "--method",
+                         "natmi-exact", "--eps", "1e-9", "--trace", str(trace)]) == 3
+        assert capsys.readouterr().err.splitlines() == [f"solver failure: {message}"]
+        text = trace.read_text()
+        assert text.splitlines()[-1] == f"# ERROR: SubproblemError: {message}"
+        assert "nan" not in text
+        golden = read_trace(_GOLDEN / "logreg_fixture_natmi_exact.trace")
+        assert read_trace(trace) == golden[:n_rows]
 
 
 class TestEighFailure:

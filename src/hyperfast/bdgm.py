@@ -170,7 +170,8 @@ def _build_state(x_tilde, eps, c_delta, gamma, g0, B, L3, inexact_grad_fn,
         L3=float(L3), grad_norm0=grad_norm0, hess_norm0=hess_norm0,
         delta=float(delta), tau=float(tau), tau_used=float(tau_used),
         theta_abs=float(theta_abs), ball_radius=float(ball), evals=evals,
-        evecs=evecs, solved_reason=solved_reason, inexact_grad_fn=inexact_grad_fn, target_grad_fn=target_grad_fn,
+        evecs=evecs, solved_reason=solved_reason,
+        inexact_grad_fn=inexact_grad_fn, target_grad_fn=target_grad_fn,
     )
 
 
@@ -367,10 +368,8 @@ def _accepted_step(state: BdgmState, z: Vector, g_hat: Vector,
 
     with g the estimated model gradient; otherwise c doubles, up to
     STEP_SCALE, where every step is accepted. Returns z+, g(z+), which the
-    next iteration reuses, and the next step's scale: the accepted one
-    divided by 1.5, at least 1, after a first-try accept, and the accepted
-    one unchanged after a step that needed a doubling, which would likely
-    need it again.
+    next iteration reuses, and the next step's scale: max(1, c/1.5) after a
+    first-try accept, else c, as a step that needed a doubling likely will.
     """
     rho_z = _rho_grad(state, z - state.x_tilde)
     first_scale = scale
@@ -389,9 +388,7 @@ def _accepted_step(state: BdgmState, z: Vector, g_hat: Vector,
         if float((g_next - g_hat) @ d) <= scale * float((rho_next - rho_z) @ d):
             break
         scale = min(2.0 * scale, STEP_SCALE)
-    if scale == first_scale:
-        scale = max(1.0, scale / 1.5)
-    return z_next, g_next, scale
+    return z_next, g_next, max(1.0, scale / 1.5) if scale == first_scale else scale
 
 
 def solve(state: BdgmState, max_iters: int = 10000) -> BdgmResult:

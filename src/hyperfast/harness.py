@@ -421,8 +421,7 @@ def baseline_gd(oracle: ProblemOracle, x0: Vector, steps: int):
 
 @dataclass(frozen=True, slots=True)
 class RunOutcome:
-    """A finished run: its config, its records and its results. summary
-    holds results only; the summary file adds the config.* echo of config."""
+    """summary holds results only; the summary file adds config's echo."""
 
     config: RunConfig
     records: tuple
@@ -484,16 +483,13 @@ def run(cfg: RunConfig) -> RunOutcome:
         elif cfg.method == "gd_baseline":
             records = tuple(baseline_gd(bundle.single(), bundle.x0,
                                         cfg.max_iters))
-            last = records[-1] if records else None
-            summary.update(
-                final_f=last.f if last else math.nan,
-                final_grad_norm=last.grad_norm if last else math.nan,
-                iters=len(records), status="steps", converged=0,
-                sigma_max=0.0,
-                n_grad=last.n_grad if last else 0,
-                n_hess=last.n_hess if last else 0,
-                max_grad_norm=last.max_grad_norm if last else 0.0,
-                max_hess_norm=last.max_hess_norm if last else 0.0)
+            # max_iters >= 1, so gd records at least one step or raises.
+            last = records[-1]
+            summary.update(final_f=last.f, final_grad_norm=last.grad_norm,
+                           iters=len(records), status="steps", converged=0,
+                           sigma_max=0.0, n_grad=last.n_grad, n_hess=last.n_hess,
+                           max_grad_norm=last.max_grad_norm,
+                           max_hess_norm=last.max_hess_norm)
         else:
             raise ConfigError(f"unknown method {cfg.method!r}")
     except SolverError as exc:

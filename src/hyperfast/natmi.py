@@ -234,8 +234,7 @@ def oracle_subproblem(cfg: NatmiConfig, oracle: ProblemOracle):
             return Answer(res.z, res.grad_at_z, res.iters, res.reason,
                           sub.grad_norm0, sub.hess_norm0)
         spec = ModelSpec(oracle, x_t, cfg.xi * L3)
-        if not (np.all(np.isfinite(spec.grad_anchor))
-                and np.all(np.isfinite(spec.hess_anchor))):
+        if not (np.isfinite(spec.grad_anchor).all() and np.isfinite(spec.hess_anchor).all()):
             raise bdgm.SubproblemError("non-finite gradient or Hessian at the anchor")
         ga_norm = float(np.linalg.norm(spec.grad_anchor))
         h_norm = operator_norm(spec.hess_anchor)

@@ -251,7 +251,7 @@ def oracle_subproblem(cfg: NatmiConfig, oracle: ProblemOracle):
         y = exact_model_min(spec)
         reason = "accuracy_floor" if float(np.linalg.norm(y - x_t)) == 0.0 else "exact"
         grad_y = oracle.grad(y)
-        if not np.all(np.isfinite(grad_y)):
+        if not np.isfinite(grad_y).all():
             raise bdgm.SubproblemError("non-finite target gradient at the answer")
         return Answer(y, grad_y, 0, reason, ga_norm, h_norm)
 

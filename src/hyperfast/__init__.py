@@ -1,6 +1,6 @@
 """Accelerated third-order convex optimization using gradients and Hessians only."""
 
-from .bdgm import BdgmResult, BdgmState, SubproblemError, fd_third_action
+from .bdgm import BdgmResult, BdgmState, SubproblemError
 from .natmi import IterationRecord, NatmiConfig, ParamReport, SolveResult, solve, validate_params
 from .oracles import ConfigError, CountedOracle, OracleCapabilityError, ProblemOracle, SolverError, SumOracle, ZeroOracle, counted
 from .problems import (
@@ -11,7 +11,7 @@ from .problems import (
     synth_logreg,
 )
 from .sliding import CompositeProblem, solve_sliding
-from .taylor import MembershipResult, ModelError, ModelSpec, exact_model_min, membership_residual, model_grad, model_hess, model_value
+from .taylor import MembershipResult, ModelError, ModelSpec, exact_model_min, fd_third_action, membership_residual, model_grad, model_hess, model_value
 
 __all__ = [
     "BdgmResult",

@@ -19,10 +19,15 @@ decreases the model; the difference step and the ball radius are derived for
 it. That bound is a worst case: relative smoothness needs the scale to bound
 only the model's curvature between the two points of a step, and near the
 minimizer the cubic term is small and scale 1 is nearly a Newton step. So
-both engines (setup and custom_setup) adapt the scale in [1, STEP_SCALE]
-by one rule: each solve starts at 1, a step that fails the curvature test
-doubles it, and an accepted step divides it by 1.5 when it passed on the
-first try and keeps it when it needed a doubling; see _accepted_step().
+the scale adapts in [1, STEP_SCALE]: each solve starts at 1, a step that
+fails the curvature test doubles it, and an accepted step divides it by 1.5
+when it passed on the first try and keeps it when it needed a doubling; see
+_accepted_step().
+
+One engine serves every model, a sum of parts: setup() builds the
+difference-based model of an oracle at the anchor and, given a cached
+taylor.ModelSpec there (sliding's model of g), adds it exactly. Anchor
+gradients and Hessians add, and L3 gains the model's 4*H.
 
 Termination certifies the relative inexactness condition: once the estimated
 model gradient at z is below (1/6)*||grad f(z)|| minus the difference-error
@@ -35,12 +40,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
-from typing import Callable
 
 import numpy as np
 
 from .oracles import Matrix, ProblemOracle, SolverError, Vector
+from .taylor import ModelSpec, fd_third_action, model_grad, model_hess
 
 _EPS = float(np.finfo(np.float64).eps)
 
@@ -74,35 +78,14 @@ class SubproblemError(SolverError):
     ball, a radius solve that did not converge or an exhausted budget."""
 
 
-def fd_third_action(oracle: ProblemOracle, x: Vector, s: Vector, tau: float,
-                    g0: Vector | None = None) -> Vector:
-    """Estimate D3f(x)[s, s] by a second central difference of the gradient.
-
-    Exact (up to roundoff) whenever the gradient is cubic along s, e.g. on
-    the quartic family; otherwise the error is quadratic in tau. Pass the
-    cached gradient at x as g0 to spend two gradient calls instead of three.
-    """
-    tau = float(tau)
-    if tau <= 0.0:
-        raise ValueError("tau must be positive")
-    x = np.asarray(x, dtype=np.float64)
-    s = np.asarray(s, dtype=np.float64)
-    if g0 is None:
-        g0 = oracle.grad(x)
-    plus = oracle.grad(x + tau * s)
-    minus = oracle.grad(x - tau * s)
-    return (plus + minus - 2.0 * g0) / (tau * tau)
-
-
 @dataclass
 class BdgmState:
     """Frozen subproblem data.
 
-    tau is the nominal difference step 3*delta/(8*(2+sqrt(2))*||grad f(x~)||);
-    tau_used = max(tau, TAU_FLOOR) is what the solver actually passes to the
-    difference formula. ball_radius = 2*((2+sqrt(2))*||grad f(x~)||/L3)^(1/3).
-    inexact_grad_fn(state, z) estimates the model gradient at z and
-    target_grad_fn(z) is the gradient the certificate is measured against.
+    g0, B and L3 are the sums over the parts: oracle's anchor gradient
+    oracle_g0, Hessian oracle_B and L3, plus model's. tau is the nominal
+    difference step 3*delta/(8*(2+sqrt(2))*||g0||); tau_used = max(tau,
+    TAU_FLOOR) is the one used. ball_radius = 2*((2+sqrt(2))*||g0||/L3)^(1/3).
     """
 
     x_tilde: Vector
@@ -120,23 +103,34 @@ class BdgmState:
     evals: Vector
     evecs: Matrix
     solved_reason: str | None
-    inexact_grad_fn: Callable[["BdgmState", Vector], Vector]
-    target_grad_fn: Callable[[Vector], Vector]
+    oracle: ProblemOracle | None
+    oracle_g0: Vector
+    oracle_B: Matrix
+    model: ModelSpec | None
 
 
 @dataclass
 class BdgmResult:
+    """grad_at_z is the certificate's gradient at z, oracle_grad_at_z its oracle part."""
+
     z: Vector
     iters: int
     reason: str
     grad_at_z: Vector
+    oracle_grad_at_z: Vector
 
 
-def _build_state(x_tilde, eps, c_delta, gamma, g0, B, L3, inexact_grad_fn,
-                 target_grad_fn) -> BdgmState:
+def _build_state(x_tilde, eps, c_delta, gamma, oracle, oracle_g0, oracle_B,
+                 L3, model=None) -> BdgmState:
     eps = float(eps)
     if eps <= 0.0:
         raise ValueError("eps must be positive")
+    g0, B = oracle_g0, oracle_B
+    if model is not None:
+        # The model's regularizer has third-derivative Lipschitz constant 4*H.
+        g0 = model_grad(model, x_tilde) + oracle_g0
+        B = model_hess(model, x_tilde) + oracle_B
+        L3 += 4.0 * model.H
     if L3 <= 0.0:
         raise ValueError("L3 must be positive")
     if not (np.all(np.isfinite(g0)) and np.all(np.isfinite(B))):
@@ -170,49 +164,41 @@ def _build_state(x_tilde, eps, c_delta, gamma, g0, B, L3, inexact_grad_fn,
         L3=float(L3), grad_norm0=grad_norm0, hess_norm0=hess_norm0,
         delta=float(delta), tau=float(tau), tau_used=float(tau_used),
         theta_abs=float(theta_abs), ball_radius=float(ball), evals=evals,
-        evecs=evecs, solved_reason=solved_reason,
-        inexact_grad_fn=inexact_grad_fn, target_grad_fn=target_grad_fn,
+        evecs=evecs, solved_reason=solved_reason, oracle=oracle,
+        oracle_g0=oracle_g0, oracle_B=oracle_B, model=model,
     )
 
 
-def _fd_model_grad(oracle: ProblemOracle, state: BdgmState, z: Vector) -> Vector:
-    """g0 + B s + 0.5*(gradient second difference along s) + L3*||s||^2 * s,
-    where the last term is the regularizer gradient at H = XI*L3."""
-    s = np.asarray(z, dtype=np.float64) - state.x_tilde
-    if not np.any(s):
-        return state.g0.copy()
-    fd3 = fd_third_action(oracle, state.x_tilde, s, state.tau_used,
-                          g0=state.g0)
-    return (state.g0 + state.B @ s + 0.5 * fd3
-            + state.L3 * float(s @ s) * s)
-
-
 def setup(oracle: ProblemOracle, x_tilde: Vector, eps: float,
-          c_delta: float = 1.0, gamma: float = 1.0 / 6.0) -> BdgmState:
-    """Prepare the subproblem at an anchor: one gradient and one Hessian."""
+          c_delta: float = 1.0, gamma: float = 1.0 / 6.0,
+          model: ModelSpec | None = None) -> BdgmState:
+    """Prepare the subproblem at an anchor: one gradient and one Hessian of
+    oracle, plus model's (a ModelSpec cached at x_tilde) when given."""
     x_tilde = np.asarray(x_tilde, dtype=np.float64)
-    g0 = oracle.grad(x_tilde)
-    B = oracle.hess(x_tilde)
-    return _build_state(x_tilde, eps, c_delta, gamma, g0, B,
-                        oracle.lipschitz_L3, partial(_fd_model_grad, oracle),
-                        oracle.grad)
+    return _build_state(x_tilde, eps, c_delta, gamma, oracle,
+                        oracle.grad(x_tilde), oracle.hess(x_tilde),
+                        oracle.lipschitz_L3, model)
 
 
-def custom_setup(anchor: Vector, g0: Vector, B: Matrix, L3: float, eps: float,
-                 inexact_grad_fn, target_grad_fn, c_delta: float = 1.0,
-                 gamma: float = 1.0 / 6.0) -> BdgmState:
-    """Engine entry for callers that assemble their own model gradients.
-
-    Used by the composite path, where the objective is a sum of two cached
-    models and the stopping gradient belongs to the enclosing subproblem.
-    """
-    return _build_state(anchor, eps, c_delta, gamma, g0, B, L3,
-                        inexact_grad_fn, target_grad_fn)
+def custom_setup(*args, **kwargs) -> BdgmState:
+    """Former name of setup, kept for by-name callers; no solver calls it."""
+    return setup(*args, **kwargs)
 
 
 def approx_grad(state: BdgmState, z: Vector) -> Vector:
-    """Estimated gradient of the regularized model at z."""
-    return state.inexact_grad_fn(state, z)
+    """Estimated model gradient at z: oracle_g0 + oracle_B s + 0.5*(gradient
+    second difference along s) + L3*||s||^2 * s, the last term the oracle's
+    regularizer at H = XI*L3, plus model's exact gradient when given."""
+    s = np.asarray(z, dtype=np.float64) - state.x_tilde
+    if not np.any(s):
+        return state.g0.copy()
+    fd3 = fd_third_action(state.oracle, state.x_tilde, s, state.tau_used,
+                          g0=state.oracle_g0)
+    grad = (state.oracle_g0 + state.oracle_B @ s + 0.5 * fd3
+            + state.oracle.lipschitz_L3 * float(s @ s) * s)
+    if state.model is not None:
+        grad = grad + model_grad(state.model, z)
+    return grad
 
 
 def _rho_grad(state: BdgmState, s: Vector) -> Vector:
@@ -404,16 +390,17 @@ def solve(state: BdgmState, max_iters: int = 10000) -> BdgmResult:
     pins z to the exact model minimizer at the accuracy the arithmetic
     supports, which the cross-validation against the reference Newton
     minimizer relies on. grad F(z) is taken only once approx_grad(z) is
-    below the floor, so a solve spends one target gradient, at its answer.
+    below the floor, so a solve spends one target gradient, at its answer:
+    the oracle's, plus model's exact one when given.
 
-    Steps start at scale 1 and adapt in [1, STEP_SCALE] on both engines
-    (see _accepted_step); the curvature test costs no extra oracle call
+    Steps start at scale 1 and adapt in [1, STEP_SCALE] (see
+    _accepted_step); the curvature test costs no extra oracle call
     because it reuses approx_grad at the new point. iters counts accepted
     steps; a rejected step costs one more Bregman step and approx_grad call.
     """
     if state.solved_reason is not None:
         return BdgmResult(state.x_tilde.copy(), 0, state.solved_reason,
-                          state.g0.copy())
+                          state.g0.copy(), state.oracle_g0.copy())
     z = state.x_tilde.copy()
     g_hat = approx_grad(state, z)
     scale = 1.0
@@ -422,19 +409,24 @@ def solve(state: BdgmState, max_iters: int = 10000) -> BdgmResult:
         if lhs <= state.theta_abs:
             # Both stop lines need the floor, and no step depends on the
             # target gradient, so it is taken only here, once per solve.
-            grad_z = state.g0 if i == 0 else state.target_grad_fn(z)
+            if i == 0:
+                grad_z, oracle_grad = state.g0, state.oracle_g0
+            else:
+                grad_z = oracle_grad = state.oracle.grad(z)
+                if state.model is not None:
+                    grad_z = model_grad(state.model, z) + oracle_grad
             grad_z_norm = float(np.linalg.norm(grad_z))
             if not math.isfinite(grad_z_norm):
                 raise SubproblemError("non-finite target gradient at the answer")
             if grad_z_norm == 0.0:
-                return BdgmResult(z, i, "zero_gradient_at_iterate", grad_z)
+                return BdgmResult(z, i, "zero_gradient_at_iterate", grad_z, oracle_grad)
             if lhs <= state.gamma * grad_z_norm - state.delta:
-                return BdgmResult(z, i, "certified", grad_z)
+                return BdgmResult(z, i, "certified", grad_z, oracle_grad)
             # The certification line sits below the arithmetic floor, so no
             # further step can reach it. z already minimizes the model to
             # that floor; hand it back as the same accuracy-floor outcome
             # the setup short-circuit reports.
-            return BdgmResult(z, i, "accuracy_floor", grad_z)
+            return BdgmResult(z, i, "accuracy_floor", grad_z, oracle_grad)
         z, g_hat, scale = _accepted_step(state, z, g_hat, scale)
     raise SubproblemError(
         f"no certificate in {max_iters} iterations "

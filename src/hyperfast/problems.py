@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .oracles import Matrix, ProblemOracle, Vector
+from .taylor import fd_third_action
 
 
 @dataclass(frozen=True)
@@ -272,8 +273,6 @@ def sampled_l3(oracle: ProblemOracle, n_samples: int = 64, seed: int = 0,
     estimate does not lean on the oracle's own analytic route. A valid
     reported lipschitz_L3 must not be exceeded (up to difference error).
     """
-    from .bdgm import fd_third_action
-
     rng = np.random.default_rng(seed)
     best = 0.0
     for _ in range(n_samples):

@@ -10,10 +10,10 @@ to a middle loop. The middle loop is the same accelerated scheme applied to
 that sum: it models h at its own anchors (one Hessian of h per middle
 trial), keeps the cached g-model exact, and stops as soon as its iterate
 satisfies the membership test the outer loop consumes. The innermost level
-is the Bregman-step engine minimizing [model of h] + [model of g], with h's
-cubic term estimated from gradient differences. The g-model reuses g's cached
-anchor gradient and Hessian, but each of its evaluations takes one analytic
-third-derivative action of g (counted as n_third_g; see ROADMAP.md item 4).
+is the single-function engine, bdgm.setup on h with the cached g-model as a
+second part, minimizing [model of h] + [model of g]. Each g-model evaluation
+takes one analytic third-derivative action of g (counted as n_third_g; see
+ROADMAP.md item 2). The engine is built for xi = 3/2 only.
 
 Outer acceptance uses the composite membership residual; outer windows use
 L3_g and middle windows use L3_h. Per-component call counters are the point
@@ -29,6 +29,7 @@ import numpy as np
 from . import bdgm
 from .natmi import (
     _TERMINAL,
+    _require_regime,
     Answer,
     NatmiConfig,
     SolveResult,
@@ -36,8 +37,8 @@ from .natmi import (
     oracle_subproblem,
     outer_loop,
 )
-from .oracles import ProblemOracle, Vector, counted
-from .taylor import MembershipResult, ModelSpec, model_grad, model_hess
+from .oracles import ConfigError, ProblemOracle, Vector, counted
+from .taylor import MembershipResult, ModelSpec, model_grad
 
 #: Middle-loop steps allowed per outer trial before the solve fails.
 _MIDDLE_K_MAX = 300
@@ -114,49 +115,19 @@ def _middle_solve(cfg: NatmiConfig, prob: CompositeProblem, gspec: ModelSpec,
     outer anchor and the accepted middle steps.
     """
     g, h = prob.g, prob.h
-    L3h = h.lipschitz_L3
-    H_h = cfg.xi * L3h
-    # The engine objective is [model of h] + [cached model of g]; the cubic
-    # part varies with constant L3h while the g-model's quartic regularizer
-    # has third-derivative Lipschitz constant exactly 4*H_g.
-    L3_inner = L3h + 4.0 * gspec.H
     abs_tol = 1e-12 * (1.0 + ga_norm)
 
     def subproblem(x_tm: Vector) -> Answer:
-        gh_anchor = h.grad(x_tm)
-        Bh = h.hess(x_tm)
-        g0 = model_grad(gspec, x_tm) + gh_anchor
-        B = model_hess(gspec, x_tm) + Bh
-        last: dict = {}
-
-        def inexact(state, z):
-            s = np.asarray(z) - x_tm
-            if not np.any(s):
-                return g0.copy()
-            fd3 = bdgm.fd_third_action(h, x_tm, s, state.tau_used,
-                                       g0=gh_anchor)
-            return (gh_anchor + Bh @ s + 0.5 * fd3
-                    + (2.0 * H_h / 3.0) * float(s @ s) * s
-                    + model_grad(gspec, z))
-
-        def target(z):
-            gh = h.grad(z)
-            last["z"], last["gh"] = z, gh
-            return model_grad(gspec, z) + gh
-
-        eng = bdgm.custom_setup(x_tm, g0, B, L3_inner, cfg.eps,
-                                inexact, target, c_delta=cfg.c_delta,
-                                gamma=cfg.gamma)
+        eng = bdgm.setup(h, x_tm, cfg.eps, c_delta=cfg.c_delta,
+                         gamma=cfg.gamma, model=gspec)
         res = bdgm.solve(eng)
-        # The engine answers either at the anchor or at the last point whose
-        # target gradient it took.
-        gh = last["gh"] if last.get("z") is res.z else gh_anchor
         return Answer(res.z, res.grad_at_z, res.iters, res.reason,
-                      eng.grad_norm0, eng.hess_norm0, {"gh": gh})
+                      eng.grad_norm0, eng.hess_norm0,
+                      {"gh": res.oracle_grad_at_z})
 
     mid_iters = inner_total = 0
     peak_grad, peak_hess = ga_norm, 0.0
-    for t, _ in accelerated_steps(subproblem, L3h, x_anchor, cfg,
+    for t, _ in accelerated_steps(subproblem, h.lipschitz_L3, x_anchor, cfg,
                                   _MIDDLE_K_MAX, warm):
         mid_iters += 1
         inner_total += t.inner_iters
@@ -181,12 +152,16 @@ def solve_sliding(prob: CompositeProblem, x0: Vector,
     The outer loop is the single-function one with the window on L3_g, the
     dual update along the full gradient of f and each subproblem handed to
     the middle loop. The result's counts carry the per-component totals.
-    With h the zero sentinel, the single-function builder runs on g.
+    With h the zero sentinel, the single-function builder runs on g. A bad
+    regime, gamma = 0 or xi != bdgm.XI is a ConfigError before any call.
     """
     g, h = prob.g, prob.h
     if h.is_zero:
         return outer_loop(oracle_subproblem(cfg, g), g.lipschitz_L3, x0, cfg,
                           g, lambda: prob.counts)
+    _require_regime(cfg)
+    if cfg.xi != bdgm.XI:
+        raise ConfigError(f"sliding's inner engine needs xi = {bdgm.XI}, got xi = {cfg.xi}")
     H_g = cfg.xi * g.lipschitz_L3
     mid_warm: dict = {}
 

@@ -11,8 +11,10 @@ the third-derivative Lipschitz constant the model is convex. Third-derivative
 terms come from the oracle's analytic routines when it has them, else from
 gradient and Hessian differences.
 
-Everything here is the verification and reference layer: the iterative
-subproblem solver never needs these exact third derivatives.
+The model is the reference the iterative subproblem solver is checked
+against, natmi_exact's model, and the exact part the sliding scheme adds to
+the inexact engine's model of h; there each gradient of the model of g
+takes one third-derivative action of g.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ import numpy as np
 from typing import NamedTuple
 
 from .oracles import Matrix, ProblemOracle, SolverError, Vector
-from .bdgm import fd_third_action
 
 #: Difference step for oracles without an analytic third derivative.
 _FD_TAU = 1e-4
@@ -31,6 +32,26 @@ _MAX_NEWTON_STEPS = 500
 
 #: Largest dimension exact_model_min accepts.
 EXACT_MAX_DIM = 50
+
+
+def fd_third_action(oracle: ProblemOracle, x: Vector, s: Vector, tau: float,
+                    g0: Vector | None = None) -> Vector:
+    """Estimate D3f(x)[s, s] by a second central difference of the gradient.
+
+    Exact (up to roundoff) whenever the gradient is cubic along s, e.g. on
+    the quartic family; otherwise the error is quadratic in tau. Pass the
+    cached gradient at x as g0 to spend two gradient calls instead of three.
+    """
+    tau = float(tau)
+    if tau <= 0.0:
+        raise ValueError("tau must be positive")
+    x = np.asarray(x, dtype=np.float64)
+    s = np.asarray(s, dtype=np.float64)
+    if g0 is None:
+        g0 = oracle.grad(x)
+    plus = oracle.grad(x + tau * s)
+    minus = oracle.grad(x - tau * s)
+    return (plus + minus - 2.0 * g0) / (tau * tau)
 
 
 class ModelError(SolverError):

@@ -7,8 +7,6 @@ against the damped-Newton reference minimizer, and the solve's oracle budget
 and step-scale contract.
 """
 
-from functools import partial
-
 import numpy as np
 import pytest
 
@@ -20,15 +18,21 @@ from hyperfast.bdgm import (
     approx_grad,
     bregman_step,
     bregman_step_dense,
-    fd_third_action,
 )
-from hyperfast.oracles import ProblemOracle, counted
+from hyperfast.oracles import ProblemOracle, SumOracle, counted
 from hyperfast.problems import (
     LogisticLoss,
     QuarticObjective,
     synth_logreg,
 )
-from hyperfast.taylor import ModelSpec, exact_model_min, membership_residual, model_grad, model_value
+from hyperfast.taylor import (
+    ModelSpec,
+    exact_model_min,
+    fd_third_action,
+    membership_residual,
+    model_grad,
+    model_value,
+)
 
 # 3e-6 / (8*(2+sqrt(2))), the difference step at delta=1e-6, unit gradient.
 TAU_EXAMPLE = 1.0983495705504468e-07
@@ -304,33 +308,35 @@ class TestSolve:
         with pytest.raises(SubproblemError):
             bdgm.solve(st, max_iters=1)
 
-    def test_custom_setup_matches_plain_path(self):
-        """Feeding the engine hand-assembled model pieces (exact third
-        action instead of differences) must land on the same subproblem
-        answer as the stock path."""
-        orc = QuarticObjective(np.eye(2), np.array([0.9, -0.3]), 0.8)
-        x = np.zeros(2)
-        g0 = orc.grad(x)
-        B = orc.hess(x)
-        L3 = orc.lipschitz_L3
-
-        def inexact(state, z):
-            s = z - state.x_tilde
-            if not np.any(s):
-                return state.g0.copy()
-            return (state.g0 + state.B @ s + 0.5 * orc.third_action(x, s)
-                    + state.L3 * float(s @ s) * s)
-
-        st_custom = bdgm.custom_setup(x, g0, B, L3, eps=1e-8,
-                                      inexact_grad_fn=inexact,
-                                      target_grad_fn=orc.grad)
-        st_plain = bdgm.setup(orc, x, eps=1e-8)
-        rc = bdgm.solve(st_custom)
-        rp = bdgm.solve(st_plain)
-        spec = ModelSpec(orc, x, H=1.5 * L3)
-        ystar = exact_model_min(spec)
-        for res in (rc, rp):
+    def test_model_part_matches_composite_reference(self):
+        """Given a cached model of g, the engine minimizes [model of h] +
+        [model of g]: its model gradient is the two parts' gradients, its
+        answer is the composite minimizer and its result carries h's own
+        gradient there."""
+        rng = np.random.default_rng(16)
+        n = 3
+        for _ in range(3):
+            A = rng.standard_normal((n, n))
+            g = QuarticObjective(0.1 * np.eye(n), 0.1 * rng.standard_normal(n),
+                                 rng.uniform(0.01, 0.1))
+            h = QuarticObjective(A @ A.T / n, rng.standard_normal(n),
+                                 rng.uniform(0.3, 1.0))
+            x = 0.3 * rng.standard_normal(n)
+            gspec = ModelSpec(g, x, H=1.5 * g.lipschitz_L3)
+            hspec = ModelSpec(h, x, H=1.5 * h.lipschitz_L3)
+            st = bdgm.setup(h, x, eps=1e-8, model=gspec)
+            for _ in range(4):
+                z = x + 0.2 * rng.standard_normal(n)
+                want = model_grad(hspec, z) + model_grad(gspec, z)
+                got = approx_grad(st, z)
+                assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
+            res = bdgm.solve(st)
+            # Taylor terms add, so the two models sum to the model of g + h
+            # at weight H_g + H_h, and its reference minimizer is the
+            # composite one.
+            ystar = exact_model_min(ModelSpec(SumOracle(g, h), x, H=gspec.H + hspec.H))
             assert np.linalg.norm(res.z - ystar) <= 1e-4 * (1.0 + np.linalg.norm(ystar))
+            np.testing.assert_array_equal(res.oracle_grad_at_z, h.grad(res.z))
 
 
 def _recording_steps(monkeypatch):
@@ -351,7 +357,8 @@ def _recording_steps(monkeypatch):
 class TestEngineContract:
     def test_gradient_budget_per_solve(self, monkeypatch):
         """A solve spends two gradients per Bregman step, rejected steps
-        included, plus one target gradient at its answer when it stepped."""
+        included, plus one target gradient at its answer when it stepped;
+        with a model part, these are the oracle part's gradients."""
         steps = _recording_steps(monkeypatch)
         rng = np.random.default_rng(21)
         problems = (LogisticLoss(synth_logreg(3, 60, 8), ridge=1e-3),
@@ -372,34 +379,22 @@ class TestEngineContract:
         # Some steps were rejected, so the identity covers them too.
         assert n_steps > n_iters
 
-    def test_both_engines_share_one_step_scale_rule(self, monkeypatch):
-        """Given the plain model's two callbacks, the composite engine takes
-        the plain engine's steps: the same scales and the same points. Its
-        solve spends two gradients per Bregman step, rejected steps
-        included, plus one target gradient at its answer."""
-        steps = _recording_steps(monkeypatch)
-        co = counted(LogisticLoss(synth_logreg(3, 60, 8), ridge=1e-3))
-        rng = np.random.default_rng(22)
+        # With a cached model of g as a second part the budget is in
+        # h-gradients alone; g is reached through its cached model only.
+        # g's L3 is about 1e-3 of h's, as on sliding_bench.
+        g = counted(QuarticObjective(0.1 * np.eye(8), 0.1 * np.ones(8), 2e-5))
+        h = counted(problems[0])
         n_steps = n_iters = 0
-        for _ in range(4):
-            x = 0.5 * rng.standard_normal(co.dim)
-            plain = bdgm.setup(co, x, eps=1e-8)
+        for _ in range(6):
+            x = 0.5 * rng.standard_normal(h.dim)
+            gspec = ModelSpec(g, x, H=1.5 * g.lipschitz_L3)
+            st = bdgm.setup(h, x, eps=1e-8, model=gspec)
+            g.reset()
+            h.reset()
             steps.clear()
-            res_plain = bdgm.solve(plain)
-            plain_steps = list(steps)
-            custom = bdgm.custom_setup(
-                x, co.grad(x), co.hess(x), co.lipschitz_L3, eps=1e-8,
-                inexact_grad_fn=partial(bdgm._fd_model_grad, co),
-                target_grad_fn=co.grad)
-            co.reset()
-            steps.clear()
-            res = bdgm.solve(custom)
-            assert co.n_grad == 2 * len(steps) + (res.iters > 0)
-            assert [scale for scale, _ in steps] == [scale for scale, _ in plain_steps]
-            for (_, point), (_, plain_point) in zip(steps, plain_steps):
-                np.testing.assert_array_equal(point, plain_point)
-            np.testing.assert_array_equal(res.z, res_plain.z)
-            assert res.iters == res_plain.iters > 0
+            res = bdgm.solve(st)
+            assert h.n_grad == 2 * len(steps) + (res.iters > 0)
+            assert g.n_grad == 0
             n_steps += len(steps)
             n_iters += res.iters
         assert n_steps > n_iters
@@ -407,7 +402,7 @@ class TestEngineContract:
     def test_next_scale_after_an_accepted_step(self, monkeypatch):
         """After a first-try accept at scale c the next step starts at
         max(1, c/1.5); after an accept that needed a doubling, at the
-        accepted c."""
+        accepted c, with or without a model part."""
         steps = _recording_steps(monkeypatch)
         accepted = bdgm._accepted_step
         seen = []
@@ -415,7 +410,7 @@ class TestEngineContract:
         def recording(state, z, g_hat, scale):
             steps.clear()
             out = accepted(state, z, g_hat, scale)
-            seen.append(([c for c, _ in steps], out[2]))
+            seen.append((state.model is not None, [c for c, _ in steps], out[2]))
             return out
 
         monkeypatch.setattr(bdgm, "_accepted_step", recording)
@@ -423,10 +418,19 @@ class TestEngineContract:
         rng = np.random.default_rng(23)
         for _ in range(4):
             bdgm.solve(bdgm.setup(orc, 0.5 * rng.standard_normal(orc.dim), eps=1e-8))
-        first_try = [(tried, nxt) for tried, nxt in seen if len(tried) == 1]
-        doubled = [(tried, nxt) for tried, nxt in seen if len(tried) > 1]
-        assert first_try and doubled
-        for tried, nxt in first_try:
-            assert nxt == max(1.0, tried[0] / 1.5)
-        for tried, nxt in doubled:
-            assert nxt == tried[-1]
+        # A model part of g with about 1e-3 of h's L3, as on sliding_bench.
+        g = QuarticObjective(0.1 * np.eye(orc.dim), 0.1 * np.ones(orc.dim), 2e-5)
+        for _ in range(4):
+            x = 0.5 * rng.standard_normal(orc.dim)
+            gspec = ModelSpec(g, x, H=1.5 * g.lipschitz_L3)
+            bdgm.solve(bdgm.setup(orc, x, eps=1e-8, model=gspec))
+        for with_model in (False, True):
+            first_try = [(tried, nxt) for m, tried, nxt in seen
+                         if m == with_model and len(tried) == 1]
+            doubled = [(tried, nxt) for m, tried, nxt in seen
+                       if m == with_model and len(tried) > 1]
+            assert first_try and doubled
+            for tried, nxt in first_try:
+                assert nxt == max(1.0, tried[0] / 1.5)
+            for tried, nxt in doubled:
+                assert nxt == tried[-1]

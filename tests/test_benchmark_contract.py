@@ -54,3 +54,6 @@ def test_tracer_sees_what_the_program_counts(tracer, config):
     if config["method"] == "sliding":
         assert metrics["sliding.middle_iters"] >= 1
         assert metrics["taylor.model_grad_calls"] > 0
+        # One engine setup per middle trial: a bdgm name bound to the same
+        # function as setup would be wrapped twice and count each twice.
+        assert metrics["bdgm.setups"] == metrics["sliding.middle_trials"]

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from hyperfast.natmi import NatmiConfig, solve as natmi_solve
-from hyperfast.oracles import ProblemOracle, ZeroOracle
+from hyperfast.oracles import ConfigError, ProblemOracle, ZeroOracle
 from hyperfast.problems import QuarticObjective
 from hyperfast.sliding import (
     CompositeProblem,
@@ -253,12 +253,14 @@ class TestCompositeSolve:
             solve_sliding(prob, np.zeros(1), NatmiConfig(gamma=0.0))
 
     def test_zero_part_refuses_other_xi(self):
-        # With h zero the single-function inexact engine runs on g, and it
-        # is built for xi = 3/2 only.
-        prob = CompositeProblem(QuarticObjective(np.eye(1), np.ones(1), 0.5),
-                                ZeroOracle(1))
-        with pytest.raises(ValueError, match="xi"):
-            solve_sliding(prob, np.zeros(1), NatmiConfig(xi=7.0))
+        # With h zero the single-function inexact engine runs on g; with two
+        # parts the middle loop runs the same engine on h plus g's model.
+        # It is built for xi = 3/2 only, and the refusal precedes any call.
+        for h in (ZeroOracle(1), QuarticObjective(np.eye(1), np.ones(1), 1.0)):
+            prob = CompositeProblem(QuarticObjective(np.eye(1), np.ones(1), 0.5), h)
+            with pytest.raises(ConfigError, match="xi"):
+                solve_sliding(prob, np.zeros(1), NatmiConfig(xi=7.0))
+            assert all(v == 0 for v in prob.counts.values())
 
     def test_deterministic_replay(self):
         rng = np.random.default_rng(37)

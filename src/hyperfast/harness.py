@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -25,7 +26,7 @@ from .oracles import (ConfigError, ProblemOracle, SolverError, SumOracle, Vector
                       ZeroOracle, counted)
 from .problems import LogisticLoss, QuarticChain, QuarticObjective, synth_logreg
 from .sliding import CompositeProblem
-from .taylor import ModelError, newton_step
+from .taylor import ModelError, newton_min
 
 BASE_COLUMNS = ("k", "f", "grad_norm", "step_radius", "lambda", "A",
                 "inner_iters", "n_grad", "n_hess", "max_grad_norm",
@@ -39,9 +40,6 @@ _CLI_METHOD_ALIASES = {"hyperfast": "hyperfast", "natmi-exact": "natmi_exact",
                        "gd": "gd_baseline", "gd_baseline": "gd_baseline"}
 
 _FSTAR_PATH = Path(__file__).with_name("fstar_fixture.json")
-
-#: Newton steps reference_fstar may take before it gives up.
-_FSTAR_BUDGET = 500
 
 
 class DivergenceError(SolverError):
@@ -347,24 +345,19 @@ def fit_rate(trace, k_window, f_star: float) -> float:
 
 
 def reference_fstar(oracle: ProblemOracle, tol: float = 1e-13) -> float:
-    """High-accuracy optimum value by damped Newton from zero.
-
-    Runs until ||grad f|| <= tol; exhausting the budget is an error so a
-    silently sloppy reference can never leak into fixtures.
-    """
-    x = np.zeros(oracle.dim)
-    scale = 1.0 + float(np.linalg.norm(oracle.hess(x)))
-    for _ in range(_FSTAR_BUDGET):
-        g = oracle.grad(x)
-        if float(np.linalg.norm(g)) <= tol:
-            return float(oracle.value(x))
-        x = x + newton_step(oracle.value, g, oracle.hess(x), x, scale,
-                            "objective")[0]
-    raise ModelError(f"reference optimum not reached in {_FSTAR_BUDGET} Newton steps")
+    """High-accuracy optimum value by damped Newton (newton_min) from zero; a
+    point with ||grad f|| > tol is an error, even at newton_min's float limit,
+    so a silently sloppy reference can never leak into fixtures."""
+    x = newton_min(oracle.value, oracle.grad, oracle.hess, np.zeros(oracle.dim),
+                   tol, "objective")
+    if not float(np.linalg.norm(oracle.grad(x))) <= tol:
+        raise ModelError(f"reference optimum not reached: ||grad f|| > {tol:g}")
+    return float(oracle.value(x))
 
 
-def baseline_gd(oracle: ProblemOracle, x0: Vector, steps: int):
-    """Plain gradient descent with step 1/L1.
+def baseline_gd(oracle: ProblemOracle, x0: Vector, steps: int,
+                timing: bool = False):
+    """Plain gradient descent with step 1/L1, each step timed if timing.
 
     L1 is estimated once by power iteration on the Hessian at x0 (a fixed
     deterministic start vector, no randomness) and doubled whenever a step
@@ -389,6 +382,7 @@ def baseline_gd(oracle: ProblemOracle, x0: Vector, steps: int):
     G_max = 0.0
     try:
         for k in range(1, steps + 1):
+            t_start = time.perf_counter() if timing else 0.0
             g = co.grad(x)
             gn = float(np.linalg.norm(g))
             G_max = max(G_max, gn)
@@ -408,7 +402,8 @@ def baseline_gd(oracle: ProblemOracle, x0: Vector, steps: int):
                 k=k, f=f_cur, grad_norm=gn, step_radius=step * gn, lam=step,
                 A=0.0, inner_iters=0, n_grad=co.n_grad - base_grad,
                 n_hess=co.n_hess - base_hess, max_grad_norm=G_max,
-                max_hess_norm=hess_norm, wall_ms=0.0,
+                max_hess_norm=hess_norm,
+                wall_ms=(time.perf_counter() - t_start) * 1e3 if timing else 0.0,
                 reason="gd" if gn != 0.0 else "stationary",
                 n_value=co.n_value - base_value, y=x.copy()))
             if gn == 0.0:
@@ -482,7 +477,7 @@ def run(cfg: RunConfig) -> RunOutcome:
             summary.update((f"n_{key}", value) for key, value in res.counts.items())
         elif cfg.method == "gd_baseline":
             records = tuple(baseline_gd(bundle.single(), bundle.x0,
-                                        cfg.max_iters))
+                                        cfg.max_iters, cfg.timing))
             # max_iters >= 1, so gd records at least one step or raises.
             last = records[-1]
             summary.update(final_f=last.f, final_grad_norm=last.grad_norm,

@@ -14,6 +14,12 @@ safeguarded by the log-midpoint once the window is bracketed) is plumbing
 around the acceptance window; the window's multiplicative width of 3/2 is
 what guarantees the bracketed search lands.
 
+With subsolver="exact" (natmi_exact) the model minimizer, taylor.newton_min,
+stops at float_slack(||grad f(x~)||) or at its float limit, so a step with
+||grad f(y)|| <= float_slack(max_grad_norm)/gamma can miss the certificate:
+such steps carry no sigma <= 0.6 claim (on the logreg_fixture golden run
+five read sigma 54 to 1,140; every step above the line keeps sigma <= 0.52).
+
 accelerated_steps is this scheme for any subproblem builder, and outer_loop
 runs it to a stop and keeps the records. The single-function solver and both
 levels of the sliding solver (sliding.py) differ only in the builder.
@@ -23,14 +29,14 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from . import bdgm
 from .oracles import ConfigError, ProblemOracle, SolverError, Vector, counted, operator_norm
-from .taylor import EXACT_MAX_DIM, ModelSpec, exact_model_min
+from .taylor import EXACT_MAX_DIM, ModelSpec, exact_model_min, float_slack
 
 WINDOW_LO = 0.5
 WINDOW_HI = 0.75
@@ -124,32 +130,14 @@ def step_weight(lam: float, A: float) -> float:
     return 0.5 * (lam + math.sqrt(lam * lam + 4.0 * lam * A))
 
 
-@dataclass
-class TrialPoint:
-    """One evaluated step weight: the anchor, the subproblem answer, and
-    the window statistic w = lam * 3*L3*r^2/4."""
+class Trial(NamedTuple):
+    """A subproblem builder's answer at one anchor, and its step weight.
 
-    lam: float
-    a: float
-    A_next: float
-    x_tilde: Vector
-    y: Vector
-    r: float
-    w: float
-    inner_iters: int
-    reason: str
-    grad_y: Vector | None
-    grad_anchor_norm: float
-    hess_anchor_norm: float
-    extra: dict | None = None
-
-
-class Answer(NamedTuple):
-    """A subproblem builder's answer at one anchor.
-
-    grad_y is the gradient the dual update steps along, and the two anchor
-    norms feed the max_grad_norm / max_hess_norm columns. extra carries
-    whatever else the builder's caller needs from the trial.
+    The builder fills the fields up to mid_iters: grad_y is the gradient the
+    dual update steps along, the anchor norms feed max_grad_norm /
+    max_hess_norm, and sliding's levels pass h's gradient at y (part_grad)
+    and the middle steps taken (mid_iters). The search fills the rest, w
+    being the window statistic lam * 3*L3*r^2/4 with r = ||y - x~||.
     """
 
     y: Vector
@@ -158,7 +146,14 @@ class Answer(NamedTuple):
     reason: str
     grad_anchor_norm: float
     hess_anchor_norm: float
-    extra: dict | None = None
+    part_grad: Vector | None = None
+    mid_iters: int = 0
+    lam: float = 0.0
+    a: float = 0.0
+    A_next: float = 0.0
+    x_tilde: Vector | None = None
+    r: float = 0.0
+    w: float = 0.0
 
 
 @dataclass(frozen=True, slots=True)
@@ -226,40 +221,39 @@ def oracle_subproblem(cfg: NatmiConfig, oracle: ProblemOracle):
         raise ConfigError(f"subsolver 'exact' needs n <= {EXACT_MAX_DIM}, got n = {oracle.dim}")
     L3 = oracle.lipschitz_L3
 
-    def subproblem(x_t: Vector) -> Answer:
+    def subproblem(x_t: Vector) -> Trial:
         if cfg.subsolver == "bdgm":
             sub = bdgm.setup(oracle, x_t, cfg.eps, c_delta=cfg.c_delta,
                              gamma=cfg.gamma)
             res = bdgm.solve(sub)
-            return Answer(res.z, res.grad_at_z, res.iters, res.reason,
-                          sub.grad_norm0, sub.hess_norm0)
+            return Trial(res.z, res.grad_at_z, res.iters, res.reason,
+                         sub.grad_norm0, sub.hess_norm0)
         spec = ModelSpec(oracle, x_t, cfg.xi * L3)
         if not (np.isfinite(spec.grad_anchor).all() and np.isfinite(spec.hess_anchor).all()):
             raise bdgm.SubproblemError("non-finite gradient or Hessian at the anchor")
         ga_norm = float(np.linalg.norm(spec.grad_anchor))
         h_norm = operator_norm(spec.hess_anchor)
         if ga_norm == 0.0:
-            return Answer(x_t.copy(), spec.grad_anchor, 0, "zero_gradient",
-                          ga_norm, h_norm)
-        if cfg.gamma * ga_norm <= 1e-12 * (1.0 + ga_norm):
-            # The reference minimizer stops at 1e-12*(1+||g||); below
-            # that line it returns the anchor itself and the window
-            # statistic stays zero for every lambda. Same floor
-            # semantics as the inexact engine's delta short-circuit.
-            return Answer(x_t.copy(), spec.grad_anchor, 0, "accuracy_floor",
-                          ga_norm, h_norm)
+            return Trial(x_t.copy(), spec.grad_anchor, 0, "zero_gradient",
+                         ga_norm, h_norm)
+        if cfg.gamma * ga_norm <= float_slack(ga_norm):
+            # Below its stopping slack the reference minimizer returns the
+            # anchor and w stays zero for every lambda: the same floor as the
+            # inexact engine's delta short-circuit.
+            return Trial(x_t.copy(), spec.grad_anchor, 0, "accuracy_floor",
+                         ga_norm, h_norm)
         y = exact_model_min(spec)
         reason = "accuracy_floor" if float(np.linalg.norm(y - x_t)) == 0.0 else "exact"
         grad_y = oracle.grad(y)
         if not np.isfinite(grad_y).all():
             raise bdgm.SubproblemError("non-finite target gradient at the answer")
-        return Answer(y, grad_y, 0, reason, ga_norm, h_norm)
+        return Trial(y, grad_y, 0, reason, ga_norm, h_norm)
 
     return subproblem
 
 
 def search_lambda(make_trial, L3: float, lam_warm: float | None,
-                  A: float) -> tuple[TrialPoint, int]:
+                  A: float) -> tuple[Trial, int]:
     """Find a step weight whose trial lands in the window.
 
     With A = 0 the anchor does not depend on lambda, so a single subproblem
@@ -289,8 +283,8 @@ def search_lambda(make_trial, L3: float, lam_warm: float | None,
         lam = _WINDOW_MID * 4.0 / (3.0 * L3 * t.r * t.r)
         # a = lam when A = 0, so the anchor and the solved subproblem are
         # unchanged; only the bookkeeping weights move.
-        return replace(t, lam=lam, a=lam, A_next=lam,
-                       w=lam * 0.75 * L3 * t.r * t.r), n_trials
+        return t._replace(lam=lam, a=lam, A_next=lam,
+                          w=lam * 0.75 * L3 * t.r * t.r), n_trials
 
     lam = lam_warm if lam_warm is not None else 1.0
     lo = hi = prev = None  # below-window, above-window and previous trials
@@ -328,7 +322,7 @@ def accelerated_steps(subproblem, L3: float, x0: Vector, cfg: NatmiConfig,
     """The accelerated scheme: yield (trial, n_trials) per window search.
 
     Each step blends the anchor x~ = (A*y + a*x)/(A + a) for a trial lambda,
-    asks subproblem(x~) for an Answer, and lets search_lambda pick the lambda
+    asks subproblem(x~) for a Trial, and lets search_lambda pick the lambda
     whose answer lands in the window. The generator ends after a terminal
     answer (zero_gradient, accuracy_floor) and after k_max steps; otherwise,
     when resumed, it takes the dual step x -= a*grad_y and moves y to the
@@ -346,15 +340,15 @@ def accelerated_steps(subproblem, L3: float, x0: Vector, cfg: NatmiConfig,
     lam_prev = None
     for k in range(1, k_max + 1):
 
-        def make_trial(lam: float) -> TrialPoint:
+        def make_trial(lam: float) -> Trial:
             a = step_weight(lam, A)
             A_next = A + a
             assert abs(A_next - a * a / lam) <= 1e-10 * max(1.0, A_next)
             x_t = (A / A_next) * y + (a / A_next) * x
-            ans = subproblem(x_t)
-            r = float(np.linalg.norm(ans.y - x_t))
-            return TrialPoint(lam=lam, a=a, A_next=A_next, x_tilde=x_t, r=r,
-                              w=lam * 0.75 * L3 * r * r, **ans._asdict())
+            t = subproblem(x_t)
+            r = float(np.linalg.norm(t.y - x_t))
+            return t._replace(lam=lam, a=a, A_next=A_next, x_tilde=x_t, r=r,
+                              w=lam * 0.75 * L3 * r * r)
 
         seed = warm.get(k) if warm is not None else None
         t, n_trials = search_lambda(make_trial, L3,
@@ -391,7 +385,7 @@ def outer_loop(subproblem, L3: float, x0: Vector, cfg: NatmiConfig,
     # gradient norms at accepted iterates.
     peak = [0.0, 0.0]
 
-    def tracked(x_t: Vector) -> Answer:
+    def tracked(x_t: Vector) -> Trial:
         ans = subproblem(x_t)
         peak[0] = max(peak[0], ans.grad_anchor_norm)
         peak[1] = max(peak[1], ans.hess_anchor_norm)
@@ -436,7 +430,7 @@ def outer_loop(subproblem, L3: float, x0: Vector, cfg: NatmiConfig,
                 n_grad_g=c.get("grad_g", 0), n_hess_g=c.get("hess_g", 0),
                 n_grad_h=c.get("grad_h", 0), n_hess_h=c.get("hess_h", 0),
                 n_third_g=c.get("third_g", 0),
-                mid_iters=t.extra.get("mid_iters", 0) if t.extra else 0))
+                mid_iters=t.mid_iters))
             if t.reason == "zero_gradient_at_iterate":
                 status = "stationary"
                 break

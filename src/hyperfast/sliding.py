@@ -30,15 +30,15 @@ from . import bdgm
 from .natmi import (
     _TERMINAL,
     _require_regime,
-    Answer,
     NatmiConfig,
     SolveResult,
+    Trial,
     accelerated_steps,
     oracle_subproblem,
     outer_loop,
 )
 from .oracles import ConfigError, ProblemOracle, Vector, counted
-from .taylor import MembershipResult, ModelSpec, model_grad
+from .taylor import MembershipResult, ModelSpec, float_slack, model_grad
 
 #: Middle-loop steps allowed per outer trial before the solve fails.
 _MIDDLE_K_MAX = 300
@@ -98,12 +98,11 @@ def composite_membership(prob: CompositeProblem, x_tilde: Vector, T: Vector,
     lhs = float(np.linalg.norm(model_grad(spec, T) + gh_T))
     rhs = float(gamma) * float(np.linalg.norm(prob.g.grad(T) + gh_T))
     anchor_norm = float(np.linalg.norm(spec.grad_anchor + prob.h.grad(x_tilde)))
-    abs_tol = 1e-12 * (1.0 + anchor_norm)
-    return MembershipResult(lhs, rhs, lhs <= rhs + abs_tol)
+    return MembershipResult(lhs, rhs, lhs <= rhs + float_slack(anchor_norm))
 
 
 def _middle_solve(cfg: NatmiConfig, prob: CompositeProblem, gspec: ModelSpec,
-                  x_anchor: Vector, ga_norm: float, warm: dict) -> Answer:
+                  x_anchor: Vector, ga_norm: float, warm: dict) -> Trial:
     """Accelerated loop on F_mid = [g-model at x_anchor] + h until the outer
     membership holds at its iterate T.
 
@@ -115,15 +114,13 @@ def _middle_solve(cfg: NatmiConfig, prob: CompositeProblem, gspec: ModelSpec,
     outer anchor and the accepted middle steps.
     """
     g, h = prob.g, prob.h
-    abs_tol = 1e-12 * (1.0 + ga_norm)
 
-    def subproblem(x_tm: Vector) -> Answer:
+    def subproblem(x_tm: Vector) -> Trial:
         eng = bdgm.setup(h, x_tm, cfg.eps, c_delta=cfg.c_delta,
                          gamma=cfg.gamma, model=gspec)
         res = bdgm.solve(eng)
-        return Answer(res.z, res.grad_at_z, res.iters, res.reason,
-                      eng.grad_norm0, eng.hess_norm0,
-                      {"gh": res.oracle_grad_at_z})
+        return Trial(res.z, res.grad_at_z, res.iters, res.reason,
+                     eng.grad_norm0, eng.hess_norm0, res.oracle_grad_at_z)
 
     mid_iters = inner_total = 0
     peak_grad, peak_hess = ga_norm, 0.0
@@ -133,13 +130,13 @@ def _middle_solve(cfg: NatmiConfig, prob: CompositeProblem, gspec: ModelSpec,
         inner_total += t.inner_iters
         peak_grad = max(peak_grad, t.grad_anchor_norm)
         peak_hess = max(peak_hess, t.hess_anchor_norm)
-        grad_f_T = g.grad(t.y) + t.extra["gh"]
+        grad_f_T = g.grad(t.y) + t.part_grad
         lhs = float(np.linalg.norm(t.grad_y))
-        member = lhs <= cfg.gamma * float(np.linalg.norm(grad_f_T)) + abs_tol
+        member = lhs <= cfg.gamma * float(np.linalg.norm(grad_f_T)) + float_slack(ga_norm)
         if member or t.reason in _TERMINAL:
-            return Answer(t.y, grad_f_T, inner_total,
-                          "certified" if member else "accuracy_floor",
-                          peak_grad, peak_hess, {"mid_iters": mid_iters})
+            return Trial(t.y, grad_f_T, inner_total,
+                         "certified" if member else "accuracy_floor",
+                         peak_grad, peak_hess, mid_iters=mid_iters)
     raise bdgm.SubproblemError(
         f"middle loop exhausted {_MIDDLE_K_MAX} iterations without "
         "reaching the outer membership set")
@@ -165,12 +162,12 @@ def solve_sliding(prob: CompositeProblem, x0: Vector,
     H_g = cfg.xi * g.lipschitz_L3
     mid_warm: dict = {}
 
-    def subproblem(x_t: Vector) -> Answer:
+    def subproblem(x_t: Vector) -> Trial:
         spec = ModelSpec(g, x_t, H_g)
         gf_anchor = spec.grad_anchor + h.grad(x_t)
         ga_norm = float(np.linalg.norm(gf_anchor))
         if ga_norm == 0.0:
-            return Answer(x_t.copy(), gf_anchor, 0, "zero_gradient", 0.0, 0.0)
+            return Trial(x_t.copy(), gf_anchor, 0, "zero_gradient", 0.0, 0.0)
         return _middle_solve(cfg, prob, spec, x_t, ga_norm, mid_warm)
 
     return outer_loop(subproblem, g.lipschitz_L3, x0, cfg, prob,

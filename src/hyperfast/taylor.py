@@ -14,7 +14,9 @@ gradient and Hessian differences.
 The model is the reference the iterative subproblem solver is checked
 against, natmi_exact's model, and the exact part the sliding scheme adds to
 the inexact engine's model of h; there each gradient of the model of g
-takes one third-derivative action of g.
+takes one third-derivative action of g. newton_min is the package's one
+damped Newton loop: exact_model_min runs it on the model, and the harness's
+reference optima on the objective.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from .oracles import Matrix, ProblemOracle, SolverError, Vector
 #: Difference step for oracles without an analytic third derivative.
 _FD_TAU = 1e-4
 
-#: Newton steps exact_model_min may take before it gives up.
+#: Newton steps newton_min may take before it gives up.
 _MAX_NEWTON_STEPS = 500
 
 #: Largest dimension exact_model_min accepts.
@@ -121,79 +123,81 @@ def model_hess(spec: ModelSpec, y: Vector) -> Matrix:
             + (2.0 * spec.H / 3.0) * (float(s @ s) * eye + 2.0 * np.outer(s, s)))
 
 
+def float_slack(grad_norm: float) -> float:
+    """1e-12*(1 + grad_norm): the float64 headroom, at an anchor whose gradient
+    norm is grad_norm, of exact_model_min's stop and every membership test."""
+    return 1e-12 * (1.0 + grad_norm)
+
+
 def membership_residual(spec: ModelSpec, gamma: float, T: Vector):
     """Check the relative inexactness condition at a candidate T.
 
     Returns (lhs, rhs, member) where lhs = ||model gradient at T||,
-    rhs = gamma * ||grad f(T)|| and member allows an absolute slack of
-    1e-12*(1 + ||grad f(x~)||) for floating-point headroom.
+    rhs = gamma * ||grad f(T)|| and member allows the absolute slack
+    float_slack(||grad f(x~)||).
     """
     gamma = float(gamma)
     if gamma < 0.0:
         raise ValueError("gamma must be non-negative")
     lhs = float(np.linalg.norm(model_grad(spec, T)))
     rhs = gamma * float(np.linalg.norm(spec.oracle.grad(T)))
-    abs_tol = 1e-12 * (1.0 + float(np.linalg.norm(spec.grad_anchor)))
+    abs_tol = float_slack(float(np.linalg.norm(spec.grad_anchor)))
     return MembershipResult(lhs, rhs, lhs <= rhs + abs_tol)
 
 
-def newton_step(value, g: Vector, Hm: Matrix, y: Vector, scale: float,
-                what: str) -> tuple[Vector, float, float]:
-    """One damped Newton step for a convex function at y.
+def newton_min(value, grad, hess, y: Vector, tol: float, what: str) -> Vector:
+    """Damped Newton on a convex function from y until ||grad|| <= tol.
 
-    Solves with the Cholesky factor of Hm + shift*I, the Levenberg shift
-    starting at zero and growing from 1e-12*scale by factors of 4 until the
-    matrix factors, then halves the step until the Armijo test on value
-    holds. Returns (step, value(y), value(y + step)); the caller moves to
-    y + step. what names the function in the errors: a shift past 1e8*scale
-    or 60 halvings without decrease raise ModelError.
+    Each step solves with the Cholesky factor of hess + shift*I, the
+    Levenberg shift starting at zero and growing from 1e-12*scale by factors
+    of 4 until the matrix factors (scale = 1 + ||hess|| at the first Hessian
+    taken), then halves the step until the Armijo test on value holds. At the
+    float limit, where a step stops decreasing the value or moving y, y is
+    returned as it is. A shift past 1e8*scale, 60 halvings without decrease
+    or 500 steps raise ModelError naming what.
     """
-    shift = 0.0
-    while True:
-        try:
-            chol = np.linalg.cholesky(Hm + shift * np.eye(y.size))
-            break
-        except np.linalg.LinAlgError:
-            shift = max(1e-12 * scale, 4.0 * shift)
-            if shift > 1e8 * scale:
-                raise ModelError(f"{what} Hessian is not positive definite") from None
-    d = -np.linalg.solve(chol.T, np.linalg.solve(chol, g))
-    base = value(y)
-    slope = float(g @ d)
-    step = 1.0
-    for _ in range(60):
-        trial = value(y + step * d)
-        if trial <= base + 1e-4 * step * slope:
-            return step * d, base, trial
-        step *= 0.5
-    raise ModelError(f"line search failed on the {what}")
+    y = np.array(y, dtype=np.float64)
+    scale = 0.0
+    for _ in range(_MAX_NEWTON_STEPS):
+        g = grad(y)
+        if float(np.linalg.norm(g)) <= tol:
+            return y
+        Hm = hess(y)
+        scale = scale or 1.0 + float(np.linalg.norm(Hm))
+        shift = 0.0
+        while True:
+            try:
+                chol = np.linalg.cholesky(Hm + shift * np.eye(y.size))
+                break
+            except np.linalg.LinAlgError:
+                shift = max(1e-12 * scale, 4.0 * shift)
+                if shift > 1e8 * scale:
+                    raise ModelError(f"{what} Hessian is not positive definite") from None
+        d = -np.linalg.solve(chol.T, np.linalg.solve(chol, g))
+        base = value(y)
+        slope = float(g @ d)
+        step = 1.0
+        for _ in range(60):
+            trial = value(y + step * d)
+            if trial <= base + 1e-4 * step * slope:
+                break
+            step *= 0.5
+        else:
+            raise ModelError(f"line search failed on the {what}")
+        y = y + step * d
+        if trial >= base or np.linalg.norm(step * d) <= 1e-15 * (1.0 + np.linalg.norm(y)):
+            return y
+    raise ModelError(f"no convergence on the {what} in {_MAX_NEWTON_STEPS} Newton steps")
 
 
 def exact_model_min(spec: ModelSpec) -> Vector:
-    """Reference model minimizer by damped Newton (small n only).
-
-    Each step is newton_step on the model, until the model gradient is at
-    most 1e-12*(1 + ||grad f(x~)||). Intended as the slow-but-sure oracle the
-    iterative solver is compared against; n is capped at 50.
+    """Reference model minimizer (small n only): newton_min on the model from
+    the anchor, down to a model gradient of float_slack(||grad f(x~)||).
+    Intended as the slow-but-sure oracle the iterative solver is compared
+    against; n is capped at 50.
     """
     if spec.oracle.dim > EXACT_MAX_DIM:
         raise ValueError(f"reference minimizer is restricted to n <= {EXACT_MAX_DIM}")
-    tol = 1e-12 * (1.0 + float(np.linalg.norm(spec.grad_anchor)))
-    y = spec.x_tilde.copy()
-    scale = 1.0 + float(np.linalg.norm(spec.hess_anchor))
-    for _ in range(_MAX_NEWTON_STEPS):
-        g = model_grad(spec, y)
-        if float(np.linalg.norm(g)) <= tol:
-            return y
-        step, base, trial = newton_step(lambda z: model_value(spec, z), g,
-                                        model_hess(spec, y), y, scale, "model")
-        y = y + step
-        # Float-limit stop: when tol sits below what float64 can represent
-        # for this instance, steps stop decreasing the value (or stop moving
-        # y) near the minimizer; accept the point instead of spinning.
-        if trial >= base:
-            return y
-        if float(np.linalg.norm(step)) <= 1e-15 * (1.0 + float(np.linalg.norm(y))):
-            return y
-    raise ModelError(f"no convergence in {_MAX_NEWTON_STEPS} Newton steps "
-                     "(non-convex model or degenerate anchor)")
+    tol = float_slack(float(np.linalg.norm(spec.grad_anchor)))
+    return newton_min(lambda y: model_value(spec, y), lambda y: model_grad(spec, y),
+                      lambda y: model_hess(spec, y), spec.x_tilde, tol, "model")

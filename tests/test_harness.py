@@ -311,6 +311,11 @@ class TestReferenceFstar:
         with pytest.raises(ModelError):
             reference_fstar(BadCurvature())
 
+    def test_reproduces_committed_fixture_optimum(self):
+        bundle = make_problem(build_run_config({"problem": "logreg_fixture"}))
+        fstar = reference_fstar(bundle.single(), tol=1e-13)
+        assert fstar == pytest.approx(bundle.f_star, rel=1e-15, abs=0.0)
+
 
 class TestBaselineGd:
     def test_hundred_rows_on_quadratic(self):
@@ -400,9 +405,11 @@ class TestRun:
         assert out.summary["n_hess_g"] > 0
         assert out.summary["n_hess_h"] > 0
 
-    def test_sliding_timing_records_wall_time(self):
+    @pytest.mark.parametrize("method", ["hyperfast", "natmi_exact", "sliding",
+                                        "gd_baseline"])
+    def test_timing_records_wall_time(self, method):
         cfg = build_run_config({
-            "problem": "sliding_bench", "method": "sliding",
+            "problem": "sliding_bench", "method": method,
             "eps": "1e-6", "max_iters": "2", "timing": "on",
             "problem.n": "4", "problem.m": "20"})
         records = run(cfg).records

@@ -12,12 +12,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hyperfast import natmi
+from hyperfast import harness, natmi
 from hyperfast.harness import reference_fstar
 from hyperfast.natmi import (
     LambdaSearchError,
     NatmiConfig,
-    TrialPoint,
+    Trial,
     WINDOW_HI,
     WINDOW_LO,
     search_lambda,
@@ -31,7 +31,7 @@ from hyperfast.problems import (
     QuarticObjective,
     synth_logreg,
 )
-from hyperfast.taylor import ModelSpec, model_grad
+from hyperfast.taylor import ModelSpec, float_slack, model_grad
 
 
 class TestValidateParams:
@@ -98,9 +98,9 @@ class TestStepWeight:
 
 
 def _fake_trial(lam, w, r=1.0, reason="certified"):
-    return TrialPoint(lam=lam, a=lam, A_next=lam, x_tilde=np.zeros(1),
-                      y=np.zeros(1), r=r, w=w, inner_iters=0, reason=reason,
-                      grad_y=None, grad_anchor_norm=1.0, hess_anchor_norm=0.0)
+    return Trial(y=np.zeros(1), grad_y=None, inner_iters=0, reason=reason,
+                 grad_anchor_norm=1.0, hess_anchor_norm=0.0, lam=lam, a=lam,
+                 A_next=lam, x_tilde=np.zeros(1), r=r, w=w)
 
 
 class TestSearchLambda:
@@ -278,6 +278,25 @@ class TestAcceptedStepCertificate:
             lhs = float(np.linalg.norm(model_grad(spec, t.y)))
             bound = (1.0 / 5.0) * (7.0 * L3 / 6.0) * t.r ** 3
             assert lhs <= bound * (1.0 + 1e-8) + 1e-15
+
+
+class TestExactFloatLimitExemption:
+    def test_sigma_bound_holds_above_the_float_slack(self):
+        """natmi_exact's model minimizer stops at float_slack(||grad f(x~)||)
+        or at its float limit, so a step whose ||grad f(y)|| is at most
+        float_slack(max_grad_norm)/gamma carries no sigma <= 0.6 claim. On
+        the logreg_fixture golden run every step above that line keeps the
+        bound, and the steps that break it all lie below."""
+        cfg = harness.build_run_config({"problem": "logreg_fixture",
+                                        "method": "natmi_exact", "eps": "1e-9"})
+        out = harness.run(cfg)
+        line = float_slack(out.summary["max_grad_norm"]) / cfg.gamma
+        above = [rec for rec in out.records if rec.grad_norm > line]
+        broken = [rec.k for rec in out.records if rec.sigma_observed > 0.6]
+        assert len(above) >= 16
+        assert all(rec.sigma_observed <= 0.6 for rec in above)
+        assert broken == [17, 19, 23, 26, 30]
+        assert all(out.records[k - 1].grad_norm <= line for k in broken)
 
 
 class TestSolveEndToEnd:

@@ -17,29 +17,16 @@ from hyperfast.sliding import (
     composite_membership,
     solve_sliding,
 )
-from hyperfast.taylor import ModelSpec, membership_residual, model_grad, model_hess, model_value
+from hyperfast.taylor import (ModelSpec, membership_residual, model_grad, model_hess,
+                             model_value, newton_min)
 
 
 def _newton_composite_min(spec, h, y0, tol=1e-12):
     """Damped Newton on [cached model of g] + h, small n only."""
-    y = np.array(y0, dtype=np.float64)
-    for _ in range(200):
-        grad = model_grad(spec, y) + h.grad(y)
-        if np.linalg.norm(grad) <= tol:
-            return y
-        H = model_hess(spec, y) + h.hess(y)
-        step = np.linalg.solve(H, grad)
-        t = 1.0
-        base = model_value(spec, y) + h.value(y)
-        while t > 1e-12:
-            cand = y - t * step
-            if model_value(spec, cand) + h.value(cand) < base:
-                y = cand
-                break
-            t *= 0.5
-        else:
-            raise AssertionError("reference Newton stalled")
-    raise AssertionError("reference Newton did not converge")
+    return newton_min(lambda y: model_value(spec, y) + h.value(y),
+                      lambda y: model_grad(spec, y) + h.grad(y),
+                      lambda y: model_hess(spec, y) + h.hess(y),
+                      y0, tol, "composite model")
 
 
 class TestCompositeProblem:
@@ -105,17 +92,32 @@ class TestCompositeMembership:
         assert m.rhs == pytest.approx(1.0 / 3.0, rel=1e-15)
         assert not m.member
 
-    def test_reference_minimizer_is_member(self):
+    @staticmethod
+    def _pairs():
         rng = np.random.default_rng(34)
         g = QuarticObjective(0.1 * np.eye(2), 0.1 * rng.standard_normal(2), 0.2)
         h = QuarticObjective(np.eye(2), rng.standard_normal(2), 0.5)
-        prob = CompositeProblem(g, h)
-        x_tilde = 0.2 * rng.standard_normal(2)
-        spec = ModelSpec(prob.g, x_tilde, 1.5 * g.lipschitz_L3)
-        T = _newton_composite_min(spec, prob.h, x_tilde)
-        m = composite_membership(prob, x_tilde, T)
-        assert m.member
-        assert m.lhs <= 1e-9
+        yield g, h, 0.2 * rng.standard_normal(2)
+        # First instance of test_bdgm's composite-reference generator at
+        # n = 3: the Newton step that takes the gradient from 3e-12 below
+        # tol leaves the value unchanged in float64.
+        rng = np.random.default_rng(4)
+        n = 3
+        A = rng.standard_normal((n, n))
+        g = QuarticObjective(0.1 * np.eye(n), 0.1 * rng.standard_normal(n),
+                             rng.uniform(0.01, 0.1))
+        h = QuarticObjective(A @ A.T / n, rng.standard_normal(n),
+                             rng.uniform(0.3, 1.0))
+        yield g, h, 0.3 * rng.standard_normal(n)
+
+    def test_reference_minimizer_is_member(self):
+        for g, h, x_tilde in self._pairs():
+            prob = CompositeProblem(g, h)
+            spec = ModelSpec(prob.g, x_tilde, 1.5 * g.lipschitz_L3)
+            T = _newton_composite_min(spec, prob.h, x_tilde)
+            m = composite_membership(prob, x_tilde, T)
+            assert m.member
+            assert m.lhs <= 1e-9
 
 
 class TestDegeneratePath:

@@ -14,9 +14,9 @@ gradient and Hessian differences.
 The model is the reference the iterative subproblem solver is checked
 against, natmi_exact's model, and the exact part the sliding scheme adds to
 the inexact engine's model of h; there each gradient of the model of g
-takes one third-derivative action of g. newton_min is the package's one
-damped Newton loop: exact_model_min runs it on the model, and the harness's
-reference optima on the objective.
+takes one third-derivative action of g. newton_step is the one damped Newton
+step: newton_min repeats it down to a tolerance or the float limit, the
+harness's reference optima past the float limit.
 """
 
 from __future__ import annotations
@@ -145,17 +145,43 @@ def membership_residual(spec: ModelSpec, gamma: float, T: Vector):
     return MembershipResult(lhs, rhs, lhs <= rhs + abs_tol)
 
 
-def newton_min(value, grad, hess, y: Vector, tol: float, what: str) -> Vector:
-    """Damped Newton on a convex function from y until ||grad|| <= tol.
+def newton_step(value, g: Vector, Hm: Matrix, y: Vector, scale: float,
+                what: str) -> tuple[Vector, float, float]:
+    """One damped Newton step for a convex function at y.
 
-    Each step solves with the Cholesky factor of hess + shift*I, the
-    Levenberg shift starting at zero and growing from 1e-12*scale by factors
-    of 4 until the matrix factors (scale = 1 + ||hess|| at the first Hessian
-    taken), then halves the step until the Armijo test on value holds. At the
-    float limit, where a step stops decreasing the value or moving y, y is
-    returned as it is. A shift past 1e8*scale, 60 halvings without decrease
-    or 500 steps raise ModelError naming what.
+    Solves with the Cholesky factor of Hm + shift*I, the Levenberg shift
+    starting at zero and growing from 1e-12*scale by factors of 4 until the
+    matrix factors, then halves the step until the Armijo test on value
+    holds. Returns (step, value(y), value(y + step)); the caller moves to
+    y + step. what names the function in the errors: a shift past 1e8*scale
+    or 60 halvings without decrease raise ModelError.
     """
+    shift = 0.0
+    while True:
+        try:
+            chol = np.linalg.cholesky(Hm + shift * np.eye(y.size))
+            break
+        except np.linalg.LinAlgError:
+            shift = max(1e-12 * scale, 4.0 * shift)
+            if shift > 1e8 * scale:
+                raise ModelError(f"{what} Hessian is not positive definite") from None
+    d = -np.linalg.solve(chol.T, np.linalg.solve(chol, g))
+    base = value(y)
+    slope = float(g @ d)
+    step = 1.0
+    for _ in range(60):
+        trial = value(y + step * d)
+        if trial <= base + 1e-4 * step * slope:
+            return step * d, base, trial
+        step *= 0.5
+    raise ModelError(f"line search failed on the {what}")
+
+
+def newton_min(value, grad, hess, y: Vector, tol: float, what: str) -> Vector:
+    """newton_step from y, at scale 1 + ||hess|| of the first Hessian taken,
+    until ||grad|| <= tol or the float limit, where a step stops lowering the
+    value or moving y and y is returned with a gradient that may exceed tol.
+    500 steps raise ModelError."""
     y = np.array(y, dtype=np.float64)
     scale = 0.0
     for _ in range(_MAX_NEWTON_STEPS):
@@ -164,38 +190,17 @@ def newton_min(value, grad, hess, y: Vector, tol: float, what: str) -> Vector:
             return y
         Hm = hess(y)
         scale = scale or 1.0 + float(np.linalg.norm(Hm))
-        shift = 0.0
-        while True:
-            try:
-                chol = np.linalg.cholesky(Hm + shift * np.eye(y.size))
-                break
-            except np.linalg.LinAlgError:
-                shift = max(1e-12 * scale, 4.0 * shift)
-                if shift > 1e8 * scale:
-                    raise ModelError(f"{what} Hessian is not positive definite") from None
-        d = -np.linalg.solve(chol.T, np.linalg.solve(chol, g))
-        base = value(y)
-        slope = float(g @ d)
-        step = 1.0
-        for _ in range(60):
-            trial = value(y + step * d)
-            if trial <= base + 1e-4 * step * slope:
-                break
-            step *= 0.5
-        else:
-            raise ModelError(f"line search failed on the {what}")
-        y = y + step * d
-        if trial >= base or np.linalg.norm(step * d) <= 1e-15 * (1.0 + np.linalg.norm(y)):
+        step, base, trial = newton_step(value, g, Hm, y, scale, what)
+        y = y + step
+        if trial >= base or np.linalg.norm(step) <= 1e-15 * (1.0 + np.linalg.norm(y)):
             return y
     raise ModelError(f"no convergence on the {what} in {_MAX_NEWTON_STEPS} Newton steps")
 
 
 def exact_model_min(spec: ModelSpec) -> Vector:
-    """Reference model minimizer (small n only): newton_min on the model from
-    the anchor, down to a model gradient of float_slack(||grad f(x~)||).
-    Intended as the slow-but-sure oracle the iterative solver is compared
-    against; n is capped at 50.
-    """
+    """Reference model minimizer, the slow-but-sure oracle the iterative
+    solver is compared against: newton_min on the model from the anchor to
+    tol float_slack(||grad f(x~)||). n is capped at 50."""
     if spec.oracle.dim > EXACT_MAX_DIM:
         raise ValueError(f"reference minimizer is restricted to n <= {EXACT_MAX_DIM}")
     tol = float_slack(float(np.linalg.norm(spec.grad_anchor)))

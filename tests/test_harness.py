@@ -38,7 +38,7 @@ from hyperfast.harness import (
 from hyperfast.natmi import IterationRecord
 from hyperfast.oracles import ProblemOracle, SumOracle
 from hyperfast.problems import LogisticLoss, QuarticObjective
-from hyperfast.taylor import ModelError
+from hyperfast.taylor import ModelError, newton_min
 
 _GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -315,6 +315,18 @@ class TestReferenceFstar:
         bundle = make_problem(build_run_config({"problem": "logreg_fixture"}))
         fstar = reference_fstar(bundle.single(), tol=1e-13)
         assert fstar == pytest.approx(bundle.f_star, rel=1e-15, abs=0.0)
+
+    def test_steps_past_the_float_limit(self):
+        # On this instance Newton steps stop lowering f in float64 while
+        # ||grad f|| is still 1.5e-8; newton_min stops there, the reference
+        # keeps stepping down to tol.
+        params = {"problem": "sliding_bench", "problem.m": "40",
+                  "problem.n": "8", "problem.seed": "207"}
+        orc = make_problem(build_run_config(params)).single()
+        x = newton_min(orc.value, orc.grad, orc.hess, np.zeros(orc.dim), 1e-8,
+                       "objective")
+        assert np.linalg.norm(orc.grad(x)) > 1e-8
+        assert reference_fstar(orc, tol=1e-8) == pytest.approx(orc.value(x), rel=1e-14)
 
 
 class TestBaselineGd:

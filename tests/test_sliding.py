@@ -22,11 +22,17 @@ from hyperfast.taylor import (ModelSpec, membership_residual, model_grad, model_
 
 
 def _newton_composite_min(spec, h, y0, tol=1e-12):
-    """Damped Newton on [cached model of g] + h, small n only."""
-    return newton_min(lambda y: model_value(spec, y) + h.value(y),
-                      lambda y: model_grad(spec, y) + h.grad(y),
-                      lambda y: model_hess(spec, y) + h.hess(y),
-                      y0, tol, "composite model")
+    """Damped Newton on [cached model of g] + h, small n only. newton_min may
+    stop at the float limit; a point whose gradient is still above tol fails
+    here instead of passing as a reference."""
+    def grad(y):
+        return model_grad(spec, y) + h.grad(y)
+
+    y = newton_min(lambda y: model_value(spec, y) + h.value(y), grad,
+                   lambda y: model_hess(spec, y) + h.hess(y), y0, tol,
+                   "composite model")
+    assert np.linalg.norm(grad(y)) <= tol, "reference stopped short of tol"
+    return y
 
 
 class TestCompositeProblem:

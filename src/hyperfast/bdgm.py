@@ -30,10 +30,11 @@ taylor.ModelSpec there (sliding's model of g), adds it exactly. Anchor
 gradients and Hessians add, and L3 gains the model's 4*H.
 
 Termination certifies the relative inexactness condition: once the estimated
-model gradient at z is below (1/6)*||grad f(z)|| minus the difference-error
-margin delta, z is an acceptable subproblem answer for the outer loop. An
-additional absolute floor drives z to delta-level proximity of the exact
-minimizer so that downstream agreement checks are meaningful; see solve().
+model gradient at z is below (1/6)*||grad f(z)|| minus its error margin
+theta_abs (truncation or roundoff, whichever is larger), z is an acceptable
+subproblem answer for the outer loop. theta_abs is also the absolute floor
+that drives z to the exact minimizer at the accuracy the arithmetic
+supports, so downstream agreement checks are meaningful; see solve().
 """
 
 from __future__ import annotations
@@ -154,7 +155,7 @@ def _build_state(x_tilde, eps, c_delta, gamma, oracle, oracle_g0, oracle_B,
         ball = 2.0 * (STEP_SCALE * grad_norm0 / L3) ** (1.0 / 3.0)
         noise = 4.0 * _EPS * (grad_norm0 + hess_norm0 * ball + L3 * ball**3) / tau_used**2
         theta_abs = max(delta, 2.0 * noise)
-        if delta >= gamma * grad_norm0:
+        if theta_abs >= gamma * grad_norm0:
             # The certification margin exceeds what any iterate could attain:
             # the anchor gradient is already at the accuracy floor for eps.
             solved_reason = "accuracy_floor"
@@ -380,18 +381,19 @@ def _accepted_step(state: BdgmState, z: Vector, g_hat: Vector,
 def solve(state: BdgmState, max_iters: int = 10000) -> BdgmResult:
     """Run Bregman steps until the subproblem answer is certified.
 
-    Stops at the first iterate z with
+    Stops at the first iterate z at the floor, and certifies it or not:
 
-        ||approx_grad(z)|| <= gamma*||grad F(z)|| - delta    (certification)
-        ||approx_grad(z)|| <= theta_abs                      (proximity floor)
+        ||approx_grad(z)|| <= theta_abs                          (floor)
+        ||approx_grad(z)|| <= gamma*||grad F(z)|| - theta_abs    (certified)
 
-    The first line alone is the acceptance contract for the outer loop; the
-    floor theta_abs = max(delta, difference-noise estimate) additionally
-    pins z to the exact model minimizer at the accuracy the arithmetic
-    supports, which the cross-validation against the reference Newton
-    minimizer relies on. grad F(z) is taken only once approx_grad(z) is
-    below the floor, so a solve spends one target gradient, at its answer:
-    the oracle's, plus model's exact one when given.
+    theta_abs = max(delta, 2*noise) is the estimate's one error margin, its
+    truncation budget or its roundoff. The second line is the acceptance
+    contract for the outer loop, and "accuracy_floor" answers a z that
+    fails it, as setup() does when theta_abs >= gamma*||g0||. The floor pins
+    z to the exact model minimizer, which the cross-check against the
+    reference Newton minimizer relies on. grad F(z) is taken only there, so
+    a solve spends one target gradient, at its answer: the oracle's, plus
+    model's exact one when given.
 
     Steps start at scale 1 and adapt in [1, STEP_SCALE] (see
     _accepted_step); the curvature test costs no extra oracle call
@@ -420,7 +422,7 @@ def solve(state: BdgmState, max_iters: int = 10000) -> BdgmResult:
                 raise SubproblemError("non-finite target gradient at the answer")
             if grad_z_norm == 0.0:
                 return BdgmResult(z, i, "zero_gradient_at_iterate", grad_z, oracle_grad)
-            if lhs <= state.gamma * grad_z_norm - state.delta:
+            if lhs <= state.gamma * grad_z_norm - state.theta_abs:
                 return BdgmResult(z, i, "certified", grad_z, oracle_grad)
             # The certification line sits below the arithmetic floor, so no
             # further step can reach it. z already minimizes the model to

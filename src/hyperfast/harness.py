@@ -241,6 +241,9 @@ def _logreg_fixture(params, seed):
 
 
 def _sliding_bench(params, seed):
+    if seed:
+        raise ConfigError(f"sliding_bench does not read seed (got {seed}); "
+                          "set problem.seed instead (default 11)")
     n = _p_int(params, "n", 8)
     m = _p_int(params, "m", 40)
     bench_seed = _p_int(params, "seed", 11)

@@ -14,12 +14,6 @@ safeguarded by the log-midpoint once the window is bracketed) is plumbing
 around the acceptance window; the window's multiplicative width of 3/2 is
 what guarantees the bracketed search lands.
 
-With subsolver="exact" (natmi_exact) the model minimizer, taylor.newton_min,
-stops at float_slack(||grad f(x~)||) or at its float limit, so a step with
-||grad f(y)|| <= float_slack(max_grad_norm)/gamma can miss the certificate:
-such steps carry no sigma <= 0.6 claim (on the logreg_fixture golden run
-five read sigma 54 to 1,140; every step above the line keeps sigma <= 0.52).
-
 accelerated_steps is this scheme for any subproblem builder, and outer_loop
 runs it to a stop and keeps the records. The single-function solver and both
 levels of the sliding solver (sliding.py) differ only in the builder.
@@ -36,7 +30,7 @@ import numpy as np
 
 from . import bdgm
 from .oracles import ConfigError, ProblemOracle, SolverError, Vector, counted, operator_norm
-from .taylor import EXACT_MAX_DIM, ModelSpec, exact_model_min, float_slack
+from .taylor import EXACT_MAX_DIM, ModelSpec, exact_model_min, model_grad
 
 WINDOW_LO = 0.5
 WINDOW_HI = 0.75
@@ -211,9 +205,10 @@ class SolveResult:
 def oracle_subproblem(cfg: NatmiConfig, oracle: ProblemOracle):
     """Subproblem builder for a single function: the regularized third-order
     model of oracle at each anchor, solved by the inexact engine or, with
-    subsolver="exact", by the reference Newton minimizer. The inexact engine
-    is built for xi = bdgm.XI and the exact one for n <= EXACT_MAX_DIM; after
-    the regime, these are checked (ConfigError) before any oracle call."""
+    subsolver="exact", by the reference Newton minimizer; either answers
+    "certified" on the paper's certificate, else "accuracy_floor". The inexact
+    engine is built for xi = bdgm.XI and the exact one for n <= EXACT_MAX_DIM;
+    after the regime, these are checked (ConfigError) before any oracle call."""
     _require_regime(cfg)
     if cfg.subsolver == "bdgm" and cfg.xi != bdgm.XI:
         raise ConfigError(f"subsolver 'bdgm' needs xi = {bdgm.XI}, got xi = {cfg.xi}")
@@ -236,18 +231,16 @@ def oracle_subproblem(cfg: NatmiConfig, oracle: ProblemOracle):
         if ga_norm == 0.0:
             return Trial(x_t.copy(), spec.grad_anchor, 0, "zero_gradient",
                          ga_norm, h_norm)
-        if cfg.gamma * ga_norm <= float_slack(ga_norm):
-            # Below its stopping slack the reference minimizer returns the
-            # anchor and w stays zero for every lambda: the same floor as the
-            # inexact engine's delta short-circuit.
-            return Trial(x_t.copy(), spec.grad_anchor, 0, "accuracy_floor",
-                         ga_norm, h_norm)
         y = exact_model_min(spec)
-        reason = "accuracy_floor" if float(np.linalg.norm(y - x_t)) == 0.0 else "exact"
         grad_y = oracle.grad(y)
         if not np.isfinite(grad_y).all():
             raise bdgm.SubproblemError("non-finite target gradient at the answer")
-        return Trial(y, grad_y, 0, reason, ga_norm, h_norm)
+        # Fails at y = x~ (gamma < 1): an answer the float limit kept at the
+        # anchor is the floor.
+        lhs = np.linalg.norm(model_grad(spec, y))
+        certified = lhs <= cfg.gamma * np.linalg.norm(grad_y)
+        return Trial(y, grad_y, 0, "certified" if certified else "accuracy_floor",
+                     ga_norm, h_norm)
 
     return subproblem
 
@@ -317,8 +310,8 @@ def search_lambda(make_trial, L3: float, lam_warm: float | None,
         f"last lambda = {t.lam:.6g}, w = {t.w:.6g}); check the oracle's L3")
 
 
-def accelerated_steps(subproblem, L3: float, x0: Vector, cfg: NatmiConfig,
-                      k_max: int, warm: dict | None = None):
+def accelerated_steps(subproblem, L3: float, x0: Vector, k_max: int,
+                      warm: dict | None = None):
     """The accelerated scheme: yield (trial, n_trials) per window search.
 
     Each step blends the anchor x~ = (A*y + a*x)/(A + a) for a trial lambda,
@@ -374,10 +367,10 @@ def outer_loop(subproblem, L3: float, x0: Vector, cfg: NatmiConfig,
     ConfigError before the first subproblem.
 
     Stops: stationary (zero gradient at the anchor or at the accepted
-    iterate), accuracy_floor (the anchor is at the floor for eps; the solve
-    ends on the floor trial's point when its gradient is smaller than the
-    last accepted y's), grad_tol and k_max. A SolverError propagates with
-    the rows recorded so far in its records.
+    iterate), accuracy_floor (the answer cannot be certified at this eps in
+    float64; the solve ends on the floor trial's point when its gradient is
+    smaller than the last accepted y's), grad_tol and k_max. A SolverError
+    propagates with the rows recorded so far in its records.
     """
     report = _require_regime(cfg)
     base = counts()
@@ -397,7 +390,7 @@ def outer_loop(subproblem, L3: float, x0: Vector, cfg: NatmiConfig,
     records: list[IterationRecord] = []
     t_start = time.perf_counter() if cfg.timing else 0.0
     try:
-        for t, n_trials in accelerated_steps(tracked, L3, y, cfg, cfg.k_max):
+        for t, n_trials in accelerated_steps(tracked, L3, y, cfg.k_max):
             if t.reason == "zero_gradient":
                 y, grad_norm, status = t.x_tilde.copy(), 0.0, "stationary"
                 break

@@ -124,7 +124,7 @@ def _middle_solve(cfg: NatmiConfig, prob: CompositeProblem, gspec: ModelSpec,
 
     mid_iters = inner_total = 0
     peak_grad, peak_hess = ga_norm, 0.0
-    for t, _ in accelerated_steps(subproblem, h.lipschitz_L3, x_anchor, cfg,
+    for t, _ in accelerated_steps(subproblem, h.lipschitz_L3, x_anchor,
                                   _MIDDLE_K_MAX, warm):
         mid_iters += 1
         inner_total += t.inner_iters

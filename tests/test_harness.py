@@ -666,6 +666,7 @@ _SRC = Path(__file__).resolve().parents[1] / "src"
     ("problem=quartic1d\nmethod=natmi_exact\ngamma=0\n", 2, "config error: "),
     ("problem=sliding_bench\nmethod=sliding\ngamma=0\n", 2, "config error: "),
     ("problem=sliding_bench\nmethod=sliding\nxi=2\n", 2, "config error: "),
+    ("problem=sliding_bench\nseed=5\n", 2, "config error: "),
     ("problem=quartic_chain\nproblem.n=60\nmethod=natmi_exact\n", 2,
      "config error: "),
     ("problem=quartic1d\ntrace={tmp}/missing/t.csv\n", 2, "config error: "),

@@ -301,33 +301,29 @@ def _generated_instances(draw):
                             draw(st.floats(0.01, 1.0)))
 
 
-def _assert_paper_invariants(records):
-    """The window, sigma <= 0.6, a_k^2 = lam_k*A_k and monotone counters."""
-    A_prev = 0.0
-    for prev, rec in zip((None,) + tuple(records), records):
-        assert WINDOW_LO - 1e-12 <= rec.window_value <= WINDOW_HI + 1e-12
-        assert rec.sigma_observed <= 0.6 + 1e-8, (rec.k, rec.sigma_observed)
-        a = rec.A - A_prev
-        assert a > 0.0
-        assert a * a == pytest.approx(rec.lam * rec.A, rel=1e-9)
-        A_prev = rec.A
-        if prev is not None:
-            assert rec.n_grad > prev.n_grad
-            assert rec.n_hess >= prev.n_hess
-            assert rec.n_value >= prev.n_value
-            assert rec.n_third >= prev.n_third
-
-
 class TestExactEngineCertificate:
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(orc=_generated_instances())
     def test_every_step_keeps_the_paper_invariants(self, orc):
         """natmi_exact stops on the paper's certificate: every accepted step
-        meets the window and sigma <= 0.6, and the run ends at its floor."""
+        meets the window, sigma <= 0.6, a_k^2 = lam_k*A_k and monotone
+        counters, and the run ends at its floor."""
         eps = 1e-9
         res = solve(NatmiConfig(eps=eps, k_max=100, subsolver="exact"), orc,
                     np.zeros(orc.dim))
-        _assert_paper_invariants(res.records)
+        prev = None
+        for rec in res.records:
+            assert WINDOW_LO - 1e-12 <= rec.window_value <= WINDOW_HI + 1e-12
+            assert rec.sigma_observed <= 0.6 + 1e-8, (rec.k, rec.sigma_observed)
+            a = rec.A - (prev.A if prev else 0.0)
+            assert a > 0.0
+            assert a * a == pytest.approx(rec.lam * rec.A, rel=1e-9)
+            if prev is not None:
+                assert rec.n_grad > prev.n_grad
+                assert rec.n_hess >= prev.n_hess
+                assert rec.n_value >= prev.n_value
+                assert rec.n_third >= prev.n_third
+            prev = rec
         assert res.status in ("accuracy_floor", "stationary")
         assert res.f - reference_fstar(orc, tol=1e-8) <= eps
 
@@ -335,10 +331,9 @@ class TestExactEngineCertificate:
 class TestInexactMarginOnQuadratics:
     @pytest.mark.parametrize("n, seed", [(2, 26), (2, 37), (2, 56), (8, 45), (10, 33)])
     def test_sigma_bound_at_the_float_floor(self, n, seed):
-        """The inexact engine's certificate subtracts the roundoff margin
-        theta_abs, not delta alone; with delta alone these registered
-        quadratics certified roundoff and read sigma up to 33, or raised
-        SubproblemError (n=10 seed 33)."""
+        """These registered quadratics reach the float floor, where a
+        certificate less delta alone, not theta_abs, accepts roundoff (sigma
+        up to 33) or never certifies (n=10 seed 33 raises SubproblemError)."""
         cfg = harness.build_run_config({
             "problem": "quadratic", "problem.n": str(n), "problem.seed": str(seed),
             "eps": "1e-9", "max_iters": "100"})

@@ -44,6 +44,10 @@ _FIRST_SLOPE = 1.3
 _SLOPE_MIN, _SLOPE_MAX = 0.5, 3.0
 _MAX_STEP = 64.0
 _MAX_TRIALS = 60
+#: Largest growth ratio lam_{k-1}/lam_{k-2} that the next search's start
+#: extrapolates; past it (the late jumps of a solve) the start stays at
+#: lam_{k-1}.
+_MAX_EXTRAPOLATE = 2.0
 
 #: Subproblem outcomes that end the outer loop instead of being stepped on.
 _TERMINAL = ("zero_gradient", "accuracy_floor")
@@ -251,9 +255,10 @@ def search_lambda(make_trial, L3: float, lam_warm: float | None,
 
     With A = 0 the anchor does not depend on lambda, so a single subproblem
     solve fixes r and lambda is set analytically to hit the window midpoint.
-    Otherwise warm start at the previous accepted lambda and take secant
-    steps on (log lambda, log w) aimed at the window midpoint. Until a trial
-    on each side brackets the window, the slope comes from the last two
+    Otherwise start at lam_warm (accelerated_steps passes the previous
+    lambda, extrapolated while it grows steadily) and take secant steps on
+    (log lambda, log w) aimed at the window midpoint. Until a trial on each
+    side brackets the window, the slope comes from the last two
     trials (the first step assumes 1.3), clamped to [1/2, 3], and a step
     moves lambda by at most 64x, or by exactly 64x when w = 0. Inside a
     bracket the secant falls back to the log-midpoint when it lands in the
@@ -321,16 +326,22 @@ def accelerated_steps(subproblem, L3: float, x0: Vector, k_max: int,
     when resumed, it takes the dual step x -= a*grad_y and moves y to the
     answer. The caller decides whether to resume.
 
+    Each search starts at the previous step's lambda, scaled from step 3 on
+    by the last growth ratio rho = lam_{k-1}/lam_{k-2} while rho <=
+    _MAX_EXTRAPOLATE: lambda grows steadily for most of a solve, so the
+    extrapolated start usually lands nearer the window. A larger jump keeps
+    the start at lam_{k-1}.
+
     warm, when given, maps the step index (from 1) to the lambda accepted at
     that stage of an earlier run, and this run adds its own. It seeds the
-    search ahead of the previous step's lambda: the sliding middle loop runs
-    once per outer trial from nearby anchors, so the same-stage lambda
-    usually lands in the window on the first attempt.
+    search ahead of both: the sliding middle loop runs once per outer trial
+    from nearby anchors, so the same-stage lambda usually lands in the
+    window on the first attempt.
     """
     x = np.array(x0, dtype=np.float64)
     y = x.copy()
     A = 0.0
-    lam_prev = None
+    lam_prev = lam_prev2 = None
     for k in range(1, k_max + 1):
 
         def make_trial(lam: float) -> Trial:
@@ -344,8 +355,10 @@ def accelerated_steps(subproblem, L3: float, x0: Vector, k_max: int,
                               w=lam * 0.75 * L3 * r * r)
 
         seed = warm.get(k) if warm is not None else None
-        t, n_trials = search_lambda(make_trial, L3,
-                                    lam_prev if seed is None else seed, A)
+        if seed is None:
+            rho = lam_prev / lam_prev2 if lam_prev2 is not None else math.inf
+            seed = lam_prev * rho if rho <= _MAX_EXTRAPOLATE else lam_prev
+        t, n_trials = search_lambda(make_trial, L3, seed, A)
         terminal = t.reason in _TERMINAL
         if warm is not None and A > 0.0 and not terminal:
             warm[k] = t.lam
@@ -355,7 +368,7 @@ def accelerated_steps(subproblem, L3: float, x0: Vector, k_max: int,
         x = x - t.a * t.grad_y
         y = t.y
         A = t.A_next
-        lam_prev = t.lam
+        lam_prev2, lam_prev = lam_prev, t.lam
 
 
 def outer_loop(subproblem, L3: float, x0: Vector, cfg: NatmiConfig,

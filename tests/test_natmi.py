@@ -211,6 +211,30 @@ class TestSearchLambdaProperties:
         assert len(calls) == natmi._MAX_TRIALS
 
 
+def test_search_starts_at_extrapolated_lambda(monkeypatch):
+    """From step 3 on, the search starts at lam_{k-1}^2 / lam_{k-2} while
+    lambda grew by at most 2x over the last step, else at lam_{k-1}."""
+    starts = []
+    inner = natmi.search_lambda
+
+    def spy(make_trial, L3, lam_warm, A):
+        starts.append(lam_warm)
+        return inner(make_trial, L3, lam_warm, A)
+
+    monkeypatch.setattr(natmi, "search_lambda", spy)
+    out = harness.run(harness.build_run_config(
+        {"problem": "logreg_fixture", "eps": "1e-9"}))
+    lams = [rec.lam for rec in out.records]
+    branches = set()
+    for k in range(3, len(starts) + 1):
+        rho = lams[k - 2] / lams[k - 3]
+        extrapolated = rho <= natmi._MAX_EXTRAPOLATE
+        branches.add(extrapolated)
+        expected = lams[k - 2] ** 2 / lams[k - 3] if extrapolated else lams[k - 2]
+        assert starts[k - 1] == pytest.approx(expected, rel=1e-12), k
+    assert branches == {True, False}
+
+
 @pytest.fixture(scope="module")
 def logreg_run():
     orc = LogisticLoss(synth_logreg(3, 80, 6), ridge=1e-3)

@@ -15,7 +15,7 @@ import json
 import math
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -241,9 +241,6 @@ def _logreg_fixture(params, seed):
 
 
 def _sliding_bench(params, seed):
-    if seed:
-        raise ConfigError(f"sliding_bench does not read seed (got {seed}); "
-                          "set problem.seed instead (default 11)")
     n = _p_int(params, "n", 8)
     m = _p_int(params, "m", 40)
     bench_seed = _p_int(params, "seed", 11)
@@ -269,6 +266,10 @@ PROBLEMS = {
     "sliding_bench": (_sliding_bench, ("m", "n", "seed")),
 }
 
+#: The problems whose builder reads the top-level seed; the others refuse a
+#: nonzero one rather than ignore it.
+_READS_SEED = ("quadratic", "logreg")
+
 
 def make_problem(cfg: RunConfig) -> ProblemBundle:
     if cfg.problem not in PROBLEMS:
@@ -280,6 +281,9 @@ def make_problem(cfg: RunConfig) -> ProblemBundle:
         takes = ", ".join(f"problem.{key}" for key in keys) or "none"
         raise ConfigError(f"problem {cfg.problem} has no parameter "
                           f"problem.{unknown[0]} (it takes: {takes})")
+    if cfg.seed and cfg.problem not in _READS_SEED:
+        hint = "; set problem.seed instead" if "seed" in keys else ""
+        raise ConfigError(f"{cfg.problem} does not read seed (got {cfg.seed}){hint}")
     try:
         return builder(cfg.problem_params, cfg.seed)
     except ConfigError:
@@ -429,7 +433,8 @@ def baseline_gd(oracle: ProblemOracle, x0: Vector, steps: int,
 
 @dataclass(frozen=True, slots=True)
 class RunOutcome:
-    """summary holds results only; the summary file adds config's echo."""
+    """summary holds results only; the summary file adds config's echo.
+    records are the run's IterationRecords with y set to None."""
 
     config: RunConfig
     records: tuple
@@ -516,6 +521,8 @@ def run(cfg: RunConfig) -> RunOutcome:
     # not claimed to equal the true distance to the optimum.
     summary["r_hat"] = (float(np.linalg.norm(records[-1].y - bundle.x0))
                         if records else 0.0)
+    # A kept outcome drops the iterates: nothing reads them past r_hat.
+    records = tuple(replace(rec, y=None) for rec in records)
     if cfg.trace_path:
         write_trace(cfg.trace_path, records, echo, columns)
     if cfg.summary_path:

@@ -372,8 +372,9 @@ class TestRun:
         assert "final_f=" in text and "config.problem=quartic1d" in text
 
     def test_kept_outcome_is_small(self, tmp_path):
-        """A kept outcome holds its records in slots and its summary holds
-        results only; the summary file still echoes the whole config."""
+        """A kept outcome holds its records in slots, without iterates, and
+        its summary holds results only; the summary file still echoes the
+        whole config."""
         cfg = build_run_config({
             "problem": "logreg", "problem.m": "40", "problem.n": "4",
             "max_iters": "3", "summary": str(tmp_path / "s.txt")})
@@ -381,6 +382,7 @@ class TestRun:
         assert out.records
         for obj in (out, *out.records):
             assert not hasattr(obj, "__dict__")
+        assert all(rec.y is None for rec in out.records)
         assert not [key for key in out.summary if key.startswith("config.")]
         lines = (tmp_path / "s.txt").read_text().splitlines()
         echo = [line for line in lines if line.startswith("config.")]
@@ -667,6 +669,9 @@ _SRC = Path(__file__).resolve().parents[1] / "src"
     ("problem=sliding_bench\nmethod=sliding\ngamma=0\n", 2, "config error: "),
     ("problem=sliding_bench\nmethod=sliding\nxi=2\n", 2, "config error: "),
     ("problem=sliding_bench\nseed=5\n", 2, "config error: "),
+    ("problem=logreg_fixture\nseed=5\n", 2, "config error: "),
+    ("problem=quartic1d\nseed=5\n", 2, "config error: "),
+    ("problem=quartic_chain\nseed=5\n", 2, "config error: "),
     ("problem=quartic_chain\nproblem.n=60\nmethod=natmi_exact\n", 2,
      "config error: "),
     ("problem=quartic1d\ntrace={tmp}/missing/t.csv\n", 2, "config error: "),

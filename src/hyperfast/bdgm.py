@@ -243,8 +243,9 @@ def bregman_step(state: BdgmState, z_i: Vector, g: Vector,
       that safeguard, so a converged step is never bisected away.
 
     s = V (p/(lam + sigma)) is formed only at the final multiplier.
-    bregman_step_dense solves the same equation by bisection with a dense
-    solve per trial radius and serves as the cross-check.
+    tests/crosschecks.py's bregman_step_dense solves the same equation by
+    bisection with a dense solve per trial radius and serves as the
+    cross-check.
     """
     s_i = np.asarray(z_i, dtype=np.float64) - state.x_tilde
     b = _rho_grad(state, s_i) - np.asarray(g, dtype=np.float64) / scale
@@ -291,57 +292,6 @@ def bregman_step(state: BdgmState, z_i: Vector, g: Vector,
             raise SubproblemError("interior radius did not converge")
         sigma = L3 * r * r
     return state.x_tilde + state.evecs @ (p / (evals + sigma))
-
-
-def bregman_step_dense(state: BdgmState, z_i: Vector, g: Vector,
-                       scale: float = STEP_SCALE) -> Vector:
-    """Same contract as bregman_step with a dense solve per trial radius.
-
-    Bisects the radius equation instead of running Newton, so it shares no
-    root-finding logic with bregman_step.
-    """
-    s_i = np.asarray(z_i, dtype=np.float64) - state.x_tilde
-    b = _rho_grad(state, s_i) - np.asarray(g, dtype=np.float64) / scale
-    R = state.ball_radius
-    if float(np.linalg.norm(b)) == 0.0 or R == 0.0:
-        return state.x_tilde.copy()
-
-    def norm_and_vec(sigma):
-        s = np.linalg.solve(state.B + sigma * np.eye(b.size), b)
-        return float(np.linalg.norm(s)), s
-
-    if norm_and_vec(state.L3 * R * R)[0] >= R:
-        # Crossing sits beyond the ball: pin ||s|| = R via the multiplier.
-        sig_lo = state.L3 * R * R
-        sig_hi = max(2.0 * sig_lo, float(np.linalg.norm(b)) / R)
-        for _ in range(200):
-            if norm_and_vec(sig_hi)[0] <= R:
-                break
-            sig_hi *= 2.0
-        else:
-            raise SubproblemError("no upper bracket for the boundary multiplier")
-        for _ in range(200):
-            mid = 0.5 * (sig_lo + sig_hi)
-            if norm_and_vec(mid)[0] > R:
-                sig_lo = mid
-            else:
-                sig_hi = mid
-            if sig_hi - sig_lo <= 1e-13 * sig_hi:
-                break
-        return state.x_tilde + norm_and_vec(sig_hi)[1]
-
-    # Interior: ||s(L3 r^2)|| - r changes sign on (0, R]. It is positive as
-    # r -> 0 because b != 0, and non-positive at r = R by the check above.
-    lo, hi = 0.0, R
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if norm_and_vec(state.L3 * mid * mid)[0] > mid:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-13 * max(1.0, hi):
-            break
-    return state.x_tilde + norm_and_vec(state.L3 * hi * hi)[1]
 
 
 def _accepted_step(state: BdgmState, z: Vector, g_hat: Vector,

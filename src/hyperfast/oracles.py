@@ -1,10 +1,10 @@
-"""Oracle interfaces, call counting, finite-difference checks and the error roots.
+"""Oracle interfaces, call counting and the error roots.
 
 Every solver in this package talks to objectives through :class:`ProblemOracle`:
 a deterministic bundle of value, gradient and Hessian callables with a reported
 third-derivative Lipschitz constant. Problems that can write their third
 derivative analytically also expose directional third-derivative actions,
-which the verification layers use to cross-check the finite-difference route.
+which taylor.ModelSpec uses in place of its finite-difference route.
 
 Oracles are pure functions of their inputs: no internal state, no caching of
 iterates. :class:`CountedOracle` wraps any oracle and counts calls. Its
@@ -19,8 +19,6 @@ from numpy.typing import NDArray
 
 Vector = NDArray[np.float64]
 Matrix = NDArray[np.float64]
-
-_EPS = float(np.finfo(np.float64).eps)
 
 
 class OracleCapabilityError(NotImplementedError):
@@ -209,53 +207,6 @@ def counted(oracle: ProblemOracle) -> CountedOracle:
     return CountedOracle(oracle)
 
 
-def default_fd_step(x: Vector) -> float:
-    # eps^(1/3) balances truncation and roundoff for central differences.
-    return _EPS ** (1.0 / 3.0) * max(1.0, float(np.linalg.norm(x)))
-
-
-def fd_check_grad(oracle: ProblemOracle, x: Vector, h: float | None = None) -> float:
-    """Relative error of the analytic gradient against central differences.
-
-    Returns ||grad f(x) - fd||/max(1, ||grad f(x)||) with one central
-    difference of the value per coordinate.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    if h is None:
-        h = default_fd_step(x)
-    g = oracle.grad(x)
-    fd = np.empty_like(g)
-    for i in range(x.size):
-        e = np.zeros_like(x)
-        e[i] = h
-        fd[i] = (oracle.value(x + e) - oracle.value(x - e)) / (2.0 * h)
-    if not np.all(np.isfinite(fd)):
-        raise FloatingPointError("non-finite finite-difference gradient")
-    return float(np.linalg.norm(g - fd) / max(1.0, np.linalg.norm(g)))
-
-
-def fd_check_hess(oracle: ProblemOracle, x: Vector, h: float | None = None) -> float:
-    """Relative error of the analytic Hessian against gradient differences."""
-    x = np.asarray(x, dtype=np.float64)
-    if h is None:
-        h = default_fd_step(x)
-    H = oracle.hess(x)
-    fd = np.empty_like(H)
-    for j in range(x.size):
-        e = np.zeros_like(x)
-        e[j] = h
-        fd[:, j] = (oracle.grad(x + e) - oracle.grad(x - e)) / (2.0 * h)
-    if not np.all(np.isfinite(fd)):
-        raise FloatingPointError("non-finite finite-difference Hessian")
-    return float(np.linalg.norm(H - fd) / max(1.0, np.linalg.norm(H)))
-
-
 def operator_norm(H: Matrix) -> float:
     """Largest absolute eigenvalue of a symmetric matrix."""
     return float(np.max(np.abs(np.linalg.eigvalsh(H))))
-
-
-def symmetry_defect(H: Matrix) -> float:
-    """||H - H^T|| relative to 1 + ||H||, for Hessian sanity checks."""
-    H = np.asarray(H, dtype=np.float64)
-    return float(np.linalg.norm(H - H.T) / (1.0 + np.linalg.norm(H)))

@@ -93,8 +93,8 @@ class LogisticLoss(ProblemOracle):
 
     def __init__(self, data: Dataset, ridge: float = 0.0):
         ridge = float(ridge)
-        if ridge < 0.0:
-            raise ValueError("ridge must be non-negative")
+        if not (np.isfinite(ridge) and ridge >= 0.0):
+            raise ValueError(f"ridge must be non-negative and finite, got {ridge}")
         row_fourth = float(np.mean(np.sum(data.features**2, axis=1) ** 2))
         # The ridge is quadratic so it adds nothing to the third derivative.
         super().__init__(data.n, _LOGISTIC_C3 * row_fourth)

@@ -38,7 +38,7 @@ from .natmi import (
     outer_loop,
 )
 from .oracles import ConfigError, ProblemOracle, Vector, counted
-from .taylor import MembershipResult, ModelSpec, float_slack, model_grad
+from .taylor import ModelSpec, float_slack
 
 #: Middle-loop steps allowed per outer trial before the solve fails.
 _MIDDLE_K_MAX = 300
@@ -83,22 +83,6 @@ class CompositeProblem:
 
     def grad(self, y: Vector) -> Vector:
         return self.g.grad(y) + self.h.grad(y)
-
-
-def composite_membership(prob: CompositeProblem, x_tilde: Vector, T: Vector,
-                         gamma: float = 1.0 / 6.0):
-    """Relative residual of the composite subproblem answer T.
-
-    Returns (lhs, rhs, member): lhs is the norm of [gradient of g's model at
-    T] + grad h(T), rhs is gamma * ||grad f(T)||, and member allows the same
-    absolute slack as the single-function membership check.
-    """
-    spec = ModelSpec(prob.g, x_tilde, 1.5 * prob.g.lipschitz_L3)
-    gh_T = prob.h.grad(T)
-    lhs = float(np.linalg.norm(model_grad(spec, T) + gh_T))
-    rhs = float(gamma) * float(np.linalg.norm(prob.g.grad(T) + gh_T))
-    anchor_norm = float(np.linalg.norm(spec.grad_anchor + prob.h.grad(x_tilde)))
-    return MembershipResult(lhs, rhs, lhs <= rhs + float_slack(anchor_norm))
 
 
 def _middle_solve(cfg: NatmiConfig, prob: CompositeProblem, gspec: ModelSpec,

@@ -17,7 +17,6 @@ from hyperfast.bdgm import (
     SubproblemError,
     approx_grad,
     bregman_step,
-    bregman_step_dense,
 )
 from hyperfast.oracles import ProblemOracle, SumOracle, counted
 from hyperfast.problems import (
@@ -33,6 +32,8 @@ from hyperfast.taylor import (
     model_grad,
     model_value,
 )
+
+from crosschecks import bregman_step_dense
 
 # 3e-6 / (8*(2+sqrt(2))), the difference step at delta=1e-6, unit gradient.
 TAU_EXAMPLE = 1.0983495705504468e-07

@@ -23,9 +23,11 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from hyperfast import bdgm  # noqa: E402
-from hyperfast.bdgm import STEP_SCALE, bregman_step, bregman_step_dense  # noqa: E402
+from hyperfast.bdgm import STEP_SCALE, bregman_step  # noqa: E402
 from hyperfast.problems import LogisticLoss, QuarticObjective, synth_logreg  # noqa: E402
 from hyperfast.taylor import ModelSpec, membership_residual  # noqa: E402
+
+from crosschecks import bregman_step_dense  # noqa: E402
 
 #: Radius evaluations allowed per Bregman step (the bisection it replaced
 #: averaged about 43).

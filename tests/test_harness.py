@@ -651,6 +651,8 @@ _SRC = Path(__file__).resolve().parents[1] / "src"
 @pytest.mark.parametrize("config, code, stderr_start", [
     ("problem=quartic1d\neps=1e-6 # tight\nmax_iters=3\n", 0, None),
     ("problem=logreg\nproblem.ridge=-1\n", 2, "config error: "),
+    ("problem=logreg\nproblem.ridge=nan\n", 2, "config error: "),
+    ("problem=logreg\nproblem.ridge=inf\n", 2, "config error: "),
     ("problem=quadratic\nproblem.n=0\n", 2, "config error: "),
     ("problem=quartic1d\neps=nan\n", 2, "config error: "),
     ("problem=quartic1d\neps=inf\n", 2, "config error: "),

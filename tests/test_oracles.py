@@ -11,12 +11,11 @@ from hyperfast.oracles import (
     SumOracle,
     ZeroOracle,
     counted,
-    fd_check_grad,
-    fd_check_hess,
     operator_norm,
-    symmetry_defect,
 )
 from hyperfast.problems import QuarticObjective, synth_logreg, LogisticLoss
+
+from crosschecks import fd_check_grad, fd_check_hess
 
 
 def _random_quartic(rng, n):
@@ -178,10 +177,3 @@ class TestMatrixHelpers:
         M = rng.standard_normal((5, 5))
         S = M + M.T
         assert operator_norm(S) == pytest.approx(np.linalg.norm(S, 2), rel=1e-12)
-
-    def test_symmetry_defect(self):
-        rng = np.random.default_rng(8)
-        M = rng.standard_normal((4, 4))
-        S = M + M.T
-        assert symmetry_defect(S) == 0.0
-        assert symmetry_defect(S + 1e-3 * np.triu(np.ones((4, 4)), 1)) > 0.0

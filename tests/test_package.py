@@ -1,5 +1,6 @@
 """The package's public names, its runtime imports, its two exception
-roots, and no unused imports in the source or tests."""
+roots, no unused imports in the source or tests, and no function in the
+source that only the tests call."""
 
 import ast
 import builtins
@@ -102,3 +103,44 @@ def test_no_unused_top_level_imports():
     assert files
     unused = [entry for path in files for entry in _unused_imports(path)]
     assert unused == []
+
+
+#: Functions with no runtime caller that still belong in src/, each with why.
+_NO_CALLER_ALLOWED = {
+    "read_trace": "reads back the format harness.write_trace writes",
+    "reset": "part of CountedOracle's counter API",
+    "sampled_l3": "the L3 estimate a wrong-L3 diagnostic will call (ROADMAP item 4)",
+}
+
+
+def test_every_src_function_has_a_runtime_caller():
+    """Every top-level function and class method under src/ is named
+    somewhere in src/, perfbench/ or scripts/, as a string constant in
+    perfbench/ (the tracer binds by name), or in hyperfast.__all__. Code
+    only the tests call lives under tests/ (crosschecks.py)."""
+    defined = {}
+    reached = set(hyperfast.__all__)
+    for top in ("src", "perfbench", "scripts"):
+        for path in sorted((ROOT / top).rglob("*.py")):
+            tree = ast.parse(path.read_text(), filename=str(path))
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Name):
+                    reached.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    reached.add(node.attr)
+                elif (top == "perfbench" and isinstance(node, ast.Constant)
+                      and isinstance(node.value, str)):
+                    reached.add(node.value)
+            if top != "src":
+                continue
+            for node in tree.body:
+                body = node.body if isinstance(node, ast.ClassDef) else [node]
+                for fn in body:
+                    if (isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+                            and not (fn.name.startswith("__") and fn.name.endswith("__"))):
+                        defined[fn.name] = f"{path.relative_to(ROOT)}:{fn.lineno}"
+    unreached = sorted(f"{where}: {name}" for name, where in defined.items()
+                       if name not in reached and name not in _NO_CALLER_ALLOWED)
+    assert unreached == []
+    # An allowlisted name that gained a caller leaves the list.
+    assert sorted(name for name in _NO_CALLER_ALLOWED if name in reached) == []

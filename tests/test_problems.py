@@ -11,7 +11,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import expit
 
-from hyperfast.oracles import fd_check_grad
 from hyperfast.problems import (
     Dataset,
     LogisticLoss,
@@ -21,6 +20,8 @@ from hyperfast.problems import (
     synth_logreg,
 )
 from hyperfast.taylor import ModelSpec, model_grad, model_value
+
+from crosschecks import fd_check_grad
 
 
 class TestSynthLogreg:

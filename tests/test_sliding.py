@@ -12,13 +12,11 @@ import pytest
 from hyperfast.natmi import NatmiConfig, solve as natmi_solve
 from hyperfast.oracles import ConfigError, ProblemOracle, ZeroOracle
 from hyperfast.problems import QuarticObjective
-from hyperfast.sliding import (
-    CompositeProblem,
-    composite_membership,
-    solve_sliding,
-)
+from hyperfast.sliding import CompositeProblem, solve_sliding
 from hyperfast.taylor import (ModelSpec, membership_residual, model_grad, model_hess,
                              model_value, newton_min)
+
+from crosschecks import composite_membership
 
 
 def _newton_composite_min(spec, h, y0, tol=1e-12):

@@ -55,6 +55,40 @@ class Dataset:
         return self.features.shape[1]
 
 
+#: Elements per row block of a pass over the m x n features (the weighted
+#: Gram, the row norms): a block's temporary is 256 KB at any m.
+_BLOCK = 1 << 15
+
+
+def _row_blocks(m: int, n: int) -> list[slice]:
+    """Consecutive row slices of at most _BLOCK elements (one row if n is
+    larger); a single slice when m*n <= _BLOCK."""
+    step = max(1, _BLOCK // n)
+    return [slice(i, min(i + step, m)) for i in range(0, m, step)]
+
+
+def _weighted_gram(A: Matrix, w: Vector) -> Matrix:
+    """A' diag(w) A, summed over row blocks. One block is the single product
+    A.T @ (w[:, None] * A). Each further block's product is added in row
+    panels of a quarter block, so no n x n partial is held: the call peaks at
+    the n x n result plus 1.25 blocks."""
+    first, *rest = _row_blocks(*A.shape)
+    gram = A[first].T @ (w[first, None] * A[first])
+    if rest:
+        n = A.shape[1]
+        height = max(1, _BLOCK // (4 * n))
+        scaled = np.empty_like(A[first])
+        panel = np.empty((min(height, n), n))
+        for rows in rest:
+            block = np.multiply(w[rows, None], A[rows],
+                                out=scaled[: rows.stop - rows.start])
+            for i in range(0, n, height):
+                out = panel[: min(height, n - i)]
+                np.matmul(A[rows, i:i + height].T, block, out=out)
+                gram[i:i + height] += out
+    return gram
+
+
 def synth_logreg(seed: int, m: int, n: int) -> Dataset:
     """Synthetic classification data with a planted separator.
 
@@ -66,7 +100,8 @@ def synth_logreg(seed: int, m: int, n: int) -> Dataset:
         raise ValueError("m and n must be positive")
     rng = np.random.default_rng(seed)
     feats = rng.standard_normal((m, n))
-    norms = np.linalg.norm(feats, axis=1)
+    norms = np.concatenate([np.linalg.norm(feats[rows], axis=1)
+                            for rows in _row_blocks(m, n)])
     if np.any(norms == 0.0):
         raise ValueError("degenerate zero feature row")
     feats /= norms[:, None]
@@ -87,6 +122,14 @@ class LogisticLoss(ProblemOracle):
     """Mean logistic loss plus an L2 ridge term.
 
     f(x) = (1/m) sum_k log(1 + exp(-y_k <a_k, x>)) + (ridge/2)*||x||^2.
+
+    The oracle holds one m x n array, the caller's data.features, and no
+    call makes another. The labels act on m-vectors: y*(A @ x) equals the
+    label-signed product exactly, since a sign flip rounds nothing. The
+    weighted Gram A' diag(w) A of hess and third_dir, like the row norms
+    behind L3, runs over row blocks of _BLOCK elements. Every result is
+    bit-identical to the label-signed formulas, except a Gram past one block
+    (m*n > _BLOCK), whose sum is regrouped by block: a roundoff change.
     """
 
     has_third = True
@@ -95,20 +138,28 @@ class LogisticLoss(ProblemOracle):
         ridge = float(ridge)
         if not (np.isfinite(ridge) and ridge >= 0.0):
             raise ValueError(f"ridge must be non-negative and finite, got {ridge}")
-        row_fourth = float(np.mean(np.sum(data.features**2, axis=1) ** 2))
+        A = data.features
+        row_sq = np.concatenate([np.sum(A[rows] ** 2, axis=1)
+                                 for rows in _row_blocks(data.m, data.n)])
         # The ridge is quadratic so it adds nothing to the third derivative.
-        super().__init__(data.n, _LOGISTIC_C3 * row_fourth)
+        super().__init__(data.n, _LOGISTIC_C3 * float(np.mean(row_sq**2)))
         self.data = data
         self.ridge = ridge
-        # Each row times its label: _signed @ x is y*<a, x> exactly (a sign
-        # flip rounds nothing), and y**2 = 1 leaves every outer product a*a'.
-        self._signed = data.labels[:, None] * data.features
+        # -y/m per row: the gradient's coefficients with the labels folded in.
+        self._grad_scale = -data.labels / data.m
 
-    def _sigmoid(self, x: Vector, scale: float = 1.0) -> Vector:
+    def _signed_margin(self, x: Vector) -> Vector:
+        """y*<a, x> per row, in a new array."""
+        t = self.data.features @ x
+        t *= self.data.labels
+        return t
+
+    def _sigmoid(self, x: Vector, scale=1.0) -> Vector:
         """scale*expit(-y*<a, x>) = scale/(1 + exp(y*<a, x>)) per row, in a
-        new array. Exponents are capped at 709, below exp's overflow, so a
-        sigma under 1.2e-308 comes out as 1.2e-308."""
-        s = self._signed @ x
+        new array; scale is a number or an m-vector. Exponents are capped at
+        709, below exp's overflow, so a sigma under 1.2e-308 comes out as
+        1.2e-308."""
+        s = self._signed_margin(x)
         np.minimum(s, 709.0, out=s)
         np.exp(s, out=s)
         s += 1.0
@@ -116,20 +167,22 @@ class LogisticLoss(ProblemOracle):
 
     def value(self, x: Vector) -> float:
         x = self._check_point(x)
-        t = -(self._signed @ x)
+        t = -self._signed_margin(x)
         return float(np.mean(np.logaddexp(0.0, t)) + 0.5 * self.ridge * (x @ x))
 
     def grad(self, x: Vector) -> Vector:
         x = self._check_point(x)
-        coeff = self._sigmoid(x, -1.0 / self.data.m)
-        return self._signed.T @ coeff + self.ridge * x
+        coeff = self._sigmoid(x, self._grad_scale)
+        return self.data.features.T @ coeff + self.ridge * x
 
     def hess(self, x: Vector) -> Matrix:
         x = self._check_point(x)
-        s = self._sigmoid(x)
-        w = s * (1.0 - s) / self.data.m
-        W = self._signed
-        return W.T @ (w[:, None] * W) + self.ridge * np.eye(self.dim)
+        w = self._sigmoid(x)
+        w *= 1.0 - w
+        w /= self.data.m
+        gram = _weighted_gram(self.data.features, w)
+        gram.reshape(-1)[:: self.dim + 1] += self.ridge
+        return gram
 
     def _psi3(self, x: Vector) -> Vector:
         s = self._sigmoid(x)
@@ -137,16 +190,16 @@ class LogisticLoss(ProblemOracle):
 
     def third_action(self, x: Vector, s: Vector) -> Vector:
         x = self._check_point(x)
-        u = self._signed @ np.asarray(s, dtype=np.float64)
+        u = self.data.features @ np.asarray(s, dtype=np.float64)
         coeff = -self._psi3(x) * u**2 / self.data.m
-        return self._signed.T @ coeff
+        coeff *= self.data.labels
+        return self.data.features.T @ coeff
 
     def third_dir(self, x: Vector, s: Vector) -> Matrix:
         x = self._check_point(x)
-        u = self._signed @ np.asarray(s, dtype=np.float64)
+        u = self._signed_margin(np.asarray(s, dtype=np.float64))
         coeff = -self._psi3(x) * u / self.data.m
-        W = self._signed
-        return W.T @ (coeff[:, None] * W)
+        return _weighted_gram(self.data.features, coeff)
 
 
 class QuarticObjective(ProblemOracle):

@@ -30,6 +30,7 @@ import numpy as np
 
 from . import bdgm
 from .oracles import ConfigError, ProblemOracle, SolverError, Vector, counted, operator_norm
+from .problems import sampled_l3
 from .taylor import EXACT_MAX_DIM, ModelSpec, exact_model_min, model_grad
 
 WINDOW_LO = 0.5
@@ -468,9 +469,20 @@ def _total(counts: dict, kind: str) -> int:
 
 
 def solve(cfg: NatmiConfig, oracle: ProblemOracle, x0: Vector) -> SolveResult:
-    """Run the outer loop from x0 until k_max, grad_tol, or a terminal state."""
+    """Run the outer loop from x0 until k_max, grad_tol, or a terminal state.
+
+    An inner solve that finds no certificate most often means the reported
+    L3 is below the true one, so that failure's message adds the
+    problems.sampled_l3 estimate beside it; a run that does not fail this
+    way never takes the estimate."""
     if cfg.subsolver not in ("bdgm", "exact"):
         raise ConfigError(f"unknown subsolver {cfg.subsolver!r}")
     co = counted(oracle)
-    return outer_loop(oracle_subproblem(cfg, co), co.lipschitz_L3, x0, cfg,
-                      co, lambda: co.counts)
+    try:
+        return outer_loop(oracle_subproblem(cfg, co), co.lipschitz_L3, x0, cfg,
+                          co, lambda: co.counts)
+    except bdgm.SubproblemError as exc:
+        if str(exc).startswith("no certificate"):
+            exc.args = (f"{exc}; reported L3 {oracle.lipschitz_L3:.3g}, "
+                        f"sampled_l3 estimate {sampled_l3(oracle):.3g}",)
+        raise

@@ -109,7 +109,6 @@ def test_no_unused_top_level_imports():
 _NO_CALLER_ALLOWED = {
     "read_trace": "reads back the format harness.write_trace writes",
     "reset": "part of CountedOracle's counter API",
-    "sampled_l3": "the L3 estimate a wrong-L3 diagnostic will call (ROADMAP item 4)",
 }
 
 

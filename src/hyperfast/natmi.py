@@ -471,8 +471,8 @@ def _total(counts: dict, kind: str) -> int:
 def solve(cfg: NatmiConfig, oracle: ProblemOracle, x0: Vector) -> SolveResult:
     """Run the outer loop from x0 until k_max, grad_tol, or a terminal state.
 
-    An inner solve that finds no certificate most often means the reported
-    L3 is below the true one, so that failure's message adds the
+    An inner solve that finds no certificate can mean the reported L3 is
+    below the true one, so that failure's message adds the
     problems.sampled_l3 estimate beside it; a run that does not fail this
     way never takes the estimate."""
     if cfg.subsolver not in ("bdgm", "exact"):

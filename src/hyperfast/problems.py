@@ -7,7 +7,7 @@ Three analytic families cover the verification needs:
   the primary exact-verification instances.
 * :class:`LogisticLoss` -- regularized logistic regression on a dataset with
   labels in {-1, +1}. Its sigmoid is computed in numpy, so the package
-  needs numpy alone at run time.
+  needs numpy alone at run time, and it holds no copy of the features.
 * :class:`QuarticChain` -- sum of fourth powers of consecutive differences,
   the classic hard instance for first-order methods.
 
@@ -70,13 +70,13 @@ def _row_blocks(m: int, n: int) -> list[slice]:
 def _weighted_gram(A: Matrix, w: Vector) -> Matrix:
     """A' diag(w) A, summed over row blocks. One block is the single product
     A.T @ (w[:, None] * A). Each further block's product is added in row
-    panels of a quarter block, so no n x n partial is held: the call peaks at
-    the n x n result plus 1.25 blocks."""
+    panels of a third of a block, so no n x n partial is held: the call
+    peaks at the n x n result plus 4/3 blocks."""
     first, *rest = _row_blocks(*A.shape)
     gram = A[first].T @ (w[first, None] * A[first])
     if rest:
         n = A.shape[1]
-        height = max(1, _BLOCK // (4 * n))
+        height = max(1, _BLOCK // (3 * n))
         scaled = np.empty_like(A[first])
         panel = np.empty((min(height, n), n))
         for rows in rest:
@@ -124,12 +124,13 @@ class LogisticLoss(ProblemOracle):
     f(x) = (1/m) sum_k log(1 + exp(-y_k <a_k, x>)) + (ridge/2)*||x||^2.
 
     The oracle holds one m x n array, the caller's data.features, and no
-    call makes another. The labels act on m-vectors: y*(A @ x) equals the
-    label-signed product exactly, since a sign flip rounds nothing. The
-    weighted Gram A' diag(w) A of hess and third_dir, like the row norms
-    behind L3, runs over row blocks of _BLOCK elements. Every result is
-    bit-identical to the label-signed formulas, except a Gram past one block
-    (m*n > _BLOCK), whose sum is regrouped by block: a roundoff change.
+    call makes another. The labels act on m-vectors: y*(A @ x) equals
+    (y*A) @ x exactly, since a sign flip rounds nothing. The weighted Gram
+    A' diag(w) A of hess and third_dir, like the row norms behind L3, runs
+    over row blocks of _BLOCK elements. So every result equals the formulas
+    on W = y*A over all rows at once (tests/crosschecks.py) bit for bit,
+    except a Gram past one block (m*n > _BLOCK), whose sum is regrouped by
+    block: a roundoff change.
     """
 
     has_third = True
@@ -154,7 +155,7 @@ class LogisticLoss(ProblemOracle):
         t *= self.data.labels
         return t
 
-    def _sigmoid(self, x: Vector, scale=1.0) -> Vector:
+    def _sigmoid(self, x: Vector, scale: float | Vector = 1.0) -> Vector:
         """scale*expit(-y*<a, x>) = scale/(1 + exp(y*<a, x>)) per row, in a
         new array; scale is a number or an m-vector. Exponents are capped at
         709, below exp's overflow, so a sigma under 1.2e-308 comes out as
@@ -197,8 +198,8 @@ class LogisticLoss(ProblemOracle):
 
     def third_dir(self, x: Vector, s: Vector) -> Matrix:
         x = self._check_point(x)
-        u = self._signed_margin(np.asarray(s, dtype=np.float64))
-        coeff = -self._psi3(x) * u / self.data.m
+        coeff = -self._psi3(x) * self._signed_margin(np.asarray(s, dtype=np.float64))
+        coeff /= self.data.m
         return _weighted_gram(self.data.features, coeff)
 
 

@@ -11,6 +11,8 @@ mode puts ``tests/`` on ``sys.path``.
   every hand-written gradient and Hessian.
 * ``composite_membership``: the composite membership residual recomputed
   from its parts, against the inline test in ``sliding._middle_solve``.
+* ``label_signed_logistic``: the logistic oracle's former formulas on a
+  label-signed copy of the features, against ``problems.LogisticLoss``.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ import numpy as np
 
 from hyperfast.bdgm import STEP_SCALE, BdgmState, SubproblemError, _rho_grad
 from hyperfast.oracles import ProblemOracle, Vector
+from hyperfast.problems import LogisticLoss
 from hyperfast.sliding import CompositeProblem
 from hyperfast.taylor import MembershipResult, ModelSpec, float_slack, model_grad
 
@@ -131,3 +134,31 @@ def composite_membership(prob: CompositeProblem, x_tilde: Vector, T: Vector,
     rhs = float(gamma) * float(np.linalg.norm(prob.g.grad(T) + gh_T))
     anchor_norm = float(np.linalg.norm(spec.grad_anchor + prob.h.grad(x_tilde)))
     return MembershipResult(lhs, rhs, lhs <= rhs + float_slack(anchor_norm))
+
+
+def label_signed_logistic(orc: LogisticLoss, x: Vector, d: Vector) -> dict:
+    """Each LogisticLoss output at x (third derivatives along d), and L3,
+    by the formulas the oracle used while it kept W = y*A, a label-signed
+    copy of the features, and took every product over all m rows at once."""
+    A, y, m, ridge = orc.data.features, orc.data.labels, orc.data.m, orc.ridge
+    W = y[:, None] * A
+
+    def sigmoid(scale=1.0):
+        s = W @ x
+        np.minimum(s, 709.0, out=s)
+        np.exp(s, out=s)
+        s += 1.0
+        return np.divide(scale, s, out=s)
+
+    s = sigmoid()
+    w = s * (1.0 - s) / m
+    psi3 = s * (1.0 - s) * (1.0 - 2.0 * s)
+    u = W @ d
+    return {
+        "L3": 0.125 * float(np.mean(np.sum(A**2, axis=1) ** 2)),
+        "value": float(np.mean(np.logaddexp(0.0, -(W @ x))) + 0.5 * ridge * (x @ x)),
+        "grad": W.T @ sigmoid(-1.0 / m) + ridge * x,
+        "hess": W.T @ (w[:, None] * W) + ridge * np.eye(orc.dim),
+        "third_action": W.T @ (-psi3 * u**2 / m),
+        "third_dir": W.T @ ((-psi3 * u / m)[:, None] * W),
+    }

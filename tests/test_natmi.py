@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hyperfast import harness, natmi
+from hyperfast.bdgm import SubproblemError
 from hyperfast.harness import reference_fstar
 from hyperfast.natmi import (
     LambdaSearchError,
@@ -363,6 +364,34 @@ class TestInexactMarginOnQuadratics:
             "eps": "1e-9", "max_iters": "100"})
         out = harness.run(cfg)
         assert all(rec.sigma_observed <= 0.6 for rec in out.records)
+
+
+class TestWrongL3Hint:
+    """A quartic whose L3 (3) is reported at 1e-2: the inner solve finds no
+    certificate, and the one-line message names problems.sampled_l3's
+    estimate beside the reported constant. A run that does not fail that
+    way never takes the estimate."""
+
+    def quartic(self):
+        return QuarticObjective(np.eye(3), np.ones(3), 0.5)
+
+    def test_no_certificate_names_the_sampled_estimate(self):
+        orc = self.quartic()
+        orc.lipschitz_L3 *= 1e-2
+        with pytest.raises(SubproblemError) as info:
+            solve(NatmiConfig(eps=1e-9, k_max=30), orc, np.zeros(3))
+        message = str(info.value)
+        assert message.startswith("no certificate in 10000 iterations (last lhs ")
+        assert message.endswith("; reported L3 0.03, sampled_l3 estimate 2.97")
+        assert "\n" not in message
+
+    def test_good_run_takes_no_estimate(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("sampled_l3 called on a good run")
+
+        monkeypatch.setattr(natmi, "sampled_l3", refuse)
+        res = solve(NatmiConfig(eps=1e-9, k_max=30), self.quartic(), np.zeros(3))
+        assert res.converged
 
 
 class TestSolveEndToEnd:

@@ -1,8 +1,10 @@
 """Problem-oracle tests: dataset validation and synthesis, hand-checked
-derivative values, the logistic sigmoid kernel against scipy's expit,
+derivative values, the logistic kernel against scipy's expit and against
+its former label-signed formulas, the logistic oracle's memory contract,
 smoothness constants, and the fourth-order remainder bounds every oracle
 must honor with its own reported constant."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -12,6 +14,7 @@ from hypothesis import strategies as st
 from scipy.special import expit
 
 from hyperfast.problems import (
+    _BLOCK,
     Dataset,
     LogisticLoss,
     QuarticChain,
@@ -21,7 +24,7 @@ from hyperfast.problems import (
 )
 from hyperfast.taylor import ModelSpec, model_grad, model_value
 
-from crosschecks import fd_check_grad
+from crosschecks import fd_check_grad, label_signed_logistic
 
 
 class TestSynthLogreg:
@@ -126,11 +129,15 @@ def _outputs(orc, x, d):
 
 
 @st.composite
-def _logistic_points(draw):
+def _logistic_points(draw, one_block=False):
     """A logistic instance, a point whose norm spans 1e-6..2e3 (so some
-    margins overflow exp), and a direction."""
-    m = draw(st.integers(1, 60))
+    margins overflow exp), and a direction. Unless one_block, some instances
+    span two or three row blocks, so the Gram sums blocks."""
     n = draw(st.integers(1, 8))
+    rows = _BLOCK // n
+    sizes = st.integers(1, 60) if one_block else st.one_of(
+        st.integers(1, 60), st.integers(rows + 1, 3 * rows))
+    m = draw(sizes)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     ridge = draw(st.one_of(st.just(0.0), st.floats(1e-6, 1.0)))
     orc = LogisticLoss(synth_logreg(int(rng.integers(2**31)), m, n), ridge=ridge)
@@ -139,8 +146,9 @@ def _logistic_points(draw):
 
 
 class TestLogisticKernel:
-    """The numpy sigmoid on label-signed features against scipy's expit on
-    the plain ones. Each sigma agrees to a few ulps (numpy's exp and libm's
+    """The numpy sigmoid, with the labels applied to m-vectors, and the
+    row-blocked Gram against scipy's expit and one product over all rows.
+    Each sigma agrees to a few ulps (numpy's exp and libm's
     differ by one ulp now and then), and a sum of m terms then differs by
     roundoff that grows like sqrt(m): the bound is ULPS*eps*sqrt(m) times
     the sum of the absolute terms. The worst over 160,000 random draws was
@@ -171,6 +179,79 @@ class TestLogisticKernel:
             got = _outputs(orc, x, d)
         assert all(np.all(np.isfinite(v)) for v in got.values())
         self.assert_matches_reference(orc, x, d, got)
+
+
+class TestLabelSignedPin:
+    """Within one row block (m*n <= _BLOCK, every golden's size) each output
+    and L3 equal the former label-signed formulas bit for bit: a sign flip
+    rounds nothing, and one block is one product."""
+
+    def assert_bitwise(self, orc, x, d):
+        old = label_signed_logistic(orc, x, d)
+        new = _outputs(orc, x, d)
+        assert orc.lipschitz_L3 == old.pop("L3")
+        for name, value in old.items():
+            assert np.array_equal(new[name], value), name
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(case=_logistic_points(one_block=True))
+    def test_small_instances(self, case):
+        self.assert_bitwise(*case)
+
+    @pytest.mark.parametrize("seed, m, n", [(7, 200, 20), (3, 30, 30), (4, _BLOCK // 16, 16)])
+    def test_golden_and_full_block_sizes(self, seed, m, n):
+        orc = LogisticLoss(synth_logreg(seed, m, n), ridge=1e-3)
+        rng = np.random.default_rng(seed)
+        self.assert_bitwise(orc, 0.5 * rng.standard_normal(n), rng.standard_normal(n))
+
+
+class TestLogisticMemory:
+    """The oracle holds one m x n array, the caller's features, and no call
+    makes a second: at m = 2000, n = 200 (3.2 MB of features) each call
+    peaks below a quarter of the features, and synthesis below 1.25 of them.
+    Every measured call runs once before, so numpy's one-time allocations
+    do not count."""
+
+    M, N = 2000, 200
+    FEATURES = M * N * 8
+
+    @staticmethod
+    def traced(call):
+        """What call returns, the bytes it keeps, and the most it held."""
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            result = call()
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return result, kept - before, peak - before
+
+    def test_synthesis_peak(self):
+        synth_logreg(1, 30, 4)
+        data, _, peak = self.traced(lambda: synth_logreg(7, self.M, self.N))
+        assert data.features.shape == (self.M, self.N)
+        assert peak < 1.25 * self.FEATURES
+
+    def test_oracle_keeps_no_second_matrix(self):
+        data = synth_logreg(7, self.M, self.N)
+        orc, kept, _ = self.traced(lambda: LogisticLoss(data, ridge=1e-3))
+        assert orc.data is data
+        arrays = [v for v in vars(orc).values() if isinstance(v, np.ndarray)]
+        assert all(a.size < self.M * self.N for a in arrays)
+        assert kept < self.FEATURES / 4
+
+    @pytest.mark.parametrize("name", ["value", "grad", "hess", "third_action", "third_dir"])
+    def test_call_peak(self, name):
+        orc = LogisticLoss(synth_logreg(7, self.M, self.N), ridge=1e-3)
+        rng = np.random.default_rng(3)
+        x, d = 0.3 * rng.standard_normal(self.N), rng.standard_normal(self.N)
+        args = (x,) if name in ("value", "grad", "hess") else (x, d)
+        call = getattr(orc, name)
+        call(*args)
+        _, _, peak = self.traced(lambda: call(*args))
+        assert peak <= self.FEATURES / 4
 
 
 class TestQuarticObjective:

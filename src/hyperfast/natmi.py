@@ -482,7 +482,7 @@ def solve(cfg: NatmiConfig, oracle: ProblemOracle, x0: Vector) -> SolveResult:
         return outer_loop(oracle_subproblem(cfg, co), co.lipschitz_L3, x0, cfg,
                           co, lambda: co.counts)
     except bdgm.SubproblemError as exc:
-        if str(exc).startswith("no certificate"):
+        if str(exc).startswith("no certificate"):  # bdgm.solve ran out of steps
             exc.args = (f"{exc}; reported L3 {oracle.lipschitz_L3:.3g}, "
                         f"sampled_l3 estimate {sampled_l3(oracle):.3g}",)
         raise

@@ -67,6 +67,11 @@ def _row_blocks(m: int, n: int) -> list[slice]:
     return [slice(i, min(i + step, m)) for i in range(0, m, step)]
 
 
+def _row_sq_norms(A: Matrix) -> Vector:
+    """||a_k||^2 for each row a_k of A, one row block at a time."""
+    return np.concatenate([np.sum(A[rows] ** 2, axis=1) for rows in _row_blocks(*A.shape)])
+
+
 def _weighted_gram(A: Matrix, w: Vector) -> Matrix:
     """A' diag(w) A, summed over row blocks. One block is the single product
     A.T @ (w[:, None] * A). Each further block's product is added in row
@@ -100,8 +105,7 @@ def synth_logreg(seed: int, m: int, n: int) -> Dataset:
         raise ValueError("m and n must be positive")
     rng = np.random.default_rng(seed)
     feats = rng.standard_normal((m, n))
-    norms = np.concatenate([np.linalg.norm(feats[rows], axis=1)
-                            for rows in _row_blocks(m, n)])
+    norms = np.sqrt(_row_sq_norms(feats))
     if np.any(norms == 0.0):
         raise ValueError("degenerate zero feature row")
     feats /= norms[:, None]
@@ -139,11 +143,9 @@ class LogisticLoss(ProblemOracle):
         ridge = float(ridge)
         if not (np.isfinite(ridge) and ridge >= 0.0):
             raise ValueError(f"ridge must be non-negative and finite, got {ridge}")
-        A = data.features
-        row_sq = np.concatenate([np.sum(A[rows] ** 2, axis=1)
-                                 for rows in _row_blocks(data.m, data.n)])
+        row_fourth = float(np.mean(_row_sq_norms(data.features) ** 2))
         # The ridge is quadratic so it adds nothing to the third derivative.
-        super().__init__(data.n, _LOGISTIC_C3 * float(np.mean(row_sq**2)))
+        super().__init__(data.n, _LOGISTIC_C3 * row_fourth)
         self.data = data
         self.ridge = ridge
         # -y/m per row: the gradient's coefficients with the labels folded in.

@@ -191,7 +191,7 @@ def approx_grad(state: BdgmState, z: Vector) -> Vector:
     second difference along s) + L3*||s||^2 * s, the last term the oracle's
     regularizer at H = XI*L3, plus model's exact gradient when given."""
     s = np.asarray(z, dtype=np.float64) - state.x_tilde
-    if not np.any(s):
+    if not s.any():
         return state.g0.copy()
     fd3 = fd_third_action(state.oracle, state.x_tilde, s, state.tau_used,
                           g0=state.oracle_g0)
@@ -203,7 +203,14 @@ def approx_grad(state: BdgmState, z: Vector) -> Vector:
 
 
 def _rho_grad(state: BdgmState, s: Vector) -> Vector:
+    """rho'(z) = B s + L3*||s||^2 * s, s = z - x~."""
     return state.B @ s + state.L3 * float(s @ s) * s
+
+
+def _norm(v: Vector) -> float:
+    """||v|| of a 1-d float64 array: the dot product and square root that
+    np.linalg.norm takes, without its dispatch."""
+    return math.sqrt(float(v @ v))
 
 
 def _radius_terms(evals: Vector, p: Vector, sigma: float) -> tuple[float, float]:
@@ -218,14 +225,16 @@ def _radius_terms(evals: Vector, p: Vector, sigma: float) -> tuple[float, float]
 
 
 def bregman_step(state: BdgmState, z_i: Vector, g: Vector,
-                 scale: float = STEP_SCALE) -> Vector:
+                 scale: float = STEP_SCALE, rho: Vector | None = None) -> Vector:
     """Minimize <g, z - z_i> + a*breg_rho(z_i, z) over the anchor ball.
 
     a is the step scale. The first-order condition reduces to the shifted
     linear system (B + L3*r^2*I)s = b with b = rho'(z_i) - g/a and
-    r = ||s||. With the one-time eigendecomposition B = V diag(lam) V^T, b
-    is projected once, p = V^T b, after which the step norm at any
-    multiplier sigma,
+    r = ||s||. rho is rho'(z_i) when the caller holds it (the inner solve
+    carries it from the try that produced z_i); it is computed when absent,
+    with the same result bits. With the one-time eigendecomposition
+    B = V diag(lam) V^T, b is projected once, p = V^T b, after which the
+    step norm at any multiplier sigma,
 
         n(sigma)^2 = sum p^2/(lam + sigma)^2,
 
@@ -248,7 +257,9 @@ def bregman_step(state: BdgmState, z_i: Vector, g: Vector,
     cross-check.
     """
     s_i = np.asarray(z_i, dtype=np.float64) - state.x_tilde
-    b = _rho_grad(state, s_i) - np.asarray(g, dtype=np.float64) / scale
+    if rho is None:
+        rho = _rho_grad(state, s_i)
+    b = rho - np.asarray(g, dtype=np.float64) / scale
     R = state.ball_radius
     if R == 0.0:
         return state.x_tilde.copy()
@@ -271,7 +282,7 @@ def bregman_step(state: BdgmState, z_i: Vector, g: Vector,
     else:
         # n(L3 r^2) > n(L3 R^2) for every r < R, so the root lies above n.
         lo, hi = n, R
-        r = float(np.linalg.norm(s_i))
+        r = _norm(s_i)
         if lo < r < hi:
             n, q = _radius_terms(evals, p, L3 * r * r)
         else:
@@ -294,8 +305,8 @@ def bregman_step(state: BdgmState, z_i: Vector, g: Vector,
     return state.x_tilde + state.evecs @ (p / (evals + sigma))
 
 
-def _accepted_step(state: BdgmState, z: Vector, g_hat: Vector,
-                   scale: float) -> tuple[Vector, Vector, float]:
+def _accepted_step(state: BdgmState, z: Vector, g_hat: Vector, rho_z: Vector,
+                   scale: float) -> tuple[Vector, Vector, float, Vector, float]:
     """One Bregman step from z at the first accepted scale c, 2c, 4c, ...
 
     A step z+ at scale c < STEP_SCALE is accepted when the model's
@@ -304,28 +315,32 @@ def _accepted_step(state: BdgmState, z: Vector, g_hat: Vector,
         <g(z+) - g(z), z+ - z> <= c*<rho'(z+) - rho'(z), z+ - z>,
 
     with g the estimated model gradient; otherwise c doubles, up to
-    STEP_SCALE, where every step is accepted. Returns z+, g(z+), which the
-    next iteration reuses, and the next step's scale: max(1, c/1.5) after a
-    first-try accept, else c, as a step that needed a doubling likely will.
+    STEP_SCALE, where every step is accepted. rho_z is rho'(z). Each try
+    takes one Bregman step, one approx_grad and one rho' at z+, each used
+    both by the test and, once accepted, by the next step. Returns z+,
+    g(z+), ||g(z+)||, rho'(z+) and the next step's scale: max(1, c/1.5)
+    after a first-try accept, else c, as a step that needed a doubling
+    likely will.
     """
-    rho_z = _rho_grad(state, z - state.x_tilde)
     first_scale = scale
     while True:
-        z_next = bregman_step(state, z, g_hat, scale)
-        shift = float(np.linalg.norm(z_next - state.x_tilde))
-        if shift > state.ball_radius * (1.0 + 1e-9):
+        z_next = bregman_step(state, z, g_hat, scale, rho_z)
+        s_next = z_next - state.x_tilde
+        if _norm(s_next) > state.ball_radius * (1.0 + 1e-9):
             raise SubproblemError("iterate escaped the anchor ball")
         g_next = approx_grad(state, z_next)
-        if not math.isfinite(float(np.linalg.norm(g_next))):
+        g_norm = _norm(g_next)
+        if not math.isfinite(g_norm):
             raise SubproblemError("non-finite model gradient in the inner solve")
+        rho_next = _rho_grad(state, s_next)
         if scale >= STEP_SCALE:
             break
         d = z_next - z
-        rho_next = _rho_grad(state, z_next - state.x_tilde)
         if float((g_next - g_hat) @ d) <= scale * float((rho_next - rho_z) @ d):
             break
         scale = min(2.0 * scale, STEP_SCALE)
-    return z_next, g_next, max(1.0, scale / 1.5) if scale == first_scale else scale
+    next_scale = max(1.0, scale / 1.5) if scale == first_scale else scale
+    return z_next, g_next, g_norm, rho_next, next_scale
 
 
 def solve(state: BdgmState, max_iters: int = 10000) -> BdgmResult:
@@ -349,15 +364,19 @@ def solve(state: BdgmState, max_iters: int = 10000) -> BdgmResult:
     _accepted_step); the curvature test costs no extra oracle call
     because it reuses approx_grad at the new point. iters counts accepted
     steps; a rejected step costs one more Bregman step and approx_grad call.
+    The iterate's rho'(z) and ||approx_grad(z)|| are carried from the try
+    that produced it, so a solve takes one rho' per try plus one at the
+    anchor, and one approx_grad per try plus one at the anchor.
     """
     if state.solved_reason is not None:
         return BdgmResult(state.x_tilde.copy(), 0, state.solved_reason,
                           state.g0.copy(), state.oracle_g0.copy())
     z = state.x_tilde.copy()
     g_hat = approx_grad(state, z)
+    lhs = _norm(g_hat)
+    rho = _rho_grad(state, z - state.x_tilde)
     scale = 1.0
     for i in range(max_iters):
-        lhs = float(np.linalg.norm(g_hat))
         if lhs <= state.theta_abs:
             # Both stop lines need the floor, and no step depends on the
             # target gradient, so it is taken only here, once per solve.
@@ -367,7 +386,7 @@ def solve(state: BdgmState, max_iters: int = 10000) -> BdgmResult:
                 grad_z = oracle_grad = state.oracle.grad(z)
                 if state.model is not None:
                     grad_z = model_grad(state.model, z) + oracle_grad
-            grad_z_norm = float(np.linalg.norm(grad_z))
+            grad_z_norm = _norm(grad_z)
             if not math.isfinite(grad_z_norm):
                 raise SubproblemError("non-finite target gradient at the answer")
             if grad_z_norm == 0.0:
@@ -379,7 +398,7 @@ def solve(state: BdgmState, max_iters: int = 10000) -> BdgmResult:
             # that floor; hand it back as the same accuracy-floor outcome
             # the setup short-circuit reports.
             return BdgmResult(z, i, "accuracy_floor", grad_z, oracle_grad)
-        z, g_hat, scale = _accepted_step(state, z, g_hat, scale)
+        z, g_hat, lhs, rho, scale = _accepted_step(state, z, g_hat, rho, scale)
     raise SubproblemError(
         f"no certificate in {max_iters} iterations "
         f"(last lhs {lhs:.3e}, floor {state.theta_abs:.3e})")

@@ -87,7 +87,7 @@ class ProblemOracle:
         x = np.asarray(x, dtype=np.float64)
         if x.shape != (self.dim,):
             raise ValueError(f"point shape {x.shape} does not match dim {self.dim}")
-        if not np.all(np.isfinite(x)):
+        if not np.isfinite(x).all():
             raise NonFiniteError("point contains non-finite entries")
         return x
 

@@ -39,7 +39,8 @@ class Dataset:
             raise ValueError(f"features must be a non-empty 2-d array, got shape {feats.shape}")
         if labs.shape != (feats.shape[0],):
             raise ValueError(f"labels shape {labs.shape} does not match {feats.shape[0]} rows")
-        if not np.all(np.isfinite(feats)):
+        # One row block at a time, so the check holds no m x n mask.
+        if not all(np.isfinite(feats[rows]).all() for rows in _row_blocks(*feats.shape)):
             raise ValueError("features contain non-finite entries")
         if not np.all(np.isin(labs, (-1.0, 1.0))):
             raise ValueError("labels must be -1 or +1")

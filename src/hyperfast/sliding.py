@@ -29,6 +29,7 @@ import numpy as np
 from . import bdgm
 from .natmi import (
     _TERMINAL,
+    _add_l3_hint,
     _require_regime,
     NatmiConfig,
     SolveResult,
@@ -135,7 +136,20 @@ def solve_sliding(prob: CompositeProblem, x0: Vector,
     the middle loop. The result's counts carry the per-component totals.
     With h the zero sentinel, the single-function builder runs on g. A bad
     regime, gamma = 0 or xi != bdgm.XI is a ConfigError before any call.
+    An inner solve that finds no certificate names the reported L3 of the
+    part its engine modeled (h, or g on the one-part path) and the
+    problems.sampled_l3 estimate of it, as natmi.solve does.
     """
+    modeled = prob.g if prob.h.is_zero else prob.h
+    try:
+        return _solve_parts(prob, x0, cfg)
+    except bdgm.SubproblemError as exc:
+        _add_l3_hint(exc, modeled.inner)
+        raise
+
+
+def _solve_parts(prob: CompositeProblem, x0: Vector,
+                 cfg: NatmiConfig) -> SolveResult:
     g, h = prob.g, prob.h
     if h.is_zero:
         return outer_loop(oracle_subproblem(cfg, g), g.lipschitz_L3, x0, cfg,

@@ -346,8 +346,8 @@ def _recording_steps(monkeypatch):
     step = bdgm.bregman_step
     seen = []
 
-    def recording(state, z, g, scale=STEP_SCALE):
-        out = step(state, z, g, scale)
+    def recording(state, z, g, scale=STEP_SCALE, rho=None):
+        out = step(state, z, g, scale, rho)
         seen.append((scale, out))
         return out
 
@@ -400,6 +400,60 @@ class TestEngineContract:
             n_iters += res.iters
         assert n_steps > n_iters
 
+    def test_one_rho_grad_per_try(self, monkeypatch):
+        """A solve takes rho' once at its anchor and once per Bregman try,
+        at the try's new point, rejected tries included; the next step
+        reuses the accepted one. Likewise with a model part."""
+        steps = _recording_steps(monkeypatch)
+        rho_grad = bdgm._rho_grad
+        calls = []
+
+        def counting(state, s):
+            calls.append(1)
+            return rho_grad(state, s)
+
+        monkeypatch.setattr(bdgm, "_rho_grad", counting)
+        orc = LogisticLoss(synth_logreg(3, 60, 8), ridge=1e-3)
+        g = QuarticObjective(0.1 * np.eye(orc.dim), 0.1 * np.ones(orc.dim), 2e-5)
+        rng = np.random.default_rng(29)
+        for with_model in (False, True):
+            n_steps = n_iters = 0
+            for _ in range(4):
+                x = 0.5 * rng.standard_normal(orc.dim)
+                model = ModelSpec(g, x, H=1.5 * g.lipschitz_L3) if with_model else None
+                st = bdgm.setup(orc, x, eps=1e-8, model=model)
+                assert st.solved_reason is None
+                steps.clear()
+                calls.clear()
+                res = bdgm.solve(st)
+                assert len(calls) == len(steps) + 1
+                n_steps += len(steps)
+                n_iters += res.iters
+            # Rejected tries occurred, so the count covers them too.
+            assert n_steps > n_iters
+
+    def test_bregman_step_same_bits_with_rho_passed(self):
+        """bregman_step gives the same bits whether rho'(z_i) is passed in
+        or computed, in both radius branches and at each scale."""
+        orc = LogisticLoss(synth_logreg(3, 60, 8), ridge=1e-3)
+        rng = np.random.default_rng(31)
+        on_ball = 0
+        for _ in range(4):
+            st = bdgm.setup(orc, 0.5 * rng.standard_normal(orc.dim), eps=1e-8)
+            for radius in (0.1, 0.9):
+                u = rng.standard_normal(orc.dim)
+                z_i = st.x_tilde + radius * st.ball_radius * u / np.linalg.norm(u)
+                rho = bdgm._rho_grad(st, z_i - st.x_tilde)
+                # The model gradient steps inside the ball; 1e4 times it
+                # lands on the boundary.
+                for g in (approx_grad(st, z_i), 1e4 * approx_grad(st, z_i)):
+                    for scale in (1.0, 2.0, STEP_SCALE):
+                        z = bregman_step(st, z_i, g, scale, rho)
+                        np.testing.assert_array_equal(z, bregman_step(st, z_i, g, scale))
+                        shift = np.linalg.norm(z - st.x_tilde)
+                        on_ball += shift == pytest.approx(st.ball_radius, rel=1e-9)
+        assert 0 < on_ball < 48
+
     def test_next_scale_after_an_accepted_step(self, monkeypatch):
         """After a first-try accept at scale c the next step starts at
         max(1, c/1.5); after an accept that needed a doubling, at the
@@ -408,10 +462,10 @@ class TestEngineContract:
         accepted = bdgm._accepted_step
         seen = []
 
-        def recording(state, z, g_hat, scale):
+        def recording(state, z, g_hat, rho_z, scale):
             steps.clear()
-            out = accepted(state, z, g_hat, scale)
-            seen.append((state.model is not None, [c for c, _ in steps], out[2]))
+            out = accepted(state, z, g_hat, rho_z, scale)
+            seen.append((state.model is not None, [c for c, _ in steps], out[-1]))
             return out
 
         monkeypatch.setattr(bdgm, "_accepted_step", recording)

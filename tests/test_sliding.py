@@ -9,6 +9,8 @@ solves checking per-component call counters and the usual record invariants.
 import numpy as np
 import pytest
 
+from hyperfast import natmi
+from hyperfast.bdgm import SubproblemError
 from hyperfast.natmi import NatmiConfig, solve as natmi_solve
 from hyperfast.oracles import ConfigError, ProblemOracle, ZeroOracle
 from hyperfast.problems import QuarticObjective
@@ -282,3 +284,46 @@ class TestCompositeSolve:
         np.testing.assert_array_equal(a.y, b.y)
         assert [r.f for r in a.records] == [r.f for r in b.records]
         assert a.counts == b.counts
+
+
+class TestWrongL3Hint:
+    """h = a quartic whose L3 (3) is reported at 1e-2, beside a g with L3
+    6e-5: a middle-level inner solve finds no certificate, and the one-line
+    message names h's reported L3 and problems.sampled_l3's estimate of h,
+    as natmi.solve does. On the one-part path the engine models g, and the
+    message names g's. A run that does not fail that way takes no estimate."""
+
+    def parts(self):
+        g = QuarticObjective(0.1 * np.eye(3), 0.1 * np.ones(3), 1e-5)
+        h = QuarticObjective(np.eye(3), np.ones(3), 0.5)
+        return g, h
+
+    def failure(self, prob):
+        with pytest.raises(SubproblemError) as info:
+            solve_sliding(prob, np.zeros(3), NatmiConfig(eps=1e-9, k_max=30))
+        message = str(info.value)
+        assert message.startswith("no certificate in 10000 iterations (last lhs ")
+        assert "\n" not in message
+        return message
+
+    def test_under_reported_h_names_the_sampled_estimate(self):
+        g, h = self.parts()
+        h.lipschitz_L3 *= 1e-2
+        message = self.failure(CompositeProblem(g, h))
+        assert message.endswith("; reported L3 0.03, sampled_l3 estimate 2.97")
+
+    def test_one_part_path_names_g(self):
+        _, h = self.parts()
+        h.lipschitz_L3 *= 1e-2
+        message = self.failure(CompositeProblem(h, ZeroOracle(3)))
+        assert message.endswith("; reported L3 0.03, sampled_l3 estimate 2.97")
+
+    def test_good_run_takes_no_estimate(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("sampled_l3 called on a good run")
+
+        monkeypatch.setattr(natmi, "sampled_l3", refuse)
+        res = solve_sliding(CompositeProblem(*self.parts()), np.zeros(3),
+                            NatmiConfig(eps=1e-9, k_max=30))
+        assert res.converged
+        assert res.counts["hess_h"] > 0

@@ -359,8 +359,18 @@ class TestEngineContract:
     def test_gradient_budget_per_solve(self, monkeypatch):
         """A solve spends two gradients per Bregman step, rejected steps
         included, plus one target gradient at its answer when it stepped;
-        with a model part, these are the oracle part's gradients."""
+        with a model part, these are the oracle part's gradients. It takes
+        rho' once per step, at the step's new point, plus once at the
+        anchor: the next step reuses the accepted point's."""
         steps = _recording_steps(monkeypatch)
+        rho_grad = bdgm._rho_grad
+        rho_calls = []
+
+        def counting(state, s):
+            rho_calls.append(1)
+            return rho_grad(state, s)
+
+        monkeypatch.setattr(bdgm, "_rho_grad", counting)
         rng = np.random.default_rng(21)
         problems = (LogisticLoss(synth_logreg(3, 60, 8), ridge=1e-3),
                     QuarticObjective(np.diag([1.0, 2.0, 0.5]),
@@ -373,8 +383,10 @@ class TestEngineContract:
                 st = bdgm.setup(co, x, eps=1e-8)
                 co.reset()
                 steps.clear()
+                rho_calls.clear()
                 res = bdgm.solve(st)
                 assert co.n_grad == 2 * len(steps) + (res.iters > 0)
+                assert len(rho_calls) == len(steps) + (st.solved_reason is None)
                 n_steps += len(steps)
                 n_iters += res.iters
         # Some steps were rejected, so the identity covers them too.
@@ -393,44 +405,14 @@ class TestEngineContract:
             g.reset()
             h.reset()
             steps.clear()
+            rho_calls.clear()
             res = bdgm.solve(st)
             assert h.n_grad == 2 * len(steps) + (res.iters > 0)
+            assert len(rho_calls) == len(steps) + (st.solved_reason is None)
             assert g.n_grad == 0
             n_steps += len(steps)
             n_iters += res.iters
         assert n_steps > n_iters
-
-    def test_one_rho_grad_per_try(self, monkeypatch):
-        """A solve takes rho' once at its anchor and once per Bregman try,
-        at the try's new point, rejected tries included; the next step
-        reuses the accepted one. Likewise with a model part."""
-        steps = _recording_steps(monkeypatch)
-        rho_grad = bdgm._rho_grad
-        calls = []
-
-        def counting(state, s):
-            calls.append(1)
-            return rho_grad(state, s)
-
-        monkeypatch.setattr(bdgm, "_rho_grad", counting)
-        orc = LogisticLoss(synth_logreg(3, 60, 8), ridge=1e-3)
-        g = QuarticObjective(0.1 * np.eye(orc.dim), 0.1 * np.ones(orc.dim), 2e-5)
-        rng = np.random.default_rng(29)
-        for with_model in (False, True):
-            n_steps = n_iters = 0
-            for _ in range(4):
-                x = 0.5 * rng.standard_normal(orc.dim)
-                model = ModelSpec(g, x, H=1.5 * g.lipschitz_L3) if with_model else None
-                st = bdgm.setup(orc, x, eps=1e-8, model=model)
-                assert st.solved_reason is None
-                steps.clear()
-                calls.clear()
-                res = bdgm.solve(st)
-                assert len(calls) == len(steps) + 1
-                n_steps += len(steps)
-                n_iters += res.iters
-            # Rejected tries occurred, so the count covers them too.
-            assert n_steps > n_iters
 
     def test_bregman_step_same_bits_with_rho_passed(self):
         """bregman_step gives the same bits whether rho'(z_i) is passed in

@@ -107,8 +107,20 @@ def load_config(path: str) -> dict[str, str]:
     return parse_config_text(text)
 
 
-_SCALAR_KEYS = {"problem", "method", "eps", "max_iters", "grad_tol", "gamma",
-                "xi", "c_delta", "seed", "timing", "trace", "summary"}
+#: The numeric top-level keys and their types; RunConfig holds the defaults.
+_NUMERIC_KEYS = {"eps": float, "max_iters": int, "grad_tol": float,
+                 "gamma": float, "xi": float, "c_delta": float, "seed": int}
+_SCALAR_KEYS = {"problem", "method", "timing", "trace", "summary", *_NUMERIC_KEYS}
+
+
+def _number(kind, key: str, raw):
+    """kind(raw), int or float, for config key; a ConfigError that names the
+    key and the bad value otherwise."""
+    try:
+        return kind(raw)
+    except ValueError as exc:
+        what = "an integer" if kind is int else "a number"
+        raise ConfigError(f"{key} must be {what}, got {raw!r}") from exc
 
 
 def build_run_config(mapping: dict[str, str]) -> RunConfig:
@@ -130,29 +142,16 @@ def build_run_config(mapping: dict[str, str]) -> RunConfig:
         raise ConfigError(f"unknown method {plain.get('method')!r} "
                           f"(choose from {', '.join(_METHODS)})")
 
-    def _float(key, default):
-        try:
-            return float(plain.get(key, default))
-        except ValueError as exc:
-            raise ConfigError(f"{key} must be a number, got {plain[key]!r}") from exc
-
-    def _int(key, default):
-        try:
-            return int(plain.get(key, default))
-        except ValueError as exc:
-            raise ConfigError(f"{key} must be an integer, got {plain[key]!r}") from exc
-
     timing_raw = str(plain.get("timing", "off")).lower()
     if timing_raw not in ("on", "off", "true", "false", "0", "1"):
         raise ConfigError(f"timing must be on/off, got {plain['timing']!r}")
+    numbers = {key: _number(kind, key, plain[key])
+               for key, kind in _NUMERIC_KEYS.items() if key in plain}
     return RunConfig(
         problem=plain["problem"], method=method,
-        eps=_float("eps", 1e-8), max_iters=_int("max_iters", 30),
-        grad_tol=_float("grad_tol", 0.0), gamma=_float("gamma", 1.0 / 6.0),
-        xi=_float("xi", 1.5), c_delta=_float("c_delta", 1.0),
-        seed=_int("seed", 0), timing=timing_raw in ("on", "true", "1"),
+        timing=timing_raw in ("on", "true", "1"),
         trace_path=plain.get("trace"), summary_path=plain.get("summary"),
-        problem_params=problem_params)
+        problem_params=problem_params, **numbers)
 
 
 @dataclass(frozen=True)
@@ -184,18 +183,12 @@ def fixture_fstar(name: str) -> float | None:
     return table.get(name)
 
 
-def _p_int(params, key, default):
-    try:
-        return int(params.get(key, default))
-    except ValueError as exc:
-        raise ConfigError(f"problem.{key} must be an integer") from exc
-
-
-def _p_float(params, key, default):
-    try:
-        return float(params.get(key, default))
-    except ValueError as exc:
-        raise ConfigError(f"problem.{key} must be a number") from exc
+def _param(params, key: str, default):
+    """problem.key from params, of default's type (int or float), or default
+    when the key is absent."""
+    if key not in params:
+        return default
+    return _number(type(default), f"problem.{key}", params[key])
 
 
 def _quartic1d(params, seed):
@@ -204,10 +197,10 @@ def _quartic1d(params, seed):
 
 
 def _quadratic(params, seed):
-    n = _p_int(params, "n", 10)
+    n = _param(params, "n", 10)
     if n < 1:
         raise ConfigError(f"problem.n must be >= 1, got {n}")
-    rng = np.random.default_rng(_p_int(params, "seed", seed))
+    rng = np.random.default_rng(_param(params, "seed", seed))
     M = rng.standard_normal((n, n)) / math.sqrt(n)
     Q = M.T @ M + 0.1 * np.eye(n)
     c = rng.standard_normal(n)
@@ -218,16 +211,16 @@ def _quadratic(params, seed):
 
 
 def _quartic_chain(params, seed):
-    n = _p_int(params, "n", 4)
+    n = _param(params, "n", 4)
     oracle = QuarticChain(n)
     return ProblemBundle("quartic_chain", (oracle,), np.ones(n), f_star=0.0)
 
 
 def _logreg(params, seed):
-    m = _p_int(params, "m", 100)
-    n = _p_int(params, "n", 10)
-    ridge = _p_float(params, "ridge", 1e-3)
-    data_seed = _p_int(params, "seed", seed)
+    m = _param(params, "m", 100)
+    n = _param(params, "n", 10)
+    ridge = _param(params, "ridge", 1e-3)
+    data_seed = _param(params, "seed", seed)
     data = synth_logreg(data_seed, m, n)
     oracle = LogisticLoss(data, ridge=ridge)
     return ProblemBundle("logreg", (oracle,), np.zeros(n), f_star=None)
@@ -241,9 +234,9 @@ def _logreg_fixture(params, seed):
 
 
 def _sliding_bench(params, seed):
-    n = _p_int(params, "n", 8)
-    m = _p_int(params, "m", 40)
-    bench_seed = _p_int(params, "seed", 11)
+    n = _param(params, "n", 8)
+    m = _param(params, "m", 40)
+    bench_seed = _param(params, "seed", 11)
     data = synth_logreg(bench_seed, m, n)
     logistic = LogisticLoss(data, ridge=1e-3)
     h = SumOracle(logistic, QuarticObjective(np.zeros((n, n)), np.zeros(n), 0.5))

@@ -469,21 +469,22 @@ def _total(counts: dict, kind: str) -> int:
 
 
 def _add_l3_hint(exc: bdgm.SubproblemError, oracle: ProblemOracle) -> None:
-    """Append oracle's reported L3 and problems.sampled_l3's estimate of it
-    to a "no certificate" failure of bdgm.solve, which can mean the reported
-    L3 is below the true one. oracle is the uncounted one the engine
-    modeled, so the estimate moves no counter; other failures are left as
-    they are, and take no estimate."""
+    """Append oracle's reported L3 and problems.sampled_l3's larger estimate
+    of it to a "no certificate" failure of bdgm.solve: the reported L3 may
+    be below the true one. oracle is the uncounted one the engine modeled,
+    so the estimate moves no counter; other failures take no estimate."""
     if str(exc).startswith("no certificate"):  # bdgm.solve ran out of steps
-        exc.args = (f"{exc}; reported L3 {oracle.lipschitz_L3:.3g}, "
-                    f"sampled_l3 estimate {sampled_l3(oracle):.3g}",)
+        estimate = sampled_l3(oracle)
+        if estimate > oracle.lipschitz_L3:
+            exc.args = (f"{exc}; reported L3 {oracle.lipschitz_L3:.3g}, "
+                        f"sampled_l3 estimate {estimate:.3g}",)
 
 
 def solve(cfg: NatmiConfig, oracle: ProblemOracle, x0: Vector) -> SolveResult:
     """Run the outer loop from x0 until k_max, grad_tol, or a terminal state.
 
     An inner solve that finds no certificate can mean the reported L3 is
-    below the true one, so that failure's message adds the
+    below the true one, so that failure's message adds a larger
     problems.sampled_l3 estimate beside it (_add_l3_hint); a run that does
     not fail this way never takes the estimate."""
     if cfg.subsolver not in ("bdgm", "exact"):

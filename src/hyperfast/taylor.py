@@ -125,7 +125,7 @@ def model_hess(spec: ModelSpec, y: Vector) -> Matrix:
 
 def float_slack(grad_norm: float) -> float:
     """1e-12*(1 + grad_norm): the float64 headroom, at an anchor whose gradient
-    norm is grad_norm, of exact_model_min's stop and every membership test."""
+    norm is grad_norm, of exact_model_min's stop and of membership_residual."""
     return 1e-12 * (1.0 + grad_norm)
 
 

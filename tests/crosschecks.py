@@ -10,7 +10,9 @@ mode puts ``tests/`` on ``sys.path``.
 * ``fd_check_grad`` and ``fd_check_hess``: central-difference referees for
   every hand-written gradient and Hessian.
 * ``composite_membership``: the composite membership residual recomputed
-  from its parts, against the inline test in ``sliding._middle_solve``.
+  from its parts, against the single-function ``membership_residual``.
+* ``assert_paper_invariants``: the per-step invariants of the paper's
+  accelerated scheme, checked on a finished solve of any method.
 * ``label_signed_logistic``: the logistic oracle's former formulas on a
   label-signed copy of the features, against ``problems.LogisticLoss``.
 """
@@ -18,8 +20,10 @@ mode puts ``tests/`` on ``sys.path``.
 from __future__ import annotations
 
 import numpy as np
+import pytest
 
 from hyperfast.bdgm import STEP_SCALE, BdgmState, SubproblemError, _rho_grad
+from hyperfast.natmi import WINDOW_HI, WINDOW_LO, SolveResult
 from hyperfast.oracles import ProblemOracle, Vector
 from hyperfast.problems import LogisticLoss
 from hyperfast.sliding import CompositeProblem
@@ -134,6 +138,27 @@ def composite_membership(prob: CompositeProblem, x_tilde: Vector, T: Vector,
     rhs = float(gamma) * float(np.linalg.norm(prob.g.grad(T) + gh_T))
     anchor_norm = float(np.linalg.norm(spec.grad_anchor + prob.h.grad(x_tilde)))
     return MembershipResult(lhs, rhs, lhs <= rhs + float_slack(anchor_norm))
+
+
+def assert_paper_invariants(res: SolveResult, f_star: float, eps: float) -> None:
+    """Every accepted step of res meets the window, sigma <= 0.6,
+    a_k^2 = lam_k*A_k and monotone counters, and the run ends at its floor
+    (or a stationary point) within eps of f_star."""
+    prev = None
+    for rec in res.records:
+        assert WINDOW_LO - 1e-12 <= rec.window_value <= WINDOW_HI + 1e-12
+        assert rec.sigma_observed <= 0.6 + 1e-8, (rec.k, rec.sigma_observed)
+        a = rec.A - (prev.A if prev else 0.0)
+        assert a > 0.0
+        assert a * a == pytest.approx(rec.lam * rec.A, rel=1e-9)
+        if prev is not None:
+            assert rec.n_grad > prev.n_grad
+            assert rec.n_hess >= prev.n_hess
+            assert rec.n_value >= prev.n_value
+            assert rec.n_third >= prev.n_third
+        prev = rec
+    assert res.status in ("accuracy_floor", "stationary")
+    assert res.f - f_star <= eps
 
 
 def label_signed_logistic(orc: LogisticLoss, x: Vector, d: Vector) -> dict:

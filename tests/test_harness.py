@@ -105,6 +105,19 @@ class TestBuildRunConfig:
         with pytest.raises(ConfigError, match="max_iters"):
             build_run_config({"problem": "x", "max_iters": "0"})
 
+    def test_absent_keys_take_run_config_defaults(self):
+        assert build_run_config({"problem": "quartic1d"}) == RunConfig(problem="quartic1d")
+
+    @pytest.mark.parametrize("key, value, what", [
+        ("eps", "fast", "a number"), ("seed", "1.5", "an integer"),
+        ("problem.n", "four", "an integer"), ("problem.ridge", "tiny", "a number"),
+    ])
+    def test_bad_number_names_key_and_value(self, key, value, what):
+        cfg = {"problem": "logreg", key: value}
+        with pytest.raises(ConfigError) as info:
+            make_problem(build_run_config(cfg))
+        assert str(info.value) == f"{key} must be {what}, got {value!r}"
+
     @pytest.mark.parametrize("field, value", [
         ("eps", math.nan), ("eps", 0.0), ("c_delta", -1.0),
         ("grad_tol", math.nan), ("max_iters", 0),

@@ -34,6 +34,8 @@ from hyperfast.problems import (
 )
 from hyperfast.taylor import ModelSpec, model_grad
 
+from crosschecks import assert_paper_invariants
+
 
 class TestValidateParams:
     def test_default_regime_sigma_is_three_fifths(self):
@@ -327,43 +329,34 @@ def _generated_instances(draw):
 
 
 class TestExactEngineCertificate:
+    @pytest.mark.parametrize("subsolver", ["exact", "bdgm"])
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(orc=_generated_instances())
-    def test_every_step_keeps_the_paper_invariants(self, orc):
-        """natmi_exact stops on the paper's certificate: every accepted step
-        meets the window, sigma <= 0.6, a_k^2 = lam_k*A_k and monotone
-        counters, and the run ends at its floor."""
+    def test_every_step_keeps_the_paper_invariants(self, subsolver, orc):
+        """natmi_exact and hyperfast stop on the paper's certificate: every
+        accepted step keeps the paper's invariants, and the run ends at its
+        floor."""
         eps = 1e-9
-        res = solve(NatmiConfig(eps=eps, k_max=100, subsolver="exact"), orc,
+        res = solve(NatmiConfig(eps=eps, k_max=100, subsolver=subsolver), orc,
                     np.zeros(orc.dim))
-        prev = None
-        for rec in res.records:
-            assert WINDOW_LO - 1e-12 <= rec.window_value <= WINDOW_HI + 1e-12
-            assert rec.sigma_observed <= 0.6 + 1e-8, (rec.k, rec.sigma_observed)
-            a = rec.A - (prev.A if prev else 0.0)
-            assert a > 0.0
-            assert a * a == pytest.approx(rec.lam * rec.A, rel=1e-9)
-            if prev is not None:
-                assert rec.n_grad > prev.n_grad
-                assert rec.n_hess >= prev.n_hess
-                assert rec.n_value >= prev.n_value
-                assert rec.n_third >= prev.n_third
-            prev = rec
-        assert res.status in ("accuracy_floor", "stationary")
-        assert res.f - reference_fstar(orc, tol=1e-8) <= eps
+        assert_paper_invariants(res, reference_fstar(orc, tol=1e-8), eps)
 
 
 class TestInexactMarginOnQuadratics:
-    @pytest.mark.parametrize("n, seed", [(2, 26), (2, 37), (2, 56), (8, 45), (10, 33)])
+    @pytest.mark.parametrize("n, seed", [(2, 26), (2, 37), (2, 56), (8, 45), (10, 33),
+                                         (4, 28), (6, 55), (8, 82), (10, 47), (10, 58)])
     def test_sigma_bound_at_the_float_floor(self, n, seed):
         """These registered quadratics reach the float floor, where a
         certificate less delta alone, not theta_abs, accepts roundoff (sigma
-        up to 33) or never certifies (n=10 seed 33 raises SubproblemError)."""
+        up to 33) or never certifies (n=10 seed 33 raises SubproblemError).
+        The last five sit where the engine's roundoff estimate can fall below
+        the real roundoff (ROADMAP item 4); each ends at accuracy_floor."""
         cfg = harness.build_run_config({
             "problem": "quadratic", "problem.n": str(n), "problem.seed": str(seed),
             "eps": "1e-9", "max_iters": "100"})
         out = harness.run(cfg)
         assert all(rec.sigma_observed <= 0.6 for rec in out.records)
+        assert out.summary["status"] == "accuracy_floor"
 
 
 class TestWrongL3Hint:
@@ -392,6 +385,17 @@ class TestWrongL3Hint:
         monkeypatch.setattr(natmi, "sampled_l3", refuse)
         res = solve(NatmiConfig(eps=1e-9, k_max=30), self.quartic(), np.zeros(3))
         assert res.converged
+
+    def test_valid_l3_names_no_estimate(self):
+        """logreg_fixture's reported L3 (0.125) is a valid bound, and at eps
+        1e-11 the inner solve finds no certificate through roundoff. The
+        estimate (0.000587) lies below the bound, so the message names none."""
+        cfg = harness.build_run_config({"problem": "logreg_fixture", "eps": "1e-11"})
+        with pytest.raises(SubproblemError) as info:
+            harness.run(cfg)
+        message = str(info.value)
+        assert message.startswith("no certificate in 10000 iterations (last lhs ")
+        assert "L3" not in message and "sampled_l3" not in message
 
 
 class TestSolveEndToEnd:

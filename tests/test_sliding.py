@@ -8,9 +8,12 @@ solves checking per-component call counters and the usual record invariants.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hyperfast import natmi
+from hyperfast import harness, natmi, sliding
 from hyperfast.bdgm import SubproblemError
+from hyperfast.harness import reference_fstar
 from hyperfast.natmi import NatmiConfig, solve as natmi_solve
 from hyperfast.oracles import ConfigError, ProblemOracle, ZeroOracle
 from hyperfast.problems import QuarticObjective
@@ -18,7 +21,7 @@ from hyperfast.sliding import CompositeProblem, solve_sliding
 from hyperfast.taylor import (ModelSpec, membership_residual, model_grad, model_hess,
                              model_value, newton_min)
 
-from crosschecks import composite_membership
+from crosschecks import assert_paper_invariants, composite_membership
 
 
 def _newton_composite_min(spec, h, y0, tol=1e-12):
@@ -284,6 +287,51 @@ class TestCompositeSolve:
         np.testing.assert_array_equal(a.y, b.y)
         assert [r.f for r in a.records] == [r.f for r in b.records]
         assert a.counts == b.counts
+
+
+def _sliding_bench(seed, eps, m=40, n=8):
+    """The registered sliding_bench at problem.seed, m and n, and a solver
+    config for eps at 100 outer steps."""
+    cfg = harness.RunConfig(problem="sliding_bench", problem_params={
+        "seed": str(seed), "m": str(m), "n": str(n)})
+    return harness.make_problem(cfg), NatmiConfig(eps=eps, k_max=100)
+
+
+class TestOuterCertificate:
+    @pytest.mark.parametrize("seed", [0, 2, 8, 13, 36])
+    def test_middle_answers_are_labelled_by_the_certificate(self, seed, monkeypatch):
+        """The middle loop answers "certified" exactly when its iterate T
+        meets ||grad F_mid(T)|| <= gamma*||grad f(T)||, the line natmi_exact
+        tests, with no headroom. On these instances at eps 1e-10 the last
+        middle answer fails it, and the run ends at accuracy_floor."""
+        middle_solve = sliding._middle_solve
+        answers = []
+
+        def checked(cfg, prob, gspec, *anchor_and_memory):
+            t = middle_solve(cfg, prob, gspec, *anchor_and_memory)
+            # The uncounted h leaves the counters, and so the run, as they are.
+            lhs = np.linalg.norm(model_grad(gspec, t.y) + prob.h.inner.grad(t.y))
+            answers.append((t.reason, lhs <= cfg.gamma * np.linalg.norm(t.grad_y)))
+            return t
+
+        monkeypatch.setattr(sliding, "_middle_solve", checked)
+        bundle, cfg = _sliding_bench(seed, 1e-10)
+        res = solve_sliding(bundle.composite(), bundle.x0, cfg)
+        assert res.status == "accuracy_floor"
+        assert answers[-1] == ("accuracy_floor", False)
+        for reason, meets in answers:
+            assert reason in ("certified", "accuracy_floor")
+            assert meets == (reason == "certified")
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), m=st.integers(10, 60),
+           n=st.integers(1, 8), eps=st.sampled_from([1e-6, 1e-8, 1e-10]))
+    def test_every_step_keeps_the_paper_invariants(self, seed, m, n, eps):
+        """On generated sliding_bench instances every accepted outer step
+        keeps the invariants natmi_exact and hyperfast keep (test_natmi)."""
+        bundle, cfg = _sliding_bench(seed, eps, m, n)
+        res = solve_sliding(bundle.composite(), bundle.x0, cfg)
+        assert_paper_invariants(res, reference_fstar(bundle.single(), tol=1e-8), eps)
 
 
 class TestWrongL3Hint:

@@ -29,12 +29,19 @@ difference-based model of an oracle at the anchor and, given a cached
 taylor.ModelSpec there (sliding's model of g), adds it exactly. Anchor
 gradients and Hessians add, and L3 gains the model's 4*H.
 
-Termination certifies the relative inexactness condition: once the estimated
-model gradient at z is below (1/6)*||grad f(z)|| minus its error margin
-theta_abs (truncation or roundoff, whichever is larger), z is an acceptable
-subproblem answer for the outer loop. theta_abs is also the absolute floor
-that drives z to the exact minimizer at the accuracy the arithmetic
-supports, so downstream agreement checks are meaningful; see solve().
+Every test the engine makes allows for one error margin, theta_abs =
+max(delta, 2*noise): the larger of the estimate's truncation budget delta
+and the roundoff of its gradient differences. That roundoff is sized from
+the terms the oracle's gradient sums (ProblemOracle.grad_term_bound, never
+less than ||grad f(x~)||), not from the gradient itself, which near the
+optimum is far smaller than the terms that cancel to give it. The curvature
+test of a step allows 2*theta_abs*||d|| (_accepted_step). Termination
+certifies the relative inexactness condition: once the estimated model
+gradient at z is below (1/6)*||grad f(z)|| minus theta_abs, z is an
+acceptable subproblem answer for the outer loop. theta_abs is also the
+absolute floor that drives z to the exact minimizer at the accuracy the
+arithmetic supports, so downstream agreement checks are meaningful; see
+solve().
 """
 
 from __future__ import annotations
@@ -87,6 +94,10 @@ class BdgmState:
     oracle_g0, Hessian oracle_B and L3, plus model's. tau is the nominal
     difference step 3*delta/(8*(2+sqrt(2))*||g0||); tau_used = max(tau,
     TAU_FLOOR) is the one used. ball_radius = 2*((2+sqrt(2))*||g0||/L3)^(1/3).
+    theta_abs = max(delta, 2*noise) is the error margin of every estimate,
+    with noise = 4*eps*(terms + ||B||*ball_radius + L3*ball_radius^3)/tau_used^2
+    and terms = max(oracle.grad_term_bound(x~), ||g0||), or ||g0|| when the
+    oracle reports no bound.
     """
 
     x_tilde: Vector
@@ -122,7 +133,7 @@ class BdgmResult:
 
 
 def _build_state(x_tilde, eps, c_delta, gamma, oracle, oracle_g0, oracle_B,
-                 L3, model=None) -> BdgmState:
+                 L3, model=None, grad_terms=None) -> BdgmState:
     eps = float(eps)
     if eps <= 0.0:
         raise ValueError("eps must be positive")
@@ -153,7 +164,10 @@ def _build_state(x_tilde, eps, c_delta, gamma, oracle, oracle_g0, oracle_B,
         tau = 3.0 * delta / (8.0 * STEP_SCALE * grad_norm0)
         tau_used = max(tau, TAU_FLOOR)
         ball = 2.0 * (STEP_SCALE * grad_norm0 / L3) ** (1.0 / 3.0)
-        noise = 4.0 * _EPS * (grad_norm0 + hess_norm0 * ball + L3 * ball**3) / tau_used**2
+        # A gradient's roundoff scales with the terms it sums, which near the
+        # optimum are far larger than the gradient itself.
+        terms = grad_norm0 if grad_terms is None else max(grad_terms, grad_norm0)
+        noise = 4.0 * _EPS * (terms + hess_norm0 * ball + L3 * ball**3) / tau_used**2
         theta_abs = max(delta, 2.0 * noise)
         if theta_abs >= gamma * grad_norm0:
             # The certification margin exceeds what any iterate could attain:
@@ -178,7 +192,8 @@ def setup(oracle: ProblemOracle, x_tilde: Vector, eps: float,
     x_tilde = np.asarray(x_tilde, dtype=np.float64)
     return _build_state(x_tilde, eps, c_delta, gamma, oracle,
                         oracle.grad(x_tilde), oracle.hess(x_tilde),
-                        oracle.lipschitz_L3, model)
+                        oracle.lipschitz_L3, model,
+                        oracle.grad_term_bound(x_tilde))
 
 
 def custom_setup(*args, **kwargs) -> BdgmState:
@@ -310,12 +325,14 @@ def _accepted_step(state: BdgmState, z: Vector, g_hat: Vector, rho_z: Vector,
     """One Bregman step from z at the first accepted scale c, 2c, 4c, ...
 
     A step z+ at scale c < STEP_SCALE is accepted when the model's
-    curvature along it is at most c times rho's,
+    curvature along d = z+ - z is at most c times rho's,
 
-        <g(z+) - g(z), z+ - z> <= c*<rho'(z+) - rho'(z), z+ - z>,
+        <g(z+) - g(z), d> <= c*<rho'(z+) - rho'(z), d> + 2*theta_abs*||d||,
 
-    with g the estimated model gradient; otherwise c doubles, up to
-    STEP_SCALE, where every step is accepted. rho_z is rho'(z). Each try
+    with g the estimated model gradient. Each estimate is within theta_abs
+    of the model gradient, so 2*theta_abs*||d|| is the test's uncertainty:
+    a step is not rejected for estimate error alone. Otherwise c doubles,
+    up to STEP_SCALE, where every step is accepted. rho_z is rho'(z). Each try
     takes one Bregman step, one approx_grad and one rho' at z+, each used
     both by the test and, once accepted, by the next step. Returns z+,
     g(z+), ||g(z+)||, rho'(z+) and the next step's scale: max(1, c/1.5)
@@ -336,7 +353,8 @@ def _accepted_step(state: BdgmState, z: Vector, g_hat: Vector, rho_z: Vector,
         if scale >= STEP_SCALE:
             break
         d = z_next - z
-        if float((g_next - g_hat) @ d) <= scale * float((rho_next - rho_z) @ d):
+        margin = 2.0 * state.theta_abs * _norm(d)
+        if float((g_next - g_hat) @ d) <= scale * float((rho_next - rho_z) @ d) + margin:
             break
         scale = min(2.0 * scale, STEP_SCALE)
     next_scale = max(1.0, scale / 1.5) if scale == first_scale else scale
@@ -352,9 +370,13 @@ def solve(state: BdgmState, max_iters: int = 10000) -> BdgmResult:
         ||approx_grad(z)|| <= gamma*||grad F(z)|| - theta_abs    (certified)
 
     theta_abs = max(delta, 2*noise) is the estimate's one error margin, its
-    truncation budget or its roundoff. The second line is the acceptance
-    contract for the outer loop, and "accuracy_floor" answers a z that
-    fails it, as setup() does when theta_abs >= gamma*||g0||. The floor pins
+    truncation budget or the roundoff of its gradient differences, sized
+    from the terms the oracle's gradient sums (see BdgmState); the
+    curvature test of each step allows for the same margin. A margin below
+    the real roundoff would leave ||approx_grad(z)|| unable to reach the
+    floor. The second line is the acceptance contract for the outer loop,
+    and "accuracy_floor" answers a z that fails it, as setup() does when
+    theta_abs >= gamma*||g0||. The floor pins
     z to the exact model minimizer, which the cross-check against the
     reference Newton minimizer relies on. grad F(z) is taken only there, so
     a solve spends one target gradient, at its answer: the oracle's, plus

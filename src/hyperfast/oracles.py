@@ -49,6 +49,11 @@ class ProblemOracle:
         lipschitz_L3: upper bound on the Lipschitz constant of the third
             derivative. Must be positive for ordinary problems; the zero
             sentinel used for degenerate composite parts is the one exception.
+
+    An oracle whose gradient is a float sum of terms may report a bound on
+    their summed magnitudes (grad_term_bound). The inexact engine sizes the
+    roundoff of its gradient differences from it, since near the optimum
+    ||grad f|| is far smaller than the terms that cancel to give it.
     """
 
     #: True when third_action / third_dir are analytic, not finite differences.
@@ -74,6 +79,13 @@ class ProblemOracle:
 
     def hess(self, x: Vector) -> Matrix:
         raise NotImplementedError
+
+    def grad_term_bound(self, x: Vector) -> float | None:
+        """Bound on the summed magnitudes of the terms whose float sum is
+        grad(x), so grad's roundoff is at most a few eps times it; None
+        when the oracle has none. It makes no pass over the data and calls
+        no gradient, so the call counters stay honest."""
+        return None
 
     def third_action(self, x: Vector, s: Vector) -> Vector:
         """D3 f(x)[s, s] as a vector."""
@@ -146,6 +158,13 @@ class SumOracle(ProblemOracle):
     def hess(self, x: Vector) -> Matrix:
         return self.first.hess(x) + self.second.hess(x)
 
+    def grad_term_bound(self, x: Vector) -> float | None:
+        first = self.first.grad_term_bound(x)
+        second = self.second.grad_term_bound(x)
+        if first is None or second is None:
+            return None
+        return first + second
+
     def third_action(self, x: Vector, s: Vector) -> Vector:
         return self.first.third_action(x, s) + self.second.third_action(x, s)
 
@@ -157,7 +176,8 @@ class CountedOracle(ProblemOracle):
     """Forwarding wrapper that counts oracle calls.
 
     Forwarding is bit-exact: the wrapped oracle's outputs are returned
-    untouched. One call increments exactly one counter.
+    untouched. One oracle call increments exactly one counter;
+    grad_term_bound is no oracle call and counts nothing.
     """
 
     def __init__(self, inner: ProblemOracle):
@@ -190,6 +210,10 @@ class CountedOracle(ProblemOracle):
     def hess(self, x: Vector) -> Matrix:
         self.n_hess += 1
         return self.inner.hess(x)
+
+    def grad_term_bound(self, x: Vector) -> float | None:
+        """Forwarded uncounted: no oracle call is made."""
+        return self.inner.grad_term_bound(x)
 
     def third_action(self, x: Vector, s: Vector) -> Vector:
         self.n_third += 1

@@ -144,11 +144,12 @@ class LogisticLoss(ProblemOracle):
         ridge = float(ridge)
         if not (np.isfinite(ridge) and ridge >= 0.0):
             raise ValueError(f"ridge must be non-negative and finite, got {ridge}")
-        row_fourth = float(np.mean(_row_sq_norms(data.features) ** 2))
+        row_sq = _row_sq_norms(data.features)
         # The ridge is quadratic so it adds nothing to the third derivative.
-        super().__init__(data.n, _LOGISTIC_C3 * row_fourth)
+        super().__init__(data.n, _LOGISTIC_C3 * float(np.mean(row_sq**2)))
         self.data = data
         self.ridge = ridge
+        self._mean_row_norm = float(np.mean(np.sqrt(row_sq)))
         # -y/m per row: the gradient's coefficients with the labels folded in.
         self._grad_scale = -data.labels / data.m
 
@@ -178,6 +179,12 @@ class LogisticLoss(ProblemOracle):
         x = self._check_point(x)
         coeff = self._sigmoid(x, self._grad_scale)
         return self.data.features.T @ coeff + self.ridge * x
+
+    def grad_term_bound(self, x: Vector) -> float:
+        """mean ||a_k|| + ridge*||x||: each gradient coefficient has
+        |c_k| <= 1/m, so sum |c_k|*||a_k|| is at most the mean row norm."""
+        x = self._check_point(x)
+        return self._mean_row_norm + self.ridge * float(np.linalg.norm(x))
 
     def hess(self, x: Vector) -> Matrix:
         x = self._check_point(x)
@@ -245,6 +252,12 @@ class QuarticObjective(ProblemOracle):
     def grad(self, x: Vector) -> Vector:
         x = self._check_point(x)
         return self.Q @ x + self.c + self.a4 * (x @ x) * x
+
+    def grad_term_bound(self, x: Vector) -> float:
+        """|| |Q| |x| || + ||c|| + a4*||x||^3."""
+        x = self._check_point(x)
+        return float(np.linalg.norm(np.abs(self.Q) @ np.abs(x)) + np.linalg.norm(self.c)
+                     + self.a4 * np.linalg.norm(x) ** 3)
 
     def hess(self, x: Vector) -> Matrix:
         x = self._check_point(x)

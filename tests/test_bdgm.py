@@ -14,6 +14,7 @@ from hyperfast import bdgm
 from hyperfast.bdgm import (
     STEP_SCALE,
     TAU_FLOOR,
+    BdgmState,
     SubproblemError,
     approx_grad,
     bregman_step,
@@ -21,6 +22,7 @@ from hyperfast.bdgm import (
 from hyperfast.oracles import ProblemOracle, SumOracle, counted
 from hyperfast.problems import (
     LogisticLoss,
+    QuarticChain,
     QuarticObjective,
     synth_logreg,
 )
@@ -164,6 +166,37 @@ class TestSetup:
 
     def test_step_scale_constant(self):
         assert STEP_SCALE == pytest.approx(2.0 + np.sqrt(2.0), rel=1e-15)
+
+    @staticmethod
+    def _theta(st, terms):
+        """max(delta, 2*noise), with noise the roundoff of the gradient
+        differences: 4*eps*(terms + ||B||*ball + L3*ball^3)/tau^2."""
+        noise = (4.0 * float(np.finfo(np.float64).eps)
+                 * (terms + st.hess_norm0 * st.ball_radius + st.L3 * st.ball_radius**3)
+                 / st.tau_used**2)
+        return max(st.delta, 2.0 * noise)
+
+    def test_roundoff_term_is_the_gradient_terms(self):
+        """Near the optimum the terms the gradient sums (here ||Qx|| + ||c||)
+        exceed ||g0||, and the roundoff term takes them, from one gradient
+        and one Hessian call."""
+        Q, c = np.diag([1.0, 2.0]), np.array([1.0, -1.0])
+        orc = counted(QuarticObjective(Q, c, 0.0))
+        x = np.array([-1.0, 0.5]) + 1e-6
+        st = bdgm.setup(orc, x, eps=1e-9)
+        terms = orc.grad_term_bound(x)
+        assert terms > 1e3 * st.grad_norm0
+        assert st.theta_abs == self._theta(st, terms) > self._theta(st, st.grad_norm0)
+        assert (orc.n_grad, orc.n_hess) == (1, 1)
+
+    def test_no_bound_keeps_the_gradient_norm(self):
+        """An oracle with no bound (QuarticChain) sizes the roundoff term
+        from ||g0|| alone, bit for bit as before bounds existed."""
+        orc = QuarticChain(3)
+        x = np.array([0.3, -0.2, 0.5])
+        assert orc.grad_term_bound(x) is None
+        st = bdgm.setup(orc, x, eps=1e-9)
+        assert st.theta_abs == self._theta(st, st.grad_norm0)
 
 
 class TestApproxGrad:
@@ -435,6 +468,34 @@ class TestEngineContract:
                         shift = np.linalg.norm(z - st.x_tilde)
                         on_ball += shift == pytest.approx(st.ball_radius, rel=1e-9)
         assert 0 < on_ball < 48
+
+    @pytest.mark.parametrize("factor, next_scale", [(1.0 - 1e-6, 1.0), (1.0 + 1e-6, 2.0)])
+    def test_curvature_margin_is_two_theta_step(self, factor, next_scale):
+        """A step at scale 1 whose curvature excess
+        <g(z+) - g(z), d> - <rho'(z+) - rho'(z), d> lies just under
+        2*theta*||d|| is accepted; just over it, the scale doubles. The
+        oracle is linear, so its gradient differences are exactly 0, and its
+        L3 equals the state's: the excess is (oracle_B - B)*d^2, set through
+        the hand-built oracle_B."""
+        orc = QuarticObjective(np.zeros((1, 1)), np.array([-0.5]), 0.0)
+        theta = 0.05
+        anchor, g0, B = np.zeros(1), np.array([-0.5]), np.eye(1)
+        state = BdgmState(
+            x_tilde=anchor, gamma=1.0 / 6.0, g0=g0, B=B, L3=orc.lipschitz_L3,
+            grad_norm0=0.5, hess_norm0=1.0, delta=theta, tau=TAU_FLOOR,
+            tau_used=TAU_FLOOR, theta_abs=theta, ball_radius=10.0,
+            evals=np.ones(1), evecs=np.eye(1), solved_reason=None, oracle=orc,
+            oracle_g0=g0, oracle_B=B, model=None)
+        rho = np.zeros(1)
+        z1 = bregman_step(state, anchor, g0, 1.0, rho)
+        d = float(z1[0])
+        state.oracle_B = B + factor * 2.0 * theta / abs(d)
+        z, _, _, _, scale = bdgm._accepted_step(state, anchor, g0, rho, 1.0)
+        assert scale == next_scale
+        if next_scale == 1.0:
+            np.testing.assert_array_equal(z, z1)
+        else:
+            np.testing.assert_array_equal(z, bregman_step(state, anchor, g0, 2.0, rho))
 
     def test_next_scale_after_an_accepted_step(self, monkeypatch):
         """After a first-try accept at scale c the next step starts at

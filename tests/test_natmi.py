@@ -7,12 +7,14 @@ and end-to-end convergence checks on quadratic, quartic, and logistic
 problems.
 """
 
+import functools
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hyperfast import harness, natmi
+from hyperfast import bdgm, harness, natmi
 from hyperfast.bdgm import SubproblemError
 from hyperfast.harness import reference_fstar
 from hyperfast.natmi import (
@@ -342,6 +344,19 @@ class TestExactEngineCertificate:
         assert_paper_invariants(res, reference_fstar(orc, tol=1e-8), eps)
 
 
+def _ends_at_the_floor(params: dict) -> None:
+    """Run params through the harness: it raises nothing, keeps every
+    step's contraction within 0.6 and ends at accuracy_floor."""
+    out = harness.run(harness.build_run_config(params))
+    assert all(rec.sigma_observed <= 0.6 for rec in out.records)
+    assert out.summary["status"] == "accuracy_floor"
+
+
+def _quadratic_at_eps_1e9(n: int, seed: int) -> dict:
+    return {"problem": "quadratic", "problem.n": str(n), "problem.seed": str(seed),
+            "eps": "1e-9", "max_iters": "100", "method": "hyperfast"}
+
+
 class TestInexactMarginOnQuadratics:
     @pytest.mark.parametrize("n, seed", [(2, 26), (2, 37), (2, 56), (8, 45), (10, 33),
                                          (4, 28), (6, 55), (8, 82), (10, 47), (10, 58)])
@@ -349,14 +364,31 @@ class TestInexactMarginOnQuadratics:
         """These registered quadratics reach the float floor, where a
         certificate less delta alone, not theta_abs, accepts roundoff (sigma
         up to 33) or never certifies (n=10 seed 33 raises SubproblemError).
-        The last five sit where the engine's roundoff estimate can fall below
-        the real roundoff (ROADMAP item 4); each ends at accuracy_floor."""
-        cfg = harness.build_run_config({
-            "problem": "quadratic", "problem.n": str(n), "problem.seed": str(seed),
-            "eps": "1e-9", "max_iters": "100"})
-        out = harness.run(cfg)
-        assert all(rec.sigma_observed <= 0.6 for rec in out.records)
-        assert out.summary["status"] == "accuracy_floor"
+        In the last five, a roundoff term sized from ||grad f(x~)|| instead
+        of the terms the gradient sums sat below the real roundoff, so sigma
+        broke the bound or no inner solve reached its floor; each ends at
+        accuracy_floor."""
+        _ends_at_the_floor(_quadratic_at_eps_1e9(n, seed))
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(n=st.integers(2, 10), seed=st.integers(0, 99))
+    @example(n=8, seed=67)
+    @example(n=9, seed=76)
+    def test_generated_quadratics_end_at_the_floor(self, n, seed):
+        """Every registered quadratic (n in [2, 10], seed in [0, 99]) ends
+        at accuracy_floor within the contraction bound. The two examples
+        ran out of inner steps with the roundoff term sized from
+        ||grad f(x~)||."""
+        _ends_at_the_floor(_quadratic_at_eps_1e9(n, seed))
+
+
+class TestLogregFixtureFloor:
+    @pytest.mark.parametrize("eps", ["1e-10", "1e-11", "1e-12"])
+    def test_small_eps_ends_at_the_floor(self, eps):
+        """Below the fixture's float floor the run stops at accuracy_floor;
+        with the roundoff term sized from ||grad f(x~)||, eps 1e-11 found no
+        certificate in 10000 inner steps."""
+        _ends_at_the_floor({"problem": "logreg_fixture", "eps": eps})
 
 
 class TestWrongL3Hint:
@@ -386,15 +418,16 @@ class TestWrongL3Hint:
         res = solve(NatmiConfig(eps=1e-9, k_max=30), self.quartic(), np.zeros(3))
         assert res.converged
 
-    def test_valid_l3_names_no_estimate(self):
-        """logreg_fixture's reported L3 (0.125) is a valid bound, and at eps
-        1e-11 the inner solve finds no certificate through roundoff. The
+    def test_valid_l3_names_no_estimate(self, monkeypatch):
+        """logreg_fixture's reported L3 (0.125) is a valid bound. An inner
+        budget of one step forces a "no certificate" failure, and the
         estimate (0.000587) lies below the bound, so the message names none."""
-        cfg = harness.build_run_config({"problem": "logreg_fixture", "eps": "1e-11"})
+        monkeypatch.setattr(bdgm, "solve", functools.partial(bdgm.solve, max_iters=1))
+        cfg = harness.build_run_config({"problem": "logreg_fixture"})
         with pytest.raises(SubproblemError) as info:
             harness.run(cfg)
         message = str(info.value)
-        assert message.startswith("no certificate in 10000 iterations (last lhs ")
+        assert message.startswith("no certificate in 1 iterations (last lhs ")
         assert "L3" not in message and "sampled_l3" not in message
 
 

@@ -3,6 +3,8 @@ and the finite-difference self-checks used by every layer above."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hyperfast.oracles import (
     CountedOracle,
@@ -13,7 +15,13 @@ from hyperfast.oracles import (
     counted,
     operator_norm,
 )
-from hyperfast.problems import QuarticObjective, synth_logreg, LogisticLoss
+from hyperfast.problems import (
+    _BLOCK,
+    LogisticLoss,
+    QuarticChain,
+    QuarticObjective,
+    synth_logreg,
+)
 
 from crosschecks import fd_check_grad, fd_check_hess
 
@@ -106,6 +114,18 @@ class TestSumOracle:
         with pytest.raises(ValueError):
             SumOracle(_random_quartic(rng, 2), _random_quartic(rng, 3))
 
+    def test_grad_term_bounds_add(self):
+        """The parts' bounds add; a part with none leaves the sum with none."""
+        rng = np.random.default_rng(5)
+        a = _random_quartic(rng, 3)
+        b = _random_quartic(rng, 3)
+        x = rng.standard_normal(3)
+        assert SumOracle(a, b).grad_term_bound(x) == (a.grad_term_bound(x)
+                                                      + b.grad_term_bound(x))
+        assert QuarticChain(3).grad_term_bound(x) is None
+        assert SumOracle(a, QuarticChain(3)).grad_term_bound(x) is None
+        assert SumOracle(QuarticChain(3), a).grad_term_bound(x) is None
+
 
 class TestCountedOracle:
     def test_counts_each_kind(self):
@@ -118,6 +138,7 @@ class TestCountedOracle:
         co.grad(x)
         co.hess(x)
         co.third_action(x, s)
+        co.grad_term_bound(x)  # no oracle call: counts nothing
         assert (co.n_value, co.n_grad, co.n_hess, co.n_third) == (1, 2, 1, 1)
         co.reset()
         assert (co.n_value, co.n_grad, co.n_hess, co.n_third) == (0, 0, 0, 0)
@@ -140,6 +161,7 @@ class TestCountedOracle:
         x = rng.standard_normal(3)
         assert co.value(x) == orc.value(x)
         np.testing.assert_array_equal(co.grad(x), orc.grad(x))
+        assert co.grad_term_bound(x) == orc.grad_term_bound(x)
 
 
 class TestFdSelfChecks:
@@ -169,6 +191,82 @@ class TestFdSelfChecks:
         for _ in range(5):
             x = rng.standard_normal(6) * 0.5
             assert fd_check_grad(orc, x) < 1e-6
+
+
+_LD = np.longdouble
+_EPS = float(np.finfo(np.float64).eps)
+
+#: Largest gradient roundoff allowed, in units of eps times the bound. The
+#: drawn instances stay near 1.7; the bound is a scale, not a worst case,
+#: and a sum of tens of thousands of same-signed terms (n = 1 or 2, one
+#: row per 2^15 / n elements) rounds further.
+_ROUNDOFF_UNITS = 8.0
+
+
+def _logistic_grad_ld(orc: LogisticLoss, x):
+    """LogisticLoss.grad recomputed in extended precision."""
+    A = orc.data.features.astype(_LD)
+    y = orc.data.labels.astype(_LD)
+    x = x.astype(_LD)
+    coeff = -y / orc.data.m / (1 + np.exp(y * (A @ x)))
+    return A.T @ coeff + _LD(orc.ridge) * x
+
+
+def _quartic_grad_ld(orc: QuarticObjective, x):
+    """QuarticObjective.grad recomputed in extended precision."""
+    x = x.astype(_LD)
+    return orc.Q.astype(_LD) @ x + orc.c.astype(_LD) + _LD(orc.a4) * (x @ x) * x
+
+
+def _roundoff_units(grad, exact, bound) -> float:
+    return float(np.max(np.abs(grad - exact))) / (_EPS * bound)
+
+
+@st.composite
+def _bounded_pair(draw):
+    """A logistic loss over one to three row blocks of features (n in
+    [8, 32]) and a quartic on the same space, with a point x."""
+    n = draw(st.integers(8, 32))
+    rows_per_block = _BLOCK // n
+    blocks = draw(st.integers(1, 3))
+    m = draw(st.integers((blocks - 1) * rows_per_block + 1, blocks * rows_per_block))
+    seed = draw(st.integers(0, 2**32 - 1))
+    logistic = LogisticLoss(synth_logreg(seed, m, n),
+                            ridge=draw(st.sampled_from([0.0, 1e-3, 1.0])))
+    rng = np.random.default_rng(seed)
+    M = rng.standard_normal((n, n))
+    quartic = QuarticObjective(draw(st.sampled_from([1e-2, 1.0, 1e2])) * (M @ M.T),
+                               draw(st.sampled_from([0.0, 1e-3, 1.0, 1e3]))
+                               * rng.standard_normal(n),
+                               draw(st.sampled_from([0.0, 0.5, 10.0])))
+    x = draw(st.sampled_from([0.1, 1.0, 10.0])) * rng.standard_normal(n)
+    return logistic, quartic, x
+
+
+class TestGradTermBound:
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(pair=_bounded_pair())
+    def test_bound_covers_the_gradient_roundoff(self, pair):
+        """The float64 gradient lies within a few eps times grad_term_bound
+        of its extended-precision recomputation, for each oracle with a
+        bound and for their sum."""
+        logistic, quartic, x = pair
+        exact_l = _logistic_grad_ld(logistic, x)
+        exact_q = _quartic_grad_ld(quartic, x)
+        total = SumOracle(logistic, quartic)
+        for grad, exact, bound in (
+                (logistic.grad(x), exact_l, logistic.grad_term_bound(x)),
+                (quartic.grad(x), exact_q, quartic.grad_term_bound(x)),
+                (total.grad(x), exact_l + exact_q, total.grad_term_bound(x))):
+            assert _roundoff_units(grad, exact, bound) <= _ROUNDOFF_UNITS
+
+    def test_logistic_bound_is_the_mean_row_norm_plus_ridge(self):
+        data = synth_logreg(4, 40, 6)
+        orc = LogisticLoss(data, ridge=1e-3)
+        x = np.full(6, 0.5)
+        mean_row = float(np.mean(np.linalg.norm(data.features, axis=1)))
+        assert orc.grad_term_bound(x) == pytest.approx(
+            mean_row + 1e-3 * np.linalg.norm(x), rel=1e-14)
 
 
 class TestMatrixHelpers:

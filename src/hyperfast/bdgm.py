@@ -370,15 +370,14 @@ def solve(state: BdgmState, max_iters: int = 10000) -> BdgmResult:
         ||approx_grad(z)|| <= gamma*||grad F(z)|| - theta_abs    (certified)
 
     theta_abs = max(delta, 2*noise) is the estimate's one error margin, its
-    truncation budget or the roundoff of its gradient differences, sized
-    from the terms the oracle's gradient sums (see BdgmState); the
-    curvature test of each step allows for the same margin. A margin below
-    the real roundoff would leave ||approx_grad(z)|| unable to reach the
-    floor. The second line is the acceptance contract for the outer loop,
-    and "accuracy_floor" answers a z that fails it, as setup() does when
-    theta_abs >= gamma*||g0||. The floor pins
-    z to the exact model minimizer, which the cross-check against the
-    reference Newton minimizer relies on. grad F(z) is taken only there, so
+    truncation budget or the roundoff of its gradient differences (see
+    BdgmState), and the curvature test of each step allows for it too. A
+    margin below the real roundoff would leave ||approx_grad(z)|| unable to
+    reach the floor. The second line is the acceptance contract for the
+    outer loop, and "accuracy_floor" answers a z that fails it, as setup()
+    does when theta_abs >= gamma*||g0||. The floor pins z to the exact
+    model minimizer, which the cross-check against the reference Newton
+    minimizer relies on. grad F(z) is taken only there, so
     a solve spends one target gradient, at its answer: the oracle's, plus
     model's exact one when given.
 

@@ -364,10 +364,10 @@ class TestInexactMarginOnQuadratics:
         """These registered quadratics reach the float floor, where a
         certificate less delta alone, not theta_abs, accepts roundoff (sigma
         up to 33) or never certifies (n=10 seed 33 raises SubproblemError).
-        In the last five, a roundoff term sized from ||grad f(x~)|| instead
-        of the terms the gradient sums sat below the real roundoff, so sigma
-        broke the bound or no inner solve reached its floor; each ends at
-        accuracy_floor."""
+        The last five are where a roundoff term sized from ||grad f(x~)||
+        alone once fell below the real roundoff (sigma broke the bound, or
+        no inner solve reached its floor); the term now takes the terms the
+        gradient sums. Each ends at accuracy_floor."""
         _ends_at_the_floor(_quadratic_at_eps_1e9(n, seed))
 
     @settings(max_examples=150, deadline=None, derandomize=True)

@@ -229,7 +229,8 @@ def _bounded_pair(draw):
     n = draw(st.integers(8, 32))
     rows_per_block = _BLOCK // n
     blocks = draw(st.integers(1, 3))
-    m = draw(st.integers((blocks - 1) * rows_per_block + 1, blocks * rows_per_block))
+    # Counted down from a full last block, so that small draws give many rows.
+    m = blocks * rows_per_block - draw(st.integers(0, rows_per_block - 1))
     seed = draw(st.integers(0, 2**32 - 1))
     logistic = LogisticLoss(synth_logreg(seed, m, n),
                             ridge=draw(st.sampled_from([0.0, 1e-3, 1.0])))
@@ -250,6 +251,8 @@ class TestGradTermBound:
         """The float64 gradient lies within a few eps times grad_term_bound
         of its extended-precision recomputation, for each oracle with a
         bound and for their sum."""
+        if np.finfo(_LD).eps >= _EPS:
+            pytest.skip("np.longdouble is no wider than float64 on this platform")
         logistic, quartic, x = pair
         exact_l = _logistic_grad_ld(logistic, x)
         exact_q = _quartic_grad_ld(quartic, x)

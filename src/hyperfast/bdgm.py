@@ -51,7 +51,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .oracles import Matrix, ProblemOracle, SolverError, Vector
+from .oracles import CountedOracle, Matrix, ProblemOracle, SolverError, Vector
+from .problems import sampled_l3
 from .taylor import ModelSpec, fd_third_action, model_grad, model_hess
 
 _EPS = float(np.finfo(np.float64).eps)
@@ -388,6 +389,9 @@ def solve(state: BdgmState, max_iters: int = 10000) -> BdgmResult:
     The iterate's rho'(z) and ||approx_grad(z)|| are carried from the try
     that produced it, so a solve takes one rho' per try plus one at the
     anchor, and one approx_grad per try plus one at the anchor.
+    Running out of max_iters raises "no certificate": the reported L3 may
+    be below the true one, so the message names problems.sampled_l3's
+    estimate when larger, taken on the oracle a CountedOracle wraps.
     """
     if state.solved_reason is not None:
         return BdgmResult(state.x_tilde.copy(), 0, state.solved_reason,
@@ -420,6 +424,10 @@ def solve(state: BdgmState, max_iters: int = 10000) -> BdgmResult:
             # the setup short-circuit reports.
             return BdgmResult(z, i, "accuracy_floor", grad_z, oracle_grad)
         z, g_hat, lhs, rho, scale = _accepted_step(state, z, g_hat, rho, scale)
+    oracle = state.oracle.inner if isinstance(state.oracle, CountedOracle) else state.oracle
+    estimate = sampled_l3(oracle)  # uncounted, so it moves no counter
     raise SubproblemError(
         f"no certificate in {max_iters} iterations "
-        f"(last lhs {lhs:.3e}, floor {state.theta_abs:.3e})")
+        f"(last lhs {lhs:.3e}, floor {state.theta_abs:.3e})"
+        + (f"; reported L3 {oracle.lipschitz_L3:.3g}, sampled_l3 estimate {estimate:.3g}"
+           if estimate > oracle.lipschitz_L3 else ""))

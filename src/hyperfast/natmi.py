@@ -4,7 +4,8 @@ The loop keeps a primal iterate y, a dual-averaging iterate x, and an
 accumulator A. Each iteration searches for a step weight lambda: the anchor
 x~(lambda) is a convex blend of y and x, the model subproblem at the anchor
 is solved inexactly, and lambda is accepted when the realized step radius
-r = ||y_new - x~|| puts lambda * 3*L3*r^2/4 inside [1/2, 3/4]. The accepted
+r = ||y_new - x~|| puts lambda*H*r^2/2 inside [1/2, 3/4], H = xi*L3 the
+model's regularization weight (lambda * 3*L3*r^2/4 at xi = 3/2). The accepted
 iterate carries a relative model-gradient certificate from the subproblem
 solver, and the combination of certificate and window produces the
 per-iteration contraction ratio recorded as sigma_observed.
@@ -30,12 +31,11 @@ import numpy as np
 
 from . import bdgm
 from .oracles import ConfigError, ProblemOracle, SolverError, Vector, counted, operator_norm
-from .problems import sampled_l3
 from .taylor import EXACT_MAX_DIM, ModelSpec, exact_model_min, model_grad
 
 WINDOW_LO = 0.5
 WINDOW_HI = 0.75
-#: First-iteration target for lambda * 3*L3*r^2/4, the window midpoint.
+#: First-iteration target for lambda*H*r^2/2, the window midpoint.
 _WINDOW_MID = 0.625
 
 #: Step weight search: the first secant slope of log w against log lambda
@@ -136,7 +136,7 @@ class Trial(NamedTuple):
     dual update steps along, the anchor norms feed max_grad_norm /
     max_hess_norm, and sliding's levels pass h's gradient at y (part_grad)
     and the middle steps taken (mid_iters). The search fills the rest, w
-    being the window statistic lam * 3*L3*r^2/4 with r = ||y - x~||.
+    being the window statistic lam*H*r^2/2, H = xi*L3 and r = ||y - x~||.
     """
 
     y: Vector
@@ -211,23 +211,31 @@ def oracle_subproblem(cfg: NatmiConfig, oracle: ProblemOracle):
     """Subproblem builder for a single function: the regularized third-order
     model of oracle at each anchor, solved by the inexact engine or, with
     subsolver="exact", by the reference Newton minimizer; either answers
-    "certified" on the paper's certificate, else "accuracy_floor". The inexact
-    engine is built for xi = bdgm.XI and the exact one for n <= EXACT_MAX_DIM;
-    after the regime, these are checked (ConfigError) before any oracle call."""
+    "certified" on the paper's certificate, else "accuracy_floor". The
+    inexact builder takes (x_t, model=None), model a cached ModelSpec at x_t
+    (sliding's g-model) added as a second part, and answers part_grad =
+    oracle's gradient at y. Before any oracle call, the subsolver's name,
+    the regime, then xi = bdgm.XI or n <= EXACT_MAX_DIM are checked."""
+    if cfg.subsolver not in ("bdgm", "exact"):
+        raise ConfigError(f"unknown subsolver {cfg.subsolver!r}")
     _require_regime(cfg)
-    if cfg.subsolver == "bdgm" and cfg.xi != bdgm.XI:
-        raise ConfigError(f"subsolver 'bdgm' needs xi = {bdgm.XI}, got xi = {cfg.xi}")
-    if cfg.subsolver == "exact" and oracle.dim > EXACT_MAX_DIM:
+    if cfg.subsolver == "bdgm":
+        if cfg.xi != bdgm.XI:
+            raise ConfigError(f"subsolver 'bdgm' needs xi = {bdgm.XI}, got xi = {cfg.xi}")
+
+        def inexact(x_t: Vector, model: ModelSpec | None = None) -> Trial:
+            sub = bdgm.setup(oracle, x_t, cfg.eps, c_delta=cfg.c_delta,
+                             gamma=cfg.gamma, model=model)
+            res = bdgm.solve(sub)
+            return Trial(res.z, res.grad_at_z, res.iters, res.reason,
+                         sub.grad_norm0, sub.hess_norm0, res.oracle_grad_at_z)
+
+        return inexact
+    if oracle.dim > EXACT_MAX_DIM:
         raise ConfigError(f"subsolver 'exact' needs n <= {EXACT_MAX_DIM}, got n = {oracle.dim}")
     L3 = oracle.lipschitz_L3
 
-    def subproblem(x_t: Vector) -> Trial:
-        if cfg.subsolver == "bdgm":
-            sub = bdgm.setup(oracle, x_t, cfg.eps, c_delta=cfg.c_delta,
-                             gamma=cfg.gamma)
-            res = bdgm.solve(sub)
-            return Trial(res.z, res.grad_at_z, res.iters, res.reason,
-                         sub.grad_norm0, sub.hess_norm0)
+    def exact(x_t: Vector) -> Trial:
         spec = ModelSpec(oracle, x_t, cfg.xi * L3)
         if not (np.isfinite(spec.grad_anchor).all() and np.isfinite(spec.hess_anchor).all()):
             raise bdgm.SubproblemError("non-finite gradient or Hessian at the anchor")
@@ -247,7 +255,7 @@ def oracle_subproblem(cfg: NatmiConfig, oracle: ProblemOracle):
         return Trial(y, grad_y, 0, "certified" if certified else "accuracy_floor",
                      ga_norm, h_norm)
 
-    return subproblem
+    return exact
 
 
 def search_lambda(make_trial, L3: float, lam_warm: float | None,
@@ -320,7 +328,8 @@ def accelerated_steps(subproblem, L3: float, x0: Vector, k_max: int,
                       warm: dict | None = None):
     """The accelerated scheme: yield (trial, n_trials) per window search.
 
-    Each step blends the anchor x~ = (A*y + a*x)/(A + a) for a trial lambda,
+    The window statistic w = lam * 3*L3*r^2/4 is the paper's lam*H*r^2/2 at
+    H = 3*L3/2; for H = xi*L3, pass L3*(xi/1.5) as L3. Each step blends the anchor x~ = (A*y + a*x)/(A + a) for a trial lambda,
     asks subproblem(x~) for a Trial, and lets search_lambda pick the lambda
     whose answer lands in the window. The generator ends after a terminal
     answer (zero_gradient, accuracy_floor) and after k_max steps; otherwise,
@@ -404,7 +413,7 @@ def outer_loop(subproblem, L3: float, x0: Vector, cfg: NatmiConfig,
     records: list[IterationRecord] = []
     t_start = time.perf_counter() if cfg.timing else 0.0
     try:
-        for t, n_trials in accelerated_steps(tracked, L3, y, cfg.k_max):
+        for t, n_trials in accelerated_steps(tracked, L3 * (cfg.xi / 1.5), y, cfg.k_max):
             if t.reason == "zero_gradient":
                 y, grad_norm, status = t.x_tilde.copy(), 0.0, "stationary"
                 break
@@ -468,31 +477,12 @@ def _total(counts: dict, kind: str) -> int:
                if key.partition("_")[0] == kind)
 
 
-def _add_l3_hint(exc: bdgm.SubproblemError, oracle: ProblemOracle) -> None:
-    """Append oracle's reported L3 and problems.sampled_l3's larger estimate
-    of it to a "no certificate" failure of bdgm.solve: the reported L3 may
-    be below the true one. oracle is the uncounted one the engine modeled,
-    so the estimate moves no counter; other failures take no estimate."""
-    if str(exc).startswith("no certificate"):  # bdgm.solve ran out of steps
-        estimate = sampled_l3(oracle)
-        if estimate > oracle.lipschitz_L3:
-            exc.args = (f"{exc}; reported L3 {oracle.lipschitz_L3:.3g}, "
-                        f"sampled_l3 estimate {estimate:.3g}",)
-
-
 def solve(cfg: NatmiConfig, oracle: ProblemOracle, x0: Vector) -> SolveResult:
     """Run the outer loop from x0 until k_max, grad_tol, or a terminal state.
 
     An inner solve that finds no certificate can mean the reported L3 is
-    below the true one, so that failure's message adds a larger
-    problems.sampled_l3 estimate beside it (_add_l3_hint); a run that does
-    not fail this way never takes the estimate."""
-    if cfg.subsolver not in ("bdgm", "exact"):
-        raise ConfigError(f"unknown subsolver {cfg.subsolver!r}")
+    below the true one; bdgm.solve then names a larger problems.sampled_l3
+    estimate beside it, taken on the uncounted oracle."""
     co = counted(oracle)
-    try:
-        return outer_loop(oracle_subproblem(cfg, co), co.lipschitz_L3, x0, cfg,
-                          co, lambda: co.counts)
-    except bdgm.SubproblemError as exc:
-        _add_l3_hint(exc, oracle)
-        raise
+    return outer_loop(oracle_subproblem(cfg, co), co.lipschitz_L3, x0, cfg,
+                      co, lambda: co.counts)

@@ -10,10 +10,10 @@ to a middle loop. The middle loop is the same accelerated scheme applied to
 that sum: it models h at its own anchors (one Hessian of h per middle
 trial), keeps the cached g-model exact, and stops as soon as its iterate
 meets the outer certificate. The innermost level is the single-function
-engine, bdgm.setup on h with the cached g-model as a second part,
-minimizing [model of h] + [model of g]. Each g-model evaluation takes one
-analytic third-derivative action of g (counted as n_third_g; see
-ROADMAP.md item 2). The engine is built for xi = 3/2 only.
+builder, natmi.oracle_subproblem on h, called with the cached g-model as
+a second part, minimizing [model of h] + [model of g]. Each g-model
+evaluation takes one analytic third-derivative action of g (counted as
+n_third_g; see ROADMAP.md item 2). The engine is built for xi = 3/2 only.
 
 Every level accepts on the paper's certificate ||grad m(y)|| <= gamma *
 ||grad f(y)||, with m that level's model. Outer windows use L3_g and middle
@@ -30,8 +30,6 @@ import numpy as np
 from . import bdgm
 from .natmi import (
     _TERMINAL,
-    _add_l3_hint,
-    _require_regime,
     NatmiConfig,
     SolveResult,
     Trial,
@@ -88,35 +86,28 @@ class CompositeProblem:
 
 
 def _middle_solve(cfg: NatmiConfig, prob: CompositeProblem, gspec: ModelSpec,
-                  x_anchor: Vector, warm: dict) -> Trial:
+                  x_anchor: Vector, warm: dict, inner) -> Trial:
     """Accelerated loop on F_mid = [g-model at x_anchor] + h until its
     iterate T meets the outer certificate ||grad F_mid(T)|| <= gamma *
     ||grad f(T)||, with warm the middle loop's lambda memory across outer
-    trials (see accelerated_steps).
+    trials (see accelerated_steps) and inner h's oracle_subproblem builder,
+    which each middle trial calls with gspec as the model.
 
     Answers the outer trial with T, grad f(T), the inner iterations of all
     middle steps and reason "certified", or "accuracy_floor" when a terminal
     middle trial fails the certificate. Its anchor norms are the largest
     over the middle steps; the first is anchored at x_anchor.
     """
-    g, h = prob.g, prob.h
-
-    def subproblem(x_tm: Vector) -> Trial:
-        eng = bdgm.setup(h, x_tm, cfg.eps, c_delta=cfg.c_delta,
-                         gamma=cfg.gamma, model=gspec)
-        res = bdgm.solve(eng)
-        return Trial(res.z, res.grad_at_z, res.iters, res.reason,
-                     eng.grad_norm0, eng.hess_norm0, res.oracle_grad_at_z)
-
     mid_iters = inner_total = 0
     peak_grad = peak_hess = 0.0
-    for t, _ in accelerated_steps(subproblem, h.lipschitz_L3, x_anchor,
-                                  _MIDDLE_K_MAX, warm):
+    for t, _ in accelerated_steps(lambda x_tm: inner(x_tm, gspec),
+                                  prob.h.lipschitz_L3, x_anchor, _MIDDLE_K_MAX,
+                                  warm):
         mid_iters += 1
         inner_total += t.inner_iters
         peak_grad = max(peak_grad, t.grad_anchor_norm)
         peak_hess = max(peak_hess, t.hess_anchor_norm)
-        grad_f_T = g.grad(t.y) + t.part_grad
+        grad_f_T = prob.g.grad(t.y) + t.part_grad
         lhs = float(np.linalg.norm(t.grad_y))
         member = lhs <= cfg.gamma * float(np.linalg.norm(grad_f_T))
         if member or t.reason in _TERMINAL:
@@ -134,30 +125,20 @@ def solve_sliding(prob: CompositeProblem, x0: Vector,
 
     The outer loop is the single-function one with the window on L3_g, the
     dual update along the full gradient of f and each subproblem handed to
-    the middle loop. The result's counts carry the per-component totals.
-    With h the zero sentinel, the single-function builder runs on g. A bad
-    regime, gamma = 0 or xi != bdgm.XI is a ConfigError before any call.
-    An inner solve that finds no certificate names the reported L3 of the
-    part its engine modeled (h, or g on the one-part path) and a larger
-    problems.sampled_l3 estimate of it, as natmi.solve does.
+    the middle loop, whose inner solves are natmi.oracle_subproblem's on h.
+    The result's counts carry the per-component totals. With h the zero
+    sentinel, that builder runs on g as the outer one. A subsolver other
+    than "bdgm", a bad regime, gamma = 0 or xi != bdgm.XI is a ConfigError
+    before any call. An inner solve that finds no certificate names the
+    reported L3 of the part it modeled and, when larger, problems.sampled_l3's
+    estimate of it (bdgm.solve).
     """
-    modeled = prob.g if prob.h.is_zero else prob.h
-    try:
-        return _solve_parts(prob, x0, cfg)
-    except bdgm.SubproblemError as exc:
-        _add_l3_hint(exc, modeled.inner)
-        raise
-
-
-def _solve_parts(prob: CompositeProblem, x0: Vector,
-                 cfg: NatmiConfig) -> SolveResult:
+    if cfg.subsolver != "bdgm":
+        raise ConfigError(f"sliding runs subsolver 'bdgm' only, got {cfg.subsolver!r}")
     g, h = prob.g, prob.h
+    inner = oracle_subproblem(cfg, g if h.is_zero else h)
     if h.is_zero:
-        return outer_loop(oracle_subproblem(cfg, g), g.lipschitz_L3, x0, cfg,
-                          g, lambda: prob.counts)
-    _require_regime(cfg)
-    if cfg.xi != bdgm.XI:
-        raise ConfigError(f"sliding's inner engine needs xi = {bdgm.XI}, got xi = {cfg.xi}")
+        return outer_loop(inner, g.lipschitz_L3, x0, cfg, g, lambda: prob.counts)
     H_g = cfg.xi * g.lipschitz_L3
     mid_warm: dict = {}
 
@@ -166,7 +147,7 @@ def _solve_parts(prob: CompositeProblem, x0: Vector,
         gf_anchor = spec.grad_anchor + h.grad(x_t)
         if float(np.linalg.norm(gf_anchor)) == 0.0:
             return Trial(x_t.copy(), gf_anchor, 0, "zero_gradient", 0.0, 0.0)
-        return _middle_solve(cfg, prob, spec, x_t, mid_warm)
+        return _middle_solve(cfg, prob, spec, x_t, mid_warm, inner)
 
     return outer_loop(subproblem, g.lipschitz_L3, x0, cfg, prob,
                       lambda: prob.counts)

@@ -28,10 +28,12 @@ from hyperfast.natmi import (
     step_weight,
     validate_params,
 )
+from hyperfast.oracles import CountedOracle
 from hyperfast.problems import (
     LogisticLoss,
     QuarticChain,
     QuarticObjective,
+    sampled_l3,
     synth_logreg,
 )
 from hyperfast.taylor import ModelSpec, model_grad
@@ -343,6 +345,22 @@ class TestExactEngineCertificate:
                     np.zeros(orc.dim))
         assert_paper_invariants(res, reference_fstar(orc, tol=1e-8), eps)
 
+    @pytest.mark.parametrize("xi", [1.0, 2.0, 3.0, 7.0])
+    @pytest.mark.parametrize("problem", ["quartic1d", "quartic_chain"])
+    def test_window_scales_with_xi(self, xi, problem):
+        """natmi_exact's window bounds lam*H*r^2/2 with H = xi*L3, so every
+        step keeps its regime's contraction bound: with the window fixed at
+        H = 3*L3/2, xi = 3 and 7 took uncertified larger steps (sigma up to
+        0.909 on QuarticChain(4) at xi = 3, 3.651 at xi = 7)."""
+        if problem == "quartic1d":
+            bundle = harness.make_problem(harness.build_run_config({"problem": problem}))
+            orc, x0 = bundle.single(), bundle.x0
+        else:
+            orc, x0 = QuarticChain(4), np.full(4, 0.5)
+        cfg = NatmiConfig(eps=1e-9, k_max=100, xi=xi, subsolver="exact")
+        res = solve(cfg, orc, x0)
+        assert_paper_invariants(res, 0.0, cfg.eps, sigma=validate_params(cfg).sigma)
+
 
 def _ends_at_the_floor(params: dict) -> None:
     """Run params through the harness: it raises nothing, keeps every
@@ -414,9 +432,28 @@ class TestWrongL3Hint:
         def refuse(*args, **kwargs):
             raise AssertionError("sampled_l3 called on a good run")
 
-        monkeypatch.setattr(natmi, "sampled_l3", refuse)
+        monkeypatch.setattr(bdgm, "sampled_l3", refuse)
         res = solve(NatmiConfig(eps=1e-9, k_max=30), self.quartic(), np.zeros(3))
         assert res.converged
+
+    def test_estimate_moves_no_counter(self, monkeypatch):
+        """Given a counted oracle, the estimate runs on the oracle it wraps,
+        so the caller's counters stay where the failure left them."""
+        orc = self.quartic()
+        orc.lipschitz_L3 *= 1e-2
+        co = CountedOracle(orc)
+        seen = []
+
+        def record(oracle, *args, **kwargs):
+            seen.append((oracle, co.counts))
+            return sampled_l3(oracle, *args, **kwargs)
+
+        monkeypatch.setattr(bdgm, "sampled_l3", record)
+        with pytest.raises(SubproblemError, match="sampled_l3 estimate 2.97$"):
+            solve(NatmiConfig(eps=1e-9, k_max=30), co, np.zeros(3))
+        [(oracle, counts)] = seen
+        assert oracle is orc
+        assert co.counts == counts
 
     def test_valid_l3_names_no_estimate(self, monkeypatch):
         """logreg_fixture's reported L3 (0.125) is a valid bound. An inner

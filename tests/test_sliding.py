@@ -11,12 +11,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hyperfast import harness, natmi, sliding
+from hyperfast import bdgm, harness, sliding
 from hyperfast.bdgm import SubproblemError
 from hyperfast.harness import reference_fstar
 from hyperfast.natmi import NatmiConfig, solve as natmi_solve
 from hyperfast.oracles import ConfigError, ProblemOracle, ZeroOracle
-from hyperfast.problems import QuarticObjective
+from hyperfast.problems import QuarticObjective, sampled_l3
 from hyperfast.sliding import CompositeProblem, solve_sliding
 from hyperfast.taylor import (ModelSpec, membership_residual, model_grad, model_hess,
                              model_value, newton_min)
@@ -273,6 +273,17 @@ class TestCompositeSolve:
                 solve_sliding(prob, np.zeros(1), NatmiConfig(xi=7.0))
             assert all(v == 0 for v in prob.counts.values())
 
+    @pytest.mark.parametrize("subsolver", ["exact", "cg"])
+    def test_refuses_other_subsolvers(self, subsolver):
+        # Every level runs the inexact engine: "exact" once ran silently on
+        # the one-part path (with analytic third derivatives) and was
+        # ignored with two parts, and an unknown name ran as "bdgm".
+        for h in (ZeroOracle(1), QuarticObjective(np.eye(1), np.ones(1), 1.0)):
+            prob = CompositeProblem(QuarticObjective(np.eye(1), np.ones(1), 0.5), h)
+            with pytest.raises(ConfigError, match="subsolver"):
+                solve_sliding(prob, np.zeros(1), NatmiConfig(subsolver=subsolver))
+            assert all(v == 0 for v in prob.counts.values())
+
     def test_deterministic_replay(self):
         rng = np.random.default_rng(37)
         c1, c2 = rng.standard_normal(2), rng.standard_normal(2)
@@ -366,11 +377,30 @@ class TestWrongL3Hint:
         message = self.failure(CompositeProblem(h, ZeroOracle(3)))
         assert message.endswith("; reported L3 0.03, sampled_l3 estimate 2.97")
 
+    @pytest.mark.parametrize("two_parts", [True, False])
+    def test_estimate_takes_the_uncounted_part(self, two_parts, monkeypatch):
+        """The estimate runs on the modeled part the CompositeProblem's
+        counter wraps: h with two parts, g on the one-part path."""
+        g, h = self.parts()
+        h.lipschitz_L3 *= 1e-2
+        prob = CompositeProblem(g, h) if two_parts else CompositeProblem(h, ZeroOracle(3))
+        seen = []
+
+        def record(oracle, *args, **kwargs):
+            seen.append((oracle, prob.counts))
+            return sampled_l3(oracle, *args, **kwargs)
+
+        monkeypatch.setattr(bdgm, "sampled_l3", record)
+        self.failure(prob)
+        [(oracle, counts)] = seen
+        assert oracle is h
+        assert prob.counts == counts
+
     def test_good_run_takes_no_estimate(self, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("sampled_l3 called on a good run")
 
-        monkeypatch.setattr(natmi, "sampled_l3", refuse)
+        monkeypatch.setattr(bdgm, "sampled_l3", refuse)
         res = solve_sliding(CompositeProblem(*self.parts()), np.zeros(3),
                             NatmiConfig(eps=1e-9, k_max=30))
         assert res.converged

@@ -25,9 +25,9 @@ when it passed on the first try and keeps it when it needed a doubling; see
 _accepted_step().
 
 One engine serves every model, a sum of parts: setup() builds the
-difference-based model of an oracle at the anchor and, given a cached
-taylor.ModelSpec there (sliding's model of g), adds it exactly. Anchor
-gradients and Hessians add, and L3 gains the model's 4*H.
+difference-based model of an oracle at the anchor and, given a
+taylor.ModelSpec (sliding's model of g, anchored at the outer anchor), adds
+it exactly. Anchor gradients and Hessians add, and L3 gains the model's 4*H.
 
 Every test the engine makes allows for one error margin, theta_abs =
 max(delta, 2*noise): the larger of the estimate's truncation budget delta
@@ -189,7 +189,7 @@ def setup(oracle: ProblemOracle, x_tilde: Vector, eps: float,
           c_delta: float = 1.0, gamma: float = 1.0 / 6.0,
           model: ModelSpec | None = None) -> BdgmState:
     """Prepare the subproblem at an anchor: one gradient and one Hessian of
-    oracle, plus model's (a ModelSpec cached at x_tilde) when given."""
+    oracle, plus model's at x_tilde (a ModelSpec anchored elsewhere)."""
     x_tilde = np.asarray(x_tilde, dtype=np.float64)
     return _build_state(x_tilde, eps, c_delta, gamma, oracle,
                         oracle.grad(x_tilde), oracle.hess(x_tilde),

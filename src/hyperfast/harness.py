@@ -66,14 +66,8 @@ class RunConfig:
     problem_params: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        # Written as "not (...)" so that NaN, which fails every comparison,
-        # is rejected too.
-        if not (0.0 < self.eps < math.inf):
-            raise ConfigError(f"eps must be positive and finite, got {self.eps}")
-        if not (0.0 < self.c_delta < math.inf):
-            raise ConfigError(f"c_delta must be positive and finite, got {self.c_delta}")
-        if not (0.0 <= self.grad_tol < math.inf):
-            raise ConfigError(f"grad_tol must be >= 0 and finite, got {self.grad_tol}")
+        # NatmiConfig checks the solver settings, for every method.
+        _natmi_config(self)
         if self.max_iters < 1:
             raise ConfigError(f"max_iters must be >= 1, got {self.max_iters}")
 
@@ -281,9 +275,10 @@ def make_problem(cfg: RunConfig) -> ProblemBundle:
         return builder(cfg.problem_params, cfg.seed)
     except ConfigError:
         raise
-    except ValueError as exc:
+    except (ValueError, MemoryError) as exc:
         # Builders reject inadmissible parameters (a negative ridge, say)
-        # with ValueError; to the caller that is a configuration error.
+        # with ValueError, and numpy refuses an oversized problem with
+        # MemoryError; to the caller either is a configuration error.
         raise ConfigError(f"problem {cfg.problem}: {exc}") from exc
 
 

@@ -66,7 +66,8 @@ class NatmiConfig:
     the shipped defaults (1/6, 3/2) give sigma = 0.6. eps feeds the inner
     solver's difference-error budget, grad_tol is the outer stopping norm
     (0 disables it, leaving only k_max), and subsolver picks the inner
-    engine ("bdgm", which is built for xi = 3/2, or "exact").
+    engine ("bdgm", which is built for xi = 3/2, or "exact"). Construction
+    refuses bad settings with a ConfigError (the CLI builds one too).
     """
 
     eps: float = 1e-8
@@ -77,6 +78,21 @@ class NatmiConfig:
     grad_tol: float = 0.0
     subsolver: str = "bdgm"
     timing: bool = False
+
+    def __post_init__(self):
+        # Written as "not (...)" so that NaN, which fails every comparison,
+        # is rejected too.
+        if not (0.0 < self.eps < math.inf):
+            raise ConfigError(f"eps must be positive and finite, got {self.eps}")
+        if not (0.0 < self.c_delta < math.inf):
+            raise ConfigError(f"c_delta must be positive and finite, got {self.c_delta}")
+        if not (0.0 <= self.grad_tol < math.inf):
+            raise ConfigError(f"grad_tol must be >= 0 and finite, got {self.grad_tol}")
+        for name in ("gamma", "xi"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
+        if self.subsolver not in ("bdgm", "exact"):
+            raise ConfigError(f"unknown subsolver {self.subsolver!r}")
 
 
 @dataclass(frozen=True)
@@ -112,16 +128,6 @@ def validate_params(cfg: NatmiConfig) -> ParamReport:
     denom = (1.0 - gamma) * 2.0 * p * xi
     sigma = (p * xi + 1.0 - xi + 2.0 * gamma * xi) / denom if denom != 0.0 else math.nan
     return ParamReport(ok=not violations, sigma=sigma, violations=tuple(violations))
-
-
-def _require_regime(cfg: NatmiConfig) -> ParamReport:
-    """validate_params, enforced; also refuses gamma = 0, which stalls."""
-    report = validate_params(cfg)
-    if not report.ok:
-        raise ConfigError("invalid parameters: " + "; ".join(report.violations))
-    if cfg.gamma == 0.0:
-        raise ConfigError("gamma must be positive: gamma = 0 stops at the start point")
-    return report
 
 
 def step_weight(lam: float, A: float) -> float:
@@ -212,13 +218,16 @@ def oracle_subproblem(cfg: NatmiConfig, oracle: ProblemOracle):
     model of oracle at each anchor, solved by the inexact engine or, with
     subsolver="exact", by the reference Newton minimizer; either answers
     "certified" on the paper's certificate, else "accuracy_floor". The
-    inexact builder takes (x_t, model=None), model a cached ModelSpec at x_t
-    (sliding's g-model) added as a second part, and answers part_grad =
-    oracle's gradient at y. Before any oracle call, the subsolver's name,
-    the regime, then xi = bdgm.XI or n <= EXACT_MAX_DIM are checked."""
-    if cfg.subsolver not in ("bdgm", "exact"):
-        raise ConfigError(f"unknown subsolver {cfg.subsolver!r}")
-    _require_regime(cfg)
+    inexact builder takes (x_t, model=None), model a ModelSpec added as a
+    second part (sliding's g-model, anchored at the outer anchor), and
+    answers part_grad = oracle's gradient at y. Every solve builds one
+    before its first oracle call; a bad regime, gamma = 0 (which stalls),
+    then xi != bdgm.XI or n > EXACT_MAX_DIM is a ConfigError here."""
+    report = validate_params(cfg)
+    if not report.ok:
+        raise ConfigError("invalid parameters: " + "; ".join(report.violations))
+    if cfg.gamma == 0.0:
+        raise ConfigError("gamma must be positive: gamma = 0 stops at the start point")
     if cfg.subsolver == "bdgm":
         if cfg.xi != bdgm.XI:
             raise ConfigError(f"subsolver 'bdgm' needs xi = {bdgm.XI}, got xi = {cfg.xi}")
@@ -258,12 +267,13 @@ def oracle_subproblem(cfg: NatmiConfig, oracle: ProblemOracle):
     return exact
 
 
-def search_lambda(make_trial, L3: float, lam_warm: float | None,
+def search_lambda(make_trial, L3: float, xi: float, lam_warm: float | None,
                   A: float) -> tuple[Trial, int]:
     """Find a step weight whose trial lands in the window.
 
-    With A = 0 the anchor does not depend on lambda, so a single subproblem
-    solve fixes r and lambda is set analytically to hit the window midpoint.
+    The window statistic is w = lam*H*r^2/2 with H = xi*L3. With A = 0 the
+    anchor does not depend on lambda, so a single subproblem solve fixes r
+    and lambda is set analytically to hit the window midpoint.
     Otherwise start at lam_warm (accelerated_steps passes the previous
     lambda, extrapolated while it grows steadily) and take secant steps on
     (log lambda, log w) aimed at the window midpoint. Until a trial on each
@@ -287,11 +297,11 @@ def search_lambda(make_trial, L3: float, lam_warm: float | None,
         if t.r == 0.0:
             raise LambdaSearchError("subproblem returned the anchor with a "
                                     "nonzero gradient at the start point")
-        lam = _WINDOW_MID * 4.0 / (3.0 * L3 * t.r * t.r)
+        lam = _WINDOW_MID / (0.5 * xi * L3 * t.r * t.r)
         # a = lam when A = 0, so the anchor and the solved subproblem are
         # unchanged; only the bookkeeping weights move.
         return t._replace(lam=lam, a=lam, A_next=lam,
-                          w=lam * 0.75 * L3 * t.r * t.r), n_trials
+                          w=lam * (0.5 * xi) * L3 * t.r * t.r), n_trials
 
     lam = lam_warm if lam_warm is not None else 1.0
     lo = hi = prev = None  # below-window, above-window and previous trials
@@ -324,12 +334,12 @@ def search_lambda(make_trial, L3: float, lam_warm: float | None,
         f"last lambda = {t.lam:.6g}, w = {t.w:.6g}); check the oracle's L3")
 
 
-def accelerated_steps(subproblem, L3: float, x0: Vector, k_max: int,
+def accelerated_steps(subproblem, L3: float, xi: float, x0: Vector, k_max: int,
                       warm: dict | None = None):
     """The accelerated scheme: yield (trial, n_trials) per window search.
 
-    The window statistic w = lam * 3*L3*r^2/4 is the paper's lam*H*r^2/2 at
-    H = 3*L3/2; for H = xi*L3, pass L3*(xi/1.5) as L3. Each step blends the anchor x~ = (A*y + a*x)/(A + a) for a trial lambda,
+    The window statistic is the paper's w = lam*H*r^2/2 with H = xi*L3.
+    Each step blends the anchor x~ = (A*y + a*x)/(A + a) for a trial lambda,
     asks subproblem(x~) for a Trial, and lets search_lambda pick the lambda
     whose answer lands in the window. The generator ends after a terminal
     answer (zero_gradient, accuracy_floor) and after k_max steps; otherwise,
@@ -362,13 +372,13 @@ def accelerated_steps(subproblem, L3: float, x0: Vector, k_max: int,
             t = subproblem(x_t)
             r = float(np.linalg.norm(t.y - x_t))
             return t._replace(lam=lam, a=a, A_next=A_next, x_tilde=x_t, r=r,
-                              w=lam * 0.75 * L3 * r * r)
+                              w=lam * (0.5 * xi) * L3 * r * r)
 
         seed = warm.get(k) if warm is not None else None
         if seed is None:
             rho = lam_prev / lam_prev2 if lam_prev2 is not None else math.inf
             seed = lam_prev * rho if rho <= _MAX_EXTRAPOLATE else lam_prev
-        t, n_trials = search_lambda(make_trial, L3, seed, A)
+        t, n_trials = search_lambda(make_trial, L3, xi, seed, A)
         terminal = t.reason in _TERMINAL
         if warm is not None and A > 0.0 and not terminal:
             warm[k] = t.lam
@@ -386,8 +396,8 @@ def outer_loop(subproblem, L3: float, x0: Vector, cfg: NatmiConfig,
     """Run accelerated_steps for up to cfg.k_max steps and keep the records.
 
     objective has value(y) and grad(y) of the minimized function, and
-    counts() returns its oracle call totals. A bad regime or gamma = 0 is a
-    ConfigError before the first subproblem.
+    counts() returns its oracle call totals. The window uses H = cfg.xi*L3;
+    the regime was enforced when oracle_subproblem built the builder.
 
     Stops: stationary (zero gradient at the anchor or at the accepted
     iterate), accuracy_floor (the answer cannot be certified at this eps in
@@ -395,7 +405,6 @@ def outer_loop(subproblem, L3: float, x0: Vector, cfg: NatmiConfig,
     smaller than the last accepted y's), grad_tol and k_max. A SolverError
     propagates with the rows recorded so far in its records.
     """
-    report = _require_regime(cfg)
     base = counts()
     # Largest anchor gradient and Hessian norms over every trial, and the
     # gradient norms at accepted iterates.
@@ -413,7 +422,7 @@ def outer_loop(subproblem, L3: float, x0: Vector, cfg: NatmiConfig,
     records: list[IterationRecord] = []
     t_start = time.perf_counter() if cfg.timing else 0.0
     try:
-        for t, n_trials in accelerated_steps(tracked, L3 * (cfg.xi / 1.5), y, cfg.k_max):
+        for t, n_trials in accelerated_steps(tracked, L3, cfg.xi, y, cfg.k_max):
             if t.reason == "zero_gradient":
                 y, grad_norm, status = t.x_tilde.copy(), 0.0, "stationary"
                 break
@@ -468,7 +477,7 @@ def outer_loop(subproblem, L3: float, x0: Vector, cfg: NatmiConfig,
         iters=len(records), A=A, records=tuple(records),
         sigma_max=max((rec.sigma_observed for rec in records), default=0.0),
         counts={key: value - base[key] for key, value in counts().items()},
-        max_grad_norm=peak[0], max_hess_norm=peak[1], report=report)
+        max_grad_norm=peak[0], max_hess_norm=peak[1], report=validate_params(cfg))
 
 
 def _total(counts: dict, kind: str) -> int:

@@ -334,8 +334,11 @@ class QuarticChain(ProblemOracle):
         return self.D.T @ np.diag(24.0 * u * w) @ self.D
 
 
-def sampled_l3(oracle: ProblemOracle, n_samples: int = 64, seed: int = 0,
-               radius: float = 1.0, tau: float = 1e-3) -> float:
+#: sampled_l3's pair count, seed, point scale and gradient-difference step.
+_L3_SAMPLES, _L3_SEED, _L3_RADIUS, _L3_TAU = 64, 0, 1.0, 1e-3
+
+
+def sampled_l3(oracle: ProblemOracle) -> float:
     """Empirical lower estimate of the third-derivative Lipschitz constant.
 
     Maximizes ||(D3f(x) - D3f(y))[s, s]|| / (||x - y||*||s||^2) over random
@@ -343,17 +346,17 @@ def sampled_l3(oracle: ProblemOracle, n_samples: int = 64, seed: int = 0,
     estimate does not lean on the oracle's own analytic route. A valid
     reported lipschitz_L3 must not be exceeded (up to difference error).
     """
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_L3_SEED)
     best = 0.0
-    for _ in range(n_samples):
-        x = radius * rng.standard_normal(oracle.dim) / np.sqrt(oracle.dim)
-        y = radius * rng.standard_normal(oracle.dim) / np.sqrt(oracle.dim)
+    for _ in range(_L3_SAMPLES):
+        x = _L3_RADIUS * rng.standard_normal(oracle.dim) / np.sqrt(oracle.dim)
+        y = _L3_RADIUS * rng.standard_normal(oracle.dim) / np.sqrt(oracle.dim)
         s = rng.standard_normal(oracle.dim)
         s_norm = float(np.linalg.norm(s))
         gap = float(np.linalg.norm(x - y))
         if s_norm == 0.0 or gap == 0.0:
             continue
         s /= s_norm
-        diff = fd_third_action(oracle, x, s, tau) - fd_third_action(oracle, y, s, tau)
+        diff = fd_third_action(oracle, x, s, _L3_TAU) - fd_third_action(oracle, y, s, _L3_TAU)
         best = max(best, float(np.linalg.norm(diff)) / gap)
     return best

@@ -16,8 +16,8 @@ evaluation takes one analytic third-derivative action of g (counted as
 n_third_g; see ROADMAP.md item 2). The engine is built for xi = 3/2 only.
 
 Every level accepts on the paper's certificate ||grad m(y)|| <= gamma *
-||grad f(y)||, with m that level's model. Outer windows use L3_g and middle
-windows use L3_h. Per-component call counters are the point of the
+||grad f(y)||, with m that level's model. Outer windows use H = xi*L3_g and
+middle windows H = xi*L3_h. Per-component call counters are the point of the
 construction and are reported alongside the trace.
 """
 
@@ -37,15 +37,15 @@ from .natmi import (
     oracle_subproblem,
     outer_loop,
 )
-from .oracles import ConfigError, ProblemOracle, Vector, counted
+from .oracles import ConfigError, ProblemOracle, SumOracle, Vector, counted
 from .taylor import ModelSpec
 
 #: Middle-loop steps allowed per outer trial before the solve fails.
 _MIDDLE_K_MAX = 300
 
 
-class CompositeProblem:
-    """Pair of counted oracles with the cheaper-to-model part first.
+class CompositeProblem(SumOracle):
+    """f = g + h, the sum of two counted oracles, the cheaper-to-model g first.
 
     Construction swaps the parts (with a warning) when g's L3 exceeds h's,
     so the modeled component is always the slowly-varying one. The zero
@@ -54,8 +54,6 @@ class CompositeProblem:
     """
 
     def __init__(self, g: ProblemOracle, h: ProblemOracle):
-        if g.dim != h.dim:
-            raise ValueError(f"dimension mismatch: {g.dim} vs {h.dim}")
         if g.is_zero:
             raise ValueError("the zero part must be passed second")
         if not h.is_zero:
@@ -65,24 +63,14 @@ class CompositeProblem:
                 warnings.warn("swapping composite parts so the smaller L3 "
                               "is modeled", stacklevel=2)
                 g, h = h, g
-        self.g = counted(g)
-        self.h = counted(h)
-
-    @property
-    def dim(self) -> int:
-        return self.g.dim
+        super().__init__(counted(g), counted(h))
+        self.g, self.h = self.first, self.second
 
     @property
     def counts(self) -> dict[str, int]:
         return {f"{kind}_{part}": calls
                 for part, oracle in (("g", self.g), ("h", self.h))
                 for kind, calls in oracle.counts.items()}
-
-    def value(self, y: Vector) -> float:
-        return self.g.value(y) + self.h.value(y)
-
-    def grad(self, y: Vector) -> Vector:
-        return self.g.grad(y) + self.h.grad(y)
 
 
 def _middle_solve(cfg: NatmiConfig, prob: CompositeProblem, gspec: ModelSpec,
@@ -101,8 +89,8 @@ def _middle_solve(cfg: NatmiConfig, prob: CompositeProblem, gspec: ModelSpec,
     mid_iters = inner_total = 0
     peak_grad = peak_hess = 0.0
     for t, _ in accelerated_steps(lambda x_tm: inner(x_tm, gspec),
-                                  prob.h.lipschitz_L3, x_anchor, _MIDDLE_K_MAX,
-                                  warm):
+                                  prob.h.lipschitz_L3, cfg.xi, x_anchor,
+                                  _MIDDLE_K_MAX, warm):
         mid_iters += 1
         inner_total += t.inner_iters
         peak_grad = max(peak_grad, t.grad_anchor_norm)
@@ -123,9 +111,10 @@ def solve_sliding(prob: CompositeProblem, x0: Vector,
                   cfg: NatmiConfig) -> SolveResult:
     """Three-level solve of f = g + h with g modeled and h kept exact.
 
-    The outer loop is the single-function one with the window on L3_g, the
-    dual update along the full gradient of f and each subproblem handed to
-    the middle loop, whose inner solves are natmi.oracle_subproblem's on h.
+    The outer loop is the single-function one with the window on H =
+    xi*L3_g, the dual update along the full gradient of f and each
+    subproblem handed to the middle loop, whose inner solves are
+    natmi.oracle_subproblem's on h plus g's model at the outer anchor.
     The result's counts carry the per-component totals. With h the zero
     sentinel, that builder runs on g as the outer one. A subsolver other
     than "bdgm", a bad regime, gamma = 0 or xi != bdgm.XI is a ConfigError

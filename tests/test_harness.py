@@ -120,7 +120,8 @@ class TestBuildRunConfig:
 
     @pytest.mark.parametrize("field, value", [
         ("eps", math.nan), ("eps", 0.0), ("c_delta", -1.0),
-        ("grad_tol", math.nan), ("max_iters", 0),
+        ("grad_tol", math.nan), ("max_iters", 0), ("xi", math.inf),
+        ("gamma", math.nan),
     ])
     def test_direct_construction_validated(self, field, value):
         with pytest.raises(ConfigError, match=field):
@@ -675,6 +676,8 @@ _SRC = Path(__file__).resolve().parents[1] / "src"
     ("problem=quartic1d\ngrad_tol=-1\n", 2, "config error: "),
     ("problem=quartic1d\nmethod=natmi_exact\nxi=nan\n", 2, "config error: "),
     ("problem=quartic1d\nmethod=sliding\nxi=inf\n", 2, "config error: "),
+    ("problem=quartic1d\nmethod=gd\nxi=nan\n", 2, "config error: "),
+    ("problem=quadratic\nproblem.n=100000000\n", 2, "config error: "),
     ("problem=quartic1d\nxi=7\n", 2, "config error: "),
     ("problem=quartic1d\nmethod=sliding\nxi=7\n", 2, "config error: "),
     ("problem=quartic1d\nproblem.nn=5\n", 2, "config error: "),

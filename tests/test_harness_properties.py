@@ -47,8 +47,8 @@ _RUN_CONFIGS = st.builds(
     eps=_POSITIVE,
     max_iters=st.integers(1, 10 ** 6),
     grad_tol=st.floats(min_value=0.0, allow_infinity=False),
-    gamma=st.floats(allow_nan=False),
-    xi=st.floats(allow_nan=False),
+    gamma=st.floats(allow_nan=False, allow_infinity=False),
+    xi=st.floats(allow_nan=False, allow_infinity=False),
     c_delta=_POSITIVE,
     seed=st.integers(-2 ** 40, 2 ** 40),
     timing=st.booleans(),

@@ -8,6 +8,7 @@ problems.
 """
 
 import functools
+import math
 
 import numpy as np
 import pytest
@@ -28,7 +29,7 @@ from hyperfast.natmi import (
     step_weight,
     validate_params,
 )
-from hyperfast.oracles import CountedOracle
+from hyperfast.oracles import ConfigError, CountedOracle
 from hyperfast.problems import (
     LogisticLoss,
     QuarticChain,
@@ -89,6 +90,18 @@ class TestValidateParams:
         with pytest.raises(ValueError):
             solve(NatmiConfig(subsolver="cg"), orc, np.ones(1))
 
+    @pytest.mark.parametrize("field, value", [
+        ("eps", 0.0), ("eps", math.nan), ("c_delta", -1.0),
+        ("grad_tol", math.nan), ("subsolver", "cg"),
+    ])
+    def test_bad_setting_refused_before_any_call(self, field, value):
+        # NatmiConfig refuses what the command line refuses, so a bad
+        # setting costs no oracle call.
+        orc = CountedOracle(QuarticObjective(np.eye(1), np.ones(1), 0.5))
+        with pytest.raises(ConfigError, match=field):
+            solve(NatmiConfig(**{field: value}), orc, np.ones(1))
+        assert orc.counts == {"value": 0, "grad": 0, "hess": 0, "third": 0}
+
 
 class TestStepWeight:
     def test_accumulator_identity(self):
@@ -120,7 +133,7 @@ class TestSearchLambda:
             calls.append(lam)
             return _fake_trial(lam, w=0.0, r=2.0)
 
-        t, n = search_lambda(make_trial, L3=1.5, lam_warm=None, A=0.0)
+        t, n = search_lambda(make_trial, L3=1.5, xi=1.5, lam_warm=None, A=0.0)
         assert calls == [1.0]
         assert n == 1
         # One solve, lambda set analytically: w = midpoint, a = lam = A_next.
@@ -128,33 +141,44 @@ class TestSearchLambda:
         assert t.lam == pytest.approx(2.5 / (3.0 * 1.5 * 4.0), rel=1e-12)
         assert t.a == t.lam and t.A_next == t.lam
 
+    def test_xi_sets_the_window_weight(self):
+        # w = lam*H*r^2/2 with H = xi*L3, and a failed search names the L3
+        # it was given, not xi*L3.
+        t, _ = search_lambda(lambda lam: _fake_trial(lam, w=0.0, r=2.0),
+                             L3=1.5, xi=3.0, lam_warm=None, A=0.0)
+        assert t.w == pytest.approx(0.625, abs=1e-12)
+        assert t.lam == pytest.approx(0.625 / (1.5 * 1.5 * 4.0), rel=1e-12)
+        with pytest.raises(LambdaSearchError, match="L3 = 2, last lambda"):
+            search_lambda(lambda lam: _fake_trial(lam, w=0.0, r=0.0),
+                          L3=2.0, xi=3.0, lam_warm=1.0, A=1.0)
+
     def test_cold_start_zero_radius_raises(self):
         with pytest.raises(LambdaSearchError):
             search_lambda(lambda lam: _fake_trial(lam, w=0.0, r=0.0),
-                          L3=1.0, lam_warm=None, A=0.0)
+                          L3=1.0, xi=1.5, lam_warm=None, A=0.0)
 
     def test_warm_start_expands_upward(self):
         make = lambda lam: _fake_trial(lam, w=lam)
-        t, n = search_lambda(make, L3=1.0, lam_warm=1e-3, A=1.0)
+        t, n = search_lambda(make, L3=1.0, xi=1.5, lam_warm=1e-3, A=1.0)
         assert WINDOW_LO <= t.w <= WINDOW_HI
         assert n <= 12
 
     def test_warm_start_shrinks_downward_then_bisects(self):
         make = lambda lam: _fake_trial(lam, w=lam)
-        t, n = search_lambda(make, L3=1.0, lam_warm=100.0, A=1.0)
+        t, n = search_lambda(make, L3=1.0, xi=1.5, lam_warm=100.0, A=1.0)
         assert WINDOW_LO <= t.w <= WINDOW_HI
         assert n <= 12
 
     def test_terminal_reason_short_circuits(self):
         make = lambda lam: _fake_trial(lam, w=0.0, r=0.0, reason="accuracy_floor")
-        t, n = search_lambda(make, L3=1.0, lam_warm=5.0, A=1.0)
+        t, n = search_lambda(make, L3=1.0, xi=1.5, lam_warm=5.0, A=1.0)
         assert t.reason == "accuracy_floor"
         assert n == 1
 
     def test_flat_zero_curve_exhausts_bracket(self):
         make = lambda lam: _fake_trial(lam, w=0.0, r=0.0)
         with pytest.raises(LambdaSearchError):
-            search_lambda(make, L3=1.0, lam_warm=1.0, A=1.0)
+            search_lambda(make, L3=1.0, xi=1.5, lam_warm=1.0, A=1.0)
 
 
 #: Trials a search may take on a drawn curve: the worst seen over 40,000
@@ -194,7 +218,7 @@ class TestSearchLambdaProperties:
     def test_lands_in_window(self, kinked, data):
         lam0, curve = data.draw(_window_curves(kinked))
         t, n = search_lambda(lambda lam: _fake_trial(lam, w=curve(lam)),
-                             L3=1.0, lam_warm=lam0, A=1.0)
+                             L3=1.0, xi=1.5, lam_warm=lam0, A=1.0)
         assert WINDOW_LO <= t.w <= WINDOW_HI
         assert n <= _SEARCH_TRIALS
 
@@ -214,7 +238,7 @@ class TestSearchLambdaProperties:
             return _fake_trial(lam, w=w)
 
         with pytest.raises(LambdaSearchError, match="L3 = 1, last lambda"):
-            search_lambda(make_trial, L3=1.0, lam_warm=lam_warm, A=1.0)
+            search_lambda(make_trial, L3=1.0, xi=1.5, lam_warm=lam_warm, A=1.0)
         assert len(calls) == natmi._MAX_TRIALS
 
 
@@ -224,9 +248,9 @@ def test_search_starts_at_extrapolated_lambda(monkeypatch):
     starts = []
     inner = natmi.search_lambda
 
-    def spy(make_trial, L3, lam_warm, A):
+    def spy(make_trial, L3, xi, lam_warm, A):
         starts.append(lam_warm)
-        return inner(make_trial, L3, lam_warm, A)
+        return inner(make_trial, L3, xi, lam_warm, A)
 
     monkeypatch.setattr(natmi, "search_lambda", spy)
     out = harness.run(harness.build_run_config(
@@ -302,7 +326,7 @@ class TestAcceptedStepCertificate:
         L3 = orc.lipschitz_L3
         cfg = NatmiConfig(eps=1e-10)
         steps = natmi.accelerated_steps(natmi.oracle_subproblem(cfg, orc), L3,
-                                        rng.standard_normal(3), k_max=4)
+                                        cfg.xi, rng.standard_normal(3), k_max=4)
         for t, _ in steps:
             assert t.reason == "certified"
             spec = ModelSpec(orc, t.x_tilde, H=1.5 * L3)

@@ -339,7 +339,7 @@ class TestConvexityAndSmoothness:
         """A sampled Lipschitz estimate for the third derivative must never
         beat the documented analytic bound."""
         for name, orc in _all_oracles():
-            est = sampled_l3(orc, n_samples=64, seed=0)
+            est = sampled_l3(orc)
             assert est <= orc.lipschitz_L3 * (1.0 + 1e-6), name
 
     def test_value_remainder_bound(self):

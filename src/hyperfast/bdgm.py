@@ -133,8 +133,8 @@ class BdgmResult:
     oracle_grad_at_z: Vector
 
 
-def _build_state(x_tilde, eps, c_delta, gamma, oracle, oracle_g0, oracle_B,
-                 L3, model=None, grad_terms=None) -> BdgmState:
+def _build_state(x_tilde, eps, gamma, oracle, oracle_g0, oracle_B, L3,
+                 model=None, grad_terms=None) -> BdgmState:
     eps = float(eps)
     if eps <= 0.0:
         raise ValueError("eps must be positive")
@@ -161,7 +161,7 @@ def _build_state(x_tilde, eps, c_delta, gamma, oracle, oracle_g0, oracle_B,
         ball = 0.0
         solved_reason = "zero_gradient"
     else:
-        delta = c_delta * eps**1.5 / (np.sqrt(grad_norm0) + hess_norm0**1.5 / np.sqrt(L3))
+        delta = eps**1.5 / (np.sqrt(grad_norm0) + hess_norm0**1.5 / np.sqrt(L3))
         tau = 3.0 * delta / (8.0 * STEP_SCALE * grad_norm0)
         tau_used = max(tau, TAU_FLOOR)
         ball = 2.0 * (STEP_SCALE * grad_norm0 / L3) ** (1.0 / 3.0)
@@ -186,12 +186,13 @@ def _build_state(x_tilde, eps, c_delta, gamma, oracle, oracle_g0, oracle_B,
 
 
 def setup(oracle: ProblemOracle, x_tilde: Vector, eps: float,
-          c_delta: float = 1.0, gamma: float = 1.0 / 6.0,
-          model: ModelSpec | None = None) -> BdgmState:
+          gamma: float = 1.0 / 6.0, model: ModelSpec | None = None) -> BdgmState:
     """Prepare the subproblem at an anchor: one gradient and one Hessian of
-    oracle, plus model's at x_tilde (a ModelSpec anchored elsewhere)."""
+    oracle, plus model's at x_tilde (a ModelSpec anchored elsewhere). eps
+    alone sets the truncation budget delta = eps^1.5/(sqrt(||g0||) +
+    ||B||^1.5/sqrt(L3))."""
     x_tilde = np.asarray(x_tilde, dtype=np.float64)
-    return _build_state(x_tilde, eps, c_delta, gamma, oracle,
+    return _build_state(x_tilde, eps, gamma, oracle,
                         oracle.grad(x_tilde), oracle.hess(x_tilde),
                         oracle.lipschitz_L3, model,
                         oracle.grad_term_bound(x_tilde))

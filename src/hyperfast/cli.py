@@ -1,8 +1,8 @@
 """Command line front end.
 
-`hyperfast solve --config run.cfg` executes one configured run; every config
-key can be overridden by a flag. Exit codes: 0 success, 2 configuration
-error, 3 solver failure.
+`hyperfast solve --config run.cfg` executes one configured run; a flag
+overrides the config key it writes (--seed writes problem.seed). Exit codes:
+0 success, 2 configuration error, 3 solver failure.
 """
 
 from __future__ import annotations
@@ -29,7 +29,8 @@ def _build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--max-iters", type=int, help="outer iteration cap")
     ps.add_argument("--trace", help="trace CSV output path")
     ps.add_argument("--summary", help="summary output path")
-    ps.add_argument("--seed", type=int, help="seed for synthetic problems")
+    ps.add_argument("--seed", type=int,
+                    help="problem.seed, for the problems that take one")
     return parser
 
 
@@ -40,7 +41,7 @@ def main(argv=None) -> int:
         overrides = {
             "problem": args.problem, "method": args.method, "eps": args.eps,
             "max_iters": args.max_iters, "trace": args.trace,
-            "summary": args.summary, "seed": args.seed,
+            "summary": args.summary, "problem.seed": args.seed,
         }
         for key, value in overrides.items():
             if value is not None:

@@ -58,18 +58,20 @@ class RunConfig:
     grad_tol: float = 0.0
     gamma: float = 1.0 / 6.0
     xi: float = 1.5
-    c_delta: float = 1.0
-    seed: int = 0
     timing: bool = False
     trace_path: str | None = None
     summary_path: str | None = None
     problem_params: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        if self.method not in _METHODS:
+            raise ConfigError(f"unknown method {self.method!r} "
+                              f"(choose from {', '.join(_METHODS)})")
+        if not (isinstance(self.max_iters, (int, np.integer)) and self.max_iters >= 1):
+            raise ConfigError("max_iters must be an integer >= 1, "
+                              f"got {self.max_iters!r}")
         # NatmiConfig checks the solver settings, for every method.
         _natmi_config(self)
-        if self.max_iters < 1:
-            raise ConfigError(f"max_iters must be >= 1, got {self.max_iters}")
 
 
 def parse_config_text(text: str) -> dict[str, str]:
@@ -103,7 +105,7 @@ def load_config(path: str) -> dict[str, str]:
 
 #: The numeric top-level keys and their types; RunConfig holds the defaults.
 _NUMERIC_KEYS = {"eps": float, "max_iters": int, "grad_tol": float,
-                 "gamma": float, "xi": float, "c_delta": float, "seed": int}
+                 "gamma": float, "xi": float}
 _SCALAR_KEYS = {"problem", "method", "timing", "trace", "summary", *_NUMERIC_KEYS}
 
 
@@ -131,18 +133,14 @@ def build_run_config(mapping: dict[str, str]) -> RunConfig:
             raise ConfigError(f"unknown config key {key!r}")
     if "problem" not in plain:
         raise ConfigError("config must name a problem")
-    method = _CLI_METHOD_ALIASES.get(plain.get("method", "hyperfast"))
-    if method is None:
-        raise ConfigError(f"unknown method {plain.get('method')!r} "
-                          f"(choose from {', '.join(_METHODS)})")
-
+    method = plain.get("method", "hyperfast")
     timing_raw = str(plain.get("timing", "off")).lower()
     if timing_raw not in ("on", "off", "true", "false", "0", "1"):
         raise ConfigError(f"timing must be on/off, got {plain['timing']!r}")
     numbers = {key: _number(kind, key, plain[key])
                for key, kind in _NUMERIC_KEYS.items() if key in plain}
     return RunConfig(
-        problem=plain["problem"], method=method,
+        problem=plain["problem"], method=_CLI_METHOD_ALIASES.get(method, method),
         timing=timing_raw in ("on", "true", "1"),
         trace_path=plain.get("trace"), summary_path=plain.get("summary"),
         problem_params=problem_params, **numbers)
@@ -185,16 +183,16 @@ def _param(params, key: str, default):
     return _number(type(default), f"problem.{key}", params[key])
 
 
-def _quartic1d(params, seed):
+def _quartic1d(params):
     oracle = QuarticObjective(np.zeros((1, 1)), np.zeros(1), 0.25)
     return ProblemBundle("quartic1d", (oracle,), np.array([1.0]), f_star=0.0)
 
 
-def _quadratic(params, seed):
+def _quadratic(params):
     n = _param(params, "n", 10)
     if n < 1:
         raise ConfigError(f"problem.n must be >= 1, got {n}")
-    rng = np.random.default_rng(_param(params, "seed", seed))
+    rng = np.random.default_rng(_param(params, "seed", 0))
     M = rng.standard_normal((n, n)) / math.sqrt(n)
     Q = M.T @ M + 0.1 * np.eye(n)
     c = rng.standard_normal(n)
@@ -204,30 +202,29 @@ def _quadratic(params, seed):
     return ProblemBundle("quadratic", (oracle,), np.zeros(n), f_star=f_star)
 
 
-def _quartic_chain(params, seed):
+def _quartic_chain(params):
     n = _param(params, "n", 4)
     oracle = QuarticChain(n)
     return ProblemBundle("quartic_chain", (oracle,), np.ones(n), f_star=0.0)
 
 
-def _logreg(params, seed):
+def _logreg(params):
     m = _param(params, "m", 100)
     n = _param(params, "n", 10)
     ridge = _param(params, "ridge", 1e-3)
-    data_seed = _param(params, "seed", seed)
-    data = synth_logreg(data_seed, m, n)
+    data = synth_logreg(_param(params, "seed", 0), m, n)
     oracle = LogisticLoss(data, ridge=ridge)
     return ProblemBundle("logreg", (oracle,), np.zeros(n), f_star=None)
 
 
-def _logreg_fixture(params, seed):
+def _logreg_fixture(params):
     data = synth_logreg(7, 200, 20)
     oracle = LogisticLoss(data, ridge=1e-3)
     return ProblemBundle("logreg_fixture", (oracle,), np.zeros(20),
                          f_star=fixture_fstar("logreg_fixture"))
 
 
-def _sliding_bench(params, seed):
+def _sliding_bench(params):
     n = _param(params, "n", 8)
     m = _param(params, "m", 40)
     bench_seed = _param(params, "seed", 11)
@@ -253,12 +250,11 @@ PROBLEMS = {
     "sliding_bench": (_sliding_bench, ("m", "n", "seed")),
 }
 
-#: The problems whose builder reads the top-level seed; the others refuse a
-#: nonzero one rather than ignore it.
-_READS_SEED = ("quadratic", "logreg")
-
 
 def make_problem(cfg: RunConfig) -> ProblemBundle:
+    """The problem cfg names, built from cfg.problem_params; an unknown
+    problem, a problem.* key its builder does not take (problem.seed on fixed
+    data, say) or an inadmissible value is a ConfigError."""
     if cfg.problem not in PROBLEMS:
         raise ConfigError(f"unknown problem {cfg.problem!r} "
                           f"(choose from {', '.join(sorted(PROBLEMS))})")
@@ -268,11 +264,8 @@ def make_problem(cfg: RunConfig) -> ProblemBundle:
         takes = ", ".join(f"problem.{key}" for key in keys) or "none"
         raise ConfigError(f"problem {cfg.problem} has no parameter "
                           f"problem.{unknown[0]} (it takes: {takes})")
-    if cfg.seed and cfg.problem not in _READS_SEED:
-        hint = "; set problem.seed instead" if "seed" in keys else ""
-        raise ConfigError(f"{cfg.problem} does not read seed (got {cfg.seed}){hint}")
     try:
-        return builder(cfg.problem_params, cfg.seed)
+        return builder(cfg.problem_params)
     except ConfigError:
         raise
     except (ValueError, MemoryError) as exc:
@@ -431,7 +424,7 @@ class RunOutcome:
 
 def _natmi_config(cfg: RunConfig, subsolver: str = "bdgm") -> NatmiConfig:
     return NatmiConfig(eps=cfg.eps, k_max=cfg.max_iters, gamma=cfg.gamma,
-                       xi=cfg.xi, c_delta=cfg.c_delta, grad_tol=cfg.grad_tol,
+                       xi=cfg.xi, grad_tol=cfg.grad_tol,
                        subsolver=subsolver, timing=cfg.timing)
 
 
@@ -440,7 +433,6 @@ def config_echo(cfg: RunConfig) -> dict:
         "problem": cfg.problem, "method": cfg.method, "eps": _fmt(cfg.eps),
         "max_iters": cfg.max_iters, "grad_tol": _fmt(cfg.grad_tol),
         "gamma": _fmt(cfg.gamma), "xi": _fmt(cfg.xi),
-        "c_delta": _fmt(cfg.c_delta), "seed": cfg.seed,
         "timing": "on" if cfg.timing else "off",
     }
     for key, value in cfg.problem_params.items():
@@ -481,7 +473,7 @@ def run(cfg: RunConfig) -> RunOutcome:
                            max_grad_norm=res.max_grad_norm,
                            max_hess_norm=res.max_hess_norm)
             summary.update((f"n_{key}", value) for key, value in res.counts.items())
-        elif cfg.method == "gd_baseline":
+        else:
             records = tuple(baseline_gd(bundle.single(), bundle.x0,
                                         cfg.max_iters, cfg.timing))
             # max_iters >= 1, so gd records at least one step or raises.
@@ -491,8 +483,6 @@ def run(cfg: RunConfig) -> RunOutcome:
                            sigma_max=0.0, n_grad=last.n_grad, n_hess=last.n_hess,
                            max_grad_norm=last.max_grad_norm,
                            max_hess_norm=last.max_hess_norm)
-        else:
-            raise ConfigError(f"unknown method {cfg.method!r}")
     except SolverError as exc:
         if cfg.trace_path:
             write_trace(cfg.trace_path, exc.records, echo, columns,

@@ -63,18 +63,18 @@ class NatmiConfig:
     """Solver parameters.
 
     gamma and xi form the contraction regime checked by validate_params;
-    the shipped defaults (1/6, 3/2) give sigma = 0.6. eps feeds the inner
-    solver's difference-error budget, grad_tol is the outer stopping norm
-    (0 disables it, leaving only k_max), and subsolver picks the inner
-    engine ("bdgm", which is built for xi = 3/2, or "exact"). Construction
-    refuses bad settings with a ConfigError (the CLI builds one too).
+    the shipped defaults (1/6, 3/2) give sigma = 0.6. eps alone sets the
+    inner solver's difference-error budget delta (bdgm.setup), k_max >= 1
+    caps the outer steps, grad_tol is the outer stopping norm (0 disables
+    it, leaving only k_max), and subsolver picks the inner engine ("bdgm",
+    which is built for xi = 3/2, or "exact"). Construction refuses bad
+    settings with a ConfigError (the CLI builds one too).
     """
 
     eps: float = 1e-8
     k_max: int = 100
     gamma: float = 1.0 / 6.0
     xi: float = 1.5
-    c_delta: float = 1.0
     grad_tol: float = 0.0
     subsolver: str = "bdgm"
     timing: bool = False
@@ -84,8 +84,8 @@ class NatmiConfig:
         # is rejected too.
         if not (0.0 < self.eps < math.inf):
             raise ConfigError(f"eps must be positive and finite, got {self.eps}")
-        if not (0.0 < self.c_delta < math.inf):
-            raise ConfigError(f"c_delta must be positive and finite, got {self.c_delta}")
+        if not (isinstance(self.k_max, (int, np.integer)) and self.k_max >= 1):
+            raise ConfigError(f"k_max must be an integer >= 1, got {self.k_max!r}")
         if not (0.0 <= self.grad_tol < math.inf):
             raise ConfigError(f"grad_tol must be >= 0 and finite, got {self.grad_tol}")
         for name in ("gamma", "xi"):
@@ -233,8 +233,7 @@ def oracle_subproblem(cfg: NatmiConfig, oracle: ProblemOracle):
             raise ConfigError(f"subsolver 'bdgm' needs xi = {bdgm.XI}, got xi = {cfg.xi}")
 
         def inexact(x_t: Vector, model: ModelSpec | None = None) -> Trial:
-            sub = bdgm.setup(oracle, x_t, cfg.eps, c_delta=cfg.c_delta,
-                             gamma=cfg.gamma, model=model)
+            sub = bdgm.setup(oracle, x_t, cfg.eps, cfg.gamma, model)
             res = bdgm.solve(sub)
             return Trial(res.z, res.grad_at_z, res.iters, res.reason,
                          sub.grad_norm0, sub.hess_norm0, res.oracle_grad_at_z)
@@ -395,9 +394,11 @@ def outer_loop(subproblem, L3: float, x0: Vector, cfg: NatmiConfig,
                objective, counts) -> SolveResult:
     """Run accelerated_steps for up to cfg.k_max steps and keep the records.
 
-    objective has value(y) and grad(y) of the minimized function, and
+    objective has dim, value(y) and grad(y) of the minimized function, and
     counts() returns its oracle call totals. The window uses H = cfg.xi*L3;
-    the regime was enforced when oracle_subproblem built the builder.
+    the regime was enforced when oracle_subproblem built the builder. An x0
+    that is not a finite vector of length objective.dim is a ConfigError
+    before the first oracle call.
 
     Stops: stationary (zero gradient at the anchor or at the accepted
     iterate), accuracy_floor (the answer cannot be certified at this eps in
@@ -417,6 +418,10 @@ def outer_loop(subproblem, L3: float, x0: Vector, cfg: NatmiConfig,
         return ans
 
     y = np.array(x0, dtype=np.float64)
+    if y.shape != (objective.dim,):
+        raise ConfigError(f"x0 must have shape ({objective.dim},), got {y.shape}")
+    if not np.isfinite(y).all():
+        raise ConfigError("x0 must be finite")
     A = 0.0
     status = grad_norm = None
     records: list[IterationRecord] = []

@@ -51,7 +51,7 @@ def _instances(draw, branch):
     g0 *= draw(st.floats(1e-3, 1e2)) / np.linalg.norm(g0)
     # Raw state arithmetic only: no oracle, as no step here estimates a
     # model gradient.
-    state = bdgm._build_state(np.zeros(n), 1e-8, 1.0, 1.0 / 6.0, None, g0, B, L3)
+    state = bdgm._build_state(np.zeros(n), 1e-8, 1.0 / 6.0, None, g0, B, L3)
     R = state.ball_radius
     s_i = rng.standard_normal(n)
     s_i *= draw(st.one_of(st.just(0.0), st.floats(1e-8, 1.0))) * R / np.linalg.norm(s_i)

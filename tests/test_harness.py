@@ -109,7 +109,7 @@ class TestBuildRunConfig:
         assert build_run_config({"problem": "quartic1d"}) == RunConfig(problem="quartic1d")
 
     @pytest.mark.parametrize("key, value, what", [
-        ("eps", "fast", "a number"), ("seed", "1.5", "an integer"),
+        ("eps", "fast", "a number"), ("max_iters", "1.5", "an integer"),
         ("problem.n", "four", "an integer"), ("problem.ridge", "tiny", "a number"),
     ])
     def test_bad_number_names_key_and_value(self, key, value, what):
@@ -119,13 +119,27 @@ class TestBuildRunConfig:
         assert str(info.value) == f"{key} must be {what}, got {value!r}"
 
     @pytest.mark.parametrize("field, value", [
-        ("eps", math.nan), ("eps", 0.0), ("c_delta", -1.0),
-        ("grad_tol", math.nan), ("max_iters", 0), ("xi", math.inf),
+        ("eps", math.nan), ("eps", 0.0), ("grad_tol", math.nan),
+        ("max_iters", 0), ("max_iters", 2.5), ("xi", math.inf),
         ("gamma", math.nan),
     ])
     def test_direct_construction_validated(self, field, value):
         with pytest.raises(ConfigError, match=field):
             RunConfig(problem="quartic1d", **{field: value})
+
+    def test_unknown_method_refused_at_construction(self):
+        # The same refusal whether the method comes from a config or from
+        # Python: the config's two spellings map to names RunConfig checks.
+        message = ("unknown method 'bogus' (choose from hyperfast, "
+                   "natmi_exact, sliding, gd_baseline)")
+        for make in (lambda: RunConfig(problem="quartic1d", method="bogus"),
+                     lambda: build_run_config({"problem": "quartic1d",
+                                               "method": "bogus"})):
+            with pytest.raises(ConfigError) as info:
+                make()
+            assert str(info.value) == message
+        assert build_run_config({"problem": "quartic1d",
+                                 "method": "natmi-exact"}).method == "natmi_exact"
 
     def test_timing_flag_forms(self):
         for raw, expect in (("on", True), ("true", True), ("1", True),
@@ -181,8 +195,8 @@ class TestProblemRegistry:
         assert prob.g.lipschitz_L3 == b.parts[0].lipschitz_L3
 
     def test_seed_changes_logreg_data(self):
-        b1 = make_problem(RunConfig(problem="logreg", seed=1))
-        b2 = make_problem(RunConfig(problem="logreg", seed=2))
+        b1 = make_problem(RunConfig(problem="logreg", problem_params={"seed": "1"}))
+        b2 = make_problem(RunConfig(problem="logreg", problem_params={"seed": "2"}))
         x = np.full(10, 0.1)
         assert b1.single().value(x) != b2.single().value(x)
 
@@ -635,6 +649,38 @@ class TestCli:
                          "--method", "gd", "--max-iters", "4"])
         assert code == 0
         assert "gd_baseline" in capsys.readouterr().out
+
+    def test_seed_flag_overrides_config_file(self, tmp_path, capsys):
+        # --seed writes problem.seed, so it overrides the file's value like
+        # every other flag overrides its key.
+        outputs = {}
+        for seed in ("3", "5"):
+            cfgfile = tmp_path / f"seed{seed}.cfg"
+            cfgfile.write_text(f"problem=logreg\nproblem.seed={seed}\nmax_iters=3\n")
+            assert cli.main(["solve", "--config", str(cfgfile)]) == 0
+            outputs[seed] = capsys.readouterr().out
+        assert outputs["3"] != outputs["5"]
+        assert cli.main(["solve", "--config", str(tmp_path / "seed3.cfg"),
+                         "--seed", "5"]) == 0
+        assert capsys.readouterr().out == outputs["5"]
+
+    def test_seed_flag_is_problem_seed_on_sliding_bench(self, tmp_path, capsys):
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text("problem=sliding_bench\nmethod=sliding\neps=1e-10\n"
+                           "problem.seed=36\n")
+        assert cli.main(["solve", "--config", str(cfgfile)]) == 0
+        expected = capsys.readouterr().out
+        assert "iters = 3, status = accuracy_floor" in expected
+        assert cli.main(["solve", "--problem", "sliding_bench", "--method",
+                         "sliding", "--eps", "1e-10", "--seed", "36"]) == 0
+        assert capsys.readouterr().out == expected
+
+    @pytest.mark.parametrize("problem", ["quartic1d", "logreg_fixture",
+                                         "quartic_chain"])
+    def test_seed_flag_refused_where_no_problem_seed(self, problem, capsys):
+        assert cli.main(["solve", "--problem", problem, "--seed", "5"]) == 2
+        assert (f"problem {problem} has no parameter problem.seed"
+                in capsys.readouterr().err)
 
     def test_config_error_exit_two(self, capsys):
         assert cli.main(["solve", "--problem", "not_a_problem"]) == 2

@@ -49,8 +49,6 @@ _RUN_CONFIGS = st.builds(
     grad_tol=st.floats(min_value=0.0, allow_infinity=False),
     gamma=st.floats(allow_nan=False, allow_infinity=False),
     xi=st.floats(allow_nan=False, allow_infinity=False),
-    c_delta=_POSITIVE,
-    seed=st.integers(-2 ** 40, 2 ** 40),
     timing=st.booleans(),
     problem_params=st.dictionaries(_NAME, _VALUE, max_size=4),
 )

@@ -37,6 +37,7 @@ from hyperfast.problems import (
     sampled_l3,
     synth_logreg,
 )
+from hyperfast.sliding import CompositeProblem, solve_sliding
 from hyperfast.taylor import ModelSpec, model_grad
 
 from crosschecks import assert_paper_invariants
@@ -91,8 +92,8 @@ class TestValidateParams:
             solve(NatmiConfig(subsolver="cg"), orc, np.ones(1))
 
     @pytest.mark.parametrize("field, value", [
-        ("eps", 0.0), ("eps", math.nan), ("c_delta", -1.0),
-        ("grad_tol", math.nan), ("subsolver", "cg"),
+        ("eps", 0.0), ("eps", math.nan), ("k_max", 2.5), ("k_max", 0),
+        ("k_max", -3), ("grad_tol", math.nan), ("subsolver", "cg"),
     ])
     def test_bad_setting_refused_before_any_call(self, field, value):
         # NatmiConfig refuses what the command line refuses, so a bad
@@ -101,6 +102,25 @@ class TestValidateParams:
         with pytest.raises(ConfigError, match=field):
             solve(NatmiConfig(**{field: value}), orc, np.ones(1))
         assert orc.counts == {"value": 0, "grad": 0, "hess": 0, "third": 0}
+
+    @pytest.mark.parametrize("x0", [np.ones(3), np.ones((2, 1)),
+                                    np.array([1.0, math.nan])],
+                             ids=["long", "column", "nan"])
+    @pytest.mark.parametrize("method", ["bdgm", "exact", "sliding"])
+    def test_bad_start_point_refused_before_any_call(self, method, x0):
+        # outer_loop checks x0 against the objective's dimension, so a wrong
+        # shape or a non-finite entry is a setting error and costs no call.
+        g = QuarticObjective(np.eye(2), np.ones(2), 0.01)
+        h = QuarticObjective(np.eye(2), -np.ones(2), 0.5)
+        if method == "sliding":
+            prob = CompositeProblem(g, h)
+            run = functools.partial(solve_sliding, prob, x0, NatmiConfig())
+        else:
+            prob = CountedOracle(h)
+            run = functools.partial(solve, NatmiConfig(subsolver=method), prob, x0)
+        with pytest.raises(ConfigError, match="x0"):
+            run()
+        assert not any(prob.counts.values())
 
 
 class TestStepWeight:

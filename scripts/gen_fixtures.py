@@ -17,15 +17,13 @@ import sys
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
-from hyperfast.harness import _FSTAR_PATH, reference_fstar
-from hyperfast.problems import LogisticLoss, synth_logreg
+from hyperfast.harness import _FSTAR_PATH, RunConfig, make_problem, reference_fstar
 
 
 def main() -> int:
     table = {}
 
-    data = synth_logreg(7, 200, 20)
-    oracle = LogisticLoss(data, ridge=1e-3)
+    oracle = make_problem(RunConfig(problem="logreg_fixture")).single()
     fstar = reference_fstar(oracle, tol=1e-13)
     table["logreg_fixture"] = fstar
     print(f"logreg_fixture: f* = {fstar!r}")

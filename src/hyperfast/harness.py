@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import natmi, sliding
-from .natmi import IterationRecord, NatmiConfig
+from .natmi import IterationRecord, NatmiConfig, SolveResult
 from .oracles import (ConfigError, ProblemOracle, SolverError, SumOracle, Vector,
                       ZeroOracle, counted)
 from .problems import LogisticLoss, QuarticChain, QuarticObjective, synth_logreg
@@ -35,9 +35,7 @@ SLIDING_COLUMNS = BASE_COLUMNS + ("n_grad_g", "n_hess_g", "n_grad_h",
                                   "n_hess_h", "n_third_g", "mid_iters")
 
 _METHODS = ("hyperfast", "natmi_exact", "sliding", "gd_baseline")
-_CLI_METHOD_ALIASES = {"hyperfast": "hyperfast", "natmi-exact": "natmi_exact",
-                       "natmi_exact": "natmi_exact", "sliding": "sliding",
-                       "gd": "gd_baseline", "gd_baseline": "gd_baseline"}
+_CLI_METHOD_ALIASES = {"natmi-exact": "natmi_exact", "gd": "gd_baseline"}
 
 _FSTAR_PATH = Path(__file__).with_name("fstar_fixture.json")
 
@@ -110,10 +108,11 @@ _SCALAR_KEYS = {"problem", "method", "timing", "trace", "summary", *_NUMERIC_KEY
 
 
 def _number(kind, key: str, raw):
-    """kind(raw), int or float, for config key; a ConfigError that names the
-    key and the bad value otherwise."""
+    """kind(str(raw)), int or float, for config key: a Python value is read
+    as its text in a config file would be, so 2.7, 2.0 and True are no
+    integers. A ConfigError that names the key and the bad value otherwise."""
     try:
-        return kind(raw)
+        return kind(str(raw))
     except ValueError as exc:
         what = "an integer" if kind is int else "a number"
         raise ConfigError(f"{key} must be {what}, got {raw!r}") from exc
@@ -151,7 +150,6 @@ class ProblemBundle:
     """A registered problem: one or two oracle parts, a start point, and
     the reference optimum when one is known."""
 
-    name: str
     parts: tuple
     x0: Vector
     f_star: float | None = None
@@ -168,86 +166,61 @@ class ProblemBundle:
         return CompositeProblem(part, ZeroOracle(part.dim))
 
 
-def fixture_fstar(name: str) -> float | None:
-    if not _FSTAR_PATH.exists():
-        return None
-    table = json.loads(_FSTAR_PATH.read_text())
-    return table.get(name)
-
-
-def _param(params, key: str, default):
-    """problem.key from params, of default's type (int or float), or default
-    when the key is absent."""
-    if key not in params:
-        return default
-    return _number(type(default), f"problem.{key}", params[key])
-
-
-def _quartic1d(params):
+def _quartic1d():
     oracle = QuarticObjective(np.zeros((1, 1)), np.zeros(1), 0.25)
-    return ProblemBundle("quartic1d", (oracle,), np.array([1.0]), f_star=0.0)
+    return ProblemBundle((oracle,), np.array([1.0]), f_star=0.0)
 
 
-def _quadratic(params):
-    n = _param(params, "n", 10)
+def _quadratic(*, n: int, seed: int):
     if n < 1:
         raise ConfigError(f"problem.n must be >= 1, got {n}")
-    rng = np.random.default_rng(_param(params, "seed", 0))
+    rng = np.random.default_rng(seed)
     M = rng.standard_normal((n, n)) / math.sqrt(n)
     Q = M.T @ M + 0.1 * np.eye(n)
     c = rng.standard_normal(n)
     oracle = QuarticObjective(Q, c, 0.0)
     x_star = np.linalg.solve(Q, -c)
     f_star = float(0.5 * x_star @ (Q @ x_star) + c @ x_star)
-    return ProblemBundle("quadratic", (oracle,), np.zeros(n), f_star=f_star)
+    return ProblemBundle((oracle,), np.zeros(n), f_star=f_star)
 
 
-def _quartic_chain(params):
-    n = _param(params, "n", 4)
-    oracle = QuarticChain(n)
-    return ProblemBundle("quartic_chain", (oracle,), np.ones(n), f_star=0.0)
+def _quartic_chain(*, n: int):
+    return ProblemBundle((QuarticChain(n),), np.ones(n), f_star=0.0)
 
 
-def _logreg(params):
-    m = _param(params, "m", 100)
-    n = _param(params, "n", 10)
-    ridge = _param(params, "ridge", 1e-3)
-    data = synth_logreg(_param(params, "seed", 0), m, n)
-    oracle = LogisticLoss(data, ridge=ridge)
-    return ProblemBundle("logreg", (oracle,), np.zeros(n), f_star=None)
+def _logreg(*, m: int, n: int, ridge: float, seed: int):
+    oracle = LogisticLoss(synth_logreg(seed, m, n), ridge=ridge)
+    return ProblemBundle((oracle,), np.zeros(n), f_star=None)
 
 
-def _logreg_fixture(params):
-    data = synth_logreg(7, 200, 20)
-    oracle = LogisticLoss(data, ridge=1e-3)
-    return ProblemBundle("logreg_fixture", (oracle,), np.zeros(20),
-                         f_star=fixture_fstar("logreg_fixture"))
+def _logreg_fixture():
+    oracle = LogisticLoss(synth_logreg(7, 200, 20), ridge=1e-3)
+    f_star = json.loads(_FSTAR_PATH.read_text())["logreg_fixture"]
+    return ProblemBundle((oracle,), np.zeros(20), f_star=f_star)
 
 
-def _sliding_bench(params):
-    n = _param(params, "n", 8)
-    m = _param(params, "m", 40)
-    bench_seed = _param(params, "seed", 11)
-    data = synth_logreg(bench_seed, m, n)
+def _sliding_bench(*, m: int, n: int, seed: int):
+    data = synth_logreg(seed, m, n)
     logistic = LogisticLoss(data, ridge=1e-3)
     h = SumOracle(logistic, QuarticObjective(np.zeros((n, n)), np.zeros(n), 0.5))
     # g's quartic coefficient is set from h's L3 so the ratio is exactly 1e-3.
     a4_g = 1e-3 * h.lipschitz_L3 / 6.0
-    rng = np.random.default_rng(bench_seed)
+    rng = np.random.default_rng(seed)
     Qg = np.diag(rng.uniform(0.5, 1.5, size=n))
     cg = 0.1 * rng.standard_normal(n)
     g = QuarticObjective(Qg, cg, a4_g)
-    return ProblemBundle("sliding_bench", (g, h), np.zeros(n), f_star=None)
+    return ProblemBundle((g, h), np.zeros(n), f_star=None)
 
 
-#: Registered problems: the builder and the problem.* keys it reads.
+#: Registered problems: the builder and its problem.* keys with their
+#: defaults, whose types (int or float) are the keys' types.
 PROBLEMS = {
-    "quartic1d": (_quartic1d, ()),
-    "quadratic": (_quadratic, ("n", "seed")),
-    "quartic_chain": (_quartic_chain, ("n",)),
-    "logreg": (_logreg, ("m", "n", "ridge", "seed")),
-    "logreg_fixture": (_logreg_fixture, ()),
-    "sliding_bench": (_sliding_bench, ("m", "n", "seed")),
+    "quartic1d": (_quartic1d, {}),
+    "quadratic": (_quadratic, {"n": 10, "seed": 0}),
+    "quartic_chain": (_quartic_chain, {"n": 4}),
+    "logreg": (_logreg, {"m": 100, "n": 10, "ridge": 1e-3, "seed": 0}),
+    "logreg_fixture": (_logreg_fixture, {}),
+    "sliding_bench": (_sliding_bench, {"m": 40, "n": 8, "seed": 11}),
 }
 
 
@@ -258,14 +231,16 @@ def make_problem(cfg: RunConfig) -> ProblemBundle:
     if cfg.problem not in PROBLEMS:
         raise ConfigError(f"unknown problem {cfg.problem!r} "
                           f"(choose from {', '.join(sorted(PROBLEMS))})")
-    builder, keys = PROBLEMS[cfg.problem]
-    unknown = sorted(set(cfg.problem_params) - set(keys))
+    builder, defaults = PROBLEMS[cfg.problem]
+    unknown = sorted(set(cfg.problem_params) - set(defaults))
     if unknown:
-        takes = ", ".join(f"problem.{key}" for key in keys) or "none"
+        takes = ", ".join(f"problem.{key}" for key in defaults) or "none"
         raise ConfigError(f"problem {cfg.problem} has no parameter "
                           f"problem.{unknown[0]} (it takes: {takes})")
+    params = {key: _number(type(defaults[key]), f"problem.{key}", raw)
+              for key, raw in cfg.problem_params.items()}
     try:
-        return builder(cfg.problem_params)
+        return builder(**{**defaults, **params})
     except ConfigError:
         raise
     except (ValueError, MemoryError) as exc:
@@ -354,16 +329,18 @@ def reference_fstar(oracle: ProblemOracle, tol: float = 1e-13) -> float:
 
 
 def baseline_gd(oracle: ProblemOracle, x0: Vector, steps: int,
-                timing: bool = False):
+                timing: bool = False) -> SolveResult:
     """Plain gradient descent with step 1/L1, each step timed if timing.
 
     L1 is estimated once by power iteration on the Hessian at x0 (a fixed
     deterministic start vector, no randomness) and doubled whenever a step
     fails to decrease the objective; an objective that never decreases even
-    at vanishing steps (for instance one returning NaN) is divergence.
+    at vanishing steps (for instance one returning NaN) is divergence. The
+    result has status "steps", f, grad_norm and the max_* norms of its last
+    record, and counts of the oracle calls since it started.
     """
     co = counted(oracle)
-    base_grad, base_hess, base_value = co.n_grad, co.n_hess, co.n_value
+    base = co.counts
     x = np.array(x0, dtype=np.float64)
     H0 = co.hess(x)
     v = np.ones(co.dim) / math.sqrt(co.dim)
@@ -398,18 +375,25 @@ def baseline_gd(oracle: ProblemOracle, x0: Vector, steps: int,
                 x, f_cur = x_new, f_new
             records.append(IterationRecord(
                 k=k, f=f_cur, grad_norm=gn, step_radius=step * gn, lam=step,
-                A=0.0, inner_iters=0, n_grad=co.n_grad - base_grad,
-                n_hess=co.n_hess - base_hess, max_grad_norm=G_max,
+                A=0.0, inner_iters=0, n_grad=co.n_grad - base["grad"],
+                n_hess=co.n_hess - base["hess"], max_grad_norm=G_max,
                 max_hess_norm=hess_norm,
                 wall_ms=(time.perf_counter() - t_start) * 1e3 if timing else 0.0,
                 reason="gd" if gn != 0.0 else "stationary",
-                n_value=co.n_value - base_value, y=x.copy()))
+                n_value=co.n_value - base["value"], y=x.copy()))
             if gn == 0.0:
                 break
     except SolverError as exc:
         exc.records = tuple(records)
         raise
-    return records
+    # steps >= 1, so there is at least one record.
+    last = records[-1]
+    return SolveResult(
+        y=x, f=last.f, grad_norm=last.grad_norm, status="steps",
+        converged=False, iters=len(records), records=tuple(records),
+        sigma_max=0.0,
+        counts={key: value - base[key] for key, value in co.counts.items()},
+        max_grad_norm=last.max_grad_norm, max_hess_norm=last.max_hess_norm)
 
 
 @dataclass(frozen=True, slots=True)
@@ -455,39 +439,29 @@ def run(cfg: RunConfig) -> RunOutcome:
             raise ConfigError(f"cannot write the {key} file {path}")
     echo = config_echo(cfg)
     columns = SLIDING_COLUMNS if cfg.method == "sliding" else BASE_COLUMNS
-    summary: dict = {}
     try:
-        if cfg.method in ("hyperfast", "natmi_exact", "sliding"):
-            if cfg.method == "sliding":
-                res = sliding.solve_sliding(bundle.composite(), bundle.x0,
-                                            _natmi_config(cfg))
-            else:
-                sub = "bdgm" if cfg.method == "hyperfast" else "exact"
-                res = natmi.solve(_natmi_config(cfg, sub), bundle.single(),
-                                  bundle.x0)
-            records = res.records
-            summary.update(final_f=res.f, final_grad_norm=res.grad_norm,
-                           iters=res.iters, status=res.status,
-                           converged=int(res.converged),
-                           sigma_max=res.sigma_max,
-                           max_grad_norm=res.max_grad_norm,
-                           max_hess_norm=res.max_hess_norm)
-            summary.update((f"n_{key}", value) for key, value in res.counts.items())
+        if cfg.method == "sliding":
+            res = sliding.solve_sliding(bundle.composite(), bundle.x0,
+                                        _natmi_config(cfg))
+        elif cfg.method == "gd_baseline":
+            res = baseline_gd(bundle.single(), bundle.x0, cfg.max_iters,
+                              cfg.timing)
         else:
-            records = tuple(baseline_gd(bundle.single(), bundle.x0,
-                                        cfg.max_iters, cfg.timing))
-            # max_iters >= 1, so gd records at least one step or raises.
-            last = records[-1]
-            summary.update(final_f=last.f, final_grad_norm=last.grad_norm,
-                           iters=len(records), status="steps", converged=0,
-                           sigma_max=0.0, n_grad=last.n_grad, n_hess=last.n_hess,
-                           max_grad_norm=last.max_grad_norm,
-                           max_hess_norm=last.max_hess_norm)
+            sub = "bdgm" if cfg.method == "hyperfast" else "exact"
+            res = natmi.solve(_natmi_config(cfg, sub), bundle.single(),
+                              bundle.x0)
     except SolverError as exc:
         if cfg.trace_path:
             write_trace(cfg.trace_path, exc.records, echo, columns,
                         error=f"{type(exc).__name__}: {exc}")
         raise
+    records = res.records
+    summary = dict(final_f=res.f, final_grad_norm=res.grad_norm,
+                   iters=res.iters, status=res.status,
+                   converged=int(res.converged), sigma_max=res.sigma_max,
+                   max_grad_norm=res.max_grad_norm,
+                   max_hess_norm=res.max_hess_norm)
+    summary.update((f"n_{key}", value) for key, value in res.counts.items())
     slope = math.nan
     if bundle.f_star is not None and len(records) >= 3:
         try:

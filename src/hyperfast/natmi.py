@@ -141,8 +141,10 @@ class Trial(NamedTuple):
     The builder fills the fields up to mid_iters: grad_y is the gradient the
     dual update steps along, the anchor norms feed max_grad_norm /
     max_hess_norm, and sliding's levels pass h's gradient at y (part_grad)
-    and the middle steps taken (mid_iters). The search fills the rest, w
-    being the window statistic lam*H*r^2/2, H = xi*L3 and r = ||y - x~||.
+    and the middle steps taken (mid_iters). accelerated_steps replaces the
+    anchor norms by the largest over every trial of its run so far, and the
+    search fills the rest, w being the window statistic lam*H*r^2/2, H =
+    xi*L3 and r = ||y - x~||.
     """
 
     y: Vector
@@ -204,13 +206,11 @@ class SolveResult:
     status: str
     converged: bool
     iters: int
-    A: float
     records: tuple
     sigma_max: float
     counts: dict
     max_grad_norm: float
     max_hess_norm: float
-    report: ParamReport
 
 
 def oracle_subproblem(cfg: NatmiConfig, oracle: ProblemOracle):
@@ -343,7 +343,8 @@ def accelerated_steps(subproblem, L3: float, xi: float, x0: Vector, k_max: int,
     whose answer lands in the window. The generator ends after a terminal
     answer (zero_gradient, accuracy_floor) and after k_max steps; otherwise,
     when resumed, it takes the dual step x -= a*grad_y and moves y to the
-    answer. The caller decides whether to resume.
+    answer. The caller decides whether to resume. Each yielded trial's
+    anchor norms are the largest over every trial of the run so far.
 
     Each search starts at the previous step's lambda, scaled from step 3 on
     by the last growth ratio rho = lam_{k-1}/lam_{k-2} while rho <=
@@ -361,17 +362,23 @@ def accelerated_steps(subproblem, L3: float, xi: float, x0: Vector, k_max: int,
     y = x.copy()
     A = 0.0
     lam_prev = lam_prev2 = None
+    peak_grad = peak_hess = 0.0
     for k in range(1, k_max + 1):
 
         def make_trial(lam: float) -> Trial:
+            nonlocal peak_grad, peak_hess
             a = step_weight(lam, A)
             A_next = A + a
             assert abs(A_next - a * a / lam) <= 1e-10 * max(1.0, A_next)
             x_t = (A / A_next) * y + (a / A_next) * x
             t = subproblem(x_t)
+            peak_grad = max(peak_grad, t.grad_anchor_norm)
+            peak_hess = max(peak_hess, t.hess_anchor_norm)
             r = float(np.linalg.norm(t.y - x_t))
             return t._replace(lam=lam, a=a, A_next=A_next, x_tilde=x_t, r=r,
-                              w=lam * (0.5 * xi) * L3 * r * r)
+                              w=lam * (0.5 * xi) * L3 * r * r,
+                              grad_anchor_norm=peak_grad,
+                              hess_anchor_norm=peak_hess)
 
         seed = warm.get(k) if warm is not None else None
         if seed is None:
@@ -407,27 +414,21 @@ def outer_loop(subproblem, L3: float, x0: Vector, cfg: NatmiConfig,
     propagates with the rows recorded so far in its records.
     """
     base = counts()
-    # Largest anchor gradient and Hessian norms over every trial, and the
-    # gradient norms at accepted iterates.
-    peak = [0.0, 0.0]
-
-    def tracked(x_t: Vector) -> Trial:
-        ans = subproblem(x_t)
-        peak[0] = max(peak[0], ans.grad_anchor_norm)
-        peak[1] = max(peak[1], ans.hess_anchor_norm)
-        return ans
-
     y = np.array(x0, dtype=np.float64)
     if y.shape != (objective.dim,):
         raise ConfigError(f"x0 must have shape ({objective.dim},), got {y.shape}")
     if not np.isfinite(y).all():
         raise ConfigError("x0 must be finite")
-    A = 0.0
+    peak_grad = peak_hess = 0.0
     status = grad_norm = None
     records: list[IterationRecord] = []
     t_start = time.perf_counter() if cfg.timing else 0.0
     try:
-        for t, n_trials in accelerated_steps(tracked, L3, cfg.xi, y, cfg.k_max):
+        for t, n_trials in accelerated_steps(subproblem, L3, cfg.xi, y, cfg.k_max):
+            # t's anchor norms are the largest over every trial so far; the
+            # gradient peak also takes the norms at accepted iterates.
+            peak_grad = max(peak_grad, t.grad_anchor_norm)
+            peak_hess = t.hess_anchor_norm
             if t.reason == "zero_gradient":
                 y, grad_norm, status = t.x_tilde.copy(), 0.0, "stationary"
                 break
@@ -440,20 +441,20 @@ def outer_loop(subproblem, L3: float, x0: Vector, cfg: NatmiConfig,
                 status = "accuracy_floor"
                 break
             grad_norm = float(np.linalg.norm(t.grad_y))
-            peak[0] = max(peak[0], grad_norm)
+            peak_grad = max(peak_grad, grad_norm)
             sigma_obs = 0.0
             if t.r > 0.0:
                 drift = t.y - (t.x_tilde - t.lam * t.grad_y)
                 sigma_obs = float(np.linalg.norm(drift)) / t.r
-            y, A = t.y, t.A_next
+            y = t.y
             f_y = objective.value(y)
             wall_ms = (time.perf_counter() - t_start) * 1e3 if cfg.timing else 0.0
             c = {key: value - base[key] for key, value in counts().items()}
             records.append(IterationRecord(
                 k=len(records) + 1, f=f_y, grad_norm=grad_norm,
-                step_radius=t.r, lam=t.lam, A=A, inner_iters=t.inner_iters,
+                step_radius=t.r, lam=t.lam, A=t.A_next, inner_iters=t.inner_iters,
                 n_grad=_total(c, "grad"), n_hess=_total(c, "hess"),
-                max_grad_norm=peak[0], max_hess_norm=peak[1], wall_ms=wall_ms,
+                max_grad_norm=peak_grad, max_hess_norm=peak_hess, wall_ms=wall_ms,
                 sigma_observed=sigma_obs, window_value=t.w,
                 n_value=_total(c, "value"), n_third=_total(c, "third"),
                 n_trials=n_trials, reason=t.reason, y=y.copy(),
@@ -479,10 +480,10 @@ def outer_loop(subproblem, L3: float, x0: Vector, cfg: NatmiConfig,
     return SolveResult(
         y=y, f=f_final, grad_norm=grad_norm, status=status,
         converged=status in ("stationary", "grad_tol", "accuracy_floor"),
-        iters=len(records), A=A, records=tuple(records),
+        iters=len(records), records=tuple(records),
         sigma_max=max((rec.sigma_observed for rec in records), default=0.0),
         counts={key: value - base[key] for key, value in counts().items()},
-        max_grad_norm=peak[0], max_hess_norm=peak[1], report=validate_params(cfg))
+        max_grad_norm=peak_grad, max_hess_norm=peak_hess)
 
 
 def _total(counts: dict, kind: str) -> int:

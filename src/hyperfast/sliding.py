@@ -84,24 +84,22 @@ def _middle_solve(cfg: NatmiConfig, prob: CompositeProblem, gspec: ModelSpec,
     Answers the outer trial with T, grad f(T), the inner iterations of all
     middle steps and reason "certified", or "accuracy_floor" when a terminal
     middle trial fails the certificate. Its anchor norms are the largest
-    over the middle steps; the first is anchored at x_anchor.
+    over every middle trial; the first is anchored at x_anchor.
     """
     mid_iters = inner_total = 0
-    peak_grad = peak_hess = 0.0
     for t, _ in accelerated_steps(lambda x_tm: inner(x_tm, gspec),
                                   prob.h.lipschitz_L3, cfg.xi, x_anchor,
                                   _MIDDLE_K_MAX, warm):
         mid_iters += 1
         inner_total += t.inner_iters
-        peak_grad = max(peak_grad, t.grad_anchor_norm)
-        peak_hess = max(peak_hess, t.hess_anchor_norm)
         grad_f_T = prob.g.grad(t.y) + t.part_grad
         lhs = float(np.linalg.norm(t.grad_y))
         member = lhs <= cfg.gamma * float(np.linalg.norm(grad_f_T))
         if member or t.reason in _TERMINAL:
             return Trial(t.y, grad_f_T, inner_total,
                          "certified" if member else "accuracy_floor",
-                         peak_grad, peak_hess, mid_iters=mid_iters)
+                         t.grad_anchor_norm, t.hess_anchor_norm,
+                         mid_iters=mid_iters)
     raise bdgm.SubproblemError(
         f"middle loop exhausted {_MIDDLE_K_MAX} iterations without "
         "reaching the outer certificate")

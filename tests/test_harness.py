@@ -37,7 +37,7 @@ from hyperfast.harness import (
 )
 from hyperfast.natmi import IterationRecord
 from hyperfast.oracles import ProblemOracle, SumOracle
-from hyperfast.problems import LogisticLoss, QuarticObjective
+from hyperfast.problems import LogisticLoss, QuarticObjective, synth_logreg
 from hyperfast.taylor import ModelError, newton_min
 
 _GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -362,16 +362,29 @@ class TestBaselineGd:
         rng = np.random.default_rng(42)
         M = rng.standard_normal((5, 5))
         orc = QuarticObjective(M @ M.T + 0.5 * np.eye(5), rng.standard_normal(5), 0.0)
-        recs = baseline_gd(orc, np.zeros(5), 100)
+        recs = baseline_gd(orc, np.zeros(5), 100).records
         assert len(recs) == 100
         assert [r.k for r in recs] == list(range(1, 101))
         values = [r.f for r in recs]
         assert all(b <= a for a, b in zip(values, values[1:]))
         assert recs[-1].n_grad == 100
 
+    def test_result_carries_the_last_record_and_every_call(self):
+        orc = LogisticLoss(synth_logreg(1, 30, 4), ridge=1e-3)
+        res = baseline_gd(orc, np.zeros(4), 12)
+        last = res.records[-1]
+        assert (res.status, res.converged, res.iters, res.sigma_max) == ("steps", False, 12, 0.0)
+        assert (res.f, res.grad_norm) == (last.f, last.grad_norm)
+        assert (res.max_grad_norm, res.max_hess_norm) == (last.max_grad_norm, last.max_hess_norm)
+        assert res.f == orc.value(res.y)
+        # One Hessian for the power iteration, one gradient per step, and a
+        # value at the start and at each step's trial points.
+        assert res.counts == {"value": last.n_value, "grad": 12, "hess": 1, "third": 0}
+        assert last.n_value >= 13
+
     def test_stationary_start_stops_early(self):
         orc = QuarticObjective(np.eye(2), np.zeros(2), 0.5)
-        recs = baseline_gd(orc, np.zeros(2), 50)
+        recs = baseline_gd(orc, np.zeros(2), 50).records
         assert len(recs) == 1
         assert recs[0].reason == "stationary"
         assert recs[0].grad_norm == 0.0

@@ -9,9 +9,13 @@ whitespace. Trace and summary paths are not echoed, so they are left unset.
 A trace written by write_trace and read back by read_trace returns every
 float column bit for bit: signed zeros, subnormals and infinities included.
 NaN reads back as NaN.
+
+A problem.* value given from Python and the same value as config text are
+refused together or build the same problem.
 """
 
 import math
+import pickle
 import struct
 import tempfile
 from pathlib import Path
@@ -20,13 +24,16 @@ import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings  # noqa: E402
+from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from hyperfast.harness import (  # noqa: E402
+    PROBLEMS,
+    ConfigError,
     RunConfig,
     build_run_config,
     config_echo,
+    make_problem,
     parse_config_text,
     read_trace,
     write_trace,
@@ -90,3 +97,45 @@ def test_trace_round_trip_keeps_every_float_bit(rows):
                 assert math.isnan(row[column])
             else:
                 assert _bits(row[column]) == _bits(sent), (column, sent, row[column])
+
+
+#: Every registered problem.* key, as (problem, key).
+_PROBLEM_KEYS = [(problem, key) for problem, (_, defaults) in sorted(PROBLEMS.items())
+                 for key in defaults]
+#: Sizes stay at 20 or below, so no drawn problem is large.
+_SMALL_INT = st.integers(-2, 20)
+_PARAM_VALUE = st.one_of(
+    _SMALL_INT,
+    st.floats(-2.0, 20.0),
+    _SMALL_INT.map(float),
+    st.booleans(),
+    _SMALL_INT.map(np.int64),
+    st.one_of(_SMALL_INT, st.floats(-2.0, 20.0)).map(str),
+    st.text("0123456789.-e ", max_size=5),
+)
+
+
+def _built_or_refused(cfg_of):
+    """("built", x0 and the pickled bundle) from make_problem(cfg_of()), or
+    ("refused",) when building the config or the problem is a ConfigError."""
+    try:
+        bundle = make_problem(cfg_of())
+    except ConfigError:
+        return ("refused",)
+    return ("built", bundle.x0.tobytes(), pickle.dumps(bundle))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(problem_key=st.sampled_from(_PROBLEM_KEYS), value=_PARAM_VALUE)
+@example(problem_key=("quadratic", "n"), value=2.7)
+@example(problem_key=("quadratic", "seed"), value=3.9)
+@example(problem_key=("logreg", "m"), value=True)
+@example(problem_key=("logreg", "n"), value=np.int64(3))
+@example(problem_key=("sliding_bench", "seed"), value="4")
+def test_python_value_builds_what_its_config_text_builds(problem_key, value):
+    problem, key = problem_key
+    from_python = _built_or_refused(
+        lambda: RunConfig(problem=problem, problem_params={key: value}))
+    from_text = _built_or_refused(
+        lambda: build_run_config({"problem": problem, f"problem.{key}": str(value)}))
+    assert from_python == from_text

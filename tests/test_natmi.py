@@ -311,7 +311,7 @@ class TestRecordInvariants:
             A_prev = rec.A
 
     def test_contraction_never_exceeds_predicted(self, logreg_run):
-        assert logreg_run.report.sigma == 0.6
+        assert validate_params(NatmiConfig(eps=1e-8, k_max=8)).sigma == 0.6
         for rec in logreg_run.records:
             assert rec.sigma_observed <= 0.6 + 1e-8
         assert logreg_run.sigma_max == max(

@@ -11,10 +11,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hyperfast import bdgm, harness, sliding
+from hyperfast import bdgm, harness, natmi, sliding
 from hyperfast.bdgm import SubproblemError
 from hyperfast.harness import reference_fstar
-from hyperfast.natmi import NatmiConfig, solve as natmi_solve
+from hyperfast.natmi import IterationRecord, NatmiConfig, solve as natmi_solve
 from hyperfast.oracles import ConfigError, ProblemOracle, ZeroOracle
 from hyperfast.problems import QuarticObjective, sampled_l3
 from hyperfast.sliding import CompositeProblem, solve_sliding
@@ -343,6 +343,39 @@ class TestOuterCertificate:
         bundle, cfg = _sliding_bench(seed, eps, m, n)
         res = solve_sliding(bundle.composite(), bundle.x0, cfg)
         assert_paper_invariants(res, reference_fstar(bundle.single(), tol=1e-8), eps)
+
+
+class TestPeakNorms:
+    @pytest.mark.parametrize("seed", [3, 11, 5011])
+    def test_max_hess_norm_covers_every_middle_trial(self, seed, monkeypatch):
+        """A record's max_hess_norm is at least the anchor Hessian norm of
+        every middle trial made before it, rejected trials included. The
+        spy wraps h's inner builder, which each middle trial calls once,
+        and notes the largest norm seen when each record is built."""
+        build = sliding.oracle_subproblem
+        seen, at_record = [0.0], []
+
+        def spied(cfg, oracle):
+            inner = build(cfg, oracle)
+
+            def trial(x_t, model=None):
+                t = inner(x_t, model)
+                seen.append(max(seen[-1], t.hess_anchor_norm))
+                return t
+            return trial
+
+        def record(**fields):
+            at_record.append(seen[-1])
+            return IterationRecord(**fields)
+
+        monkeypatch.setattr(sliding, "oracle_subproblem", spied)
+        monkeypatch.setattr(natmi, "IterationRecord", record)
+        bundle, cfg = _sliding_bench(seed, 1e-6)
+        res = solve_sliding(bundle.composite(), bundle.x0, cfg)
+        assert len(at_record) == len(res.records) >= 1
+        for rec, peak in zip(res.records, at_record):
+            assert rec.max_hess_norm >= peak
+        assert res.max_hess_norm == seen[-1]
 
 
 class TestWrongL3Hint:

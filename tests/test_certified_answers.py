@@ -59,8 +59,8 @@ def _audited(build, ratios):
                 grad_f = plain.grad(t.y)
                 if model is not None:
                     cached = ModelSpec(model.oracle.inner, model.x_tilde, model.H)
-                    grad_m = grad_m + model_grad(cached, t.y)
-                    grad_f = grad_f + model_grad(cached, t.y)
+                    grad_cached = model_grad(cached, t.y)
+                    grad_m, grad_f = grad_m + grad_cached, grad_f + grad_cached
                 ratios.append(float(np.linalg.norm(grad_m))
                               / (cfg.gamma * float(np.linalg.norm(grad_f))))
             return t

@@ -1,7 +1,8 @@
 """Command line front end.
 
-`hyperfast solve --config run.cfg` executes one configured run; a flag
-overrides the config key it writes (--seed writes problem.seed). Exit codes:
+`hyperfast solve --config run.cfg` executes one configured run. Each flag
+writes its config key as text over the file's value (--seed writes
+problem.seed), and the config parser reads flags and file alike. Exit codes:
 0 success, 2 configuration error, 3 solver failure.
 """
 
@@ -22,30 +23,26 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     ps = sub.add_parser("solve", help="run one configured solve")
     ps.add_argument("--config", help="flat key=value config file")
+    # Every other flag's dest is the config key it writes.
     ps.add_argument("--problem", help="registered problem name")
-    ps.add_argument("--method",
-                    choices=["hyperfast", "natmi-exact", "sliding", "gd"])
-    ps.add_argument("--eps", type=float, help="target accuracy")
-    ps.add_argument("--max-iters", type=int, help="outer iteration cap")
+    ps.add_argument("--method", help="hyperfast, natmi_exact, sliding or "
+                                     "gd_baseline (or natmi-exact, gd)")
+    ps.add_argument("--eps", help="target accuracy")
+    ps.add_argument("--max-iters", dest="max_iters", help="outer iteration cap")
     ps.add_argument("--trace", help="trace CSV output path")
     ps.add_argument("--summary", help="summary output path")
-    ps.add_argument("--seed", type=int,
+    ps.add_argument("--seed", dest="problem.seed",
                     help="problem.seed, for the problems that take one")
     return parser
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    flags = vars(_build_parser().parse_args(argv))
+    del flags["command"]
+    path = flags.pop("config")
     try:
-        mapping = load_config(args.config) if args.config else {}
-        overrides = {
-            "problem": args.problem, "method": args.method, "eps": args.eps,
-            "max_iters": args.max_iters, "trace": args.trace,
-            "summary": args.summary, "problem.seed": args.seed,
-        }
-        for key, value in overrides.items():
-            if value is not None:
-                mapping[key] = str(value)
+        mapping = load_config(path) if path else {}
+        mapping.update((key, text) for key, text in flags.items() if text is not None)
         cfg = build_run_config(mapping)
         outcome = run(cfg)
     except ConfigError as exc:

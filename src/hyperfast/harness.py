@@ -21,9 +21,9 @@ from pathlib import Path
 import numpy as np
 
 from . import natmi, sliding
-from .natmi import IterationRecord, NatmiConfig, SolveResult
+from .natmi import IterationRecord, NatmiConfig, SolveResult, start_point
 from .oracles import (ConfigError, ProblemOracle, SolverError, SumOracle, Vector,
-                      ZeroOracle, counted)
+                      ZeroOracle, counted, operator_norm)
 from .problems import LogisticLoss, QuarticChain, QuarticObjective, synth_logreg
 from .sliding import CompositeProblem
 from .taylor import ModelError, newton_step
@@ -251,8 +251,6 @@ def make_problem(cfg: RunConfig) -> ProblemBundle:
 
 
 def _fmt(value) -> str:
-    if isinstance(value, (bool, np.bool_)):
-        return "1" if value else "0"
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     return f"{float(value):.17g}"
@@ -332,36 +330,29 @@ def baseline_gd(oracle: ProblemOracle, x0: Vector, steps: int,
                 timing: bool = False) -> SolveResult:
     """Plain gradient descent with step 1/L1, each step timed if timing.
 
-    L1 is estimated once by power iteration on the Hessian at x0 (a fixed
-    deterministic start vector, no randomness) and doubled whenever a step
-    fails to decrease the objective; an objective that never decreases even
-    at vanishing steps (for instance one returning NaN) is divergence. The
-    result has status "steps", f, grad_norm and the max_* norms of its last
-    record, and counts of the oracle calls since it started.
+    x0 passes natmi.start_point. L1 starts at the operator norm of the
+    Hessian at x0, which must be finite, and doubles whenever a step fails
+    to decrease the objective; an objective that never decreases even at
+    vanishing steps (for instance one returning NaN) is divergence. Each
+    record reports the gradient at its own point, which the next step
+    reuses. The result has status "steps", f, grad_norm and the max_* norms
+    of its last record, and counts of the oracle calls since it started.
     """
     co = counted(oracle)
     base = co.counts
-    x = np.array(x0, dtype=np.float64)
+    x = start_point(co, x0)
     H0 = co.hess(x)
-    v = np.ones(co.dim) / math.sqrt(co.dim)
-    for _ in range(50):
-        w = H0 @ v
-        nw = float(np.linalg.norm(w))
-        if nw == 0.0:
-            break
-        v = w / nw
-    L1 = max(float(np.linalg.norm(H0 @ v)), 1e-12)
-    hess_norm = L1
+    if not np.isfinite(H0).all():
+        raise SolverError("non-finite Hessian at the start point")
+    L1 = hess_norm = max(operator_norm(H0), 1e-12)
     f_cur = co.value(x)
     records = []
-    G_max = 0.0
     try:
+        g = co.grad(x)
+        gn = G_max = float(np.linalg.norm(g))
         for k in range(1, steps + 1):
             t_start = time.perf_counter() if timing else 0.0
-            g = co.grad(x)
-            gn = float(np.linalg.norm(g))
-            G_max = max(G_max, gn)
-            step = 1.0 / L1
+            step, radius = 1.0 / L1, 0.0
             if gn != 0.0:
                 for _ in range(200):
                     step = 1.0 / L1
@@ -372,9 +363,14 @@ def baseline_gd(oracle: ProblemOracle, x0: Vector, steps: int,
                     L1 *= 2.0
                 else:
                     raise DivergenceError("no decrease even at vanishing step size")
-                x, f_cur = x_new, f_new
+                x, f_cur, radius = x_new, f_new, step * gn
+                g = co.grad(x)
+                gn = float(np.linalg.norm(g))
+                if not math.isfinite(gn):
+                    raise SolverError(f"non-finite gradient after step {k}")
+                G_max = max(G_max, gn)
             records.append(IterationRecord(
-                k=k, f=f_cur, grad_norm=gn, step_radius=step * gn, lam=step,
+                k=k, f=f_cur, grad_norm=gn, step_radius=radius, lam=step,
                 A=0.0, inner_iters=0, n_grad=co.n_grad - base["grad"],
                 n_hess=co.n_hess - base["hess"], max_grad_norm=G_max,
                 max_hess_norm=hess_norm,
@@ -413,14 +409,10 @@ def _natmi_config(cfg: RunConfig, subsolver: str = "bdgm") -> NatmiConfig:
 
 
 def config_echo(cfg: RunConfig) -> dict:
-    echo = {
-        "problem": cfg.problem, "method": cfg.method, "eps": _fmt(cfg.eps),
-        "max_iters": cfg.max_iters, "grad_tol": _fmt(cfg.grad_tol),
-        "gamma": _fmt(cfg.gamma), "xi": _fmt(cfg.xi),
-        "timing": "on" if cfg.timing else "off",
-    }
-    for key, value in cfg.problem_params.items():
-        echo[f"problem.{key}"] = value
+    echo = {"problem": cfg.problem, "method": cfg.method,
+            "timing": "on" if cfg.timing else "off"}
+    echo.update((key, _fmt(getattr(cfg, key))) for key in _NUMERIC_KEYS)
+    echo.update((f"problem.{key}", value) for key, value in cfg.problem_params.items())
     return echo
 
 

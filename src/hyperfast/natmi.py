@@ -397,15 +397,23 @@ def accelerated_steps(subproblem, L3: float, xi: float, x0: Vector, k_max: int,
         lam_prev2, lam_prev = lam_prev, t.lam
 
 
+def start_point(objective: ProblemOracle, x0: Vector) -> Vector:
+    """A copy of x0 as float64, after objective's point rule: a point it
+    refuses (wrong shape, non-finite) is a ConfigError, before any call."""
+    try:
+        return np.array(objective._check_point(x0))
+    except ValueError as exc:
+        raise ConfigError(f"x0: {exc}") from exc
+
+
 def outer_loop(subproblem, L3: float, x0: Vector, cfg: NatmiConfig,
                objective, counts) -> SolveResult:
     """Run accelerated_steps for up to cfg.k_max steps and keep the records.
 
-    objective has dim, value(y) and grad(y) of the minimized function, and
-    counts() returns its oracle call totals. The window uses H = cfg.xi*L3;
-    the regime was enforced when oracle_subproblem built the builder. An x0
-    that is not a finite vector of length objective.dim is a ConfigError
-    before the first oracle call.
+    objective is the minimized function's oracle, and counts() returns its
+    oracle call totals. The window uses H = cfg.xi*L3;
+    the regime was enforced when oracle_subproblem built the builder, and
+    x0 passes start_point before the first oracle call.
 
     Stops: stationary (zero gradient at the anchor or at the accepted
     iterate), accuracy_floor (the answer cannot be certified at this eps in
@@ -414,11 +422,7 @@ def outer_loop(subproblem, L3: float, x0: Vector, cfg: NatmiConfig,
     propagates with the rows recorded so far in its records.
     """
     base = counts()
-    y = np.array(x0, dtype=np.float64)
-    if y.shape != (objective.dim,):
-        raise ConfigError(f"x0 must have shape ({objective.dim},), got {y.shape}")
-    if not np.isfinite(y).all():
-        raise ConfigError("x0 must be finite")
+    y = start_point(objective, x0)
     peak_grad = peak_hess = 0.0
     status = grad_norm = None
     records: list[IterationRecord] = []

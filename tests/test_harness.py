@@ -367,7 +367,8 @@ class TestBaselineGd:
         assert [r.k for r in recs] == list(range(1, 101))
         values = [r.f for r in recs]
         assert all(b <= a for a, b in zip(values, values[1:]))
-        assert recs[-1].n_grad == 100
+        # One gradient at the start and one at each step's new point.
+        assert recs[-1].n_grad == 101
 
     def test_result_carries_the_last_record_and_every_call(self):
         orc = LogisticLoss(synth_logreg(1, 30, 4), ridge=1e-3)
@@ -377,10 +378,21 @@ class TestBaselineGd:
         assert (res.f, res.grad_norm) == (last.f, last.grad_norm)
         assert (res.max_grad_norm, res.max_hess_norm) == (last.max_grad_norm, last.max_hess_norm)
         assert res.f == orc.value(res.y)
-        # One Hessian for the power iteration, one gradient per step, and a
-        # value at the start and at each step's trial points.
-        assert res.counts == {"value": last.n_value, "grad": 12, "hess": 1, "third": 0}
+        # One Hessian for L1, a gradient at the start and at each step's
+        # new point, and a value at the start and at each step's trial points.
+        assert res.counts == {"value": last.n_value, "grad": 13, "hess": 1, "third": 0}
         assert last.n_value >= 13
+
+    def test_each_row_reports_the_gradient_at_its_point(self):
+        bundle = make_problem(RunConfig(problem="logreg_fixture"))
+        orc = bundle.single()
+        res = baseline_gd(orc, bundle.x0, 30)
+        for rec in res.records:
+            assert rec.grad_norm == float(np.linalg.norm(orc.grad(rec.y)))
+        assert res.grad_norm == float(np.linalg.norm(orc.grad(res.y)))
+        # L1 is the operator norm of the start Hessian.
+        assert res.max_hess_norm == float(
+            np.max(np.abs(np.linalg.eigvalsh(orc.hess(bundle.x0)))))
 
     def test_stationary_start_stops_early(self):
         orc = QuarticObjective(np.eye(2), np.zeros(2), 0.5)
@@ -392,6 +404,26 @@ class TestBaselineGd:
     def test_nan_objective_raises(self):
         with pytest.raises(DivergenceError):
             baseline_gd(_NanObjective(), np.ones(1), 10)
+
+    def test_non_finite_start_hessian_exits_three(self, monkeypatch, tmp_path, capsys):
+        # Checked before L1 is taken: numpy's eigvalsh can return finite
+        # eigenvalues for a matrix with a NaN entry.
+        clean = LogisticLoss.hess
+
+        def hess(self, x):
+            H = clean(self, x).copy()
+            H[0, 0] = math.nan
+            return H
+
+        monkeypatch.setattr(LogisticLoss, "hess", hess)
+        trace = tmp_path / "t.csv"
+        assert cli.main(["solve", "--problem", "logreg_fixture", "--method", "gd",
+                         "--trace", str(trace)]) == 3
+        assert capsys.readouterr().err.splitlines() == [
+            "solver failure: non-finite Hessian at the start point"]
+        assert trace.read_text().splitlines()[-1] == (
+            "# ERROR: SolverError: non-finite Hessian at the start point")
+        assert read_trace(trace) == []
 
 
 class TestRun:
@@ -543,13 +575,13 @@ class TestNonFiniteGradient:
 
 
 class TestNonFinitePoint:
-    """A non-finite point that reaches an oracle is a solver failure on
-    every method: NonFiniteError, exit 3 with one stderr line, and a trace
-    that keeps the rows done before it and ends in the error footer. Here a
-    NaN gradient turns gd's next line-search trial point into NaN."""
+    """A non-finite gradient under gd is a solver failure as soon as it is
+    taken, at the end of the step whose point it belongs to: exit 3 with
+    one stderr line, and a trace that keeps the clean rows before it and
+    ends in the error footer. The 6th gradient is the one after step 5."""
 
     @pytest.mark.parametrize("method, golden, first_nan_call, n_rows", [
-        ("gd", "logreg_fixture_gd", 6, 5),
+        ("gd", "logreg_fixture_gd", 6, 4),
     ])
     def test_cli_exit_three_with_partial_trace(self, tmp_path, monkeypatch, capsys,
                                                method, golden, first_nan_call, n_rows):
@@ -565,13 +597,12 @@ class TestNonFinitePoint:
         trace = tmp_path / "t.csv"
         assert cli.main(["solve", "--problem", "logreg_fixture", "--method", method,
                          "--eps", "1e-9", "--trace", str(trace)]) == 3
-        assert capsys.readouterr().err.splitlines() == [
-            "solver failure: point contains non-finite entries"]
-        assert trace.read_text().splitlines()[-1] == (
-            "# ERROR: NonFiniteError: point contains non-finite entries")
-        rows = read_trace(trace)
-        assert len(rows) == n_rows
-        assert rows[:5] == read_trace(_GOLDEN / f"{golden}.trace")[:5]
+        message = f"non-finite gradient after step {n_rows + 1}"
+        assert capsys.readouterr().err.splitlines() == [f"solver failure: {message}"]
+        text = trace.read_text()
+        assert text.splitlines()[-1] == f"# ERROR: SolverError: {message}"
+        assert "nan" not in text
+        assert read_trace(trace) == read_trace(_GOLDEN / f"{golden}.trace")[:n_rows]
 
 
 class TestNonFiniteExact:
@@ -708,6 +739,34 @@ class TestCli:
         cfgfile.write_text("problem=quartic1d\ngamma=0.5\nxi=1.0\n")
         assert cli.main(["solve", "--config", str(cfgfile)]) == 2
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--method", "natmi_exact"), ("--method", "gd_baseline"),
+        ("--method", "bogus"), ("--eps", "abc"), ("--eps", "nan"),
+        ("--max-iters", "2.5"), ("--max-iters", "0"), ("--seed", "x"),
+        ("--seed", "5"),
+    ])
+    def test_flag_parses_as_its_config_key(self, tmp_path, capsys, flag, value):
+        # A flag writes its key as text, so it runs or is refused exactly as
+        # the same line in a config file, with the one-line error.
+        key = {"--method": "method", "--eps": "eps", "--max-iters": "max_iters",
+               "--seed": "problem.seed"}[flag]
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text(f"problem=quartic1d\n{key}={value}\n")
+
+        def outcome(argv):
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            return code, capsys.readouterr()
+
+        by_flag = outcome(["solve", "--problem", "quartic1d", flag, value])
+        assert by_flag == outcome(["solve", "--config", str(cfgfile)])
+        code, captured = by_flag
+        if code == 2:
+            lines = captured.err.splitlines()
+            assert len(lines) == 1 and lines[0].startswith("config error: ")
 
     def test_solver_failure_exit_three(self, monkeypatch, capsys):
         def boom(cfg):

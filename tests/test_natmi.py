@@ -106,15 +106,19 @@ class TestValidateParams:
     @pytest.mark.parametrize("x0", [np.ones(3), np.ones((2, 1)),
                                     np.array([1.0, math.nan])],
                              ids=["long", "column", "nan"])
-    @pytest.mark.parametrize("method", ["bdgm", "exact", "sliding"])
+    @pytest.mark.parametrize("method", ["bdgm", "exact", "sliding", "gd"])
     def test_bad_start_point_refused_before_any_call(self, method, x0):
-        # outer_loop checks x0 against the objective's dimension, so a wrong
-        # shape or a non-finite entry is a setting error and costs no call.
+        # Every solver passes x0 through natmi.start_point, the objective's
+        # point rule, so a wrong shape or a non-finite entry is a setting
+        # error and costs no call, gd's start Hessian included.
         g = QuarticObjective(np.eye(2), np.ones(2), 0.01)
         h = QuarticObjective(np.eye(2), -np.ones(2), 0.5)
         if method == "sliding":
             prob = CompositeProblem(g, h)
             run = functools.partial(solve_sliding, prob, x0, NatmiConfig())
+        elif method == "gd":
+            prob = CountedOracle(h)
+            run = functools.partial(harness.baseline_gd, prob, x0, 5)
         else:
             prob = CountedOracle(h)
             run = functools.partial(solve, NatmiConfig(subsolver=method), prob, x0)

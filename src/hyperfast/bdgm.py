@@ -61,9 +61,10 @@ _EPS = float(np.finfo(np.float64).eps)
 #: constant appears in the difference-step and ball formulas.
 STEP_SCALE = 2.0 * (1.0 + 1.0 / np.sqrt(2.0))
 
-#: Regularization weight H = XI*L3 the engine's model is built for; the step
-#: scale and the ball radius are derived for it.
+#: The shipped regime, NatmiConfig's defaults: weight H = XI*L3, which the
+#: step scale and ball radius are derived for, and the certificate's GAMMA.
 XI = 1.5
+GAMMA = 1.0 / 6.0
 
 #: Floor on the difference step. The nominal step is proportional to delta
 #: and collapses below float64 resolution for small eps; second differences
@@ -186,7 +187,7 @@ def _build_state(x_tilde, eps, gamma, oracle, oracle_g0, oracle_B, L3,
 
 
 def setup(oracle: ProblemOracle, x_tilde: Vector, eps: float,
-          gamma: float = 1.0 / 6.0, model: ModelSpec | None = None) -> BdgmState:
+          gamma: float = GAMMA, model: ModelSpec | None = None) -> BdgmState:
     """Prepare the subproblem at an anchor: one gradient and one Hessian of
     oracle, plus model's at x_tilde (a ModelSpec anchored elsewhere). eps
     alone sets the truncation budget delta = eps^1.5/(sqrt(||g0||) +

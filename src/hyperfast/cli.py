@@ -15,13 +15,19 @@ from .harness import build_run_config, load_config, run
 from .oracles import ConfigError, SolverError
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="hyperfast",
-        description="Third-order convex optimization using gradients and "
-                    "Hessians only")
+class _Parser(argparse.ArgumentParser):
+    """Refuses a bad command line with one ConfigError line, not a usage block."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
+def main(argv=None) -> int:
+    parser = _Parser(prog="hyperfast", allow_abbrev=False,
+                     description="Third-order convex optimization using "
+                                 "gradients and Hessians only")
     sub = parser.add_subparsers(dest="command", required=True)
-    ps = sub.add_parser("solve", help="run one configured solve")
+    ps = sub.add_parser("solve", allow_abbrev=False, help="run one configured solve")
     ps.add_argument("--config", help="flat key=value config file")
     # Every other flag's dest is the config key it writes.
     ps.add_argument("--problem", help="registered problem name")
@@ -33,14 +39,10 @@ def _build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--summary", help="summary output path")
     ps.add_argument("--seed", dest="problem.seed",
                     help="problem.seed, for the problems that take one")
-    return parser
-
-
-def main(argv=None) -> int:
-    flags = vars(_build_parser().parse_args(argv))
-    del flags["command"]
-    path = flags.pop("config")
     try:
+        flags = vars(parser.parse_args(argv))
+        del flags["command"]
+        path = flags.pop("config")
         mapping = load_config(path) if path else {}
         mapping.update((key, text) for key, text in flags.items() if text is not None)
         cfg = build_run_config(mapping)

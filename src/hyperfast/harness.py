@@ -4,14 +4,14 @@ Configuration is a flat key=value text format ('#' starts a comment, on a
 line of its own or after a value). Traces are CSV with a '#'-prefixed block
 echoing the configuration, then a bare column row and one row per outer
 iteration, floats printed with 17 significant digits so reruns are
-byte-comparable. Wall-clock columns are written as 0 unless
-timing is switched on, because measured times would break the byte-identical
-determinism contract.
+byte-comparable. The solvers always measure wall time; run keeps and
+writes it as 0 unless timing is switched on, because measured times would
+break the byte-identical determinism contract.
 """
 
 from __future__ import annotations
 
-import json
+import contextlib
 import math
 import os
 import time
@@ -37,8 +37,6 @@ SLIDING_COLUMNS = BASE_COLUMNS + ("n_grad_g", "n_hess_g", "n_grad_h",
 _METHODS = ("hyperfast", "natmi_exact", "sliding", "gd_baseline")
 _CLI_METHOD_ALIASES = {"natmi-exact": "natmi_exact", "gd": "gd_baseline"}
 
-_FSTAR_PATH = Path(__file__).with_name("fstar_fixture.json")
-
 #: Newton steps reference_fstar may take before it gives up.
 _FSTAR_BUDGET = 500
 
@@ -51,11 +49,11 @@ class DivergenceError(SolverError):
 class RunConfig:
     problem: str
     method: str = "hyperfast"
-    eps: float = 1e-8
+    eps: float = NatmiConfig.eps
     max_iters: int = 30
-    grad_tol: float = 0.0
-    gamma: float = 1.0 / 6.0
-    xi: float = 1.5
+    grad_tol: float = NatmiConfig.grad_tol
+    gamma: float = NatmiConfig.gamma
+    xi: float = NatmiConfig.xi
     timing: bool = False
     trace_path: str | None = None
     summary_path: str | None = None
@@ -195,8 +193,9 @@ def _logreg(*, m: int, n: int, ridge: float, seed: int):
 
 def _logreg_fixture():
     oracle = LogisticLoss(synth_logreg(7, 200, 20), ridge=1e-3)
-    f_star = json.loads(_FSTAR_PATH.read_text())["logreg_fixture"]
-    return ProblemBundle((oracle,), np.zeros(20), f_star=f_star)
+    # f* is reference_fstar(oracle, tol=1e-13), which TestReferenceFstar::
+    # test_reproduces_committed_fixture_optimum recomputes to a relative 1e-15.
+    return ProblemBundle((oracle,), np.zeros(20), f_star=0.48643780650938095)
 
 
 def _sliding_bench(*, m: int, n: int, seed: int):
@@ -326,9 +325,8 @@ def reference_fstar(oracle: ProblemOracle, tol: float = 1e-13) -> float:
     raise ModelError(f"reference optimum not reached in {_FSTAR_BUDGET} Newton steps")
 
 
-def baseline_gd(oracle: ProblemOracle, x0: Vector, steps: int,
-                timing: bool = False) -> SolveResult:
-    """Plain gradient descent with step 1/L1, each step timed if timing.
+def baseline_gd(oracle: ProblemOracle, x0: Vector, steps: int) -> SolveResult:
+    """Plain gradient descent with step 1/L1, each step timed.
 
     x0 passes natmi.start_point. L1 starts at the operator norm of the
     Hessian at x0, which must be finite, and doubles whenever a step fails
@@ -351,7 +349,7 @@ def baseline_gd(oracle: ProblemOracle, x0: Vector, steps: int,
         g = co.grad(x)
         gn = G_max = float(np.linalg.norm(g))
         for k in range(1, steps + 1):
-            t_start = time.perf_counter() if timing else 0.0
+            t_start = time.perf_counter()
             step, radius = 1.0 / L1, 0.0
             if gn != 0.0:
                 for _ in range(200):
@@ -374,7 +372,7 @@ def baseline_gd(oracle: ProblemOracle, x0: Vector, steps: int,
                 A=0.0, inner_iters=0, n_grad=co.n_grad - base["grad"],
                 n_hess=co.n_hess - base["hess"], max_grad_norm=G_max,
                 max_hess_norm=hess_norm,
-                wall_ms=(time.perf_counter() - t_start) * 1e3 if timing else 0.0,
+                wall_ms=(time.perf_counter() - t_start) * 1e3,
                 reason="gd" if gn != 0.0 else "stationary",
                 n_value=co.n_value - base["value"], y=x.copy()))
             if gn == 0.0:
@@ -395,7 +393,8 @@ def baseline_gd(oracle: ProblemOracle, x0: Vector, steps: int,
 @dataclass(frozen=True, slots=True)
 class RunOutcome:
     """summary holds results only; the summary file adds config's echo.
-    records are the run's IterationRecords with y set to None."""
+    records are the run's IterationRecords with y set to None and, unless
+    config.timing, wall_ms 0."""
 
     config: RunConfig
     records: tuple
@@ -404,8 +403,7 @@ class RunOutcome:
 
 def _natmi_config(cfg: RunConfig, subsolver: str = "bdgm") -> NatmiConfig:
     return NatmiConfig(eps=cfg.eps, k_max=cfg.max_iters, gamma=cfg.gamma,
-                       xi=cfg.xi, grad_tol=cfg.grad_tol,
-                       subsolver=subsolver, timing=cfg.timing)
+                       xi=cfg.xi, grad_tol=cfg.grad_tol, subsolver=subsolver)
 
 
 def config_echo(cfg: RunConfig) -> dict:
@@ -431,20 +429,24 @@ def run(cfg: RunConfig) -> RunOutcome:
             raise ConfigError(f"cannot write the {key} file {path}")
     echo = config_echo(cfg)
     columns = SLIDING_COLUMNS if cfg.method == "sliding" else BASE_COLUMNS
+
+    def kept(records) -> tuple:  # nothing reads y past r_hat
+        return tuple(replace(rec, y=None, wall_ms=rec.wall_ms if cfg.timing else 0.0)
+                     for rec in records)
+
     try:
         if cfg.method == "sliding":
             res = sliding.solve_sliding(bundle.composite(), bundle.x0,
                                         _natmi_config(cfg))
         elif cfg.method == "gd_baseline":
-            res = baseline_gd(bundle.single(), bundle.x0, cfg.max_iters,
-                              cfg.timing)
+            res = baseline_gd(bundle.single(), bundle.x0, cfg.max_iters)
         else:
             sub = "bdgm" if cfg.method == "hyperfast" else "exact"
             res = natmi.solve(_natmi_config(cfg, sub), bundle.single(),
                               bundle.x0)
     except SolverError as exc:
         if cfg.trace_path:
-            write_trace(cfg.trace_path, exc.records, echo, columns,
+            write_trace(cfg.trace_path, kept(exc.records), echo, columns,
                         error=f"{type(exc).__name__}: {exc}")
         raise
     records = res.records
@@ -454,19 +456,15 @@ def run(cfg: RunConfig) -> RunOutcome:
                    max_grad_norm=res.max_grad_norm,
                    max_hess_norm=res.max_hess_norm)
     summary.update((f"n_{key}", value) for key, value in res.counts.items())
-    slope = math.nan
-    if bundle.f_star is not None and len(records) >= 3:
-        try:
-            slope = fit_rate(records, (3, 30), bundle.f_star)
-        except ValueError:
-            slope = math.nan
-    summary["slope"] = slope
+    summary["slope"] = math.nan
+    if bundle.f_star is not None:
+        with contextlib.suppress(ValueError):  # < 3 usable points
+            summary["slope"] = fit_rate(records, (3, 30), bundle.f_star)
     # Proxy for the initial-set radius: distance actually travelled. It is
     # not claimed to equal the true distance to the optimum.
     summary["r_hat"] = (float(np.linalg.norm(records[-1].y - bundle.x0))
                         if records else 0.0)
-    # A kept outcome drops the iterates: nothing reads them past r_hat.
-    records = tuple(replace(rec, y=None) for rec in records)
+    records = kept(records)
     if cfg.trace_path:
         write_trace(cfg.trace_path, records, echo, columns)
     if cfg.summary_path:

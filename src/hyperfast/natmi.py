@@ -63,21 +63,20 @@ class NatmiConfig:
     """Solver parameters.
 
     gamma and xi form the contraction regime checked by validate_params;
-    the shipped defaults (1/6, 3/2) give sigma = 0.6. eps alone sets the
-    inner solver's difference-error budget delta (bdgm.setup), k_max >= 1
-    caps the outer steps, grad_tol is the outer stopping norm (0 disables
-    it, leaving only k_max), and subsolver picks the inner engine ("bdgm",
-    which is built for xi = 3/2, or "exact"). Construction refuses bad
-    settings with a ConfigError (the CLI builds one too).
+    the shipped defaults bdgm.GAMMA, bdgm.XI = 1/6, 3/2 give sigma = 0.6.
+    eps alone sets the inner solver's difference-error budget delta
+    (bdgm.setup), k_max >= 1 caps the outer steps, grad_tol is the outer
+    stopping norm (0 disables it, leaving only k_max), and subsolver picks
+    the inner engine ("bdgm", built for xi = bdgm.XI, or "exact").
+    Construction refuses bad settings with a ConfigError.
     """
 
     eps: float = 1e-8
     k_max: int = 100
-    gamma: float = 1.0 / 6.0
-    xi: float = 1.5
+    gamma: float = bdgm.GAMMA
+    xi: float = bdgm.XI
     grad_tol: float = 0.0
     subsolver: str = "bdgm"
-    timing: bool = False
 
     def __post_init__(self):
         # Written as "not (...)" so that NaN, which fails every comparison,
@@ -426,7 +425,7 @@ def outer_loop(subproblem, L3: float, x0: Vector, cfg: NatmiConfig,
     peak_grad = peak_hess = 0.0
     status = grad_norm = None
     records: list[IterationRecord] = []
-    t_start = time.perf_counter() if cfg.timing else 0.0
+    t_start = time.perf_counter()
     try:
         for t, n_trials in accelerated_steps(subproblem, L3, cfg.xi, y, cfg.k_max):
             # t's anchor norms are the largest over every trial so far; the
@@ -452,7 +451,7 @@ def outer_loop(subproblem, L3: float, x0: Vector, cfg: NatmiConfig,
                 sigma_obs = float(np.linalg.norm(drift)) / t.r
             y = t.y
             f_y = objective.value(y)
-            wall_ms = (time.perf_counter() - t_start) * 1e3 if cfg.timing else 0.0
+            wall_ms = (time.perf_counter() - t_start) * 1e3
             c = {key: value - base[key] for key, value in counts().items()}
             records.append(IterationRecord(
                 k=len(records) + 1, f=f_y, grad_norm=grad_norm,
@@ -472,7 +471,7 @@ def outer_loop(subproblem, L3: float, x0: Vector, cfg: NatmiConfig,
             if cfg.grad_tol > 0.0 and grad_norm <= cfg.grad_tol:
                 status = "grad_tol"
                 break
-            t_start = time.perf_counter() if cfg.timing else 0.0
+            t_start = time.perf_counter()
     except SolverError as exc:
         # Let the harness flush whatever rows exist before dying.
         exc.records = tuple(records)

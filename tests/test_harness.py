@@ -10,13 +10,14 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from hyperfast import cli, harness
+from hyperfast import cli, harness, natmi, sliding
 from hyperfast.bdgm import SubproblemError
 from hyperfast.harness import (
     BASE_COLUMNS,
@@ -35,7 +36,7 @@ from hyperfast.harness import (
     run,
     write_trace,
 )
-from hyperfast.natmi import IterationRecord
+from hyperfast.natmi import IterationRecord, NatmiConfig
 from hyperfast.oracles import ProblemOracle, SumOracle
 from hyperfast.problems import LogisticLoss, QuarticObjective, synth_logreg
 from hyperfast.taylor import ModelError, newton_min
@@ -503,6 +504,45 @@ class TestRun:
         assert records
         assert all(rec.wall_ms > 0.0 for rec in records)
 
+    def test_solvers_always_measure_wall_time(self):
+        # Timing is the harness's setting: every solver's records carry the
+        # measured time.
+        cfg = build_run_config({"problem": "sliding_bench", "problem.n": "4",
+                                "problem.m": "20"})
+        bundle = make_problem(cfg)
+        for res in (natmi.solve(NatmiConfig(eps=1e-6, k_max=2), bundle.single(), bundle.x0),
+                    sliding.solve_sliding(bundle.composite(), bundle.x0,
+                                          NatmiConfig(eps=1e-6, k_max=2)),
+                    baseline_gd(bundle.single(), bundle.x0, 2)):
+            assert res.records
+            assert all(rec.wall_ms > 0.0 for rec in res.records)
+
+    @pytest.mark.parametrize("method", ["hyperfast", "gd_baseline"])
+    def test_timing_off_keeps_and_writes_zero_wall_time(self, tmp_path, method):
+        cfg = build_run_config({"problem": "logreg_fixture", "method": method,
+                                "max_iters": "3", "trace": str(tmp_path / "t.csv")})
+        records = run(cfg).records
+        assert len(records) == 3
+        assert all(rec.wall_ms == 0.0 for rec in records)
+        assert [row["wall_ms"] for row in read_trace(tmp_path / "t.csv")] == [0.0] * 3
+
+    @pytest.mark.parametrize("timing, written", [("off", 0.0), ("on", 5.0)])
+    def test_partial_trace_wall_time_follows_timing(self, tmp_path, monkeypatch,
+                                                    timing, written):
+        timed = tuple(replace(rec, wall_ms=5.0) for rec in _toy_records(2))
+
+        def boom(cfg, oracle, x0):
+            exc = SubproblemError("forced failure")
+            exc.records = timed
+            raise exc
+
+        monkeypatch.setattr(harness.natmi, "solve", boom)
+        cfg = build_run_config({"problem": "quartic1d", "timing": timing,
+                                "trace": str(tmp_path / "p.csv")})
+        with pytest.raises(SubproblemError):
+            run(cfg)
+        assert [row["wall_ms"] for row in read_trace(tmp_path / "p.csv")] == [written] * 2
+
     def test_invalid_regime_is_a_config_error(self):
         cfg = build_run_config({"problem": "quartic1d", "gamma": "0.5",
                                 "xi": "1.0"})
@@ -767,6 +807,29 @@ class TestCli:
         if code == 2:
             lines = captured.err.splitlines()
             assert len(lines) == 1 and lines[0].startswith("config error: ")
+
+    @pytest.mark.parametrize("argv", [
+        ["solve", "--problem", "quartic1d", "--eps", "-1e-6"],
+        ["solve", "--problem", "quartic1d", "--eps"],
+        ["solve", "--problem", "quartic1d", "--epss", "1"],
+        ["solve", "--problem", "quartic1d", "--max", "5"],
+        [],
+    ])
+    def test_bad_command_line_is_one_config_error_line(self, capsys, argv):
+        # argparse's own refusals (a value that looks like a flag, a missing
+        # value, an unknown or abbreviated flag, no subcommand) print the one
+        # config error line too, not a usage block.
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("config error: ")
+
+    def test_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            cli.main(["solve", "--help"])
+        assert info.value.code == 0
+        assert "--max-iters" in capsys.readouterr().out
 
     def test_solver_failure_exit_three(self, monkeypatch, capsys):
         def boom(cfg):

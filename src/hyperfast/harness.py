@@ -130,17 +130,19 @@ def build_run_config(mapping: dict[str, str]) -> RunConfig:
             raise ConfigError(f"unknown config key {key!r}")
     if "problem" not in plain:
         raise ConfigError("config must name a problem")
-    method = plain.get("method", "hyperfast")
-    timing_raw = str(plain.get("timing", "off")).lower()
-    if timing_raw not in ("on", "off", "true", "false", "0", "1"):
-        raise ConfigError(f"timing must be on/off, got {plain['timing']!r}")
-    numbers = {key: _number(kind, key, plain[key])
-               for key, kind in _NUMERIC_KEYS.items() if key in plain}
+    given = {key: _number(kind, key, plain[key])
+             for key, kind in _NUMERIC_KEYS.items() if key in plain}
+    if "method" in plain:
+        method = plain["method"]
+        given["method"] = _CLI_METHOD_ALIASES.get(method, method)
+    if "timing" in plain:
+        timing_raw = str(plain["timing"]).lower()
+        if timing_raw not in ("on", "off", "true", "false", "0", "1"):
+            raise ConfigError(f"timing must be on/off, got {plain['timing']!r}")
+        given["timing"] = timing_raw in ("on", "true", "1")
     return RunConfig(
-        problem=plain["problem"], method=_CLI_METHOD_ALIASES.get(method, method),
-        timing=timing_raw in ("on", "true", "1"),
-        trace_path=plain.get("trace"), summary_path=plain.get("summary"),
-        problem_params=problem_params, **numbers)
+        problem=plain["problem"], trace_path=plain.get("trace"),
+        summary_path=plain.get("summary"), problem_params=problem_params, **given)
 
 
 @dataclass(frozen=True)

@@ -332,8 +332,7 @@ def search_lambda(make_trial, L3: float, xi: float, lam_warm: float | None,
         f"last lambda = {t.lam:.6g}, w = {t.w:.6g}); check the oracle's L3")
 
 
-def accelerated_steps(subproblem, L3: float, xi: float, x0: Vector, k_max: int,
-                      warm: dict | None = None):
+def accelerated_steps(subproblem, L3: float, xi: float, x0: Vector, k_max: int):
     """The accelerated scheme: yield (trial, n_trials) per window search.
 
     The window statistic is the paper's w = lam*H*r^2/2 with H = xi*L3.
@@ -350,19 +349,13 @@ def accelerated_steps(subproblem, L3: float, xi: float, x0: Vector, k_max: int,
     _MAX_EXTRAPOLATE: lambda grows steadily for most of a solve, so the
     extrapolated start usually lands nearer the window. A larger jump keeps
     the start at lam_{k-1}.
-
-    warm, when given, maps the step index (from 1) to the lambda accepted at
-    that stage of an earlier run, and this run adds its own. It seeds the
-    search ahead of both: the sliding middle loop runs once per outer trial
-    from nearby anchors, so the same-stage lambda usually lands in the
-    window on the first attempt.
     """
     x = np.array(x0, dtype=np.float64)
     y = x.copy()
     A = 0.0
     lam_prev = lam_prev2 = None
     peak_grad = peak_hess = 0.0
-    for k in range(1, k_max + 1):
+    for _ in range(k_max):
 
         def make_trial(lam: float) -> Trial:
             nonlocal peak_grad, peak_hess
@@ -379,16 +372,11 @@ def accelerated_steps(subproblem, L3: float, xi: float, x0: Vector, k_max: int,
                               grad_anchor_norm=peak_grad,
                               hess_anchor_norm=peak_hess)
 
-        seed = warm.get(k) if warm is not None else None
-        if seed is None:
-            rho = lam_prev / lam_prev2 if lam_prev2 is not None else math.inf
-            seed = lam_prev * rho if rho <= _MAX_EXTRAPOLATE else lam_prev
+        rho = lam_prev / lam_prev2 if lam_prev2 is not None else math.inf
+        seed = lam_prev * rho if rho <= _MAX_EXTRAPOLATE else lam_prev
         t, n_trials = search_lambda(make_trial, L3, xi, seed, A)
-        terminal = t.reason in _TERMINAL
-        if warm is not None and A > 0.0 and not terminal:
-            warm[k] = t.lam
         yield t, n_trials
-        if terminal:
+        if t.reason in _TERMINAL:
             return
         x = x - t.a * t.grad_y
         y = t.y

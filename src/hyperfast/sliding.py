@@ -7,9 +7,11 @@ g per outer trial, and hands the composite subproblem
     min_y  [third-order model of g at the outer anchor](y) + h(y)
 
 to a middle loop. The middle loop is the same accelerated scheme applied to
-that sum: it models h at its own anchors (one Hessian of h per middle
-trial), keeps the cached g-model exact, and stops as soon as its iterate
-meets the outer certificate. The innermost level is the single-function
+that sum: it starts at the previous middle answer T (at the outer anchor
+for the first one), which lies nearer the new middle minimizer than the
+outer anchor, so it mostly takes one step. It models h at its own anchors
+(one Hessian of h per middle trial), keeps the cached g-model exact, and
+stops as soon as its iterate meets the outer certificate. The innermost level is the single-function
 builder, natmi.oracle_subproblem on h, called with the cached g-model as
 a second part, minimizing [model of h] + [model of g]. Each g-model
 evaluation takes one analytic third-derivative action of g (counted as
@@ -74,22 +76,21 @@ class CompositeProblem(SumOracle):
 
 
 def _middle_solve(cfg: NatmiConfig, prob: CompositeProblem, gspec: ModelSpec,
-                  x_anchor: Vector, warm: dict, inner) -> Trial:
-    """Accelerated loop on F_mid = [g-model at x_anchor] + h until its
-    iterate T meets the outer certificate ||grad F_mid(T)|| <= gamma *
-    ||grad f(T)||, with warm the middle loop's lambda memory across outer
-    trials (see accelerated_steps) and inner h's oracle_subproblem builder,
+                  x_start: Vector, inner) -> Trial:
+    """Accelerated loop on F_mid = [g-model at the outer anchor] + h from
+    x_start until its iterate T meets the outer certificate ||grad F_mid(T)||
+    <= gamma * ||grad f(T)||, with inner h's oracle_subproblem builder,
     which each middle trial calls with gspec as the model.
 
     Answers the outer trial with T, grad f(T), the inner iterations of all
     middle steps and reason "certified", or "accuracy_floor" when a terminal
     middle trial fails the certificate. Its anchor norms are the largest
-    over every middle trial; the first is anchored at x_anchor.
+    over every middle trial; the first is anchored at x_start.
     """
     mid_iters = inner_total = 0
     for t, _ in accelerated_steps(lambda x_tm: inner(x_tm, gspec),
-                                  prob.h.lipschitz_L3, cfg.xi, x_anchor,
-                                  _MIDDLE_K_MAX, warm):
+                                  prob.h.lipschitz_L3, cfg.xi, x_start,
+                                  _MIDDLE_K_MAX):
         mid_iters += 1
         inner_total += t.inner_iters
         grad_f_T = prob.g.grad(t.y) + t.part_grad
@@ -113,6 +114,11 @@ def solve_sliding(prob: CompositeProblem, x0: Vector,
     xi*L3_g, the dual update along the full gradient of f and each
     subproblem handed to the middle loop, whose inner solves are
     natmi.oracle_subproblem's on h plus g's model at the outer anchor.
+    Each middle loop starts at the latest middle answer of the solve, from
+    an accepted or a rejected outer trial alike; the first starts at the
+    outer anchor. An outer trial's gradient anchor norm also takes
+    ||grad f|| at the outer anchor, while its Hessian anchor norm covers
+    its middle trials only: h has no Hessian at the outer anchor.
     The result's counts carry the per-component totals. With h the zero
     sentinel, that builder runs on g as the outer one. A subsolver other
     than "bdgm", a bad regime, gamma = 0 or xi != bdgm.XI is a ConfigError
@@ -127,14 +133,18 @@ def solve_sliding(prob: CompositeProblem, x0: Vector,
     if h.is_zero:
         return outer_loop(inner, g.lipschitz_L3, x0, cfg, g, lambda: prob.counts)
     H_g = cfg.xi * g.lipschitz_L3
-    mid_warm: dict = {}
+    last_T = None
 
     def subproblem(x_t: Vector) -> Trial:
+        nonlocal last_T
         spec = ModelSpec(g, x_t, H_g)
         gf_anchor = spec.grad_anchor + h.grad(x_t)
-        if float(np.linalg.norm(gf_anchor)) == 0.0:
+        gf_norm = float(np.linalg.norm(gf_anchor))
+        if gf_norm == 0.0:
             return Trial(x_t.copy(), gf_anchor, 0, "zero_gradient", 0.0, 0.0)
-        return _middle_solve(cfg, prob, spec, x_t, mid_warm, inner)
+        t = _middle_solve(cfg, prob, spec, x_t if last_T is None else last_T, inner)
+        last_T = t.y
+        return t._replace(grad_anchor_norm=max(t.grad_anchor_norm, gf_norm))
 
     return outer_loop(subproblem, g.lipschitz_L3, x0, cfg, prob,
                       lambda: prob.counts)

@@ -10,7 +10,7 @@ import math
 import os
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -108,6 +108,26 @@ class TestBuildRunConfig:
 
     def test_absent_keys_take_run_config_defaults(self):
         assert build_run_config({"problem": "quartic1d"}) == RunConfig(problem="quartic1d")
+
+    @pytest.mark.parametrize("problem", sorted(harness.PROBLEMS))
+    def test_every_problem_takes_every_run_config_default(self, problem):
+        built = build_run_config({"problem": problem})
+        default = RunConfig(problem=problem)
+        for f in fields(RunConfig):
+            assert getattr(built, f.name) == getattr(default, f.name), f.name
+
+    def test_method_and_timing_defaults_live_in_run_config(self, monkeypatch):
+        """build_run_config writes no default of its own, so a changed
+        dataclass default reaches config files and the CLI."""
+
+        @dataclass(frozen=True)
+        class Shifted(RunConfig):
+            method: str = "sliding"
+            timing: bool = True
+
+        monkeypatch.setattr(harness, "RunConfig", Shifted)
+        cfg = build_run_config({"problem": "quartic1d"})
+        assert (cfg.method, cfg.timing) == ("sliding", True)
 
     @pytest.mark.parametrize("key, value, what", [
         ("eps", "fast", "a number"), ("max_iters", "1.5", "an integer"),

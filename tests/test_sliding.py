@@ -318,8 +318,8 @@ class TestOuterCertificate:
         middle_solve = sliding._middle_solve
         answers = []
 
-        def checked(cfg, prob, gspec, *anchor_and_memory):
-            t = middle_solve(cfg, prob, gspec, *anchor_and_memory)
+        def checked(cfg, prob, gspec, *start_and_inner):
+            t = middle_solve(cfg, prob, gspec, *start_and_inner)
             # The uncounted h leaves the counters, and so the run, as they are.
             lhs = np.linalg.norm(model_grad(gspec, t.y) + prob.h.inner.grad(t.y))
             answers.append((t.reason, lhs <= cfg.gamma * np.linalg.norm(t.grad_y)))
@@ -376,6 +376,76 @@ class TestPeakNorms:
         for rec, peak in zip(res.records, at_record):
             assert rec.max_hess_norm >= peak
         assert res.max_hess_norm == seen[-1]
+
+
+    @pytest.mark.parametrize("seed", [3, 11, 5011])
+    def test_max_grad_norm_covers_every_outer_anchor(self, seed, monkeypatch):
+        """Each outer trial's grad_anchor_norm, and so a record's
+        max_grad_norm, is at least ||grad f(x~)|| at every outer anchor x~
+        made before it, rejected trials included, although the middle loops
+        start away from x~. The spy wraps the g-model built once per outer
+        trial and takes h's gradient uncounted."""
+        build, outer_steps = sliding.ModelSpec, natmi.accelerated_steps
+        prob = None
+        anchor_norms, seen, at_record = [], [0.0], []
+
+        def spied(oracle, x_t, H):
+            spec = build(oracle, x_t, H)
+            grad_f = spec.grad_anchor + prob.h.inner.grad(x_t)
+            anchor_norms.append(float(np.linalg.norm(grad_f)))
+            seen.append(max(seen[-1], anchor_norms[-1]))
+            return spec
+
+        def spied_outer(subproblem, *rest):
+            def checked(x_t):
+                t = subproblem(x_t)
+                assert t.grad_anchor_norm >= anchor_norms[-1]
+                return t
+            return outer_steps(checked, *rest)
+
+        def record(**fields):
+            at_record.append(seen[-1])
+            return IterationRecord(**fields)
+
+        monkeypatch.setattr(sliding, "ModelSpec", spied)
+        monkeypatch.setattr(natmi, "accelerated_steps", spied_outer)
+        monkeypatch.setattr(natmi, "IterationRecord", record)
+        bundle, cfg = _sliding_bench(seed, 1e-6)
+        prob = bundle.composite()
+        res = solve_sliding(prob, bundle.x0, cfg)
+        assert len(at_record) == len(res.records) >= 1
+        for rec, peak in zip(res.records, at_record):
+            assert rec.max_grad_norm >= peak
+        assert res.max_grad_norm >= seen[-1]
+
+
+class TestMiddleStart:
+    def test_each_middle_loop_starts_at_the_last_middle_answer(self, monkeypatch):
+        """The first middle loop starts at the first outer anchor, and each
+        later one at the previous middle answer's y, whether its outer trial
+        was accepted or rejected."""
+        steps, middle_solve = sliding.accelerated_steps, sliding._middle_solve
+        starts, anchors, answers = [], [], []
+
+        def spied_steps(subproblem, L3, xi, x0, *rest):
+            starts.append(np.array(x0))
+            return steps(subproblem, L3, xi, x0, *rest)
+
+        def spied_middle(cfg, prob, gspec, *start_and_inner):
+            anchors.append(gspec.x_tilde.copy())
+            t = middle_solve(cfg, prob, gspec, *start_and_inner)
+            answers.append(t.y.copy())
+            return t
+
+        monkeypatch.setattr(sliding, "accelerated_steps", spied_steps)
+        monkeypatch.setattr(sliding, "_middle_solve", spied_middle)
+        bundle, cfg = _sliding_bench(11, 1e-6)
+        res = solve_sliding(bundle.composite(), bundle.x0, cfg)
+        assert len(starts) == len(answers) > len(res.records) >= 2
+        np.testing.assert_array_equal(starts[0], anchors[0])
+        for start, previous, anchor in zip(starts[1:], answers, anchors[1:]):
+            np.testing.assert_array_equal(start, previous)
+            assert not np.array_equal(start, anchor)
 
 
 class TestWrongL3Hint:

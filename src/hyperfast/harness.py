@@ -133,8 +133,7 @@ def build_run_config(mapping: dict[str, str]) -> RunConfig:
     given = {key: _number(kind, key, plain[key])
              for key, kind in _NUMERIC_KEYS.items() if key in plain}
     if "method" in plain:
-        method = plain["method"]
-        given["method"] = _CLI_METHOD_ALIASES.get(method, method)
+        given["method"] = _CLI_METHOD_ALIASES.get(plain["method"], plain["method"])
     if "timing" in plain:
         timing_raw = str(plain["timing"]).lower()
         if timing_raw not in ("on", "off", "true", "false", "0", "1"):

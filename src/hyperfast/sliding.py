@@ -8,14 +8,15 @@ g per outer trial, and hands the composite subproblem
 
 to a middle loop. The middle loop is the same accelerated scheme applied to
 that sum: it starts at the previous middle answer T (at the outer anchor
-for the first one), which lies nearer the new middle minimizer than the
-outer anchor, so it mostly takes one step. It models h at its own anchors
-(one Hessian of h per middle trial), keeps the cached g-model exact, and
-stops as soon as its iterate meets the outer certificate. The innermost level is the single-function
-builder, natmi.oracle_subproblem on h, called with the cached g-model as
-a second part, minimizing [model of h] + [model of g]. Each g-model
-evaluation takes one analytic third-derivative action of g (counted as
-n_third_g; see ROADMAP.md item 2). The engine is built for xi = 3/2 only.
+for the first one), which usually lies nearer the new middle minimizer
+than the outer anchor, so it mostly takes one step. It models h at its own
+anchors (one Hessian of h per middle trial), keeps the cached g-model
+exact, and stops as soon as its iterate meets the outer certificate. The
+innermost level is the single-function builder, natmi.oracle_subproblem on
+h, called with the cached g-model as a second part, minimizing [model of
+h] + [model of g]. Each g-model evaluation takes one analytic
+third-derivative action of g (counted as n_third_g; see ROADMAP.md item
+2). The engine is built for xi = 3/2 only.
 
 Every level accepts on the paper's certificate ||grad m(y)|| <= gamma *
 ||grad f(y)||, with m that level's model. Outer windows use H = xi*L3_g and

@@ -24,10 +24,9 @@ fails the curvature test doubles it, and an accepted step divides it by 1.5
 when it passed on the first try and keeps it when it needed a doubling; see
 _accepted_step().
 
-One engine serves every model, a sum of parts: setup() builds the
-difference-based model of an oracle at the anchor and, given a
-taylor.ModelSpec (sliding's model of g, anchored at the outer anchor), adds
-it exactly. Anchor gradients and Hessians add, and L3 gains the model's 4*H.
+One engine serves every model, a sum of taylor.ModelSpec parts: setup()
+builds the oracle's, by central gradient differences (fd_third_action), and
+adds a given analytic one (sliding's model of g); see BdgmState.
 
 Every test the engine makes allows for one error margin, theta_abs =
 max(delta, 2*noise): the larger of the estimate's truncation budget delta
@@ -37,11 +36,11 @@ less than ||grad f(x~)||), not from the gradient itself, which near the
 optimum is far smaller than the terms that cancel to give it. The curvature
 test of a step allows 2*theta_abs*||d|| (_accepted_step). Termination
 certifies the relative inexactness condition: once the estimated model
-gradient at z is below (1/6)*||grad f(z)|| minus theta_abs, z is an
-acceptable subproblem answer for the outer loop. theta_abs is also the
-absolute floor that drives z to the exact minimizer at the accuracy the
-arithmetic supports, so downstream agreement checks are meaningful; see
-solve().
+gradient at z is below (1/6)*||grad f(z)|| minus theta_abs and the
+differences' truncation, z is an acceptable subproblem answer for the outer
+loop. theta_abs is also the absolute floor that drives z to the exact
+minimizer at the accuracy the arithmetic supports, so downstream agreement
+checks are meaningful; see solve().
 """
 
 from __future__ import annotations
@@ -92,14 +91,16 @@ class SubproblemError(SolverError):
 class BdgmState:
     """Frozen subproblem data.
 
-    g0, B and L3 are the sums over the parts: oracle's anchor gradient
-    oracle_g0, Hessian oracle_B and L3, plus model's. tau is the nominal
+    parts are the model's, the oracle's difference part first. g0 and B sum
+    their model_grad and model_hess at x~, and L3 the oracle's L3 of a
+    difference part and 4*H of an analytic one. tau is the nominal
     difference step 3*delta/(8*(2+sqrt(2))*||g0||); tau_used = max(tau,
     TAU_FLOOR) is the one used. ball_radius = 2*((2+sqrt(2))*||g0||/L3)^(1/3).
     theta_abs = max(delta, 2*noise) is the error margin of every estimate,
     with noise = 4*eps*(terms + ||B||*ball_radius + L3*ball_radius^3)/tau_used^2
     and terms = max(oracle.grad_term_bound(x~), ||g0||), or ||g0|| when the
-    oracle reports no bound.
+    oracle reports no bound. It leaves out the truncation of each difference
+    part p, (L3_p/6)*tau_used*||s||^3, which solve() certifies against.
     """
 
     x_tilde: Vector
@@ -117,15 +118,12 @@ class BdgmState:
     evals: Vector
     evecs: Matrix
     solved_reason: str | None
-    oracle: ProblemOracle | None
-    oracle_g0: Vector
-    oracle_B: Matrix
-    model: ModelSpec | None
+    parts: tuple[ModelSpec, ...]
 
 
 @dataclass
 class BdgmResult:
-    """grad_at_z is the certificate's gradient at z, oracle_grad_at_z its oracle part."""
+    """grad_at_z is the certificate's gradient at z, oracle_grad_at_z part 0's."""
 
     z: Vector
     iters: int
@@ -134,17 +132,26 @@ class BdgmResult:
     oracle_grad_at_z: Vector
 
 
-def _build_state(x_tilde, eps, gamma, oracle, oracle_g0, oracle_B, L3,
-                 model=None, grad_terms=None) -> BdgmState:
+def setup(oracle: ProblemOracle, x_tilde: Vector, eps: float,
+          gamma: float = GAMMA, model: ModelSpec | None = None) -> BdgmState:
+    """Prepare the subproblem at an anchor: one gradient and one Hessian of
+    oracle, for its difference part at H = XI*L3, plus model's model_grad
+    and model_hess at x_tilde (an analytic ModelSpec anchored elsewhere).
+    eps alone sets the truncation budget delta = eps^1.5/(sqrt(||g0||) +
+    ||B||^1.5/sqrt(L3))."""
     eps = float(eps)
     if eps <= 0.0:
         raise ValueError("eps must be positive")
-    g0, B = oracle_g0, oracle_B
-    if model is not None:
-        # The model's regularizer has third-derivative Lipschitz constant 4*H.
-        g0 = model_grad(model, x_tilde) + oracle_g0
-        B = model_hess(model, x_tilde) + oracle_B
-        L3 += 4.0 * model.H
+    x_tilde = np.array(x_tilde, dtype=np.float64)
+    own = ModelSpec(oracle, x_tilde, XI * oracle.lipschitz_L3, third=fd_third_action)
+    own.quartic = oracle.lipschitz_L3  # 2*H/3 can miss L3 by an ulp
+    parts = (own,) if model is None else (own, model)
+    g0 = B = L3 = 0.0
+    for part in parts:
+        g0 = g0 + model_grad(part, x_tilde)
+        B = B + model_hess(part, x_tilde)
+        # An analytic part's regularizer has third-derivative Lipschitz constant 4*H.
+        L3 += 4.0 * part.H if part.third is None else part.oracle.lipschitz_L3
     if L3 <= 0.0:
         raise ValueError("L3 must be positive")
     if not (np.all(np.isfinite(g0)) and np.all(np.isfinite(B))):
@@ -168,35 +175,22 @@ def _build_state(x_tilde, eps, gamma, oracle, oracle_g0, oracle_B, L3,
         ball = 2.0 * (STEP_SCALE * grad_norm0 / L3) ** (1.0 / 3.0)
         # A gradient's roundoff scales with the terms it sums, which near the
         # optimum are far larger than the gradient itself.
-        terms = grad_norm0 if grad_terms is None else max(grad_terms, grad_norm0)
+        bound = oracle.grad_term_bound(x_tilde)
+        terms = grad_norm0 if bound is None else max(bound, grad_norm0)
         noise = 4.0 * _EPS * (terms + hess_norm0 * ball + L3 * ball**3) / tau_used**2
         theta_abs = max(delta, 2.0 * noise)
         if theta_abs >= gamma * grad_norm0:
             # The certification margin exceeds what any iterate could attain:
             # the anchor gradient is already at the accuracy floor for eps.
             solved_reason = "accuracy_floor"
+    own.tau = float(tau_used)
     return BdgmState(
-        x_tilde=np.array(x_tilde, dtype=np.float64), gamma=float(gamma),
-        g0=np.asarray(g0, dtype=np.float64), B=np.asarray(B, dtype=np.float64),
+        x_tilde=x_tilde, gamma=float(gamma), g0=g0, B=B,
         L3=float(L3), grad_norm0=grad_norm0, hess_norm0=hess_norm0,
         delta=float(delta), tau=float(tau), tau_used=float(tau_used),
         theta_abs=float(theta_abs), ball_radius=float(ball), evals=evals,
-        evecs=evecs, solved_reason=solved_reason, oracle=oracle,
-        oracle_g0=oracle_g0, oracle_B=oracle_B, model=model,
+        evecs=evecs, solved_reason=solved_reason, parts=parts,
     )
-
-
-def setup(oracle: ProblemOracle, x_tilde: Vector, eps: float,
-          gamma: float = GAMMA, model: ModelSpec | None = None) -> BdgmState:
-    """Prepare the subproblem at an anchor: one gradient and one Hessian of
-    oracle, plus model's at x_tilde (a ModelSpec anchored elsewhere). eps
-    alone sets the truncation budget delta = eps^1.5/(sqrt(||g0||) +
-    ||B||^1.5/sqrt(L3))."""
-    x_tilde = np.asarray(x_tilde, dtype=np.float64)
-    return _build_state(x_tilde, eps, gamma, oracle,
-                        oracle.grad(x_tilde), oracle.hess(x_tilde),
-                        oracle.lipschitz_L3, model,
-                        oracle.grad_term_bound(x_tilde))
 
 
 def custom_setup(*args, **kwargs) -> BdgmState:
@@ -205,18 +199,14 @@ def custom_setup(*args, **kwargs) -> BdgmState:
 
 
 def approx_grad(state: BdgmState, z: Vector) -> Vector:
-    """Estimated model gradient at z: oracle_g0 + oracle_B s + 0.5*(gradient
-    second difference along s) + L3*||s||^2 * s, the last term the oracle's
-    regularizer at H = XI*L3, plus model's exact gradient when given."""
-    s = np.asarray(z, dtype=np.float64) - state.x_tilde
-    if not s.any():
+    """Estimated model gradient at z: the sum of the parts' model_grad, or
+    g0 at z = x~, where a lone difference part's model_grad makes no call."""
+    parts = state.parts
+    if len(parts) > 1 and not (np.asarray(z, dtype=np.float64) - state.x_tilde).any():
         return state.g0.copy()
-    fd3 = fd_third_action(state.oracle, state.x_tilde, s, state.tau_used,
-                          g0=state.oracle_g0)
-    grad = (state.oracle_g0 + state.oracle_B @ s + 0.5 * fd3
-            + state.oracle.lipschitz_L3 * float(s @ s) * s)
-    if state.model is not None:
-        grad = grad + model_grad(state.model, z)
+    grad = model_grad(parts[0], z)
+    for part in parts[1:]:
+        grad += model_grad(part, z)
     return grad
 
 
@@ -369,20 +359,22 @@ def solve(state: BdgmState, max_iters: int = 10000) -> BdgmResult:
 
     Stops at the first iterate z at the floor, and certifies it or not:
 
-        ||approx_grad(z)|| <= theta_abs                          (floor)
-        ||approx_grad(z)|| <= gamma*||grad F(z)|| - theta_abs    (certified)
+        ||approx_grad(z)|| <= theta_abs                               (floor)
+        ||approx_grad(z)|| <= gamma*||grad F(z)|| - theta_abs - trunc (certified)
 
     theta_abs = max(delta, 2*noise) is the estimate's one error margin, its
     truncation budget or the roundoff of its gradient differences (see
     BdgmState), and the curvature test of each step allows for it too. A
     margin below the real roundoff would leave ||approx_grad(z)|| unable to
-    reach the floor. The second line is the acceptance contract for the
-    outer loop, and "accuracy_floor" answers a z that fails it, as setup()
-    does when theta_abs >= gamma*||g0||. The floor pins z to the exact
-    model minimizer, which the cross-check against the reference Newton
-    minimizer relies on. grad F(z) is taken only there, so
-    a solve spends one target gradient, at its answer: the oracle's, plus
-    model's exact one when given.
+    reach the floor. trunc sums (L3_p/6)*tau_used*||z - x~||^3 over the
+    difference parts p: their truncation past delta's budget. The second
+    line is the acceptance contract for the outer loop, and "accuracy_floor"
+    answers a z that fails it, as setup() does when theta_abs >=
+    gamma*||g0||. The floor pins z to the exact model minimizer, which the
+    cross-check against the reference Newton minimizer relies on. grad F(z)
+    is taken only there, so a solve spends one target gradient, at its
+    answer: a difference part's oracle gradient, plus an analytic part's
+    model_grad.
 
     Steps start at scale 1 and adapt in [1, STEP_SCALE] (see
     _accepted_step); the curvature test costs no extra oracle call
@@ -397,7 +389,7 @@ def solve(state: BdgmState, max_iters: int = 10000) -> BdgmResult:
     """
     if state.solved_reason is not None:
         return BdgmResult(state.x_tilde.copy(), 0, state.solved_reason,
-                          state.g0.copy(), state.oracle_g0.copy())
+                          state.g0.copy(), state.parts[0].grad_anchor.copy())
     z = state.x_tilde.copy()
     g_hat = approx_grad(state, z)
     lhs = _norm(g_hat)
@@ -408,25 +400,28 @@ def solve(state: BdgmState, max_iters: int = 10000) -> BdgmResult:
             # Both stop lines need the floor, and no step depends on the
             # target gradient, so it is taken only here, once per solve.
             if i == 0:
-                grad_z, oracle_grad = state.g0, state.oracle_g0
+                grad_z, part_grad = state.g0, state.parts[0].grad_anchor
             else:
-                grad_z = oracle_grad = state.oracle.grad(z)
-                if state.model is not None:
-                    grad_z = model_grad(state.model, z) + oracle_grad
+                grads = [model_grad(p, z) if p.third is None else p.oracle.grad(z)
+                         for p in state.parts]
+                grad_z, part_grad = sum(grads[1:], grads[0]), grads[0]
             grad_z_norm = _norm(grad_z)
             if not math.isfinite(grad_z_norm):
                 raise SubproblemError("non-finite target gradient at the answer")
             if grad_z_norm == 0.0:
-                return BdgmResult(z, i, "zero_gradient_at_iterate", grad_z, oracle_grad)
-            if lhs <= state.gamma * grad_z_norm - state.theta_abs:
-                return BdgmResult(z, i, "certified", grad_z, oracle_grad)
-            # The certification line sits below the arithmetic floor, so no
-            # further step can reach it. z already minimizes the model to
-            # that floor; hand it back as the same accuracy-floor outcome
-            # the setup short-circuit reports.
-            return BdgmResult(z, i, "accuracy_floor", grad_z, oracle_grad)
+                return BdgmResult(z, i, "zero_gradient_at_iterate", grad_z, part_grad)
+            trunc = sum(p.oracle.lipschitz_L3 / 6.0 * p.tau for p in state.parts
+                        if p.third is not None) * _norm(z - state.x_tilde) ** 3
+            if lhs <= state.gamma * grad_z_norm - state.theta_abs - trunc:
+                return BdgmResult(z, i, "certified", grad_z, part_grad)
+            # The certification line sits below the arithmetic floor and the
+            # truncation, so no further step can reach it. z already
+            # minimizes the model to that floor; hand it back as the same
+            # accuracy-floor outcome the setup short-circuit reports.
+            return BdgmResult(z, i, "accuracy_floor", grad_z, part_grad)
         z, g_hat, lhs, rho, scale = _accepted_step(state, z, g_hat, rho, scale)
-    oracle = state.oracle.inner if isinstance(state.oracle, CountedOracle) else state.oracle
+    oracle = state.parts[0].oracle
+    oracle = oracle.inner if isinstance(oracle, CountedOracle) else oracle
     estimate = sampled_l3(oracle)  # uncounted, so it moves no counter
     raise SubproblemError(
         f"no certificate in {max_iters} iterations "

@@ -4,7 +4,8 @@ Every solver in this package talks to objectives through :class:`ProblemOracle`:
 a deterministic bundle of value, gradient and Hessian callables with a reported
 third-derivative Lipschitz constant. Problems that can write their third
 derivative analytically also expose directional third-derivative actions,
-which taylor.ModelSpec uses in place of its finite-difference route.
+needed by natmi_exact and by sliding's g (taylor.ModelSpec's analytic route);
+the inexact engine takes gradients and Hessians only.
 
 Oracles are pure functions of their inputs: no internal state, no caching of
 iterates. :class:`CountedOracle` wraps any oracle and counts calls. Its
@@ -56,8 +57,6 @@ class ProblemOracle:
     ||grad f|| is far smaller than the terms that cancel to give it.
     """
 
-    #: True when third_action / third_dir are analytic, not finite differences.
-    has_third = False
     #: True only for the canonical all-zero objective.
     is_zero = False
 
@@ -108,7 +107,6 @@ class ZeroOracle(ProblemOracle):
     """The identically-zero objective, used as a degenerate composite part."""
 
     is_zero = True
-    has_third = True
 
     def __init__(self, dim: int):
         super().__init__(dim, 0.0, allow_zero_l3=True)
@@ -147,7 +145,6 @@ class SumOracle(ProblemOracle):
                          allow_zero_l3=True)
         self.first = first
         self.second = second
-        self.has_third = first.has_third and second.has_third
 
     def value(self, x: Vector) -> float:
         return self.first.value(x) + self.second.value(x)
@@ -184,7 +181,6 @@ class CountedOracle(ProblemOracle):
         super().__init__(inner.dim, inner.lipschitz_L3,
                          allow_zero_l3=inner.lipschitz_L3 == 0.0)
         self.inner = inner
-        self.has_third = inner.has_third
         self.is_zero = inner.is_zero
         self.n_value = 0
         self.n_grad = 0

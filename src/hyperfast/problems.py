@@ -138,8 +138,6 @@ class LogisticLoss(ProblemOracle):
     block: a roundoff change.
     """
 
-    has_third = True
-
     def __init__(self, data: Dataset, ridge: float = 0.0):
         ridge = float(ridge)
         if not (np.isfinite(ridge) and ridge >= 0.0):
@@ -224,8 +222,6 @@ class QuarticObjective(ProblemOracle):
     the step-size window stays well defined.
     """
 
-    has_third = True
-
     def __init__(self, Q: Matrix, c: Vector, a4: float):
         Q = np.asarray(Q, dtype=np.float64)
         c = np.asarray(c, dtype=np.float64)
@@ -285,8 +281,6 @@ class QuarticChain(ProblemOracle):
     <= 24*||D||^4*||x-y||*||s||^3 by Cauchy-Schwarz and sum w^6 <= (sum w^2)^3,
     so lipschitz_L3 = 24*sigma_max(D)^4 (exact at n = 1, where it is 24).
     """
-
-    has_third = True
 
     def __init__(self, n: int):
         n = int(n)

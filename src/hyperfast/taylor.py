@@ -7,16 +7,15 @@ For an anchor x~ and regularization weight H the model at y = x~ + s is
     hess:   B + D3f(x~)[s] + (2H/3)*(||s||^2 * I + 2*s*s')
 
 with g and B the gradient and Hessian cached at the anchor. For H at least
-the third-derivative Lipschitz constant the model is convex. Third-derivative
-terms come from the oracle's analytic routines when it has them, else from
-gradient and Hessian differences.
+the third-derivative Lipschitz constant the model is convex.
 
-The model is the reference the iterative subproblem solver is checked
-against, natmi_exact's model, and the exact part the sliding scheme adds to
-the inexact engine's model of h; there each gradient of the model of g
-takes one third-derivative action of g. newton_step is the one damped Newton
-step: newton_min repeats it down to a tolerance or the float limit, the
-harness's reference optima past the float limit.
+ModelSpec is the one model-part type. Its analytic route, the oracle's
+third-derivative routines, gives the reference the subproblem solver is
+checked against, natmi_exact's model and sliding's model of g (one
+third-derivative action of g per model gradient). Its difference route
+gives the inexact engine's model (bdgm). newton_step is the one damped
+Newton step: newton_min repeats it down to a tolerance or the float limit,
+the harness's reference optima past the float limit.
 """
 
 from __future__ import annotations
@@ -25,9 +24,6 @@ import numpy as np
 from typing import NamedTuple
 
 from .oracles import Matrix, ProblemOracle, SolverError, Vector
-
-#: Difference step for oracles without an analytic third derivative.
-_FD_TAU = 1e-4
 
 #: Newton steps newton_min may take before it gives up.
 _MAX_NEWTON_STEPS = 500
@@ -72,32 +68,45 @@ class ModelSpec:
     Arguments:
         oracle: the objective.
         x_tilde: anchor point.
-        H: regularization weight, non-negative. H = 0 gives the raw
-            third-order expansion (used by remainder-bound checks).
+        H: regularization weight, non-negative, with gradient coefficient
+            quartic = 2*H/3. H = 0 gives the raw third-order expansion (used
+            by remainder-bound checks).
+        third: the third-derivative route. None calls the oracle's analytic
+            third_action and third_dir (OracleCapabilityError without them)
+            and takes the value at the anchor. A difference estimator such
+            as fd_third_action gives D3f(x~)[s, s] = third(oracle, x~, s,
+            tau, grad_anchor), and central Hessian differences at tau give
+            D3f(x~)[s]. It takes no value, and no call at s = 0, where
+            model_grad and model_hess return the anchor's.
+        tau: the difference step; bdgm sets it from its anchor sums.
     """
 
-    def __init__(self, oracle: ProblemOracle, x_tilde: Vector, H: float):
+    def __init__(self, oracle: ProblemOracle, x_tilde: Vector, H: float,
+                 third=None, tau: float | None = None):
         H = float(H)
         if not np.isfinite(H) or H < 0.0:
             raise ValueError(f"H must be finite and non-negative, got {H}")
         self.oracle = oracle
         self.x_tilde = np.array(x_tilde, dtype=np.float64)
         self.H = H
-        self.value_anchor = oracle.value(self.x_tilde)
+        self.quartic = 2.0 * H / 3.0
+        self.third = third
+        self.tau = tau
+        self.value_anchor = oracle.value(self.x_tilde) if third is None else None
         self.grad_anchor = oracle.grad(self.x_tilde)
         self.hess_anchor = oracle.hess(self.x_tilde)
 
     def third_action(self, s: Vector) -> Vector:
-        if self.oracle.has_third:
+        if self.third is None:
             return self.oracle.third_action(self.x_tilde, s)
-        return fd_third_action(self.oracle, self.x_tilde, s, _FD_TAU)
+        return self.third(self.oracle, self.x_tilde, s, self.tau, self.grad_anchor)
 
     def third_dir(self, s: Vector) -> Matrix:
-        if self.oracle.has_third:
+        if self.third is None:
             return self.oracle.third_dir(self.x_tilde, s)
-        plus = self.oracle.hess(self.x_tilde + _FD_TAU * s)
-        minus = self.oracle.hess(self.x_tilde - _FD_TAU * s)
-        return (plus - minus) / (2.0 * _FD_TAU)
+        plus = self.oracle.hess(self.x_tilde + self.tau * s)
+        minus = self.oracle.hess(self.x_tilde - self.tau * s)
+        return (plus - minus) / (2.0 * self.tau)
 
 
 def model_value(spec: ModelSpec, y: Vector) -> float:
@@ -111,16 +120,20 @@ def model_value(spec: ModelSpec, y: Vector) -> float:
 
 def model_grad(spec: ModelSpec, y: Vector) -> Vector:
     s = np.asarray(y, dtype=np.float64) - spec.x_tilde
+    if spec.third is not None and not s.any():
+        return spec.grad_anchor.copy()
     return (spec.grad_anchor + spec.hess_anchor @ s
             + 0.5 * spec.third_action(s)
-            + (2.0 * spec.H / 3.0) * float(s @ s) * s)
+            + spec.quartic * float(s @ s) * s)
 
 
 def model_hess(spec: ModelSpec, y: Vector) -> Matrix:
     s = np.asarray(y, dtype=np.float64) - spec.x_tilde
+    if spec.third is not None and not s.any():
+        return spec.hess_anchor.copy()
     eye = np.eye(s.size)
     return (spec.hess_anchor + spec.third_dir(s)
-            + (2.0 * spec.H / 3.0) * (float(s @ s) * eye + 2.0 * np.outer(s, s)))
+            + spec.quartic * (float(s @ s) * eye + 2.0 * np.outer(s, s)))
 
 
 def float_slack(grad_norm: float) -> float:

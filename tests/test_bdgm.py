@@ -198,6 +198,38 @@ class TestSetup:
         st = bdgm.setup(orc, x, eps=1e-9)
         assert st.theta_abs == self._theta(st, st.grad_norm0)
 
+    def test_call_budget_of_the_parts(self):
+        """setup takes one gradient and one Hessian of the oracle, no value
+        and no third derivative. A g-model part, anchored elsewhere, adds
+        one third_action and one third_dir of g at x~ and no value."""
+        g_calls = []
+
+        class RecordedThird(QuarticObjective):
+            def third_action(self, x, s):
+                g_calls.append(("third_action", x.copy(), s.copy()))
+                return super().third_action(x, s)
+
+            def third_dir(self, x, s):
+                g_calls.append(("third_dir", x.copy(), s.copy()))
+                return super().third_dir(x, s)
+
+        rng = np.random.default_rng(24)
+        h = counted(LogisticLoss(synth_logreg(3, 60, 4), ridge=1e-3))
+        g = counted(RecordedThird(0.1 * np.eye(4), 0.1 * np.ones(4), 2e-5))
+        x_outer, x = 0.5 * rng.standard_normal(4), 0.5 * rng.standard_normal(4)
+        bdgm.setup(h, x, eps=1e-8)
+        assert h.counts == {"value": 0, "grad": 1, "hess": 1, "third": 0}
+        gspec = ModelSpec(g, x_outer, H=1.5 * g.lipschitz_L3)
+        h.reset()
+        g.reset()
+        bdgm.setup(h, x, eps=1e-8, model=gspec)
+        assert h.counts == {"value": 0, "grad": 1, "hess": 1, "third": 0}
+        assert g.counts == {"value": 0, "grad": 0, "hess": 0, "third": 2}
+        assert sorted(name for name, _, _ in g_calls) == ["third_action", "third_dir"]
+        for _, at, s in g_calls:
+            np.testing.assert_array_equal(at, x_outer)
+            np.testing.assert_array_equal(s, x - x_outer)
+
 
 class TestApproxGrad:
     def test_at_anchor_returns_cached_gradient(self):
@@ -326,6 +358,29 @@ class TestSolve:
             spec = ModelSpec(orc, x, H=1.5 * orc.lipschitz_L3)
             assert membership_residual(spec, 1.0 / 6.0, res.z).member
 
+    def test_truncation_keeps_a_floor_answer_uncertified(self):
+        """An answer at the floor whose estimate lies above the certificate
+        line less the difference's truncation (L3/6)*tau_used*||s||^3, and
+        below the line itself, is not certified; at a quarter of the step
+        the same answer is. On the quadratic s^2/2 - s with L3 = 1, one step
+        at scale 1 from the anchor lands on the model minimizer s^3 + s = 1,
+        where grad F = -s^3."""
+        orc = QuarticObjective(np.eye(1), np.array([-1.0]), 0.0)
+        state = _hand_built_state(orc, np.eye(1), theta=1.0, gamma=1.0 / 6.0)
+        z1 = bregman_step(state, state.x_tilde, state.g0, 1.0, np.zeros(1))
+        line = state.gamma * abs(float(orc.grad(z1)[0]))
+        trunc = orc.lipschitz_L3 / 6.0 * TAU_FLOOR * abs(float(z1[0])) ** 3
+        state.theta_abs = line - 0.5 * trunc
+        lhs = float(np.linalg.norm(approx_grad(state, z1)))
+        assert line - state.theta_abs - trunc < lhs <= line - state.theta_abs
+        res = bdgm.solve(state)
+        assert (res.iters, res.reason) == (1, "accuracy_floor")
+        np.testing.assert_array_equal(res.z, z1)
+        state.parts[0].tau = 0.25 * TAU_FLOOR
+        res = bdgm.solve(state)
+        assert (res.iters, res.reason) == (1, "certified")
+        np.testing.assert_array_equal(res.z, z1)
+
     def test_iteration_count_growth_is_additive(self):
         # Tightening eps by two decades may add iterations but not multiply
         # them; the full four-decade sweep lives in the acceptance tests.
@@ -371,6 +426,20 @@ class TestSolve:
             ystar = exact_model_min(ModelSpec(SumOracle(g, h), x, H=gspec.H + hspec.H))
             assert np.linalg.norm(res.z - ystar) <= 1e-4 * (1.0 + np.linalg.norm(ystar))
             np.testing.assert_array_equal(res.oracle_grad_at_z, h.grad(res.z))
+
+
+def _hand_built_state(orc, B, theta, gamma):
+    """A 1-d engine state at the anchor 0 with one difference part of orc,
+    whose Hessian a test may overwrite, kernel Hessian B and margin theta."""
+    part = ModelSpec(orc, np.zeros(1), H=1.5 * orc.lipschitz_L3,
+                     third=fd_third_action, tau=TAU_FLOOR)
+    g0 = part.grad_anchor
+    return BdgmState(
+        x_tilde=np.zeros(1), gamma=gamma, g0=g0, B=B, L3=orc.lipschitz_L3,
+        grad_norm0=float(np.linalg.norm(g0)), hess_norm0=float(B[0, 0]),
+        delta=theta, tau=TAU_FLOOR, tau_used=TAU_FLOOR, theta_abs=theta,
+        ball_radius=10.0, evals=B[0].copy(), evecs=np.eye(1), solved_reason=None,
+        parts=(part,))
 
 
 def _recording_steps(monkeypatch):
@@ -475,21 +544,17 @@ class TestEngineContract:
         <g(z+) - g(z), d> - <rho'(z+) - rho'(z), d> lies just under
         2*theta*||d|| is accepted; just over it, the scale doubles. The
         oracle is linear, so its gradient differences are exactly 0, and its
-        L3 equals the state's: the excess is (oracle_B - B)*d^2, set through
-        the hand-built oracle_B."""
+        L3 equals the state's: the excess is (hess_anchor - B)*d^2, set
+        through the hand-built difference part's Hessian."""
         orc = QuarticObjective(np.zeros((1, 1)), np.array([-0.5]), 0.0)
         theta = 0.05
         anchor, g0, B = np.zeros(1), np.array([-0.5]), np.eye(1)
-        state = BdgmState(
-            x_tilde=anchor, gamma=1.0 / 6.0, g0=g0, B=B, L3=orc.lipschitz_L3,
-            grad_norm0=0.5, hess_norm0=1.0, delta=theta, tau=TAU_FLOOR,
-            tau_used=TAU_FLOOR, theta_abs=theta, ball_radius=10.0,
-            evals=np.ones(1), evecs=np.eye(1), solved_reason=None, oracle=orc,
-            oracle_g0=g0, oracle_B=B, model=None)
+        state = _hand_built_state(orc, B, theta, gamma=1.0 / 6.0)
+        part = state.parts[0]
         rho = np.zeros(1)
         z1 = bregman_step(state, anchor, g0, 1.0, rho)
         d = float(z1[0])
-        state.oracle_B = B + factor * 2.0 * theta / abs(d)
+        part.hess_anchor = B + factor * 2.0 * theta / abs(d)
         z, _, _, _, scale = bdgm._accepted_step(state, anchor, g0, rho, 1.0)
         assert scale == next_scale
         if next_scale == 1.0:
@@ -508,7 +573,7 @@ class TestEngineContract:
         def recording(state, z, g_hat, rho_z, scale):
             steps.clear()
             out = accepted(state, z, g_hat, rho_z, scale)
-            seen.append((state.model is not None, [c for c, _ in steps], out[-1]))
+            seen.append((len(state.parts) > 1, [c for c, _ in steps], out[-1]))
             return out
 
         monkeypatch.setattr(bdgm, "_accepted_step", recording)

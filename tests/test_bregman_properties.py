@@ -51,9 +51,7 @@ def _instances(draw, branch):
     L3 = draw(st.floats(1e-2, 1e2))
     g0 = rng.standard_normal(n)
     g0 *= draw(st.floats(1e-3, 1e2)) / np.linalg.norm(g0)
-    # Raw state arithmetic only: no oracle, as no step here estimates a
-    # model gradient.
-    state = bdgm._build_state(np.zeros(n), 1e-8, 1.0 / 6.0, None, g0, B, L3)
+    state = _state_at_zero(g0, B, L3)
     R = state.ball_radius
     s_i = rng.standard_normal(n)
     s_i *= draw(st.one_of(st.just(0.0), st.floats(1e-8, 1.0))) * R / np.linalg.norm(s_i)
@@ -66,6 +64,13 @@ def _instances(draw, branch):
     a = draw(st.one_of(st.just(STEP_SCALE), st.floats(1.0, STEP_SCALE)))
     g = a * (_rho_grad(state, s_i) - b)
     return state, s_i, g, a
+
+
+def _state_at_zero(g0, B, L3):
+    """The engine state at the anchor 0 of 0.5*x'Bx + g0'x + (L3/24)*||x||^4,
+    whose anchor gradient is g0, Hessian B and L3 the given one up to
+    rounding; no step here estimates a model gradient."""
+    return bdgm.setup(QuarticObjective(B, g0, L3 / 6.0), np.zeros(g0.size), eps=1e-8)
 
 
 def _rho_grad(state, s):
@@ -126,8 +131,7 @@ def test_step_near_rank_one_hessian():
     g0 = rng.standard_normal(3)
     g0 /= np.linalg.norm(g0)
     g = 1e-9 * np.abs(rng.standard_normal(3))
-    state = bdgm._build_state(np.zeros(3), 1e-8, 1.0 / 6.0, None, g0,
-                              1000.0 * np.outer(u, u), 0.25)
+    state = _state_at_zero(g0, 1000.0 * np.outer(u, u), 0.25)
     z = bregman_step(state, state.x_tilde, g, STEP_SCALE)
     s = z - state.x_tilde
     r = float(np.linalg.norm(s))

@@ -50,7 +50,6 @@ def _audited(build, ratios):
         if cfg.subsolver != "bdgm":
             return inexact
         plain = oracle.inner
-        assert plain.has_third
 
         def checked(x_t, model=None):
             t = inexact(x_t, model)

@@ -88,7 +88,6 @@ class TestZeroOracle:
     def test_flags(self):
         z = ZeroOracle(2)
         assert z.is_zero
-        assert z.has_third
         assert z.lipschitz_L3 == 0.0
 
 
@@ -151,7 +150,6 @@ class TestCountedOracle:
     def test_forwards_flags(self):
         co = counted(ZeroOracle(2))
         assert co.is_zero
-        assert co.has_third
         assert isinstance(co, CountedOracle)
 
     def test_results_unchanged(self):

@@ -9,12 +9,13 @@ against hand arithmetic and finite differences.
 import numpy as np
 import pytest
 
-from hyperfast.oracles import counted
+from hyperfast.oracles import OracleCapabilityError, ProblemOracle, counted
 from hyperfast.problems import QuarticObjective
 from hyperfast.taylor import (
     ModelError,
     ModelSpec,
     exact_model_min,
+    fd_third_action,
     membership_residual,
     model_grad,
     model_hess,
@@ -49,21 +50,31 @@ class TestSpecConstruction:
             ModelSpec(_pure_quartic_1d(), np.zeros(1), H=-1.0)
 
     def test_exact_route_needs_analytic_third(self):
-        """Without has_third the model takes its cubic term from gradient
-        and Hessian differences and never calls the analytic routines."""
+        """On an oracle without analytic third derivatives the difference
+        route at tau = 1e-4 gives the analytic model's gradient and Hessian
+        with no third call, and the analytic route raises."""
 
-        class GradOnly(QuarticObjective):
-            has_third = False
+        class NoThird(QuarticObjective):
+            def third_action(self, x, s):
+                return ProblemOracle.third_action(self, x, s)
 
-        orc = counted(GradOnly(np.eye(2), np.zeros(2), 1.0))
+            def third_dir(self, x, s):
+                return ProblemOracle.third_dir(self, x, s)
+
+        orc = counted(NoThird(np.eye(2), np.zeros(2), 1.0))
         x, y = np.array([0.3, -0.2]), np.array([0.9, 0.4])
-        spec = ModelSpec(orc, x, H=1.0)
+        spec = ModelSpec(orc, x, H=1.0, third=fd_third_action, tau=1e-4)
         exact = ModelSpec(QuarticObjective(np.eye(2), np.zeros(2), 1.0), x, H=1.0)
         np.testing.assert_allclose(model_grad(spec, y), model_grad(exact, y),
                                    rtol=1e-6)
         np.testing.assert_allclose(model_hess(spec, y), model_hess(exact, y),
                                    rtol=1e-6)
-        assert orc.n_third == 0
+        assert (orc.n_value, orc.n_third) == (0, 0)
+        analytic = ModelSpec(orc, x, H=1.0)
+        with pytest.raises(OracleCapabilityError):
+            model_grad(analytic, y)
+        with pytest.raises(OracleCapabilityError):
+            model_hess(analytic, y)
 
 
 class TestModelValue:

@@ -45,9 +45,9 @@ _FIRST_SLOPE = 1.3
 _SLOPE_MIN, _SLOPE_MAX = 0.5, 3.0
 _MAX_STEP = 64.0
 _MAX_TRIALS = 60
-#: Largest growth ratio lam_{k-1}/lam_{k-2} that the next search's start
-#: extrapolates; past it (the late jumps of a solve) the start stays at
-#: lam_{k-1}.
+#: Largest growth ratio lam_{k-1}/lam_{k-2} at which the next search's start
+#: extrapolates and aims at the window midpoint; past it (the late jumps of a
+#: solve) the start stays at lam_{k-1}.
 _MAX_EXTRAPOLATE = 2.0
 
 #: Subproblem outcomes that end the outer loop instead of being stepped on.
@@ -273,11 +273,12 @@ def search_lambda(make_trial, L3: float, xi: float, lam_warm: float | None,
     anchor does not depend on lambda, so a single subproblem solve fixes r
     and lambda is set analytically to hit the window midpoint.
     Otherwise start at lam_warm (accelerated_steps passes the previous
-    lambda, extrapolated while it grows steadily) and take secant steps on
-    (log lambda, log w) aimed at the window midpoint. Until a trial on each
-    side brackets the window, the slope comes from the last two
-    trials (the first step assumes 1.3), clamped to [1/2, 3], and a step
-    moves lambda by at most 64x, or by exactly 64x when w = 0. Inside a
+    lambda, extrapolated and aimed at the midpoint while it grows steadily)
+    and take secant steps on (log lambda, log w) aimed at the window
+    midpoint. Until a trial on each side brackets the window, the slope
+    comes from the last two trials (the first step assumes 1.3, as the
+    aimed start does), clamped to [1/2, 3], and a step moves lambda by at
+    most 64x, or by exactly 64x when w = 0. Inside a
     bracket the secant falls back to the log-midpoint when it lands in the
     outer tenth at either end. Returns the accepted trial and the trial count.
     """
@@ -344,16 +345,21 @@ def accelerated_steps(subproblem, L3: float, xi: float, x0: Vector, k_max: int):
     answer. The caller decides whether to resume. Each yielded trial's
     anchor norms are the largest over every trial of the run so far.
 
-    Each search starts at the previous step's lambda, scaled from step 3 on
-    by the last growth ratio rho = lam_{k-1}/lam_{k-2} while rho <=
-    _MAX_EXTRAPOLATE: lambda grows steadily for most of a solve, so the
-    extrapolated start usually lands nearer the window. A larger jump keeps
-    the start at lam_{k-1}.
+    Each search starts at the previous step's lambda. From step 3 on, while
+    the last growth ratio rho = lam_{k-1}/lam_{k-2} is at most
+    _MAX_EXTRAPOLATE, it starts at
+
+        lam_{k-1} * rho * (_WINDOW_MID / w_{k-1}) ** (1 / _FIRST_SLOPE),
+
+    w_{k-1} the last accepted window value. Lambda grows steadily for most
+    of a solve, and the last factor takes the search's first secant step
+    toward the midpoint before any trial, so the start usually lands in the
+    window. A larger jump keeps the start at lam_{k-1}.
     """
     x = np.array(x0, dtype=np.float64)
     y = x.copy()
     A = 0.0
-    lam_prev = lam_prev2 = None
+    lam_prev = lam_prev2 = w_prev = None
     peak_grad = peak_hess = 0.0
     for _ in range(k_max):
 
@@ -373,7 +379,9 @@ def accelerated_steps(subproblem, L3: float, xi: float, x0: Vector, k_max: int):
                               hess_anchor_norm=peak_hess)
 
         rho = lam_prev / lam_prev2 if lam_prev2 is not None else math.inf
-        seed = lam_prev * rho if rho <= _MAX_EXTRAPOLATE else lam_prev
+        seed = lam_prev
+        if rho <= _MAX_EXTRAPOLATE:
+            seed *= rho * (_WINDOW_MID / w_prev) ** (1.0 / _FIRST_SLOPE)
         t, n_trials = search_lambda(make_trial, L3, xi, seed, A)
         yield t, n_trials
         if t.reason in _TERMINAL:
@@ -381,7 +389,7 @@ def accelerated_steps(subproblem, L3: float, xi: float, x0: Vector, k_max: int):
         x = x - t.a * t.grad_y
         y = t.y
         A = t.A_next
-        lam_prev2, lam_prev = lam_prev, t.lam
+        lam_prev2, lam_prev, w_prev = lam_prev, t.lam, t.w
 
 
 def start_point(objective: ProblemOracle, x0: Vector) -> Vector:

@@ -675,7 +675,7 @@ class TestNonFiniteExact:
     @pytest.mark.parametrize("first_nan_call, n_rows, message", [
         pytest.param(5, 2, "non-finite gradient or Hessian at the anchor", id="anchor-5"),
         pytest.param(6, 2, "non-finite target gradient at the answer", id="answer-6"),
-        pytest.param(20, 7, "non-finite target gradient at the answer", id="answer-20"),
+        pytest.param(20, 8, "non-finite target gradient at the answer", id="answer-20"),
     ])
     def test_cli_exit_three_names_the_nan(self, tmp_path, monkeypatch, capsys,
                                           first_nan_call, n_rows, message):

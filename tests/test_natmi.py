@@ -267,8 +267,10 @@ class TestSearchLambdaProperties:
 
 
 def test_search_starts_at_extrapolated_lambda(monkeypatch):
-    """From step 3 on, the search starts at lam_{k-1}^2 / lam_{k-2} while
-    lambda grew by at most 2x over the last step, else at lam_{k-1}."""
+    """From step 3 on, while lambda grew by at most 2x over the last step
+    (rho = lam_{k-1}/lam_{k-2} <= 2), the search starts at
+    lam_{k-1}*rho*(0.625/w_{k-1})^(1/1.3), aimed from the last accepted
+    window value w_{k-1} at the window midpoint; else at lam_{k-1}."""
     starts = []
     inner = natmi.search_lambda
 
@@ -280,12 +282,14 @@ def test_search_starts_at_extrapolated_lambda(monkeypatch):
     out = harness.run(harness.build_run_config(
         {"problem": "logreg_fixture", "eps": "1e-9"}))
     lams = [rec.lam for rec in out.records]
+    ws = [rec.window_value for rec in out.records]
     branches = set()
     for k in range(3, len(starts) + 1):
         rho = lams[k - 2] / lams[k - 3]
         extrapolated = rho <= natmi._MAX_EXTRAPOLATE
         branches.add(extrapolated)
-        expected = lams[k - 2] ** 2 / lams[k - 3] if extrapolated else lams[k - 2]
+        aim = (natmi._WINDOW_MID / ws[k - 2]) ** (1.0 / natmi._FIRST_SLOPE)
+        expected = lams[k - 2] * rho * aim if extrapolated else lams[k - 2]
         assert starts[k - 1] == pytest.approx(expected, rel=1e-12), k
     assert branches == {True, False}
 

@@ -446,6 +446,19 @@ class TestMiddleStart:
             assert not np.array_equal(start, anchor)
 
 
+class TestOuterSearchStart:
+    def test_a_late_jump_starts_at_the_last_lambda(self):
+        """After a jump (rho > 2) the outer search starts at lam_{k-1}. On
+        sliding_bench seed 36 at eps 1e-10 that start is the trial that finds
+        the floor at step 3; a start scaled past lam_{k-1} takes a fourth
+        step and more Hessians."""
+        bundle, cfg = _sliding_bench(36, 1e-10)
+        res = solve_sliding(bundle.composite(), bundle.x0, cfg)
+        assert (res.status, res.iters) == ("accuracy_floor", 3)
+        assert {key: res.counts[key] for key in ("hess_g", "hess_h", "grad_h")} == {
+            "hess_g": 7, "hess_h": 13, "grad_h": 340}
+
+
 class TestWrongL3Hint:
     """h = a quartic whose L3 (3) is reported at 1e-2, beside a g with L3
     6e-5: a middle-level inner solve finds no certificate, and the one-line

@@ -278,9 +278,9 @@ def search_lambda(make_trial, L3: float, xi: float, lam_warm: float | None,
     midpoint. Until a trial on each side brackets the window, the slope
     comes from the last two trials (the first step assumes 1.3, as the
     aimed start does), clamped to [1/2, 3], and a step moves lambda by at
-    most 64x, or by exactly 64x when w = 0. Inside a
-    bracket the secant falls back to the log-midpoint when it lands in the
-    outer tenth at either end. Returns the accepted trial and the trial count.
+    most 64x, or by exactly 64x when w = 0. Inside a bracket the secant
+    falls back to the log-midpoint when it lands in the outer tenth at
+    either end. Returns the accepted trial and the trial count.
     """
     n_trials = 0
 

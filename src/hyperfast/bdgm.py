@@ -199,13 +199,11 @@ def custom_setup(*args, **kwargs) -> BdgmState:
 
 
 def approx_grad(state: BdgmState, z: Vector) -> Vector:
-    """Estimated model gradient at z: the sum of the parts' model_grad, or
-    g0 at z = x~, where a lone difference part's model_grad makes no call."""
-    parts = state.parts
-    if len(parts) > 1 and not (np.asarray(z, dtype=np.float64) - state.x_tilde).any():
-        return state.g0.copy()
-    grad = model_grad(parts[0], z)
-    for part in parts[1:]:
+    """Estimated model gradient at z: the sum of the parts' model_grad.
+    solve() calls it once per Bregman try, never at x~, where setup's g0
+    is the answer."""
+    grad = model_grad(state.parts[0], z)
+    for part in state.parts[1:]:
         grad += model_grad(part, z)
     return grad
 
@@ -376,13 +374,16 @@ def solve(state: BdgmState, max_iters: int = 10000) -> BdgmResult:
     answer: a difference part's oracle gradient, plus an analytic part's
     model_grad.
 
-    Steps start at scale 1 and adapt in [1, STEP_SCALE] (see
-    _accepted_step); the curvature test costs no extra oracle call
-    because it reuses approx_grad at the new point. iters counts accepted
-    steps; a rejected step costs one more Bregman step and approx_grad call.
-    The iterate's rho'(z) and ||approx_grad(z)|| are carried from the try
-    that produced it, so a solve takes one rho' per try plus one at the
-    anchor, and one approx_grad per try plus one at the anchor.
+    The solve starts at x~ from setup's g0 and ||g0||, which sit above the
+    floor: setup answers an anchor at the floor itself, as gamma < 1 makes
+    ||g0|| <= theta_abs imply theta_abs >= gamma*||g0||. Steps start at
+    scale 1 and adapt in [1, STEP_SCALE] (see _accepted_step); the
+    curvature test costs no extra oracle call because it reuses approx_grad
+    at the new point. iters counts accepted steps; a rejected step costs one
+    more Bregman step and approx_grad call. The iterate's rho'(z) and
+    ||approx_grad(z)|| are carried from the try that produced it, so a solve
+    takes one rho' per try plus one at the anchor, and one approx_grad per
+    try.
     Running out of max_iters raises "no certificate": the reported L3 may
     be below the true one, so the message names problems.sampled_l3's
     estimate when larger, taken on the oracle a CountedOracle wraps.
@@ -391,20 +392,16 @@ def solve(state: BdgmState, max_iters: int = 10000) -> BdgmResult:
         return BdgmResult(state.x_tilde.copy(), 0, state.solved_reason,
                           state.g0.copy(), state.parts[0].grad_anchor.copy())
     z = state.x_tilde.copy()
-    g_hat = approx_grad(state, z)
-    lhs = _norm(g_hat)
+    g_hat, lhs = state.g0, state.grad_norm0
     rho = _rho_grad(state, z - state.x_tilde)
     scale = 1.0
     for i in range(max_iters):
         if lhs <= state.theta_abs:
             # Both stop lines need the floor, and no step depends on the
             # target gradient, so it is taken only here, once per solve.
-            if i == 0:
-                grad_z, part_grad = state.g0, state.parts[0].grad_anchor
-            else:
-                grads = [model_grad(p, z) if p.third is None else p.oracle.grad(z)
-                         for p in state.parts]
-                grad_z, part_grad = sum(grads[1:], grads[0]), grads[0]
+            grads = [model_grad(p, z) if p.third is None else p.oracle.grad(z)
+                     for p in state.parts]
+            grad_z, part_grad = sum(grads[1:], grads[0]), grads[0]
             grad_z_norm = _norm(grad_z)
             if not math.isfinite(grad_z_norm):
                 raise SubproblemError("non-finite target gradient at the answer")

@@ -461,18 +461,30 @@ class TestEngineContract:
     def test_gradient_budget_per_solve(self, monkeypatch):
         """A solve spends two gradients per Bregman step, rejected steps
         included, plus one target gradient at its answer when it stepped;
-        with a model part, these are the oracle part's gradients. It takes
-        rho' once per step, at the step's new point, plus once at the
-        anchor: the next step reuses the accepted point's."""
+        with a model part, these are the oracle part's gradients, and g's
+        part takes one third_action per step and one at the answer. Each
+        step takes one approx_grad, at its new point, and none runs at the
+        anchor, where the solve starts from setup's g0. It takes rho' once
+        per step, at the step's new point, plus once at the anchor: the
+        next step reuses the accepted point's."""
         steps = _recording_steps(monkeypatch)
-        rho_grad = bdgm._rho_grad
-        rho_calls = []
+        rho_grad, approx = bdgm._rho_grad, bdgm.approx_grad
+        rho_calls, approx_at = [], []
 
         def counting(state, s):
             rho_calls.append(1)
             return rho_grad(state, s)
 
+        def recording(state, z):
+            approx_at.append(z.copy())
+            return approx(state, z)
+
+        def assert_one_approx_grad_per_step(st):
+            assert len(approx_at) == len(steps)
+            assert all((z != st.x_tilde).any() for z in approx_at)
+
         monkeypatch.setattr(bdgm, "_rho_grad", counting)
+        monkeypatch.setattr(bdgm, "approx_grad", recording)
         rng = np.random.default_rng(21)
         problems = (LogisticLoss(synth_logreg(3, 60, 8), ridge=1e-3),
                     QuarticObjective(np.diag([1.0, 2.0, 0.5]),
@@ -486,9 +498,11 @@ class TestEngineContract:
                 co.reset()
                 steps.clear()
                 rho_calls.clear()
+                approx_at.clear()
                 res = bdgm.solve(st)
                 assert co.n_grad == 2 * len(steps) + (res.iters > 0)
                 assert len(rho_calls) == len(steps) + (st.solved_reason is None)
+                assert_one_approx_grad_per_step(st)
                 n_steps += len(steps)
                 n_iters += res.iters
         # Some steps were rejected, so the identity covers them too.
@@ -508,10 +522,13 @@ class TestEngineContract:
             h.reset()
             steps.clear()
             rho_calls.clear()
+            approx_at.clear()
             res = bdgm.solve(st)
             assert h.n_grad == 2 * len(steps) + (res.iters > 0)
             assert len(rho_calls) == len(steps) + (st.solved_reason is None)
-            assert g.n_grad == 0
+            assert_one_approx_grad_per_step(st)
+            assert g.counts == {"value": 0, "grad": 0, "hess": 0,
+                                "third": len(steps) + (res.iters > 0)}
             n_steps += len(steps)
             n_iters += res.iters
         assert n_steps > n_iters

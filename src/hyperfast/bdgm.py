@@ -20,9 +20,8 @@ it. That bound is a worst case: relative smoothness needs the scale to bound
 only the model's curvature between the two points of a step, and near the
 minimizer the cubic term is small and scale 1 is nearly a Newton step. So
 the scale adapts in [1, STEP_SCALE]: each solve starts at 1, a step that
-fails the curvature test doubles it, and an accepted step divides it by 1.5
-when it passed on the first try and keeps it when it needed a doubling; see
-_accepted_step().
+fails the curvature test doubles it, and every accepted step divides it by
+1.5, down to 1; see _accepted_step().
 
 One engine serves every model, a sum of taylor.ModelSpec parts: setup()
 builds the oracle's, by central gradient differences (fd_third_action), and
@@ -326,11 +325,9 @@ def _accepted_step(state: BdgmState, z: Vector, g_hat: Vector, rho_z: Vector,
     up to STEP_SCALE, where every step is accepted. rho_z is rho'(z). Each try
     takes one Bregman step, one approx_grad and one rho' at z+, each used
     both by the test and, once accepted, by the next step. Returns z+,
-    g(z+), ||g(z+)||, rho'(z+) and the next step's scale: max(1, c/1.5)
-    after a first-try accept, else c, as a step that needed a doubling
-    likely will.
+    g(z+), ||g(z+)||, rho'(z+) and the next step's scale max(1, c/1.5),
+    whether c passed on the first try or after doublings.
     """
-    first_scale = scale
     while True:
         z_next = bregman_step(state, z, g_hat, scale, rho_z)
         s_next = z_next - state.x_tilde
@@ -348,8 +345,7 @@ def _accepted_step(state: BdgmState, z: Vector, g_hat: Vector, rho_z: Vector,
         if float((g_next - g_hat) @ d) <= scale * float((rho_next - rho_z) @ d) + margin:
             break
         scale = min(2.0 * scale, STEP_SCALE)
-    next_scale = max(1.0, scale / 1.5) if scale == first_scale else scale
-    return z_next, g_next, g_norm, rho_next, next_scale
+    return z_next, g_next, g_norm, rho_next, max(1.0, scale / 1.5)
 
 
 def solve(state: BdgmState, max_iters: int = 10000) -> BdgmResult:

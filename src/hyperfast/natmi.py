@@ -269,9 +269,10 @@ def search_lambda(make_trial, L3: float, xi: float, lam_warm: float | None,
                   A: float) -> tuple[Trial, int]:
     """Find a step weight whose trial lands in the window.
 
-    The window statistic is w = lam*H*r^2/2 with H = xi*L3. With A = 0 the
-    anchor does not depend on lambda, so a single subproblem solve fixes r
-    and lambda is set analytically to hit the window midpoint.
+    The window statistic is w = lam*H*r^2/2 with H = xi*L3. With A = 0 (the
+    first step, where lam_warm is None) the anchor does not depend on
+    lambda, so a single subproblem solve fixes r and lambda is set
+    analytically to hit the window midpoint.
     Otherwise start at lam_warm (accelerated_steps passes the previous
     lambda, extrapolated and aimed at the midpoint while it grows steadily)
     and take secant steps on (log lambda, log w) aimed at the window
@@ -302,7 +303,7 @@ def search_lambda(make_trial, L3: float, xi: float, lam_warm: float | None,
         return t._replace(lam=lam, a=lam, A_next=lam,
                           w=lam * (0.5 * xi) * L3 * t.r * t.r), n_trials
 
-    lam = lam_warm if lam_warm is not None else 1.0
+    lam = lam_warm
     lo = hi = prev = None  # below-window, above-window and previous trials
     for _ in range(_MAX_TRIALS):
         t = attempt(lam)

@@ -555,11 +555,13 @@ class TestEngineContract:
                         on_ball += shift == pytest.approx(st.ball_radius, rel=1e-9)
         assert 0 < on_ball < 48
 
-    @pytest.mark.parametrize("factor, next_scale", [(1.0 - 1e-6, 1.0), (1.0 + 1e-6, 2.0)])
-    def test_curvature_margin_is_two_theta_step(self, factor, next_scale):
+    @pytest.mark.parametrize("factor, accepted", [(1.0 - 1e-6, 1.0), (1.0 + 1e-6, 2.0)])
+    def test_curvature_margin_is_two_theta_step(self, factor, accepted):
         """A step at scale 1 whose curvature excess
         <g(z+) - g(z), d> - <rho'(z+) - rho'(z), d> lies just under
-        2*theta*||d|| is accepted; just over it, the scale doubles. The
+        2*theta*||d|| is accepted; just over it, the scale doubles and the
+        step at scale 2 is accepted. Either way the next step's scale is the
+        accepted one divided by 1.5, down to 1: 1 and 4/3. The
         oracle is linear, so its gradient differences are exactly 0, and its
         L3 equals the state's: the excess is (hess_anchor - B)*d^2, set
         through the hand-built difference part's Hessian."""
@@ -573,16 +575,13 @@ class TestEngineContract:
         d = float(z1[0])
         part.hess_anchor = B + factor * 2.0 * theta / abs(d)
         z, _, _, _, scale = bdgm._accepted_step(state, anchor, g0, rho, 1.0)
-        assert scale == next_scale
-        if next_scale == 1.0:
-            np.testing.assert_array_equal(z, z1)
-        else:
-            np.testing.assert_array_equal(z, bregman_step(state, anchor, g0, 2.0, rho))
+        assert scale == max(1.0, accepted / 1.5)
+        np.testing.assert_array_equal(z, bregman_step(state, anchor, g0, accepted, rho))
 
     def test_next_scale_after_an_accepted_step(self, monkeypatch):
-        """After a first-try accept at scale c the next step starts at
-        max(1, c/1.5); after an accept that needed a doubling, at the
-        accepted c, with or without a model part."""
+        """After an accept at scale c the next step starts at max(1, c/1.5),
+        whether c passed on the first try or after doublings, with or
+        without a model part; both kinds of accept occur."""
         steps = _recording_steps(monkeypatch)
         accepted = bdgm._accepted_step
         seen = []
@@ -605,12 +604,8 @@ class TestEngineContract:
             gspec = ModelSpec(g, x, H=1.5 * g.lipschitz_L3)
             bdgm.solve(bdgm.setup(orc, x, eps=1e-8, model=gspec))
         for with_model in (False, True):
-            first_try = [(tried, nxt) for m, tried, nxt in seen
-                         if m == with_model and len(tried) == 1]
-            doubled = [(tried, nxt) for m, tried, nxt in seen
-                       if m == with_model and len(tried) > 1]
-            assert first_try and doubled
-            for tried, nxt in first_try:
-                assert nxt == max(1.0, tried[0] / 1.5)
-            for tried, nxt in doubled:
-                assert nxt == tried[-1]
+            accepts = [(tried, nxt) for m, tried, nxt in seen if m == with_model]
+            assert any(len(tried) == 1 for tried, _ in accepts)
+            assert any(len(tried) > 1 for tried, _ in accepts)
+            for tried, nxt in accepts:
+                assert nxt == max(1.0, tried[-1] / 1.5)

@@ -456,7 +456,7 @@ class TestOuterSearchStart:
         res = solve_sliding(bundle.composite(), bundle.x0, cfg)
         assert (res.status, res.iters) == ("accuracy_floor", 3)
         assert {key: res.counts[key] for key in ("hess_g", "hess_h", "grad_h")} == {
-            "hess_g": 7, "hess_h": 13, "grad_h": 340}
+            "hess_g": 7, "hess_h": 13, "grad_h": 330}
 
 
 class TestWrongL3Hint:

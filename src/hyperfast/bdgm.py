@@ -13,7 +13,9 @@ proximal steps with the scaling kernel
     rho(z) = 0.5*<B s, s> + (L3/4)*||s||^4,
 
 restricted to a ball around the anchor large enough to contain the model
-minimizer. The relative-smoothness constant of the model with respect to rho
+minimizer. A solve starts at x~, or at a given start inside that ball (the
+outer search passes the previous trial's answer; see solve()). The
+relative-smoothness constant of the model with respect to rho
 is at most STEP_SCALE = 2*(1 + 1/sqrt(2)), so a step at that scale always
 decreases the model; the difference step and the ball radius are derived for
 it. That bound is a worst case: relative smoothness needs the scale to bound
@@ -199,8 +201,8 @@ def custom_setup(*args, **kwargs) -> BdgmState:
 
 def approx_grad(state: BdgmState, z: Vector) -> Vector:
     """Estimated model gradient at z: the sum of the parts' model_grad.
-    solve() calls it once per Bregman try, never at x~, where setup's g0
-    is the answer."""
+    solve() calls it once per Bregman try and once at a start, never at
+    x~, where setup's g0 is the answer."""
     grad = model_grad(state.parts[0], z)
     for part in state.parts[1:]:
         grad += model_grad(part, z)
@@ -348,7 +350,8 @@ def _accepted_step(state: BdgmState, z: Vector, g_hat: Vector, rho_z: Vector,
     return z_next, g_next, g_norm, rho_next, max(1.0, scale / 1.5)
 
 
-def solve(state: BdgmState, max_iters: int = 10000) -> BdgmResult:
+def solve(state: BdgmState, max_iters: int = 10000,
+          start: Vector | None = None) -> BdgmResult:
     """Run Bregman steps until the subproblem answer is certified.
 
     Stops at the first iterate z at the floor, and certifies it or not:
@@ -370,16 +373,21 @@ def solve(state: BdgmState, max_iters: int = 10000) -> BdgmResult:
     answer: a difference part's oracle gradient, plus an analytic part's
     model_grad.
 
-    The solve starts at x~ from setup's g0 and ||g0||, which sit above the
-    floor: setup answers an anchor at the floor itself, as gamma < 1 makes
-    ||g0|| <= theta_abs imply theta_abs >= gamma*||g0||. Steps start at
-    scale 1 and adapt in [1, STEP_SCALE] (see _accepted_step); the
-    curvature test costs no extra oracle call because it reuses approx_grad
-    at the new point. iters counts accepted steps; a rejected step costs one
-    more Bregman step and approx_grad call. The iterate's rho'(z) and
-    ||approx_grad(z)|| are carried from the try that produced it, so a solve
-    takes one rho' per try plus one at the anchor, and one approx_grad per
-    try.
+    Without a start, or with one outside the anchor ball, the solve starts
+    at x~ from setup's g0 and ||g0||, which sit above the floor: setup
+    answers an anchor at the floor itself, as gamma < 1 makes ||g0|| <=
+    theta_abs imply theta_abs >= gamma*||g0||. A start inside the ball (a
+    nearby answer, such as the previous trial's of a lambda search) is the
+    first iterate instead, at one approx_grad and one rho', a Bregman try's
+    oracle calls; the stops are the same, so a start already at the floor
+    is answered with 0 iterations. Steps start at scale 1 and adapt in
+    [1, STEP_SCALE] (see _accepted_step); the curvature test costs no extra
+    oracle call because it reuses approx_grad at the new point. iters counts
+    accepted steps; a rejected step costs one more Bregman step and
+    approx_grad call. The iterate's rho'(z) and ||approx_grad(z)|| are
+    carried from the try that produced it, so a solve takes one rho' per try
+    plus one at its first iterate, and one approx_grad per try plus one at a
+    start.
     Running out of max_iters raises "no certificate": the reported L3 may
     be below the true one, so the message names problems.sampled_l3's
     estimate when larger, taken on the oracle a CountedOracle wraps.
@@ -389,6 +397,12 @@ def solve(state: BdgmState, max_iters: int = 10000) -> BdgmResult:
                           state.g0.copy(), state.parts[0].grad_anchor.copy())
     z = state.x_tilde.copy()
     g_hat, lhs = state.g0, state.grad_norm0
+    if start is not None and _norm(start - state.x_tilde) <= state.ball_radius:
+        z = np.array(start, dtype=np.float64)
+        g_hat = approx_grad(state, z)
+        lhs = _norm(g_hat)
+        if not math.isfinite(lhs):
+            raise SubproblemError("non-finite model gradient in the inner solve")
     rho = _rho_grad(state, z - state.x_tilde)
     scale = 1.0
     for i in range(max_iters):

@@ -217,9 +217,11 @@ def oracle_subproblem(cfg: NatmiConfig, oracle: ProblemOracle):
     model of oracle at each anchor, solved by the inexact engine or, with
     subsolver="exact", by the reference Newton minimizer; either answers
     "certified" on the paper's certificate, else "accuracy_floor". The
-    inexact builder takes (x_t, model=None), model a ModelSpec added as a
-    second part (sliding's g-model, anchored at the outer anchor), and
-    answers part_grad = oracle's gradient at y. Every solve builds one
+    inexact builder takes (x_t, model=None, start=None), model a ModelSpec
+    added as a second part (sliding's g-model, anchored at the outer anchor)
+    and start the point bdgm.solve starts at when it lies in the anchor
+    ball, and answers part_grad = oracle's gradient at y. The exact builder
+    takes (x_t, start=None) and ignores start. Every solve builds one
     before its first oracle call; a bad regime, gamma = 0 (which stalls),
     then xi != bdgm.XI or n > EXACT_MAX_DIM is a ConfigError here."""
     report = validate_params(cfg)
@@ -231,9 +233,10 @@ def oracle_subproblem(cfg: NatmiConfig, oracle: ProblemOracle):
         if cfg.xi != bdgm.XI:
             raise ConfigError(f"subsolver 'bdgm' needs xi = {bdgm.XI}, got xi = {cfg.xi}")
 
-        def inexact(x_t: Vector, model: ModelSpec | None = None) -> Trial:
+        def inexact(x_t: Vector, model: ModelSpec | None = None,
+                    start: Vector | None = None) -> Trial:
             sub = bdgm.setup(oracle, x_t, cfg.eps, cfg.gamma, model)
-            res = bdgm.solve(sub)
+            res = bdgm.solve(sub, start=start)
             return Trial(res.z, res.grad_at_z, res.iters, res.reason,
                          sub.grad_norm0, sub.hess_norm0, res.oracle_grad_at_z)
 
@@ -242,7 +245,7 @@ def oracle_subproblem(cfg: NatmiConfig, oracle: ProblemOracle):
         raise ConfigError(f"subsolver 'exact' needs n <= {EXACT_MAX_DIM}, got n = {oracle.dim}")
     L3 = oracle.lipschitz_L3
 
-    def exact(x_t: Vector) -> Trial:
+    def exact(x_t: Vector, start: Vector | None = None) -> Trial:
         spec = ModelSpec(oracle, x_t, cfg.xi * L3)
         if not (np.isfinite(spec.grad_anchor).all() and np.isfinite(spec.hess_anchor).all()):
             raise bdgm.SubproblemError("non-finite gradient or Hessian at the anchor")
@@ -339,8 +342,11 @@ def accelerated_steps(subproblem, L3: float, xi: float, x0: Vector, k_max: int):
 
     The window statistic is the paper's w = lam*H*r^2/2 with H = xi*L3.
     Each step blends the anchor x~ = (A*y + a*x)/(A + a) for a trial lambda,
-    asks subproblem(x~) for a Trial, and lets search_lambda pick the lambda
-    whose answer lands in the window. The generator ends after a terminal
+    asks subproblem(x~, start=...) for a Trial, and lets search_lambda pick
+    the lambda whose answer lands in the window. start is None for a
+    search's first trial and the previous trial's y for each later one: the
+    anchors of one search lie on one segment, so their answers lie close
+    together, and the inexact builder starts its solve there. The generator ends after a terminal
     answer (zero_gradient, accuracy_floor) and after k_max steps; otherwise,
     when resumed, it takes the dual step x -= a*grad_y and moves y to the
     answer. The caller decides whether to resume. Each yielded trial's
@@ -363,14 +369,16 @@ def accelerated_steps(subproblem, L3: float, xi: float, x0: Vector, k_max: int):
     lam_prev = lam_prev2 = w_prev = None
     peak_grad = peak_hess = 0.0
     for _ in range(k_max):
+        last_y = None  # this search's previous answer
 
         def make_trial(lam: float) -> Trial:
-            nonlocal peak_grad, peak_hess
+            nonlocal peak_grad, peak_hess, last_y
             a = step_weight(lam, A)
             A_next = A + a
             assert abs(A_next - a * a / lam) <= 1e-10 * max(1.0, A_next)
             x_t = (A / A_next) * y + (a / A_next) * x
-            t = subproblem(x_t)
+            t = subproblem(x_t, start=last_y)
+            last_y = t.y
             peak_grad = max(peak_grad, t.grad_anchor_norm)
             peak_hess = max(peak_hess, t.hess_anchor_norm)
             r = float(np.linalg.norm(t.y - x_t))

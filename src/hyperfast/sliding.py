@@ -14,7 +14,10 @@ anchors (one Hessian of h per middle trial), keeps the cached g-model
 exact, and stops as soon as its iterate meets the outer certificate. The
 innermost level is the single-function builder, natmi.oracle_subproblem on
 h, called with the cached g-model as a second part, minimizing [model of
-h] + [model of g]. Each g-model evaluation takes one analytic
+h] + [model of g]; each middle trial after the first of its search starts
+that solve at the previous trial's answer, as natmi.accelerated_steps
+passes it. The outer level's builder ignores that start: each middle loop
+already starts at the last middle answer. Each g-model evaluation takes one analytic
 third-derivative action of g (counted as n_third_g; see ROADMAP.md item
 2). The engine is built for xi = 3/2 only.
 
@@ -89,7 +92,7 @@ def _middle_solve(cfg: NatmiConfig, prob: CompositeProblem, gspec: ModelSpec,
     over every middle trial; the first is anchored at x_start.
     """
     mid_iters = inner_total = 0
-    for t, _ in accelerated_steps(lambda x_tm: inner(x_tm, gspec),
+    for t, _ in accelerated_steps(lambda x_tm, start: inner(x_tm, gspec, start),
                                   prob.h.lipschitz_L3, cfg.xi, x_start,
                                   _MIDDLE_K_MAX):
         mid_iters += 1
@@ -136,7 +139,7 @@ def solve_sliding(prob: CompositeProblem, x0: Vector,
     H_g = cfg.xi * g.lipschitz_L3
     last_T = None
 
-    def subproblem(x_t: Vector) -> Trial:
+    def subproblem(x_t: Vector, start: Vector | None = None) -> Trial:
         nonlocal last_T
         spec = ModelSpec(g, x_t, H_g)
         gf_anchor = spec.grad_anchor + h.grad(x_t)

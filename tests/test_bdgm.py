@@ -609,3 +609,81 @@ class TestEngineContract:
             assert any(len(tried) > 1 for tried, _ in accepts)
             for tried, nxt in accepts:
                 assert nxt == max(1.0, tried[-1] / 1.5)
+
+
+def _same_result(a, b):
+    assert (a.iters, a.reason) == (b.iters, b.reason)
+    for field in ("z", "grad_at_z", "oracle_grad_at_z"):
+        np.testing.assert_array_equal(getattr(a, field), getattr(b, field))
+
+
+class TestWarmStart:
+    """solve(state, start=z0) starts at z0 when it lies in the anchor ball,
+    else at x~, as a solve with no start does."""
+
+    def problems(self):
+        return (LogisticLoss(synth_logreg(3, 60, 8), ridge=1e-3),
+                QuarticObjective(np.diag([1.0, 2.0, 0.5]), np.array([0.8, -0.6, 0.3]), 0.5))
+
+    def test_no_start_or_one_outside_the_ball_keeps_the_result(self):
+        rng = np.random.default_rng(41)
+        for orc in self.problems():
+            co = counted(orc)
+            for _ in range(4):
+                st = bdgm.setup(co, 0.5 * rng.standard_normal(orc.dim), eps=1e-8)
+                co.reset()
+                cold = bdgm.solve(st)
+                calls = co.counts
+                u = rng.standard_normal(orc.dim)
+                outside = st.x_tilde + 1.001 * st.ball_radius * u / np.linalg.norm(u)
+                for start in (None, outside):
+                    co.reset()
+                    _same_result(bdgm.solve(st, start=start), cold)
+                    assert co.counts == calls
+
+    def test_one_approx_grad_at_the_start_and_one_per_try(self, monkeypatch):
+        """A warm solve takes approx_grad once at its start, never at x~,
+        and once per Bregman try; rho' likewise. Its oracle gradients are
+        two per approx_grad plus the one target gradient at its answer. It
+        lands on the same floor answer as the cold solve, to the reference
+        comparison's tolerance."""
+        steps = _recording_steps(monkeypatch)
+        approx, rho_grad = bdgm.approx_grad, bdgm._rho_grad
+        approx_at, rho_calls = [], []
+
+        def recording(state, z):
+            approx_at.append(z.copy())
+            return approx(state, z)
+
+        def counting(state, s):
+            rho_calls.append(1)
+            return rho_grad(state, s)
+
+        monkeypatch.setattr(bdgm, "approx_grad", recording)
+        monkeypatch.setattr(bdgm, "_rho_grad", counting)
+        rng = np.random.default_rng(42)
+        warm_tries = cold_tries = 0
+        for orc in self.problems():
+            co = counted(orc)
+            for _ in range(4):
+                x = 0.5 * rng.standard_normal(orc.dim)
+                start = bdgm.solve(bdgm.setup(co, x, eps=1e-8)).z
+                st = bdgm.setup(co, x + 0.05 * rng.standard_normal(orc.dim), eps=1e-8)
+                assert np.linalg.norm(start - st.x_tilde) <= st.ball_radius
+                steps.clear()
+                cold = bdgm.solve(st)
+                cold_tries += len(steps)
+                co.reset()
+                steps.clear()
+                approx_at.clear()
+                rho_calls.clear()
+                warm = bdgm.solve(st, start=start)
+                warm_tries += len(steps)
+                np.testing.assert_array_equal(approx_at[0], start)
+                assert len(approx_at) == len(steps) + 1
+                assert all((z != st.x_tilde).any() for z in approx_at)
+                assert len(rho_calls) == len(steps) + 1
+                assert co.n_grad == 2 * len(approx_at) + 1
+                assert warm.reason in ("certified", "accuracy_floor")
+                assert np.linalg.norm(warm.z - cold.z) <= 1e-4 * (1.0 + np.linalg.norm(cold.z))
+        assert warm_tries < cold_tries

@@ -51,8 +51,8 @@ def _audited(build, ratios):
             return inexact
         plain = oracle.inner
 
-        def checked(x_t, model=None):
-            t = inexact(x_t, model)
+        def checked(x_t, model=None, start=None):
+            t = inexact(x_t, model, start)
             if t.reason == "certified":
                 grad_m = model_grad(ModelSpec(plain, x_t, cfg.xi * plain.lipschitz_L3), t.y)
                 grad_f = plain.grad(t.y)

@@ -294,6 +294,31 @@ def test_search_starts_at_extrapolated_lambda(monkeypatch):
     assert branches == {True, False}
 
 
+def test_each_trial_after_the_first_starts_at_the_previous_answer():
+    """The builder gets start=None for the first trial of each lambda
+    search and, for each later trial, the previous trial's y."""
+    orc = LogisticLoss(synth_logreg(3, 80, 6), ridge=1e-3)
+    cfg = NatmiConfig(eps=1e-8)
+    build = natmi.oracle_subproblem(cfg, orc)
+    calls = []
+
+    def spy(x_t, start=None):
+        t = build(x_t, start=start)
+        calls.append((start, t.y))
+        return t
+
+    searches = []
+    for _, n_trials in natmi.accelerated_steps(spy, orc.lipschitz_L3, cfg.xi,
+                                               np.zeros(6), k_max=8):
+        searches.append(calls[len(calls) - n_trials:])
+    assert sum(len(s) for s in searches) == len(calls)
+    assert max(len(s) for s in searches) > 1
+    for search in searches:
+        assert search[0][0] is None
+        for (_, previous), (start, _) in zip(search, search[1:]):
+            np.testing.assert_array_equal(start, previous)
+
+
 @pytest.fixture(scope="module")
 def logreg_run():
     orc = LogisticLoss(synth_logreg(3, 80, 6), ridge=1e-3)

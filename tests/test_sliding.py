@@ -358,8 +358,8 @@ class TestPeakNorms:
         def spied(cfg, oracle):
             inner = build(cfg, oracle)
 
-            def trial(x_t, model=None):
-                t = inner(x_t, model)
+            def trial(x_t, model=None, start=None):
+                t = inner(x_t, model, start)
                 seen.append(max(seen[-1], t.hess_anchor_norm))
                 return t
             return trial
@@ -395,8 +395,8 @@ class TestPeakNorms:
             return spec
 
         def spied_outer(subproblem, *rest):
-            def checked(x_t):
-                t = subproblem(x_t)
+            def checked(x_t, start=None):
+                t = subproblem(x_t, start=start)
                 assert t.grad_anchor_norm >= anchor_norms[-1]
                 return t
             return outer_steps(checked, *rest)
@@ -445,18 +445,48 @@ class TestMiddleStart:
             np.testing.assert_array_equal(start, previous)
             assert not np.array_equal(start, anchor)
 
+    def test_each_middle_trial_after_the_first_starts_at_the_previous_answer(
+            self, monkeypatch):
+        """Within each middle lambda search, h's inner builder gets no start
+        for the first trial and the previous trial's y for each later one."""
+        steps = sliding.accelerated_steps
+        searches = []
+
+        def spied_steps(subproblem, *rest):
+            calls = []
+
+            def spy(x_t, start=None):
+                t = subproblem(x_t, start=start)
+                calls.append((start, t.y))
+                return t
+
+            for t, n_trials in steps(spy, *rest):
+                searches.append(calls[len(calls) - n_trials:])
+                yield t, n_trials
+
+        monkeypatch.setattr(sliding, "accelerated_steps", spied_steps)
+        bundle, cfg = _sliding_bench(11, 1e-6)
+        solve_sliding(bundle.composite(), bundle.x0, cfg)
+        assert max(len(search) for search in searches) > 1
+        for search in searches:
+            assert search[0][0] is None
+            for (_, previous), (start, _) in zip(search, search[1:]):
+                np.testing.assert_array_equal(start, previous)
+
 
 class TestOuterSearchStart:
     def test_a_late_jump_starts_at_the_last_lambda(self):
         """After a jump (rho > 2) the outer search starts at lam_{k-1}. On
         sliding_bench seed 36 at eps 1e-10 that start is the trial that finds
         the floor at step 3; a start scaled past lam_{k-1} takes a fourth
-        step and more Hessians."""
+        step and more Hessians. Each middle trial after the first of its
+        search starts its inner solve at the previous trial's answer, which
+        moves the h-gradients only (330 when every solve started at x~)."""
         bundle, cfg = _sliding_bench(36, 1e-10)
         res = solve_sliding(bundle.composite(), bundle.x0, cfg)
         assert (res.status, res.iters) == ("accuracy_floor", 3)
         assert {key: res.counts[key] for key in ("hess_g", "hess_h", "grad_h")} == {
-            "hess_g": 7, "hess_h": 13, "grad_h": 330}
+            "hess_g": 7, "hess_h": 13, "grad_h": 272}
 
 
 class TestWrongL3Hint:

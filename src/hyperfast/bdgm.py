@@ -389,8 +389,7 @@ def solve(state: BdgmState, max_iters: int = 10000,
     plus one at its first iterate, and one approx_grad per try plus one at a
     start.
     Running out of max_iters raises "no certificate": the reported L3 may
-    be below the true one, so the message names problems.sampled_l3's
-    estimate when larger, taken on the oracle a CountedOracle wraps.
+    be below the true one, so the message adds l3_hint.
     """
     if state.solved_reason is not None:
         return BdgmResult(state.x_tilde.copy(), 0, state.solved_reason,
@@ -427,11 +426,17 @@ def solve(state: BdgmState, max_iters: int = 10000,
             # accuracy-floor outcome the setup short-circuit reports.
             return BdgmResult(z, i, "accuracy_floor", grad_z, part_grad)
         z, g_hat, lhs, rho, scale = _accepted_step(state, z, g_hat, rho, scale)
-    oracle = state.parts[0].oracle
-    oracle = oracle.inner if isinstance(oracle, CountedOracle) else oracle
-    estimate = sampled_l3(oracle)  # uncounted, so it moves no counter
     raise SubproblemError(
         f"no certificate in {max_iters} iterations "
         f"(last lhs {lhs:.3e}, floor {state.theta_abs:.3e})"
-        + (f"; reported L3 {oracle.lipschitz_L3:.3g}, sampled_l3 estimate {estimate:.3g}"
-           if estimate > oracle.lipschitz_L3 else ""))
+        + l3_hint(state.parts[0].oracle))
+
+
+def l3_hint(oracle: ProblemOracle) -> str:
+    """"; reported L3 <L3>, sampled_l3 estimate <e>" when problems.sampled_l3's
+    estimate exceeds oracle's reported L3, else "". The estimate is taken on
+    the oracle a CountedOracle wraps, so it moves no counter."""
+    reported = oracle.lipschitz_L3
+    estimate = sampled_l3(oracle.inner if isinstance(oracle, CountedOracle) else oracle)
+    return (f"; reported L3 {reported:.3g}, sampled_l3 estimate {estimate:.3g}"
+            if estimate > reported else "")

@@ -423,10 +423,14 @@ def outer_loop(subproblem, L3: float, x0: Vector, cfg: NatmiConfig,
     iterate), accuracy_floor (the answer cannot be certified at this eps in
     float64; the solve ends on the floor trial's point when its gradient is
     smaller than the last accepted y's), grad_tol and k_max. A SolverError
-    propagates with the rows recorded so far in its records.
+    propagates with the rows recorded so far in its records. A step whose
+    sigma_observed exceeds validate_params(cfg).sigma is such an error, not
+    a row: the regime's contraction failed, most likely from an L3 below the
+    true one, and the message adds bdgm.l3_hint.
     """
     base = counts()
     y = start_point(objective, x0)
+    sigma_bound = validate_params(cfg).sigma
     peak_grad = peak_hess = 0.0
     status = grad_norm = None
     records: list[IterationRecord] = []
@@ -454,6 +458,12 @@ def outer_loop(subproblem, L3: float, x0: Vector, cfg: NatmiConfig,
             if t.r > 0.0:
                 drift = t.y - (t.x_tilde - t.lam * t.grad_y)
                 sigma_obs = float(np.linalg.norm(drift)) / t.r
+            if sigma_obs > sigma_bound:
+                # The window's L3 is the modeled part's: g's for a composite.
+                raise SolverError(
+                    f"step {len(records) + 1}: sigma_observed {sigma_obs:.4g} "
+                    f"exceeds the regime's sigma {sigma_bound:.4g}"
+                    + bdgm.l3_hint(getattr(objective, "g", objective)))
             y = t.y
             f_y = objective.value(y)
             wall_ms = (time.perf_counter() - t_start) * 1e3

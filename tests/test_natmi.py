@@ -15,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hyperfast import bdgm, harness, natmi
+from hyperfast import bdgm, cli, harness, natmi
 from hyperfast.bdgm import SubproblemError
 from hyperfast.harness import reference_fstar
 from hyperfast.natmi import (
@@ -29,7 +29,7 @@ from hyperfast.natmi import (
     step_weight,
     validate_params,
 )
-from hyperfast.oracles import ConfigError, CountedOracle
+from hyperfast.oracles import ConfigError, CountedOracle, SolverError
 from hyperfast.problems import (
     LogisticLoss,
     QuarticChain,
@@ -487,10 +487,14 @@ class TestLogregFixtureFloor:
 
 
 class TestWrongL3Hint:
-    """A quartic whose L3 (3) is reported at 1e-2: the inner solve finds no
-    certificate, and the one-line message names problems.sampled_l3's
-    estimate beside the reported constant. A run that does not fail that
+    """A quartic whose L3 (3) is reported at 1e-2: started at 2*1, the first
+    inner solve finds no certificate, and the one-line message names
+    problems.sampled_l3's estimate beside the reported constant. (From 0
+    the first step is accepted with sigma_observed 14.06, which outer_loop
+    refuses first; see TestContractionBreak.) A run that does not fail that
     way never takes the estimate."""
+
+    x0 = 2.0 * np.ones(3)
 
     def quartic(self):
         return QuarticObjective(np.eye(3), np.ones(3), 0.5)
@@ -499,7 +503,7 @@ class TestWrongL3Hint:
         orc = self.quartic()
         orc.lipschitz_L3 *= 1e-2
         with pytest.raises(SubproblemError) as info:
-            solve(NatmiConfig(eps=1e-9, k_max=30), orc, np.zeros(3))
+            solve(NatmiConfig(eps=1e-9, k_max=30), orc, self.x0)
         message = str(info.value)
         assert message.startswith("no certificate in 10000 iterations (last lhs ")
         assert message.endswith("; reported L3 0.03, sampled_l3 estimate 2.97")
@@ -527,7 +531,7 @@ class TestWrongL3Hint:
 
         monkeypatch.setattr(bdgm, "sampled_l3", record)
         with pytest.raises(SubproblemError, match="sampled_l3 estimate 2.97$"):
-            solve(NatmiConfig(eps=1e-9, k_max=30), co, np.zeros(3))
+            solve(NatmiConfig(eps=1e-9, k_max=30), co, self.x0)
         [(oracle, counts)] = seen
         assert oracle is orc
         assert co.counts == counts
@@ -543,6 +547,67 @@ class TestWrongL3Hint:
         message = str(info.value)
         assert message.startswith("no certificate in 1 iterations (last lhs ")
         assert "L3" not in message and "sampled_l3" not in message
+
+
+class TestContractionBreak:
+    """logreg_fixture's loss, its L3 (0.125) reported on a counting wrapper
+    at 1e-4 and at 1e-3 of itself: the first accepted step contracts by
+    more than the regime's sigma = 0.6. Such runs used to end silently, at
+    k_max after 100 steps with sigma_max 6.512 and at accuracy_floor with
+    sigma_max 0.608. outer_loop refuses the step: a SolverError that names
+    problems.sampled_l3's estimate (0.000587), exit 3 with one stderr line,
+    and the rows before it (none) with the error footer."""
+
+    CASES = [
+        pytest.param(1e-4, "step 1: sigma_observed 6.512 exceeds the regime's sigma 0.6; "
+                     "reported L3 1.25e-05, sampled_l3 estimate 0.000587", id="1e-4"),
+        pytest.param(1e-3, "step 1: sigma_observed 0.6085 exceeds the regime's sigma 0.6; "
+                     "reported L3 0.000125, sampled_l3 estimate 0.000587", id="1e-3"),
+    ]
+
+    @staticmethod
+    def scaled(factor):
+        def wrap(oracle):
+            co = CountedOracle(oracle)
+            co.lipschitz_L3 *= factor
+            return co
+        return wrap
+
+    @pytest.mark.parametrize("factor, message", CASES)
+    def test_solve_refuses_the_step(self, factor, message):
+        bundle = harness.make_problem(harness.build_run_config({"problem": "logreg_fixture"}))
+        co = self.scaled(factor)(bundle.single())
+        with pytest.raises(SolverError) as info:
+            solve(NatmiConfig(), co, bundle.x0)
+        assert type(info.value) is SolverError
+        assert str(info.value) == message
+        assert info.value.records == ()
+
+    @pytest.mark.parametrize("factor, message", CASES)
+    def test_cli_exit_three_with_partial_trace(self, factor, message, tmp_path,
+                                               monkeypatch, capsys):
+        monkeypatch.setattr(natmi, "counted", self.scaled(factor))
+        trace = tmp_path / "t.csv"
+        assert cli.main(["solve", "--problem", "logreg_fixture", "--eps", "1e-8",
+                         "--max-iters", "100", "--trace", str(trace)]) == 3
+        assert capsys.readouterr().err.splitlines() == [f"solver failure: {message}"]
+        assert trace.read_text().splitlines()[-1] == f"# ERROR: SolverError: {message}"
+        assert harness.read_trace(trace) == []
+
+    def test_sliding_outer_step_names_g(self):
+        """sliding_bench seed 11 with g's L3 reported at a tenth: the first
+        outer step breaks the contraction (it ran to k_max with sigma_max
+        1.66 before). The window models g, so the message names g's reported
+        L3 and problems.sampled_l3's estimate of g."""
+        bundle = harness.make_problem(harness.build_run_config(
+            {"problem": "sliding_bench", "problem.seed": "11"}))
+        prob = bundle.composite()
+        prob.g.lipschitz_L3 *= 0.1
+        with pytest.raises(SolverError) as info:
+            solve_sliding(prob, bundle.x0, NatmiConfig(eps=1e-6, k_max=30))
+        assert str(info.value) == (
+            "step 1: sigma_observed 1.555 exceeds the regime's sigma 0.6; "
+            "reported L3 0.000313, sampled_l3 estimate 0.0029")
 
 
 class TestSolveEndToEnd:

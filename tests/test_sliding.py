@@ -494,7 +494,10 @@ class TestWrongL3Hint:
     6e-5: a middle-level inner solve finds no certificate, and the one-line
     message names h's reported L3 and problems.sampled_l3's estimate of h,
     as natmi.solve does. On the one-part path the engine models g, and the
-    message names g's. A run that does not fail that way takes no estimate."""
+    message names g's. The runs start at 2*1, where the one-part path's
+    first inner solve fails; from 0 it accepts a first step with
+    sigma_observed 14.06, which outer_loop refuses first. A run that does
+    not fail that way takes no estimate."""
 
     def parts(self):
         g = QuarticObjective(0.1 * np.eye(3), 0.1 * np.ones(3), 1e-5)
@@ -503,7 +506,7 @@ class TestWrongL3Hint:
 
     def failure(self, prob):
         with pytest.raises(SubproblemError) as info:
-            solve_sliding(prob, np.zeros(3), NatmiConfig(eps=1e-9, k_max=30))
+            solve_sliding(prob, 2.0 * np.ones(3), NatmiConfig(eps=1e-9, k_max=30))
         message = str(info.value)
         assert message.startswith("no certificate in 10000 iterations (last lhs ")
         assert "\n" not in message

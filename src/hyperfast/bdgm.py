@@ -15,10 +15,9 @@ proximal steps with the scaling kernel
 restricted to a ball around the anchor large enough to contain the model
 minimizer. A solve starts at x~, or at a given start inside that ball (the
 outer search passes the previous trial's answer; see solve()). The
-relative-smoothness constant of the model with respect to rho
-is at most STEP_SCALE = 2*(1 + 1/sqrt(2)), so a step at that scale always
-decreases the model; the difference step and the ball radius are derived for
-it. That bound is a worst case: relative smoothness needs the scale to bound
+relative-smoothness constant of the model with respect to rho is at most
+STEP_SCALE = 2*(1 + 1/sqrt(2)), so a step at that scale always decreases
+the model; the difference step and the ball radius are derived for it. That bound is a worst case: relative smoothness needs the scale to bound
 only the model's curvature between the two points of a step, and near the
 minimizer the cubic term is small and scale 1 is nearly a Newton step. So
 the scale adapts in [1, STEP_SCALE]: each solve starts at 1, a step that

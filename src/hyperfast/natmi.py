@@ -346,11 +346,12 @@ def accelerated_steps(subproblem, L3: float, xi: float, x0: Vector, k_max: int):
     the lambda whose answer lands in the window. start is None for a
     search's first trial and the previous trial's y for each later one: the
     anchors of one search lie on one segment, so their answers lie close
-    together, and the inexact builder starts its solve there. The generator ends after a terminal
-    answer (zero_gradient, accuracy_floor) and after k_max steps; otherwise,
-    when resumed, it takes the dual step x -= a*grad_y and moves y to the
-    answer. The caller decides whether to resume. Each yielded trial's
-    anchor norms are the largest over every trial of the run so far.
+    together, and the inexact builder starts its solve there. The generator
+    ends after a terminal answer (zero_gradient, accuracy_floor) and after
+    k_max steps; otherwise, when resumed, it takes the dual step
+    x -= a*grad_y and moves y to the answer. The caller decides whether to
+    resume. Each yielded trial's anchor norms are the largest over every
+    trial of the run so far.
 
     Each search starts at the previous step's lambda. From step 3 on, while
     the last growth ratio rho = lam_{k-1}/lam_{k-2} is at most

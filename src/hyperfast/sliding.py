@@ -17,9 +17,9 @@ h, called with the cached g-model as a second part, minimizing [model of
 h] + [model of g]; each middle trial after the first of its search starts
 that solve at the previous trial's answer, as natmi.accelerated_steps
 passes it. The outer level's builder ignores that start: each middle loop
-already starts at the last middle answer. Each g-model evaluation takes one analytic
-third-derivative action of g (counted as n_third_g; see ROADMAP.md item
-2). The engine is built for xi = 3/2 only.
+already starts at the last middle answer. Each g-model evaluation takes
+one analytic third-derivative action of g (counted as n_third_g; see
+ROADMAP.md item 2). The engine is built for xi = 3/2 only.
 
 Every level accepts on the paper's certificate ||grad m(y)|| <= gamma *
 ||grad f(y)||, with m that level's model. Outer windows use H = xi*L3_g and

@@ -81,6 +81,9 @@ _NEWTON_TOL = 1e-9
 #: Newton steps allowed in one radius solve before the Bregman step gives up.
 _MAX_NEWTON_STEPS = 100
 
+#: Accepted Bregman steps allowed in one inner solve before it gives up.
+_MAX_ITERS = 10000
+
 
 class SubproblemError(SolverError):
     """Inner solver failed: a non-finite value, an iterate outside the
@@ -230,15 +233,14 @@ def _radius_terms(evals: Vector, p: Vector, sigma: float) -> tuple[float, float]
     return math.sqrt(float(coeff @ coeff)), float(coeff @ (coeff / shifted))
 
 
-def bregman_step(state: BdgmState, z_i: Vector, g: Vector,
-                 scale: float = STEP_SCALE, rho: Vector | None = None) -> Vector:
+def bregman_step(state: BdgmState, z_i: Vector, g: Vector, scale: float,
+                 rho: Vector) -> Vector:
     """Minimize <g, z - z_i> + a*breg_rho(z_i, z) over the anchor ball.
 
     a is the step scale. The first-order condition reduces to the shifted
     linear system (B + L3*r^2*I)s = b with b = rho'(z_i) - g/a and
-    r = ||s||. rho is rho'(z_i) when the caller holds it (the inner solve
-    carries it from the try that produced z_i); it is computed when absent,
-    with the same result bits. With the one-time eigendecomposition
+    r = ||s||. rho is rho'(z_i), which the inner solve carries from the try
+    that produced z_i. With the one-time eigendecomposition
     B = V diag(lam) V^T, b is projected once, p = V^T b, after which the
     step norm at any multiplier sigma,
 
@@ -263,8 +265,6 @@ def bregman_step(state: BdgmState, z_i: Vector, g: Vector,
     cross-check.
     """
     s_i = np.asarray(z_i, dtype=np.float64) - state.x_tilde
-    if rho is None:
-        rho = _rho_grad(state, s_i)
     b = rho - np.asarray(g, dtype=np.float64) / scale
     R = state.ball_radius
     if R == 0.0:
@@ -349,8 +349,7 @@ def _accepted_step(state: BdgmState, z: Vector, g_hat: Vector, rho_z: Vector,
     return z_next, g_next, g_norm, rho_next, max(1.0, scale / 1.5)
 
 
-def solve(state: BdgmState, max_iters: int = 10000,
-          start: Vector | None = None) -> BdgmResult:
+def solve(state: BdgmState, start: Vector | None = None) -> BdgmResult:
     """Run Bregman steps until the subproblem answer is certified.
 
     Stops at the first iterate z at the floor, and certifies it or not:
@@ -387,7 +386,7 @@ def solve(state: BdgmState, max_iters: int = 10000,
     carried from the try that produced it, so a solve takes one rho' per try
     plus one at its first iterate, and one approx_grad per try plus one at a
     start.
-    Running out of max_iters raises "no certificate": the reported L3 may
+    Running out of _MAX_ITERS raises "no certificate": the reported L3 may
     be below the true one, so the message adds l3_hint.
     """
     if state.solved_reason is not None:
@@ -403,7 +402,7 @@ def solve(state: BdgmState, max_iters: int = 10000,
             raise SubproblemError("non-finite model gradient in the inner solve")
     rho = _rho_grad(state, z - state.x_tilde)
     scale = 1.0
-    for i in range(max_iters):
+    for i in range(_MAX_ITERS):
         if lhs <= state.theta_abs:
             # Both stop lines need the floor, and no step depends on the
             # target gradient, so it is taken only here, once per solve.
@@ -426,7 +425,7 @@ def solve(state: BdgmState, max_iters: int = 10000,
             return BdgmResult(z, i, "accuracy_floor", grad_z, part_grad)
         z, g_hat, lhs, rho, scale = _accepted_step(state, z, g_hat, rho, scale)
     raise SubproblemError(
-        f"no certificate in {max_iters} iterations "
+        f"no certificate in {_MAX_ITERS} iterations "
         f"(last lhs {lhs:.3e}, floor {state.theta_abs:.3e})"
         + l3_hint(state.parts[0].oracle))
 

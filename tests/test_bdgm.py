@@ -267,7 +267,8 @@ class TestBregmanStep:
         orc = QuarticObjective(np.eye(2), np.array([1.0, 0.0]), 0.5)
         st = bdgm.setup(orc, np.zeros(2), eps=1e-8)
         z_i = st.x_tilde + np.array([0.05, -0.02])
-        out = bregman_step(st, z_i, np.zeros(2))
+        out = bregman_step(st, z_i, np.zeros(2), STEP_SCALE,
+                           bdgm._rho_grad(st, z_i - st.x_tilde))
         np.testing.assert_allclose(out, z_i, atol=1e-12)
 
     def test_scalar_reference_root(self):
@@ -276,7 +277,8 @@ class TestBregmanStep:
         orc = QuarticObjective(np.array([[2.0]]), np.array([0.7]), 0.5)
         st = bdgm.setup(orc, np.zeros(1), eps=1e-8)
         assert st.L3 == 3.0
-        out = bregman_step(st, st.x_tilde, np.array([-0.7]))
+        out = bregman_step(st, st.x_tilde, np.array([-0.7]), STEP_SCALE,
+                           np.zeros(1))
         assert out[0] == pytest.approx(SCALAR_STEP_ROOT, abs=1e-11)
 
     def test_first_order_condition_interior(self):
@@ -289,7 +291,8 @@ class TestBregmanStep:
             st = bdgm.setup(orc, x, eps=1e-8)
             z_i = x + 0.05 * rng.standard_normal(n)
             g = 0.1 * rng.standard_normal(n)
-            z_next = bregman_step(st, z_i, g)
+            z_next = bregman_step(st, z_i, g, STEP_SCALE,
+                                  bdgm._rho_grad(st, z_i - x))
             s_i = z_i - x
             s_n = z_next - x
             rho = lambda s: st.B @ s + st.L3 * float(s @ s) * s
@@ -307,7 +310,7 @@ class TestBregmanStep:
             st = bdgm.setup(orc, x, eps=1e-8)
             z_i = x + 0.03 * rng.standard_normal(n)
             g = rng.standard_normal(n)
-            a = bregman_step(st, z_i, g)
+            a = bregman_step(st, z_i, g, STEP_SCALE, bdgm._rho_grad(st, z_i - x))
             b = bregman_step_dense(st, z_i, g)
             np.testing.assert_allclose(a, b, atol=1e-10)
 
@@ -315,7 +318,7 @@ class TestBregmanStep:
         orc = QuarticObjective(np.eye(2), np.array([0.1, 0.0]), 0.5)
         st = bdgm.setup(orc, np.zeros(2), eps=1e-8)
         g = np.array([500.0, -250.0])
-        out = bregman_step(st, st.x_tilde, g)
+        out = bregman_step(st, st.x_tilde, g, STEP_SCALE, np.zeros(2))
         assert np.linalg.norm(out - st.x_tilde) == pytest.approx(
             st.ball_radius, abs=1e-10)
         out_dense = bregman_step_dense(st, st.x_tilde, g)
@@ -332,7 +335,8 @@ class TestBregmanStep:
         z = st.x_tilde.copy()
         previous = model_value(spec, z)
         for _ in range(60):
-            z = bregman_step(st, z, approx_grad(st, z))
+            z = bregman_step(st, z, approx_grad(st, z), STEP_SCALE,
+                             bdgm._rho_grad(st, z - x))
             current = model_value(spec, z)
             assert current <= previous + 1e-12
             previous = current
@@ -391,11 +395,12 @@ class TestSolve:
             iters[eps] = bdgm.solve(st).iters
         assert iters[1e-8] - iters[1e-6] <= 40
 
-    def test_budget_exhaustion_raises(self):
+    def test_budget_exhaustion_raises(self, monkeypatch):
         orc = QuarticObjective(np.zeros((1, 1)), np.zeros(1), 0.25)
         st = bdgm.setup(orc, np.ones(1), eps=1e-8)
+        monkeypatch.setattr(bdgm, "_MAX_ITERS", 1)
         with pytest.raises(SubproblemError):
-            bdgm.solve(st, max_iters=1)
+            bdgm.solve(st)
 
     def test_model_part_matches_composite_reference(self):
         """Given a cached model of g, the engine minimizes [model of h] +
@@ -532,28 +537,6 @@ class TestEngineContract:
             n_steps += len(steps)
             n_iters += res.iters
         assert n_steps > n_iters
-
-    def test_bregman_step_same_bits_with_rho_passed(self):
-        """bregman_step gives the same bits whether rho'(z_i) is passed in
-        or computed, in both radius branches and at each scale."""
-        orc = LogisticLoss(synth_logreg(3, 60, 8), ridge=1e-3)
-        rng = np.random.default_rng(31)
-        on_ball = 0
-        for _ in range(4):
-            st = bdgm.setup(orc, 0.5 * rng.standard_normal(orc.dim), eps=1e-8)
-            for radius in (0.1, 0.9):
-                u = rng.standard_normal(orc.dim)
-                z_i = st.x_tilde + radius * st.ball_radius * u / np.linalg.norm(u)
-                rho = bdgm._rho_grad(st, z_i - st.x_tilde)
-                # The model gradient steps inside the ball; 1e4 times it
-                # lands on the boundary.
-                for g in (approx_grad(st, z_i), 1e4 * approx_grad(st, z_i)):
-                    for scale in (1.0, 2.0, STEP_SCALE):
-                        z = bregman_step(st, z_i, g, scale, rho)
-                        np.testing.assert_array_equal(z, bregman_step(st, z_i, g, scale))
-                        shift = np.linalg.norm(z - st.x_tilde)
-                        on_ball += shift == pytest.approx(st.ball_radius, rel=1e-9)
-        assert 0 < on_ball < 48
 
     @pytest.mark.parametrize("factor, accepted", [(1.0 - 1e-6, 1.0), (1.0 + 1e-6, 2.0)])
     def test_curvature_margin_is_two_theta_step(self, factor, accepted):

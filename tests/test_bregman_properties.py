@@ -95,7 +95,8 @@ def test_bregman_step_properties(branch, data):
     R = state.ball_radius
     with mock.patch.object(bdgm, "_radius_terms",
                            wraps=bdgm._radius_terms) as terms:
-        z = bregman_step(state, state.x_tilde + s_i, g, a)
+        z = bregman_step(state, state.x_tilde + s_i, g, a,
+                         bdgm._rho_grad(state, s_i))
     assert terms.call_count <= MAX_RADIUS_EVALS
 
     s = z - state.x_tilde
@@ -132,7 +133,7 @@ def test_step_near_rank_one_hessian():
     g0 /= np.linalg.norm(g0)
     g = 1e-9 * np.abs(rng.standard_normal(3))
     state = _state_at_zero(g0, 1000.0 * np.outer(u, u), 0.25)
-    z = bregman_step(state, state.x_tilde, g, STEP_SCALE)
+    z = bregman_step(state, state.x_tilde, g, STEP_SCALE, np.zeros(3))
     s = z - state.x_tilde
     r = float(np.linalg.norm(s))
     assert 0.0 < r < state.ball_radius
@@ -173,7 +174,8 @@ def test_adaptive_solve_agrees_with_fixed_scale(data):
     for _ in range(10000):
         if np.linalg.norm(g_hat) <= state.theta_abs:
             break
-        fixed = bregman_step(state, fixed, g_hat, STEP_SCALE)
+        fixed = bregman_step(state, fixed, g_hat, STEP_SCALE,
+                             bdgm._rho_grad(state, fixed - state.x_tilde))
         g_hat = bdgm.approx_grad(state, fixed)
     else:
         pytest.fail("fixed-scale reference did not reach the floor")

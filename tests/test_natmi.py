@@ -540,7 +540,7 @@ class TestWrongL3Hint:
         """logreg_fixture's reported L3 (0.125) is a valid bound. An inner
         budget of one step forces a "no certificate" failure, and the
         estimate (0.000587) lies below the bound, so the message names none."""
-        monkeypatch.setattr(bdgm, "solve", functools.partial(bdgm.solve, max_iters=1))
+        monkeypatch.setattr(bdgm, "_MAX_ITERS", 1)
         cfg = harness.build_run_config({"problem": "logreg_fixture"})
         with pytest.raises(SubproblemError) as info:
             harness.run(cfg)

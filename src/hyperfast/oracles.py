@@ -48,8 +48,7 @@ class ProblemOracle:
     Arguments:
         dim: ambient dimension, positive.
         lipschitz_L3: upper bound on the Lipschitz constant of the third
-            derivative. Must be positive for ordinary problems; the zero
-            sentinel used for degenerate composite parts is the one exception.
+            derivative, positive and finite.
 
     An oracle whose gradient is a float sum of terms may report a bound on
     their summed magnitudes (grad_term_bound). The inexact engine sizes the
@@ -60,12 +59,12 @@ class ProblemOracle:
     #: True only for the canonical all-zero objective.
     is_zero = False
 
-    def __init__(self, dim: int, lipschitz_L3: float, allow_zero_l3: bool = False):
+    def __init__(self, dim: int, lipschitz_L3: float):
         dim = int(dim)
         if dim < 1:
             raise ValueError(f"dim must be >= 1, got {dim}")
         l3 = float(lipschitz_L3)
-        if not np.isfinite(l3) or l3 < 0.0 or (l3 == 0.0 and not allow_zero_l3):
+        if not np.isfinite(l3) or l3 <= 0.0:
             raise ValueError(f"lipschitz_L3 must be positive and finite, got {l3}")
         self.dim = dim
         self.lipschitz_L3 = l3
@@ -104,12 +103,16 @@ class ProblemOracle:
 
 
 class ZeroOracle(ProblemOracle):
-    """The identically-zero objective, used as a degenerate composite part."""
+    """The identically-zero objective, used as a degenerate composite part.
+
+    Its third derivative vanishes, so any positive constant bounds it; it
+    reports 1.0, as QuarticObjective does for a4 = 0.
+    """
 
     is_zero = True
 
     def __init__(self, dim: int):
-        super().__init__(dim, 0.0, allow_zero_l3=True)
+        super().__init__(dim, 1.0)
 
     def value(self, x: Vector) -> float:
         self._check_point(x)
@@ -141,8 +144,7 @@ class SumOracle(ProblemOracle):
     def __init__(self, first: ProblemOracle, second: ProblemOracle):
         if first.dim != second.dim:
             raise ValueError(f"dim mismatch: {first.dim} vs {second.dim}")
-        super().__init__(first.dim, first.lipschitz_L3 + second.lipschitz_L3,
-                         allow_zero_l3=True)
+        super().__init__(first.dim, first.lipschitz_L3 + second.lipschitz_L3)
         self.first = first
         self.second = second
 
@@ -178,8 +180,7 @@ class CountedOracle(ProblemOracle):
     """
 
     def __init__(self, inner: ProblemOracle):
-        super().__init__(inner.dim, inner.lipschitz_L3,
-                         allow_zero_l3=inner.lipschitz_L3 == 0.0)
+        super().__init__(inner.dim, inner.lipschitz_L3)
         self.inner = inner
         self.is_zero = inner.is_zero
         self.n_value = 0

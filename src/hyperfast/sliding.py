@@ -62,13 +62,10 @@ class CompositeProblem(SumOracle):
     def __init__(self, g: ProblemOracle, h: ProblemOracle):
         if g.is_zero:
             raise ValueError("the zero part must be passed second")
-        if not h.is_zero:
-            if g.lipschitz_L3 <= 0.0 or h.lipschitz_L3 <= 0.0:
-                raise ValueError("composite parts need positive L3 bounds")
-            if g.lipschitz_L3 > h.lipschitz_L3:
-                warnings.warn("swapping composite parts so the smaller L3 "
-                              "is modeled", stacklevel=2)
-                g, h = h, g
+        if not h.is_zero and g.lipschitz_L3 > h.lipschitz_L3:
+            warnings.warn("swapping composite parts so the smaller L3 "
+                          "is modeled", stacklevel=2)
+            g, h = h, g
         super().__init__(counted(g), counted(h))
         self.g, self.h = self.first, self.second
 

@@ -47,10 +47,6 @@ class TestBaseContract:
         with pytest.raises(ValueError):
             ProblemOracle(2, float("inf"))
 
-    def test_zero_l3_needs_opt_in(self):
-        orc = ProblemOracle(2, 0.0, allow_zero_l3=True)
-        assert orc.lipschitz_L3 == 0.0
-
     def test_point_shape_rejected(self):
         orc = QuarticObjective(np.eye(2), np.zeros(2), 1.0)
         with pytest.raises(ValueError):
@@ -88,7 +84,7 @@ class TestZeroOracle:
     def test_flags(self):
         z = ZeroOracle(2)
         assert z.is_zero
-        assert z.lipschitz_L3 == 0.0
+        assert z.lipschitz_L3 == 1.0
 
 
 class TestSumOracle:

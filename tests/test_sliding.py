@@ -15,7 +15,7 @@ from hyperfast import bdgm, harness, natmi, sliding
 from hyperfast.bdgm import SubproblemError
 from hyperfast.harness import reference_fstar
 from hyperfast.natmi import IterationRecord, NatmiConfig, solve as natmi_solve
-from hyperfast.oracles import ConfigError, ProblemOracle, ZeroOracle
+from hyperfast.oracles import ConfigError, ZeroOracle
 from hyperfast.problems import QuarticObjective, sampled_l3
 from hyperfast.sliding import CompositeProblem, solve_sliding
 from hyperfast.taylor import (ModelSpec, membership_residual, model_grad, model_hess,
@@ -49,12 +49,6 @@ class TestCompositeProblem:
         h = QuarticObjective(np.eye(2), np.zeros(2), 0.5)
         with pytest.raises(ValueError):
             CompositeProblem(ZeroOracle(2), h)
-
-    def test_nonpositive_l3_rejected(self):
-        flat = ProblemOracle(2, 0.0, allow_zero_l3=True)
-        h = QuarticObjective(np.eye(2), np.zeros(2), 0.5)
-        with pytest.raises(ValueError):
-            CompositeProblem(flat, h)
 
     def test_swap_keeps_smaller_l3_first(self):
         big = QuarticObjective(np.eye(2), np.zeros(2), 2.0)

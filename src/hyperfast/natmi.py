@@ -11,9 +11,9 @@ solver, and the combination of certificate and window produces the
 per-iteration contraction ratio recorded as sigma_observed.
 
 The search procedure (warm-started secant steps on log w against log lambda,
-safeguarded by the log-midpoint once the window is bracketed) is plumbing
-around the acceptance window; the window's multiplicative width of 3/2 is
-what guarantees the bracketed search lands.
+through the bracket's ends once the window is bracketed) is plumbing around
+the acceptance window; the window's multiplicative width of 3/2 is what
+guarantees the bracketed search lands.
 
 accelerated_steps is this scheme for any subproblem builder, and outer_loop
 runs it to a stop and keeps the records. The single-function solver and both
@@ -282,9 +282,9 @@ def search_lambda(make_trial, L3: float, xi: float, lam_warm: float | None,
     midpoint. Until a trial on each side brackets the window, the slope
     comes from the last two trials (the first step assumes 1.3, as the
     aimed start does), clamped to [1/2, 3], and a step moves lambda by at
-    most 64x, or by exactly 64x when w = 0. Inside a bracket the secant
-    falls back to the log-midpoint when it lands in the outer tenth at
-    either end. Returns the accepted trial and the trial count.
+    most 64x, or by exactly 64x when w = 0. Inside a bracket the step is
+    the secant through its two ends, or the log-midpoint while the lower
+    end has w = 0. Returns the accepted trial and the trial count.
     """
     n_trials = 0
 
@@ -317,11 +317,10 @@ def search_lambda(make_trial, L3: float, xi: float, lam_warm: float | None,
         else:
             hi = t
         if lo is not None and hi is not None:
-            # Secant inside the bracket; the log-midpoint when the secant
-            # lands in the outer tenth at either end.
+            # Secant inside the bracket; the log-midpoint when lo.w = 0.
             s = (math.log(_WINDOW_MID / lo.w) / math.log(hi.w / lo.w)
-                 if lo.w > 0.0 else 1.0)
-            lam = lo.lam * (hi.lam / lo.lam) ** (s if 0.1 <= s <= 0.9 else 0.5)
+                 if lo.w > 0.0 else 0.5)
+            lam = lo.lam * (hi.lam / lo.lam) ** s
         elif t.w == 0.0:
             lam *= _MAX_STEP
         else:

@@ -122,6 +122,9 @@ def synth_logreg(seed: int, m: int, n: int) -> Dataset:
 # with value 1/8. The test suite re-derives this by numeric maximization.
 _LOGISTIC_C3 = 0.125
 
+#: Relative margin on the Gram's top eigenvalue for eigvalsh's roundoff.
+_GRAM_ROUNDOFF = 1e-12
+
 
 class LogisticLoss(ProblemOracle):
     """Mean logistic loss plus an L2 ridge term.
@@ -136,6 +139,16 @@ class LogisticLoss(ProblemOracle):
     on W = y*A over all rows at once (tests/crosschecks.py) bit for bit,
     except a Gram past one block (m*n > _BLOCK), whose sum is regrouped by
     block: a roundoff change.
+
+    lipschitz_L3 = (1/8)*max_k ||a_k||^2 * lambda_max(A'A)/m, times
+    (1 + _GRAM_ROUNDOFF). Since psi''' is (1/8)-Lipschitz, Cauchy-Schwarz and
+    sum_k (a_k.s)^6 <= max_k (a_k.s)^4 * sum_k (a_k.s)^2 give
+    |D3f(x)[s]^3 - D3f(y)[s]^3| <= (1/8m)*sum_k |a_k.(x-y)|*|a_k.s|^3
+    <= (1/8m)*||A(x-y)||*max_k |a_k.s|^2*||As||
+    <= (1/8)*max_k ||a_k||^2 * lambda_max(A'A)/m * ||x-y||*||s||^3.
+    It is exact on rank-one data (every row +-c*a). Since lambda_max(A'A) is
+    at most the trace, it never exceeds (1/8)*max_k ||a_k||^2 * mean_k
+    ||a_k||^2, the former bound (1/8)*mean ||a_k||^4 on equal-norm rows.
     """
 
     def __init__(self, data: Dataset, ridge: float = 0.0):
@@ -143,8 +156,11 @@ class LogisticLoss(ProblemOracle):
         if not (np.isfinite(ridge) and ridge >= 0.0):
             raise ValueError(f"ridge must be non-negative and finite, got {ridge}")
         row_sq = _row_sq_norms(data.features)
+        # A.T @ A takes numpy's symmetric-product path: the n x n result alone.
+        gram_top = float(np.linalg.eigvalsh(data.features.T @ data.features)[-1])
         # The ridge is quadratic so it adds nothing to the third derivative.
-        super().__init__(data.n, _LOGISTIC_C3 * float(np.mean(row_sq**2)))
+        super().__init__(data.n, _LOGISTIC_C3 * float(np.max(row_sq)) * gram_top / data.m
+                         * (1.0 + _GRAM_ROUNDOFF))
         self.data = data
         self.ridge = ridge
         self._mean_row_norm = float(np.mean(np.sqrt(row_sq)))
@@ -276,10 +292,13 @@ class QuarticChain(ProblemOracle):
 
     With D the lower-bidiagonal difference matrix (u = Dx), the chain is
     f(x) = sum_i u_i^4, so every derivative is a D-conjugated diagonal. For
-    the third derivative, |D3f(x)[s]^3 - D3f(y)[s]^3|
-    = 24*|sum_i (u_i - v_i)*(Ds)_i^3| <= 24*||D(x-y)||*||Ds||^3
-    <= 24*||D||^4*||x-y||*||s||^3 by Cauchy-Schwarz and sum w^6 <= (sum w^2)^3,
-    so lipschitz_L3 = 24*sigma_max(D)^4 (exact at n = 1, where it is 24).
+    the third derivative, with D_i the rows of D, Cauchy-Schwarz and
+    sum_i w_i^6 <= max_i w_i^4 * sum_i w_i^2 give
+    |D3f(x)[s]^3 - D3f(y)[s]^3| = 24*|sum_i (D(x-y))_i*(Ds)_i^3|
+    <= 24*||D(x-y)||*max_i |(Ds)_i|^2*||Ds||
+    <= 24*max_i ||D_i||^2 * sigma_max(D)^2 * ||x-y||*||s||^3,
+    so lipschitz_L3 = 48*sigma_max(D)^2 for n >= 2 (rows of norm sqrt(2)),
+    and 24 at n = 1, where it is exact.
     """
 
     def __init__(self, n: int):
@@ -288,7 +307,7 @@ class QuarticChain(ProblemOracle):
             raise ValueError("n must be >= 1")
         D = np.eye(n) - np.diag(np.ones(n - 1), -1)
         sigma_max = float(np.linalg.svd(D, compute_uv=False)[0])
-        super().__init__(n, 24.0 * sigma_max**4)
+        super().__init__(n, 24.0 * float(np.max(np.sum(D**2, axis=1))) * sigma_max**2)
         self.D = D
 
     def _diffs(self, x: Vector) -> Vector:

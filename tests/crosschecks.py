@@ -166,7 +166,9 @@ def assert_paper_invariants(res: SolveResult, f_star: float, eps: float,
 def label_signed_logistic(orc: LogisticLoss, x: Vector, d: Vector) -> dict:
     """Each LogisticLoss output at x (third derivatives along d), and L3,
     by the formulas the oracle used while it kept W = y*A, a label-signed
-    copy of the features, and took every product over all m rows at once."""
+    copy of the features, and took every product over all m rows at once.
+    L3 is the oracle's bound, (1/8)*max_k ||w_k||^2 * lambda_max(W'W)/m
+    with its roundoff margin, taken on W: W'W equals A'A bit for bit."""
     A, y, m, ridge = orc.data.features, orc.data.labels, orc.data.m, orc.ridge
     W = y[:, None] * A
 
@@ -182,7 +184,8 @@ def label_signed_logistic(orc: LogisticLoss, x: Vector, d: Vector) -> dict:
     psi3 = s * (1.0 - s) * (1.0 - 2.0 * s)
     u = W @ d
     return {
-        "L3": 0.125 * float(np.mean(np.sum(A**2, axis=1) ** 2)),
+        "L3": (0.125 * float(np.max(np.sum(W**2, axis=1)))
+               * float(np.linalg.eigvalsh(W.T @ W)[-1]) / m * (1.0 + 1e-12)),
         "value": float(np.mean(np.logaddexp(0.0, -(W @ x))) + 0.5 * ridge * (x @ x)),
         "grad": W.T @ sigmoid(-1.0 / m) + ridge * x,
         "hess": W.T @ (w[:, None] * W) + ridge * np.eye(orc.dim),

@@ -587,19 +587,20 @@ class TestWrongL3Hint:
 
 
 class TestContractionBreak:
-    """logreg_fixture's loss, its L3 (0.125) reported on a counting wrapper
+    """logreg_fixture's loss, its L3 (0.0103) reported on a counting wrapper
     at 1e-4 and at 1e-3 of itself: the first accepted step contracts by
-    more than the regime's sigma = 0.6. Such runs used to end silently, at
-    k_max after 100 steps with sigma_max 6.512 and at accuracy_floor with
-    sigma_max 0.608. outer_loop refuses the step: a SolverError that names
-    problems.sampled_l3's estimate (0.000587), exit 3 with one stderr line,
-    and the rows before it (none) with the error footer."""
+    more than the regime's sigma = 0.6. Such runs used to end silently (at
+    the former L3 0.125: at k_max after 100 steps with sigma_max 6.512 and
+    at accuracy_floor with sigma_max 0.608). outer_loop refuses the step: a
+    SolverError that names problems.sampled_l3's estimate (0.000587), exit 3
+    with one stderr line, and the rows before it (none) with the error
+    footer."""
 
     CASES = [
-        pytest.param(1e-4, "step 1: sigma_observed 6.512 exceeds the regime's sigma 0.6; "
-                     "reported L3 1.25e-05, sampled_l3 estimate 0.000587", id="1e-4"),
-        pytest.param(1e-3, "step 1: sigma_observed 0.6085 exceeds the regime's sigma 0.6; "
-                     "reported L3 0.000125, sampled_l3 estimate 0.000587", id="1e-3"),
+        pytest.param(1e-4, "step 1: sigma_observed 78.74 exceeds the regime's sigma 0.6; "
+                     "reported L3 1.03e-06, sampled_l3 estimate 0.000587", id="1e-4"),
+        pytest.param(1e-3, "step 1: sigma_observed 7.89 exceeds the regime's sigma 0.6; "
+                     "reported L3 1.03e-05, sampled_l3 estimate 0.000587", id="1e-3"),
     ]
 
     @staticmethod
@@ -644,7 +645,7 @@ class TestContractionBreak:
             solve_sliding(prob, bundle.x0, NatmiConfig(eps=1e-6, k_max=30))
         assert str(info.value) == (
             "step 1: sigma_observed 1.555 exceeds the regime's sigma 0.6; "
-            "reported L3 0.000313, sampled_l3 estimate 0.0029")
+            "reported L3 0.000303, sampled_l3 estimate 0.00281")
 
 
 class TestSolveEndToEnd:

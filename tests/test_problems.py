@@ -275,10 +275,11 @@ class TestLogisticL3:
 class TestLogisticMemory:
     """The oracle holds one m x n array, the caller's features, and no call
     makes a second: at m = 2000, n = 200 (3.2 MB of features) the
-    constructor and each call peak below a quarter of the features. Synthesis peaks at the features
-    plus one row block's float temporary (the row norms' squares) and a few
-    m-vectors: the finiteness check holds no m x n mask. Every measured
-    call runs once before, so numpy's one-time allocations do not count."""
+    constructor and each call peak below a quarter of the features.
+    Synthesis peaks at the features plus one row block's float temporary
+    (the row norms' squares) and a few m-vectors: the finiteness check holds
+    no m x n mask. Every measured call runs once before, so numpy's one-time
+    allocations do not count."""
 
     M, N = 2000, 200
     FEATURES = M * N * 8

@@ -223,10 +223,7 @@ def _quartic_moment_bound(A: np.ndarray) -> float:
     best = 0.0
     for s in [*A, np.linalg.svd(A)[2][0]]:
         for _ in range(50):
-            norm = float(np.linalg.norm(s))
-            if norm == 0.0:
-                break
-            s = s / norm
+            s = s / np.linalg.norm(s)
             u = A @ s
             best = max(best, 0.125 * float(np.mean(u**4)))
             s = A.T @ u**3

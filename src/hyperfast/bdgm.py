@@ -94,10 +94,10 @@ class SubproblemError(SolverError):
 class BdgmState:
     """Frozen subproblem data.
 
-    parts are the model's, the oracle's difference part first. g0 and B sum
-    their model_grad and model_hess at x~, and L3 the oracle's L3 of a
-    difference part and 4*H of an analytic one. tau is the nominal
-    difference step 3*delta/(8*(2+sqrt(2))*||g0||); tau_used = max(tau,
+    parts are the model's: the oracle's difference part, then an optional
+    analytic one. g0, B and L3 are the first's anchor gradient, Hessian and
+    oracle L3, plus the second's model_grad, model_hess and 4*H. tau is the
+    nominal difference step 3*delta/(8*(2+sqrt(2))*||g0||); tau_used = max(tau,
     TAU_FLOOR) is the one used. ball_radius = 2*((2+sqrt(2))*||g0||/L3)^(1/3).
     theta_abs = max(delta, 2*noise) is the error margin of every estimate,
     with noise = 4*eps*(terms + ||B||*ball_radius + L3*ball_radius^3)/tau_used^2
@@ -141,22 +141,21 @@ def setup(oracle: ProblemOracle, x_tilde: Vector, eps: float,
     oracle, for its difference part at H = XI*L3, plus model's model_grad
     and model_hess at x_tilde (an analytic ModelSpec anchored elsewhere).
     eps alone sets the truncation budget delta = eps^1.5/(sqrt(||g0||) +
-    ||B||^1.5/sqrt(L3))."""
-    eps = float(eps)
+    ||B||^1.5/sqrt(L3)), and a margin past float64's range is the floor."""
+    eps = np.float64(eps)
     if eps <= 0.0:
         raise ValueError("eps must be positive")
     x_tilde = np.array(x_tilde, dtype=np.float64)
     own = ModelSpec(oracle, x_tilde, XI * oracle.lipschitz_L3, third=fd_third_action)
     own.quartic = oracle.lipschitz_L3  # 2*H/3 can miss L3 by an ulp
-    parts = (own,) if model is None else (own, model)
-    g0 = B = L3 = 0.0
-    for part in parts:
-        g0 = g0 + model_grad(part, x_tilde)
-        B = B + model_hess(part, x_tilde)
+    parts = (own,)
+    g0, B, L3 = own.grad_anchor, own.hess_anchor, oracle.lipschitz_L3
+    if model is not None:
+        parts = (own, model)
+        g0 = g0 + model_grad(model, x_tilde)
+        B = B + model_hess(model, x_tilde)
         # An analytic part's regularizer has third-derivative Lipschitz constant 4*H.
-        L3 += 4.0 * part.H if part.third is None else part.oracle.lipschitz_L3
-    if L3 <= 0.0:
-        raise ValueError("L3 must be positive")
+        L3 += 4.0 * model.H
     if not (np.all(np.isfinite(g0)) and np.all(np.isfinite(B))):
         raise SubproblemError("non-finite gradient or Hessian at the anchor")
     try:
@@ -165,31 +164,34 @@ def setup(oracle: ProblemOracle, x_tilde: Vector, eps: float,
         raise SubproblemError(
             f"anchor Hessian eigendecomposition failed: {exc}") from exc
     grad_norm0 = float(np.linalg.norm(g0))
-    hess_norm0 = float(np.max(np.abs(evals)))
+    hess_norm0 = np.max(np.abs(evals))
     solved_reason = None
     if grad_norm0 == 0.0:
         delta = tau = tau_used = theta_abs = 0.0
         ball = 0.0
         solved_reason = "zero_gradient"
     else:
-        delta = eps**1.5 / (np.sqrt(grad_norm0) + hess_norm0**1.5 / np.sqrt(L3))
-        tau = 3.0 * delta / (8.0 * STEP_SCALE * grad_norm0)
-        tau_used = max(tau, TAU_FLOOR)
-        ball = 2.0 * (STEP_SCALE * grad_norm0 / L3) ** (1.0 / 3.0)
-        # A gradient's roundoff scales with the terms it sums, which near the
-        # optimum are far larger than the gradient itself.
-        bound = oracle.grad_term_bound(x_tilde)
-        terms = grad_norm0 if bound is None else max(bound, grad_norm0)
-        noise = 4.0 * _EPS * (terms + hess_norm0 * ball + L3 * ball**3) / tau_used**2
-        theta_abs = max(delta, 2.0 * noise)
-        if theta_abs >= gamma * grad_norm0:
+        # An eps or Hessian past the float range gives float64 an infinite
+        # or NaN margin, which the floor test takes as the floor.
+        with np.errstate(over="ignore", invalid="ignore"):
+            delta = eps**1.5 / (np.sqrt(grad_norm0) + hess_norm0**1.5 / np.sqrt(L3))
+            tau = 3.0 * delta / (8.0 * STEP_SCALE * grad_norm0)
+            tau_used = max(tau, TAU_FLOOR)
+            ball = 2.0 * (STEP_SCALE * grad_norm0 / L3) ** (1.0 / 3.0)
+            # A gradient's roundoff scales with the terms it sums, which near
+            # the optimum are far larger than the gradient itself.
+            bound = oracle.grad_term_bound(x_tilde)
+            terms = grad_norm0 if bound is None else max(bound, grad_norm0)
+            noise = 4.0 * _EPS * (terms + hess_norm0 * ball + L3 * ball**3) / tau_used**2
+            theta_abs = max(delta, 2.0 * noise)
+        if not theta_abs < gamma * grad_norm0:
             # The certification margin exceeds what any iterate could attain:
             # the anchor gradient is already at the accuracy floor for eps.
             solved_reason = "accuracy_floor"
     own.tau = float(tau_used)
     return BdgmState(
         x_tilde=x_tilde, gamma=float(gamma), g0=g0, B=B,
-        L3=float(L3), grad_norm0=grad_norm0, hess_norm0=hess_norm0,
+        L3=float(L3), grad_norm0=grad_norm0, hess_norm0=float(hess_norm0),
         delta=float(delta), tau=float(tau), tau_used=float(tau_used),
         theta_abs=float(theta_abs), ball_radius=float(ball), evals=evals,
         evecs=evecs, solved_reason=solved_reason, parts=parts,
@@ -364,7 +366,8 @@ def solve(state: BdgmState, start: Vector | None = None) -> BdgmResult:
     reach the floor. trunc sums (L3_p/6)*tau_used*||z - x~||^3 over the
     difference parts p: their truncation past delta's budget. The second
     line is the acceptance contract for the outer loop, and "accuracy_floor"
-    answers a z that fails it, as setup() does when theta_abs >=
+    answers a z that fails it (one with grad F(z) = 0 among them, which
+    outer_loop stops on as stationary), as setup() does when theta_abs >=
     gamma*||g0||. The floor pins z to the exact model minimizer, which the
     cross-check against the reference Newton minimizer relies on. grad F(z)
     is taken only there, so a solve spends one target gradient, at its
@@ -378,14 +381,10 @@ def solve(state: BdgmState, start: Vector | None = None) -> BdgmResult:
     nearby answer, such as the previous trial's of a lambda search) is the
     first iterate instead, at one approx_grad and one rho', a Bregman try's
     oracle calls; the stops are the same, so a start already at the floor
-    is answered with 0 iterations. Steps start at scale 1 and adapt in
-    [1, STEP_SCALE] (see _accepted_step); the curvature test costs no extra
-    oracle call because it reuses approx_grad at the new point. iters counts
-    accepted steps; a rejected step costs one more Bregman step and
-    approx_grad call. The iterate's rho'(z) and ||approx_grad(z)|| are
-    carried from the try that produced it, so a solve takes one rho' per try
-    plus one at its first iterate, and one approx_grad per try plus one at a
-    start.
+    is answered with 0 iterations. iters counts accepted steps. Each try,
+    rejected or not, takes one Bregman step, one approx_grad and one rho'
+    (see _accepted_step, which adapts the scale), so a solve takes one
+    more rho' at its first iterate and one more approx_grad at a start.
     Running out of _MAX_ITERS raises "no certificate": the reported L3 may
     be below the true one, so the message adds l3_hint.
     """
@@ -412,8 +411,6 @@ def solve(state: BdgmState, start: Vector | None = None) -> BdgmResult:
             grad_z_norm = _norm(grad_z)
             if not math.isfinite(grad_z_norm):
                 raise SubproblemError("non-finite target gradient at the answer")
-            if grad_z_norm == 0.0:
-                return BdgmResult(z, i, "zero_gradient_at_iterate", grad_z, part_grad)
             trunc = sum(p.oracle.lipschitz_L3 / 6.0 * p.tau for p in state.parts
                         if p.third is not None) * _norm(z - state.x_tilde) ** 3
             if lhs <= state.gamma * grad_z_norm - state.theta_abs - trunc:
@@ -432,8 +429,9 @@ def solve(state: BdgmState, start: Vector | None = None) -> BdgmResult:
 
 def l3_hint(oracle: ProblemOracle) -> str:
     """"; reported L3 <L3>, sampled_l3 estimate <e>" when problems.sampled_l3's
-    estimate exceeds oracle's reported L3, else "". The estimate is taken on
-    the oracle a CountedOracle wraps, so it moves no counter."""
+    estimate, net of its gradient differences' roundoff, exceeds oracle's
+    reported L3, else "". The estimate is taken on the oracle a
+    CountedOracle wraps, so it moves no counter."""
     reported = oracle.lipschitz_L3
     estimate = sampled_l3(oracle.inner if isinstance(oracle, CountedOracle) else oracle)
     return (f"; reported L3 {reported:.3g}, sampled_l3 estimate {estimate:.3g}"

@@ -93,8 +93,8 @@ def parse_config_text(text: str) -> dict[str, str]:
 
 def load_config(path: str) -> dict[str, str]:
     try:
-        text = Path(path).read_text()
-    except OSError as exc:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     return parse_config_text(text)
 
@@ -261,6 +261,13 @@ def _record_row(rec, columns) -> str:
                     for col in columns)
 
 
+def _write_lines(key: str, path: str, lines) -> None:
+    try:
+        Path(path).write_text("\n".join(lines) + "\n")
+    except OSError as exc:
+        raise ConfigError(f"cannot write the {key} file {path}: {exc.strerror or exc}") from exc
+
+
 def write_trace(path: str, records, config_echo: dict, columns=BASE_COLUMNS,
                 error: str | None = None) -> None:
     """CSV trace: '#' config header (sorted keys), column row, data rows,
@@ -270,7 +277,7 @@ def write_trace(path: str, records, config_echo: dict, columns=BASE_COLUMNS,
     lines.extend(_record_row(rec, columns) for rec in records)
     if error is not None:
         lines.append(f"# ERROR: {error}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    _write_lines("trace", path, lines)
 
 
 def read_trace(path: str):
@@ -418,9 +425,9 @@ def config_echo(cfg: RunConfig) -> dict:
 def run(cfg: RunConfig) -> RunOutcome:
     """Execute one configured run; write the trace and summary files.
 
-    A ConfigError, from here or from a solver, comes before any output. A
-    SolverError flushes the rows it carries as a partial trace with an
-    error footer before it propagates.
+    A ConfigError, from here or from a solver, comes before any output (a
+    write refused after the solve excepted). A SolverError flushes the rows
+    it carries as a partial trace with an error footer before it propagates.
     """
     bundle = make_problem(cfg)
     for key, path in (("trace", cfg.trace_path), ("summary", cfg.summary_path)):
@@ -472,5 +479,5 @@ def run(cfg: RunConfig) -> RunOutcome:
         written = {**summary, **{f"config.{key}": v for key, v in echo.items()}}
         lines = [f"{key}={_fmt(v) if isinstance(v, (int, float, np.floating, np.integer)) else v}"
                  for key, v in sorted(written.items())]
-        Path(cfg.summary_path).write_text("\n".join(lines) + "\n")
+        _write_lines("summary", cfg.summary_path, lines)
     return RunOutcome(config=cfg, records=records, summary=summary)

@@ -415,12 +415,13 @@ def outer_loop(subproblem, L3: float, x0: Vector, cfg: NatmiConfig,
     """Run accelerated_steps for up to cfg.k_max steps and keep the records.
 
     objective is the minimized function's oracle, and counts() returns its
-    oracle call totals. The window uses H = cfg.xi*L3;
-    the regime was enforced when oracle_subproblem built the builder, and
-    x0 passes start_point before the first oracle call.
+    oracle call totals. The window uses H = cfg.xi*L3; the regime was
+    enforced when oracle_subproblem built the builder, and x0 passes
+    start_point before the first oracle call.
 
-    Stops: stationary (zero gradient at the anchor or at the accepted
-    iterate), accuracy_floor (the answer cannot be certified at this eps in
+    Stops, in the order tested: stationary (the first trial whose grad_y is
+    exactly zero, at an anchor or an answer: the solve ends at its y with
+    no row), accuracy_floor (the answer cannot be certified at this eps in
     float64; the solve ends on the floor trial's point when its gradient is
     smaller than the last accepted y's), grad_tol and k_max. A SolverError
     propagates with the rows recorded so far in its records. A step whose
@@ -441,8 +442,8 @@ def outer_loop(subproblem, L3: float, x0: Vector, cfg: NatmiConfig,
             # gradient peak also takes the norms at accepted iterates.
             peak_grad = max(peak_grad, t.grad_anchor_norm)
             peak_hess = t.hess_anchor_norm
-            if t.reason == "zero_gradient":
-                y, grad_norm, status = t.x_tilde.copy(), 0.0, "stationary"
+            if not t.grad_y.any():
+                y, grad_norm, status = t.y.copy(), 0.0, "stationary"
                 break
             if t.reason == "accuracy_floor":
                 # The floor trial solved its model to the arithmetic limit,
@@ -480,9 +481,6 @@ def outer_loop(subproblem, L3: float, x0: Vector, cfg: NatmiConfig,
                 n_grad_h=c.get("grad_h", 0), n_hess_h=c.get("hess_h", 0),
                 n_third_g=c.get("third_g", 0),
                 mid_iters=t.mid_iters))
-            if t.reason == "zero_gradient_at_iterate":
-                status = "stationary"
-                break
             if cfg.grad_tol > 0.0 and grad_norm <= cfg.grad_tol:
                 status = "grad_tol"
                 break
@@ -511,11 +509,8 @@ def _total(counts: dict, kind: str) -> int:
 
 
 def solve(cfg: NatmiConfig, oracle: ProblemOracle, x0: Vector) -> SolveResult:
-    """Run the outer loop from x0 until k_max, grad_tol, or a terminal state.
-
-    An inner solve that finds no certificate can mean the reported L3 is
-    below the true one; bdgm.solve then names a larger problems.sampled_l3
-    estimate beside it, taken on the uncounted oracle."""
+    """Run the outer loop from x0 until k_max, grad_tol, or a terminal state;
+    a failed certificate or contraction adds bdgm.l3_hint to its message."""
     co = counted(oracle)
     return outer_loop(oracle_subproblem(cfg, co), co.lipschitz_L3, x0, cfg,
                       co, lambda: co.counts)

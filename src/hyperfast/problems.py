@@ -354,10 +354,11 @@ _L3_SAMPLES, _L3_SEED, _L3_RADIUS, _L3_TAU = 64, 0, 1.0, 1e-3
 def sampled_l3(oracle: ProblemOracle) -> float:
     """Empirical lower estimate of the third-derivative Lipschitz constant.
 
-    Maximizes ||(D3f(x) - D3f(y))[s, s]|| / (||x - y||*||s||^2) over random
-    pairs in a ball, with third actions taken by gradient differences so the
-    estimate does not lean on the oracle's own analytic route. A valid
-    reported lipschitz_L3 must not be exceeded (up to difference error).
+    Maximizes (||(D3f(x) - D3f(y))[s, s]|| - err) / ||x - y|| over random
+    pairs in a ball and unit s, third actions taken by gradient differences
+    so as not to lean on the oracle's analytic route; err bounds their
+    roundoff, 8*eps*terms/tau^2 per point with terms as in bdgm.setup.
+    A valid reported lipschitz_L3 is not exceeded (up to truncation).
     """
     rng = np.random.default_rng(_L3_SEED)
     best = 0.0
@@ -370,6 +371,11 @@ def sampled_l3(oracle: ProblemOracle) -> float:
         if s_norm == 0.0 or gap == 0.0:
             continue
         s /= s_norm
-        diff = fd_third_action(oracle, x, s, _L3_TAU) - fd_third_action(oracle, y, s, _L3_TAU)
-        best = max(best, float(np.linalg.norm(diff)) / gap)
+        actions, err = [], 0.0
+        for point in (x, y):
+            g = oracle.grad(point)
+            terms = max(oracle.grad_term_bound(point) or 0.0, float(np.linalg.norm(g)))
+            err += 8.0 * np.finfo(np.float64).eps * terms / _L3_TAU**2
+            actions.append(fd_third_action(oracle, point, s, _L3_TAU, g))
+        best = max(best, (float(np.linalg.norm(actions[0] - actions[1])) - err) / gap)
     return best

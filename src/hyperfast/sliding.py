@@ -123,9 +123,8 @@ def solve_sliding(prob: CompositeProblem, x0: Vector,
     The result's counts carry the per-component totals. With h the zero
     sentinel, that builder runs on g as the outer one. A subsolver other
     than "bdgm", a bad regime, gamma = 0 or xi != bdgm.XI is a ConfigError
-    before any call. An inner solve that finds no certificate names the
-    reported L3 of the part it modeled and, when larger, problems.sampled_l3's
-    estimate of it (bdgm.solve).
+    before any call. A failed inner certificate or outer contraction adds
+    bdgm.l3_hint, on h or g, to its message.
     """
     if cfg.subsolver != "bdgm":
         raise ConfigError(f"sliding runs subsolver 'bdgm' only, got {cfg.subsolver!r}")

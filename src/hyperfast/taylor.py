@@ -23,7 +23,7 @@ from __future__ import annotations
 import numpy as np
 from typing import NamedTuple
 
-from .oracles import Matrix, ProblemOracle, SolverError, Vector
+from .oracles import Matrix, OracleCapabilityError, ProblemOracle, SolverError, Vector
 
 #: Newton steps newton_min may take before it gives up.
 _MAX_NEWTON_STEPS = 500
@@ -75,10 +75,10 @@ class ModelSpec:
             third_action and third_dir (OracleCapabilityError without them)
             and takes the value at the anchor. A difference estimator such
             as fd_third_action gives D3f(x~)[s, s] = third(oracle, x~, s,
-            tau, grad_anchor), and central Hessian differences at tau give
-            D3f(x~)[s]. It takes no value, and no call at s = 0, where
-            model_grad and model_hess return the anchor's.
-        tau: the difference step; bdgm sets it from its anchor sums.
+            tau, grad_anchor), which is all model_grad needs; it takes no
+            value, and its third_dir, so model_hess, raises
+            OracleCapabilityError before any call.
+        tau: the difference step; bdgm.setup sets it from the anchor data.
     """
 
     def __init__(self, oracle: ProblemOracle, x_tilde: Vector, H: float,
@@ -102,11 +102,9 @@ class ModelSpec:
         return self.third(self.oracle, self.x_tilde, s, self.tau, self.grad_anchor)
 
     def third_dir(self, s: Vector) -> Matrix:
-        if self.third is None:
-            return self.oracle.third_dir(self.x_tilde, s)
-        plus = self.oracle.hess(self.x_tilde + self.tau * s)
-        minus = self.oracle.hess(self.x_tilde - self.tau * s)
-        return (plus - minus) / (2.0 * self.tau)
+        if self.third is not None:
+            raise OracleCapabilityError("a difference model part has no third_dir")
+        return self.oracle.third_dir(self.x_tilde, s)
 
 
 def model_value(spec: ModelSpec, y: Vector) -> float:
@@ -120,8 +118,6 @@ def model_value(spec: ModelSpec, y: Vector) -> float:
 
 def model_grad(spec: ModelSpec, y: Vector) -> Vector:
     s = np.asarray(y, dtype=np.float64) - spec.x_tilde
-    if spec.third is not None and not s.any():
-        return spec.grad_anchor.copy()
     return (spec.grad_anchor + spec.hess_anchor @ s
             + 0.5 * spec.third_action(s)
             + spec.quartic * float(s @ s) * s)
@@ -129,8 +125,6 @@ def model_grad(spec: ModelSpec, y: Vector) -> Vector:
 
 def model_hess(spec: ModelSpec, y: Vector) -> Matrix:
     s = np.asarray(y, dtype=np.float64) - spec.x_tilde
-    if spec.third is not None and not s.any():
-        return spec.hess_anchor.copy()
     eye = np.eye(s.size)
     return (spec.hess_anchor + spec.third_dir(s)
             + spec.quartic * (float(s @ s) * eye + 2.0 * np.outer(s, s)))

@@ -10,6 +10,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from types import SimpleNamespace
@@ -851,6 +852,59 @@ class TestCli:
             cli.main(["solve", "--help"])
         assert info.value.code == 0
         assert "--max-iters" in capsys.readouterr().out
+
+    def test_non_utf8_config_exit_two(self, tmp_path, capsys):
+        cfgfile = tmp_path / "latin1.cfg"
+        cfgfile.write_bytes("problem=quartic1d\n# caf\u00e9\n".encode("latin-1"))
+        assert cli.main(["solve", "--config", str(cfgfile)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            f"config error: cannot read config {cfgfile}: 'utf-8' codec can't "
+            "decode byte 0xe9 in position 23: invalid continuation byte"]
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    @pytest.mark.parametrize("flag", ["--summary", "--trace"])
+    def test_full_device_exit_two(self, capsys, flag):
+        """/dev/full passes the writability check before the solve, and
+        refuses the write after it."""
+        assert cli.main(["solve", "--problem", "quartic1d", "--max-iters", "2",
+                         flag, "/dev/full"]) == 2
+        key = flag.lstrip("-")
+        assert capsys.readouterr().err.splitlines() == [
+            f"config error: cannot write the {key} file /dev/full: "
+            "No space left on device"]
+
+    @pytest.mark.parametrize("argv", [
+        ["--problem", "logreg", "--eps", "1e300", "--max-iters", "2"],
+        ["--problem", "logreg", "--method", "sliding", "--eps", "1e300",
+         "--max-iters", "2"],
+        ["--problem", "sliding_bench", "--method", "sliding", "--eps", "1e300",
+         "--max-iters", "2"],
+        ["--problem", "logreg", "--eps", "1e200", "--max-iters", "2"],
+    ], ids=["1e300", "1e300-sliding", "1e300-sliding-bench", "1e200"])
+    def test_huge_eps_stops_at_the_floor(self, capsys, argv):
+        """An eps whose budget eps^1.5 overflows float64 (1e300), or whose
+        difference step's square does (1e200), puts the anchor at the
+        accuracy floor: exit 0, with no traceback and no warning."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(["solve", *argv]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert captured.out.rstrip().endswith("iters = 0, status = accuracy_floor")
+
+    def test_huge_ridge_stops_at_the_floor(self, tmp_path, capsys):
+        """A ridge of 1e300 puts the anchor Hessian's norm^1.5 past float64,
+        which puts the anchor at the accuracy floor as a huge eps does."""
+        cfgfile = tmp_path / "ridge.cfg"
+        cfgfile.write_text("problem=logreg\nproblem.ridge=1e300\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(["solve", "--config", str(cfgfile)]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert captured.out.rstrip().endswith("iters = 0, status = accuracy_floor")
 
     def test_solver_failure_exit_three(self, monkeypatch, capsys):
         def boom(cfg):

@@ -31,6 +31,7 @@ from hyperfast.natmi import (
 )
 from hyperfast.oracles import ConfigError, CountedOracle, SolverError
 from hyperfast.problems import (
+    Dataset,
     LogisticLoss,
     QuarticChain,
     QuarticObjective,
@@ -585,6 +586,19 @@ class TestWrongL3Hint:
         assert message.startswith("no certificate in 1 iterations (last lhs ")
         assert "L3" not in message and "sampled_l3" not in message
 
+    @pytest.mark.parametrize("ridge", [0.0, 1e-3])
+    def test_exact_l3_on_small_data_names_no_estimate(self, ridge):
+        """One-row, n = 1 logistic data, whose reported L3 = ||a||^4/8 is
+        exact, at 160 row norms from 1e-3 to 1. The gradient differences'
+        roundoff is large beside an L3 down to 1.25e-13: taken at face
+        value, the estimate exceeds the reported L3 on 101 (ridge 0) and 99
+        (ridge 1e-3) of them, by up to 131x and 221x. Net of that roundoff
+        it stays below, and no hint names it."""
+        for norm in np.geomspace(1e-3, 1.0, 160):
+            orc = LogisticLoss(Dataset(np.array([[norm]]), np.array([1.0])), ridge)
+            assert sampled_l3(orc) <= orc.lipschitz_L3, norm
+            assert bdgm.l3_hint(orc) == "", norm
+
 
 class TestContractionBreak:
     """logreg_fixture's loss, its L3 (0.0103) reported on a counting wrapper
@@ -683,6 +697,27 @@ class TestSolveEndToEnd:
         assert res.iters == 0
         assert res.records == ()
         np.testing.assert_array_equal(res.y, np.zeros(2))
+
+    @pytest.mark.parametrize("reason", ["certified", "accuracy_floor"])
+    def test_zero_gradient_answer_is_stationary(self, reason):
+        """A builder that answers the optimum of x^2/2 from x0 = 2, with its
+        exact zero gradient, ends the solve stationary there with no row.
+        The answer lies away from the anchor: taken as a step, its
+        sigma_observed of 1 would break the regime's 0.6, and as a floor
+        answer the solve would end back at x0."""
+        orc = CountedOracle(QuarticObjective(np.eye(1), np.zeros(1), 0.0))
+
+        def optimum(x_t, start=None):
+            y = np.zeros(1)
+            return Trial(y, orc.grad(y), 0, reason,
+                         float(np.linalg.norm(orc.grad(x_t))), 1.0)
+
+        res = natmi.outer_loop(optimum, orc.lipschitz_L3, np.array([2.0]),
+                               NatmiConfig(), orc, lambda: orc.counts)
+        assert (res.status, res.converged, res.iters, res.records) == (
+            "stationary", True, 0, ())
+        np.testing.assert_array_equal(res.y, np.zeros(1))
+        assert (res.f, res.grad_norm, res.max_grad_norm) == (0.0, 0.0, 2.0)
 
     def test_k_max_status_when_budget_runs_out(self):
         orc = LogisticLoss(synth_logreg(9, 50, 5), ridge=1e-3)

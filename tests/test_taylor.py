@@ -51,8 +51,9 @@ class TestSpecConstruction:
 
     def test_exact_route_needs_analytic_third(self):
         """On an oracle without analytic third derivatives the difference
-        route at tau = 1e-4 gives the analytic model's gradient and Hessian
-        with no third call, and the analytic route raises."""
+        route at tau = 1e-4 gives the analytic model's gradient with no
+        third call, its model Hessian raises with no call, and the analytic
+        route raises."""
 
         class NoThird(QuarticObjective):
             def third_action(self, x, s):
@@ -67,14 +68,33 @@ class TestSpecConstruction:
         exact = ModelSpec(QuarticObjective(np.eye(2), np.zeros(2), 1.0), x, H=1.0)
         np.testing.assert_allclose(model_grad(spec, y), model_grad(exact, y),
                                    rtol=1e-6)
-        np.testing.assert_allclose(model_hess(spec, y), model_hess(exact, y),
-                                   rtol=1e-6)
         assert (orc.n_value, orc.n_third) == (0, 0)
+        before = orc.counts
+        with pytest.raises(OracleCapabilityError):
+            model_hess(spec, y)
+        assert orc.counts == before
         analytic = ModelSpec(orc, x, H=1.0)
         with pytest.raises(OracleCapabilityError):
             model_grad(analytic, y)
         with pytest.raises(OracleCapabilityError):
             model_hess(analytic, y)
+
+    @pytest.mark.parametrize("at_anchor", [False, True], ids=["away", "anchor"])
+    def test_difference_part_has_no_third_dir(self, at_anchor):
+        """A difference part's third_dir, and so its model_hess, raise before
+        any oracle call, even on an oracle with analytic third derivatives
+        and at the anchor itself: no Hessian differences, no analytic
+        fallback."""
+        orc = counted(QuarticObjective(np.eye(2), np.zeros(2), 1.0))
+        x = np.array([0.3, -0.2])
+        spec = ModelSpec(orc, x, H=1.0, third=fd_third_action, tau=1e-4)
+        y = x if at_anchor else np.array([0.9, 0.4])
+        before = orc.counts
+        with pytest.raises(OracleCapabilityError):
+            spec.third_dir(y - x)
+        with pytest.raises(OracleCapabilityError):
+            model_hess(spec, y)
+        assert orc.counts == before
 
 
 class TestModelValue:

@@ -26,7 +26,7 @@ from .oracles import (ConfigError, ProblemOracle, SolverError, SumOracle, Vector
                       ZeroOracle, counted, operator_norm)
 from .problems import LogisticLoss, QuarticChain, QuarticObjective, synth_logreg
 from .sliding import CompositeProblem
-from .taylor import ModelError, newton_step
+from .taylor import newton_min
 
 BASE_COLUMNS = ("k", "f", "grad_norm", "step_radius", "lambda", "A",
                 "inner_iters", "n_grad", "n_hess", "max_grad_norm",
@@ -36,9 +36,6 @@ SLIDING_COLUMNS = BASE_COLUMNS + ("n_grad_g", "n_hess_g", "n_grad_h",
 
 _METHODS = ("hyperfast", "natmi_exact", "sliding", "gd_baseline")
 _CLI_METHOD_ALIASES = {"natmi-exact": "natmi_exact", "gd": "gd_baseline"}
-
-#: Newton steps reference_fstar may take before it gives up.
-_FSTAR_BUDGET = 500
 
 
 class DivergenceError(SolverError):
@@ -194,8 +191,8 @@ def _logreg(*, m: int, n: int, ridge: float, seed: int):
 
 def _logreg_fixture():
     oracle = LogisticLoss(synth_logreg(7, 200, 20), ridge=1e-3)
-    # f* is reference_fstar(oracle, tol=1e-13), which TestReferenceFstar::
-    # test_reproduces_committed_fixture_optimum recomputes to a relative 1e-15.
+    # f* is 1 ulp from reference_fstar(oracle, tol=1e-13); TestReferenceFstar::
+    # test_reproduces_committed_fixture_optimum checks it to a relative 1e-15.
     return ProblemBundle((oracle,), np.zeros(20), f_star=0.48643780650938095)
 
 
@@ -316,21 +313,12 @@ def fit_rate(trace, k_window, f_star: float) -> float:
 
 
 def reference_fstar(oracle: ProblemOracle, tol: float = 1e-13) -> float:
-    """High-accuracy optimum value by damped Newton from zero.
-
-    Runs until ||grad f|| <= tol, past the float limit where newton_min stops
-    (Newton steps there still shrink the gradient); exhausting the budget is
-    an error so a silently sloppy reference can never leak into fixtures.
-    """
-    x = np.zeros(oracle.dim)
-    scale = 1.0 + float(np.linalg.norm(oracle.hess(x)))
-    for _ in range(_FSTAR_BUDGET):
-        g = oracle.grad(x)
-        if float(np.linalg.norm(g)) <= tol:
-            return float(oracle.value(x))
-        x = x + newton_step(oracle.value, g, oracle.hess(x), x, scale,
-                            "objective")[0]
-    raise ModelError(f"reference optimum not reached in {_FSTAR_BUDGET} Newton steps")
+    """High-accuracy optimum value: f at taylor.newton_min's answer from zero,
+    where ||grad f|| <= tol or at the float limit, past which no Newton step
+    changes f. newton_min's ModelError (500 steps, a Hessian no shift makes
+    positive definite, a failed line search) refuses the reference."""
+    return float(oracle.value(newton_min(oracle.value, oracle.grad, oracle.hess,
+                                         np.zeros(oracle.dim), tol, "objective")))
 
 
 def baseline_gd(oracle: ProblemOracle, x0: Vector, steps: int) -> SolveResult:

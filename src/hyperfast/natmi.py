@@ -275,7 +275,9 @@ def search_lambda(make_trial, L3: float, xi: float, lam_warm: float | None,
     The window statistic is w = lam*H*r^2/2 with H = xi*L3. With A = 0 (the
     first step, where lam_warm is None) the anchor does not depend on
     lambda, so a single subproblem solve fixes r and lambda is set
-    analytically to hit the window midpoint.
+    analytically to hit the window midpoint. An answer at the anchor
+    (r = 0) is returned as it is when its gradient is exactly zero, a
+    stationary start where outer_loop stops, and is an error otherwise.
     Otherwise start at lam_warm (accelerated_steps passes the previous
     lambda, extrapolated and aimed at the midpoint while it grows steadily)
     and take secant steps on (log lambda, log w) aimed at the window
@@ -286,17 +288,10 @@ def search_lambda(make_trial, L3: float, xi: float, lam_warm: float | None,
     the secant through its two ends, or the log-midpoint while the lower
     end has w = 0. Returns the accepted trial and the trial count.
     """
-    n_trials = 0
-
-    def attempt(lam):
-        nonlocal n_trials
-        n_trials += 1
-        return make_trial(lam)
-
     if A == 0.0:
-        t = attempt(1.0)
-        if t.reason in _TERMINAL:
-            return t, n_trials
+        t = make_trial(1.0)
+        if t.reason in _TERMINAL or (t.r == 0.0 and not t.grad_y.any()):
+            return t, 1
         if t.r == 0.0:
             raise LambdaSearchError("subproblem returned the anchor with a "
                                     "nonzero gradient at the start point")
@@ -304,12 +299,12 @@ def search_lambda(make_trial, L3: float, xi: float, lam_warm: float | None,
         # a = lam when A = 0, so the anchor and the solved subproblem are
         # unchanged; only the bookkeeping weights move.
         return t._replace(lam=lam, a=lam, A_next=lam,
-                          w=lam * (0.5 * xi) * L3 * t.r * t.r), n_trials
+                          w=lam * (0.5 * xi) * L3 * t.r * t.r), 1
 
     lam = lam_warm
     lo = hi = prev = None  # below-window, above-window and previous trials
-    for _ in range(_MAX_TRIALS):
-        t = attempt(lam)
+    for n_trials in range(1, _MAX_TRIALS + 1):
+        t = make_trial(lam)
         if t.reason in _TERMINAL or WINDOW_LO <= t.w <= WINDOW_HI:
             return t, n_trials
         if t.w < WINDOW_LO:

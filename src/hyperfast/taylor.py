@@ -14,8 +14,9 @@ third-derivative routines, gives the reference the subproblem solver is
 checked against, natmi_exact's model and sliding's model of g (one
 third-derivative action of g per model gradient). Its difference route
 gives the inexact engine's model (bdgm). newton_step is the one damped
-Newton step: newton_min repeats it down to a tolerance or the float limit,
-the harness's reference optima past the float limit.
+Newton step, and newton_min, which repeats it down to a tolerance or the
+float limit, is the loop of the model minimizer and of
+harness.reference_fstar.
 """
 
 from __future__ import annotations

@@ -366,18 +366,39 @@ class TestReferenceFstar:
         fstar = reference_fstar(bundle.single(), tol=1e-13)
         assert fstar == pytest.approx(bundle.f_star, rel=1e-15, abs=0.0)
 
-    def test_steps_past_the_float_limit(self):
+    def test_stops_where_newton_min_stops(self):
         # A quartic whose optimum value, -461.18, is large beside its
         # curvature: Newton steps stop lowering f in float64 while ||grad f||
-        # is still 1.5e-6; newton_min stops there, the reference keeps
-        # stepping down to tol.
+        # is still 1.5e-6, and the reference is f at that point.
         rng = np.random.default_rng(34)
         M = rng.standard_normal((4, 4))
         orc = QuarticObjective(M.T @ M + np.eye(4), 100.0 * rng.standard_normal(4), 1.0)
         x = newton_min(orc.value, orc.grad, orc.hess, np.zeros(orc.dim), 1e-8,
                        "objective")
         assert np.linalg.norm(orc.grad(x)) > 1e-6
-        assert reference_fstar(orc, tol=1e-8) == pytest.approx(orc.value(x), rel=1e-14)
+        assert reference_fstar(orc, tol=1e-8) == orc.value(x)
+
+    @pytest.mark.parametrize("settings", [
+        {"problem": "logreg", "problem.m": "200", "problem.n": "20",
+         "problem.seed": "3007"},
+        {"problem": "logreg", "problem.m": "200", "problem.n": "20",
+         "problem.seed": "5007"},
+        {"problem": "sliding_bench", "problem.seed": "2011"},
+        None,
+    ], ids=["logreg-3007", "logreg-5007", "sliding_bench-2011", "quartic-offset"])
+    def test_default_tol_returns_at_the_float_limit(self, settings):
+        """The default tol 1e-13 lies below what Newton steps reach on these,
+        so the reference stops at the float limit, no more than 4*eps*|f|
+        above its value at tol 1e-8."""
+        if settings is None:
+            rng = np.random.default_rng(8)
+            M = rng.standard_normal((4, 4))
+            orc = QuarticObjective(M.T @ M + np.eye(4),
+                                   100.0 * rng.standard_normal(4), 1.0)
+        else:
+            orc = make_problem(build_run_config(settings)).single()
+        coarse = reference_fstar(orc, tol=1e-8)
+        assert reference_fstar(orc) <= coarse + 4.0 * np.finfo(float).eps * abs(coarse)
 
 
 class TestBaselineGd:

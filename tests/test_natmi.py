@@ -178,9 +178,9 @@ class TestSearchLambda:
                           L3=2.0, xi=3.0, lam_warm=1.0, A=1.0)
 
     def test_cold_start_zero_radius_raises(self):
+        make = lambda lam: _fake_trial(lam, w=0.0, r=0.0)._replace(grad_y=np.ones(1))
         with pytest.raises(LambdaSearchError):
-            search_lambda(lambda lam: _fake_trial(lam, w=0.0, r=0.0),
-                          L3=1.0, xi=1.5, lam_warm=None, A=0.0)
+            search_lambda(make, L3=1.0, xi=1.5, lam_warm=None, A=0.0)
 
     def test_warm_start_expands_upward(self):
         make = lambda lam: _fake_trial(lam, w=lam)
@@ -718,6 +718,20 @@ class TestSolveEndToEnd:
             "stationary", True, 0, ())
         np.testing.assert_array_equal(res.y, np.zeros(1))
         assert (res.f, res.grad_norm, res.max_grad_norm) == (0.0, 0.0, 2.0)
+
+    def test_certified_anchor_with_zero_gradient_is_stationary(self):
+        """A builder that answers certified at the anchor of x^2/2 from
+        x0 = 0, the optimum, ends the solve stationary there with no row."""
+        orc = CountedOracle(QuarticObjective(np.eye(1), np.zeros(1), 0.0))
+
+        def at_anchor(x_t, start=None):
+            return Trial(x_t.copy(), orc.grad(x_t), 0, "certified", 0.0, 1.0)
+
+        res = natmi.outer_loop(at_anchor, orc.lipschitz_L3, np.zeros(1),
+                               NatmiConfig(), orc, lambda: orc.counts)
+        assert (res.status, res.converged, res.iters, res.records) == (
+            "stationary", True, 0, ())
+        np.testing.assert_array_equal(res.y, np.zeros(1))
 
     def test_k_max_status_when_budget_runs_out(self):
         orc = LogisticLoss(synth_logreg(9, 50, 5), ridge=1e-3)

@@ -370,35 +370,36 @@ class TestReferenceFstar:
         # A quartic whose optimum value, -461.18, is large beside its
         # curvature: Newton steps stop lowering f in float64 while ||grad f||
         # is still 1.5e-6, and the reference is f at that point.
-        rng = np.random.default_rng(34)
-        M = rng.standard_normal((4, 4))
-        orc = QuarticObjective(M.T @ M + np.eye(4), 100.0 * rng.standard_normal(4), 1.0)
+        orc = _offset_quartic(34)
         x = newton_min(orc.value, orc.grad, orc.hess, np.zeros(orc.dim), 1e-8,
                        "objective")
         assert np.linalg.norm(orc.grad(x)) > 1e-6
         assert reference_fstar(orc, tol=1e-8) == orc.value(x)
 
-    @pytest.mark.parametrize("settings", [
+    @pytest.mark.parametrize("problem", [
         {"problem": "logreg", "problem.m": "200", "problem.n": "20",
          "problem.seed": "3007"},
         {"problem": "logreg", "problem.m": "200", "problem.n": "20",
          "problem.seed": "5007"},
         {"problem": "sliding_bench", "problem.seed": "2011"},
-        None,
+        8,
     ], ids=["logreg-3007", "logreg-5007", "sliding_bench-2011", "quartic-offset"])
-    def test_default_tol_returns_at_the_float_limit(self, settings):
-        """The default tol 1e-13 lies below what Newton steps reach on these,
-        so the reference stops at the float limit, no more than 4*eps*|f|
-        above its value at tol 1e-8."""
-        if settings is None:
-            rng = np.random.default_rng(8)
-            M = rng.standard_normal((4, 4))
-            orc = QuarticObjective(M.T @ M + np.eye(4),
-                                   100.0 * rng.standard_normal(4), 1.0)
-        else:
-            orc = make_problem(build_run_config(settings)).single()
+    def test_default_tol_returns_at_the_float_limit(self, problem):
+        """The default tol 1e-13 lies below what Newton steps reach on these
+        (an int is an _offset_quartic seed), so the reference stops at the
+        float limit, no more than 4*eps*|f| above its value at tol 1e-8."""
+        orc = (_offset_quartic(problem) if isinstance(problem, int)
+               else make_problem(build_run_config(problem)).single())
         coarse = reference_fstar(orc, tol=1e-8)
         assert reference_fstar(orc) <= coarse + 4.0 * np.finfo(float).eps * abs(coarse)
+
+
+def _offset_quartic(seed):
+    """A 4-dim quartic with its linear term scaled by 100, so its optimum
+    value is large beside its curvature."""
+    rng = np.random.default_rng(seed)
+    M = rng.standard_normal((4, 4))
+    return QuarticObjective(M.T @ M + np.eye(4), 100.0 * rng.standard_normal(4), 1.0)
 
 
 class TestBaselineGd:

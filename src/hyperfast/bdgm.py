@@ -17,7 +17,8 @@ minimizer. A solve starts at x~, or at a given start inside that ball (the
 outer search passes the previous trial's answer; see solve()). The
 relative-smoothness constant of the model with respect to rho is at most
 STEP_SCALE = 2*(1 + 1/sqrt(2)), so a step at that scale always decreases
-the model; the difference step and the ball radius are derived for it. That bound is a worst case: relative smoothness needs the scale to bound
+the model; the difference step and the ball radius are derived for it.
+That bound is a worst case: relative smoothness needs the scale to bound
 only the model's curvature between the two points of a step, and near the
 minimizer the cubic term is small and scale 1 is nearly a Newton step. So
 the scale adapts in [1, STEP_SCALE]: each solve starts at 1, a step that
@@ -165,11 +166,9 @@ def setup(oracle: ProblemOracle, x_tilde: Vector, eps: float,
             f"anchor Hessian eigendecomposition failed: {exc}") from exc
     grad_norm0 = float(np.linalg.norm(g0))
     hess_norm0 = np.max(np.abs(evals))
-    solved_reason = None
     if grad_norm0 == 0.0:
-        delta = tau = tau_used = theta_abs = 0.0
-        ball = 0.0
-        solved_reason = "zero_gradient"
+        # The formulas divide by ||g0||.
+        delta = tau = tau_used = theta_abs = ball = 0.0
     else:
         # An eps or Hessian past the float range gives float64 an infinite
         # or NaN margin, which the floor test takes as the floor.
@@ -184,10 +183,9 @@ def setup(oracle: ProblemOracle, x_tilde: Vector, eps: float,
             terms = grad_norm0 if bound is None else max(bound, grad_norm0)
             noise = 4.0 * _EPS * (terms + hess_norm0 * ball + L3 * ball**3) / tau_used**2
             theta_abs = max(delta, 2.0 * noise)
-        if not theta_abs < gamma * grad_norm0:
-            # The certification margin exceeds what any iterate could attain:
-            # the anchor gradient is already at the accuracy floor for eps.
-            solved_reason = "accuracy_floor"
+    # A certification margin no iterate could attain: the anchor gradient is
+    # already at the accuracy floor for eps (a zero one too, as 0 < 0 fails).
+    solved_reason = None if theta_abs < gamma * grad_norm0 else "accuracy_floor"
     own.tau = float(tau_used)
     return BdgmState(
         x_tilde=x_tilde, gamma=float(gamma), g0=g0, B=B,
@@ -413,13 +411,12 @@ def solve(state: BdgmState, start: Vector | None = None) -> BdgmResult:
                 raise SubproblemError("non-finite target gradient at the answer")
             trunc = sum(p.oracle.lipschitz_L3 / 6.0 * p.tau for p in state.parts
                         if p.third is not None) * _norm(z - state.x_tilde) ** 3
-            if lhs <= state.gamma * grad_z_norm - state.theta_abs - trunc:
-                return BdgmResult(z, i, "certified", grad_z, part_grad)
-            # The certification line sits below the arithmetic floor and the
-            # truncation, so no further step can reach it. z already
-            # minimizes the model to that floor; hand it back as the same
-            # accuracy-floor outcome the setup short-circuit reports.
-            return BdgmResult(z, i, "accuracy_floor", grad_z, part_grad)
+            # At the floor no further step can reach a certification line
+            # below it and the truncation: z already minimizes the model to
+            # that floor, the same accuracy_floor outcome setup reports.
+            certified = lhs <= state.gamma * grad_z_norm - state.theta_abs - trunc
+            return BdgmResult(z, i, "certified" if certified else "accuracy_floor",
+                              grad_z, part_grad)
         z, g_hat, lhs, rho, scale = _accepted_step(state, z, g_hat, rho, scale)
     raise SubproblemError(
         f"no certificate in {_MAX_ITERS} iterations "

@@ -329,8 +329,9 @@ def baseline_gd(oracle: ProblemOracle, x0: Vector, steps: int) -> SolveResult:
     to decrease the objective; an objective that never decreases even at
     vanishing steps (for instance one returning NaN) is divergence. Each
     record reports the gradient at its own point, which the next step
-    reuses. The result has status "steps", f, grad_norm and the max_* norms
-    of its last record, and counts of the oracle calls since it started.
+    reuses; a zero one ends the run. The result has status "steps", f,
+    grad_norm and the max_* norms of its last record, and counts of the
+    oracle calls since it started.
     """
     co = counted(oracle)
     base = co.counts
@@ -369,7 +370,6 @@ def baseline_gd(oracle: ProblemOracle, x0: Vector, steps: int) -> SolveResult:
                 n_hess=co.n_hess - base["hess"], max_grad_norm=G_max,
                 max_hess_norm=hess_norm,
                 wall_ms=(time.perf_counter() - t_start) * 1e3,
-                reason="gd" if gn != 0.0 else "stationary",
                 n_value=co.n_value - base["value"], y=x.copy()))
             if gn == 0.0:
                 break

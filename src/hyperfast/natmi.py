@@ -50,9 +50,6 @@ _MAX_TRIALS = 60
 #: solve) the start stays at lam_{k-1}.
 _MAX_EXTRAPOLATE = 2.0
 
-#: Subproblem outcomes that end the outer loop instead of being stepped on.
-_TERMINAL = ("zero_gradient", "accuracy_floor")
-
 
 class LambdaSearchError(SolverError):
     """No acceptable step weight found; usually a mis-specified L3."""
@@ -138,7 +135,8 @@ class Trial(NamedTuple):
     """A subproblem builder's answer at one anchor, and its step weight.
 
     The builder fills the fields up to mid_iters: grad_y is the gradient the
-    dual update steps along, the anchor norms feed max_grad_norm /
+    dual update steps along, reason is "certified" (y meets the paper's
+    certificate) or "accuracy_floor", the anchor norms feed max_grad_norm /
     max_hess_norm, and sliding's levels pass h's gradient at y (part_grad)
     and the middle steps taken (mid_iters). accelerated_steps replaces the
     anchor norms by the largest over every trial of its run so far, and the
@@ -184,7 +182,6 @@ class IterationRecord:
     n_value: int = 0
     n_third: int = 0
     n_trials: int = 1
-    reason: str = "certified"
     y: Vector | None = None
     n_grad_g: int = 0
     n_hess_g: int = 0
@@ -249,21 +246,18 @@ def oracle_subproblem(cfg: NatmiConfig, oracle: ProblemOracle):
         spec = ModelSpec(oracle, x_t, cfg.xi * L3)
         if not (np.isfinite(spec.grad_anchor).all() and np.isfinite(spec.hess_anchor).all()):
             raise bdgm.SubproblemError("non-finite gradient or Hessian at the anchor")
-        ga_norm = float(np.linalg.norm(spec.grad_anchor))
-        h_norm = operator_norm(spec.hess_anchor)
-        if ga_norm == 0.0:
-            return Trial(x_t.copy(), spec.grad_anchor, 0, "zero_gradient",
-                         ga_norm, h_norm)
         y = exact_model_min(spec)
         grad_y = oracle.grad(y)
         if not np.isfinite(grad_y).all():
             raise bdgm.SubproblemError("non-finite target gradient at the answer")
-        # Fails at y = x~ (gamma < 1): an answer the float limit kept at the
-        # anchor is the floor.
+        # At y = x~ (gamma < 1) this fails unless grad f(x~) = 0, where
+        # 0 <= 0 certifies: an answer the float limit kept at the anchor of a
+        # nonzero gradient is the floor.
         lhs = np.linalg.norm(model_grad(spec, y))
         certified = lhs <= cfg.gamma * np.linalg.norm(grad_y)
         return Trial(y, grad_y, 0, "certified" if certified else "accuracy_floor",
-                     ga_norm, h_norm)
+                     float(np.linalg.norm(spec.grad_anchor)),
+                     operator_norm(spec.hess_anchor))
 
     return exact
 
@@ -275,9 +269,10 @@ def search_lambda(make_trial, L3: float, xi: float, lam_warm: float | None,
     The window statistic is w = lam*H*r^2/2 with H = xi*L3. With A = 0 (the
     first step, where lam_warm is None) the anchor does not depend on
     lambda, so a single subproblem solve fixes r and lambda is set
-    analytically to hit the window midpoint. An answer at the anchor
-    (r = 0) is returned as it is when its gradient is exactly zero, a
-    stationary start where outer_loop stops, and is an error otherwise.
+    analytically to hit the window midpoint. An accuracy_floor answer is
+    returned as it is, on either path. So is an answer at the anchor (r = 0)
+    whose gradient is exactly zero, a stationary start where outer_loop
+    stops; r = 0 with a nonzero gradient is an error.
     Otherwise start at lam_warm (accelerated_steps passes the previous
     lambda, extrapolated and aimed at the midpoint while it grows steadily)
     and take secant steps on (log lambda, log w) aimed at the window
@@ -290,7 +285,7 @@ def search_lambda(make_trial, L3: float, xi: float, lam_warm: float | None,
     """
     if A == 0.0:
         t = make_trial(1.0)
-        if t.reason in _TERMINAL or (t.r == 0.0 and not t.grad_y.any()):
+        if t.reason == "accuracy_floor" or (t.r == 0.0 and not t.grad_y.any()):
             return t, 1
         if t.r == 0.0:
             raise LambdaSearchError("subproblem returned the anchor with a "
@@ -305,7 +300,7 @@ def search_lambda(make_trial, L3: float, xi: float, lam_warm: float | None,
     lo = hi = prev = None  # below-window, above-window and previous trials
     for n_trials in range(1, _MAX_TRIALS + 1):
         t = make_trial(lam)
-        if t.reason in _TERMINAL or WINDOW_LO <= t.w <= WINDOW_HI:
+        if t.reason == "accuracy_floor" or WINDOW_LO <= t.w <= WINDOW_HI:
             return t, n_trials
         if t.w < WINDOW_LO:
             lo = t
@@ -341,10 +336,9 @@ def accelerated_steps(subproblem, L3: float, xi: float, x0: Vector, k_max: int):
     search's first trial and the previous trial's y for each later one: the
     anchors of one search lie on one segment, so their answers lie close
     together, and the inexact builder starts its solve there. The generator
-    ends after a terminal answer (zero_gradient, accuracy_floor) and after
-    k_max steps; otherwise, when resumed, it takes the dual step
-    x -= a*grad_y and moves y to the answer. The caller decides whether to
-    resume. Each yielded trial's anchor norms are the largest over every
+    ends after an accuracy_floor answer and after k_max steps; otherwise,
+    when resumed, it takes the dual step x -= a*grad_y and moves y to the
+    answer. The caller decides whether to resume. Each yielded trial's anchor norms are the largest over every
     trial of the run so far.
 
     Each search starts at the previous step's lambda. From step 3 on, while
@@ -388,7 +382,7 @@ def accelerated_steps(subproblem, L3: float, xi: float, x0: Vector, k_max: int):
             seed *= rho * (_WINDOW_MID / w_prev) ** (1.0 / _FIRST_SLOPE)
         t, n_trials = search_lambda(make_trial, L3, xi, seed, A)
         yield t, n_trials
-        if t.reason in _TERMINAL:
+        if t.reason == "accuracy_floor":
             return
         x = x - t.a * t.grad_y
         y = t.y
@@ -471,7 +465,7 @@ def outer_loop(subproblem, L3: float, x0: Vector, cfg: NatmiConfig,
                 max_grad_norm=peak_grad, max_hess_norm=peak_hess, wall_ms=wall_ms,
                 sigma_observed=sigma_obs, window_value=t.w,
                 n_value=_total(c, "value"), n_third=_total(c, "third"),
-                n_trials=n_trials, reason=t.reason, y=y.copy(),
+                n_trials=n_trials, y=y.copy(),
                 n_grad_g=c.get("grad_g", 0), n_hess_g=c.get("hess_g", 0),
                 n_grad_h=c.get("grad_h", 0), n_hess_h=c.get("hess_h", 0),
                 n_third_g=c.get("third_g", 0),

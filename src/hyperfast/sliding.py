@@ -35,7 +35,6 @@ import numpy as np
 
 from . import bdgm
 from .natmi import (
-    _TERMINAL,
     NatmiConfig,
     SolveResult,
     Trial,
@@ -84,9 +83,9 @@ def _middle_solve(cfg: NatmiConfig, prob: CompositeProblem, gspec: ModelSpec,
     which each middle trial calls with gspec as the model.
 
     Answers the outer trial with T, grad f(T), the inner iterations of all
-    middle steps and reason "certified", or "accuracy_floor" when a terminal
-    middle trial fails the certificate. Its anchor norms are the largest
-    over every middle trial; the first is anchored at x_start.
+    middle steps and reason "certified", or "accuracy_floor" when an
+    accuracy_floor middle trial fails the certificate. Its anchor norms are
+    the largest over every middle trial; the first is anchored at x_start.
     """
     mid_iters = inner_total = 0
     for t, _ in accelerated_steps(lambda x_tm, start: inner(x_tm, gspec, start),
@@ -97,7 +96,7 @@ def _middle_solve(cfg: NatmiConfig, prob: CompositeProblem, gspec: ModelSpec,
         grad_f_T = prob.g.grad(t.y) + t.part_grad
         lhs = float(np.linalg.norm(t.grad_y))
         member = lhs <= cfg.gamma * float(np.linalg.norm(grad_f_T))
-        if member or t.reason in _TERMINAL:
+        if member or t.reason == "accuracy_floor":
             return Trial(t.y, grad_f_T, inner_total,
                          "certified" if member else "accuracy_floor",
                          t.grad_anchor_norm, t.hess_anchor_norm,
@@ -138,10 +137,7 @@ def solve_sliding(prob: CompositeProblem, x0: Vector,
     def subproblem(x_t: Vector, start: Vector | None = None) -> Trial:
         nonlocal last_T
         spec = ModelSpec(g, x_t, H_g)
-        gf_anchor = spec.grad_anchor + h.grad(x_t)
-        gf_norm = float(np.linalg.norm(gf_anchor))
-        if gf_norm == 0.0:
-            return Trial(x_t.copy(), gf_anchor, 0, "zero_gradient", 0.0, 0.0)
+        gf_norm = float(np.linalg.norm(spec.grad_anchor + h.grad(x_t)))
         t = _middle_solve(cfg, prob, spec, x_t if last_T is None else last_T, inner)
         last_T = t.y
         return t._replace(grad_anchor_norm=max(t.grad_anchor_norm, gf_norm))

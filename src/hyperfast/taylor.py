@@ -34,20 +34,18 @@ EXACT_MAX_DIM = 50
 
 
 def fd_third_action(oracle: ProblemOracle, x: Vector, s: Vector, tau: float,
-                    g0: Vector | None = None) -> Vector:
+                    g0: Vector) -> Vector:
     """Estimate D3f(x)[s, s] by a second central difference of the gradient.
 
     Exact (up to roundoff) whenever the gradient is cubic along s, e.g. on
-    the quartic family; otherwise the error is quadratic in tau. Pass the
-    cached gradient at x as g0 to spend two gradient calls instead of three.
+    the quartic family; otherwise the error is quadratic in tau. g0 is the
+    cached gradient at x, so the estimate spends two gradient calls.
     """
     tau = float(tau)
     if tau <= 0.0:
         raise ValueError("tau must be positive")
     x = np.asarray(x, dtype=np.float64)
     s = np.asarray(s, dtype=np.float64)
-    if g0 is None:
-        g0 = oracle.grad(x)
     plus = oracle.grad(x + tau * s)
     minus = oracle.grad(x - tau * s)
     return (plus + minus - 2.0 * g0) / (tau * tau)

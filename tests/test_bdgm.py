@@ -65,22 +65,23 @@ class _Cubic1D(ProblemOracle):
 class TestFdThirdAction:
     def test_zero_direction(self):
         orc = QuarticObjective(np.eye(2), np.zeros(2), 1.0)
-        out = fd_third_action(orc, np.ones(2), np.zeros(2), 1e-3)
+        out = fd_third_action(orc, np.ones(2), np.zeros(2), 1e-3, orc.grad(np.ones(2)))
         np.testing.assert_array_equal(out, np.zeros(2))
 
     def test_quadratic_gives_zero(self):
         orc = QuarticObjective(np.diag([2.0, 5.0]), np.array([1.0, -1.0]), 0.0)
         rng = np.random.default_rng(1)
         for tau in (1e-1, 1e-3):
-            out = fd_third_action(orc, rng.standard_normal(2),
-                                  rng.standard_normal(2), tau)
+            x = rng.standard_normal(2)
+            out = fd_third_action(orc, x, rng.standard_normal(2), tau, orc.grad(x))
             np.testing.assert_allclose(out, 0.0, atol=1e-9)
 
     def test_cubic_is_exact(self):
         orc = _Cubic1D()
         for z in (0.5, -2.0, 3.0):
             for tau in (1e-1, 1e-4):
-                out = fd_third_action(orc, np.zeros(1), np.array([z]), tau)
+                out = fd_third_action(orc, np.zeros(1), np.array([z]), tau,
+                                      orc.grad(np.zeros(1)))
                 assert out[0] == pytest.approx(6.0 * z * z, rel=1e-9)
 
     def test_exact_on_quartics_for_any_step(self):
@@ -90,7 +91,7 @@ class TestFdThirdAction:
         s = rng.standard_normal(3)
         want = orc.third_action(x, s)
         for tau in (0.5, 1e-2, 1e-4):
-            got = fd_third_action(orc, x, s, tau)
+            got = fd_third_action(orc, x, s, tau, orc.grad(x))
             np.testing.assert_allclose(got, want, rtol=1e-7, atol=1e-9)
 
     def test_quadratic_convergence_on_logistic(self):
@@ -100,26 +101,24 @@ class TestFdThirdAction:
         rng = np.random.default_rng(5)
         x = rng.standard_normal(8) * 0.3
         s = rng.standard_normal(8)
-        exact = orc.third_action(x, s)
-        wide = float(np.linalg.norm(fd_third_action(orc, x, s, 2e-2) - exact))
-        narrow = float(np.linalg.norm(fd_third_action(orc, x, s, 1e-2) - exact))
+        exact, g0 = orc.third_action(x, s), orc.grad(x)
+        wide = float(np.linalg.norm(fd_third_action(orc, x, s, 2e-2, g0) - exact))
+        narrow = float(np.linalg.norm(fd_third_action(orc, x, s, 1e-2, g0) - exact))
         assert 3.5 <= wide / narrow <= 4.5
 
     def test_cached_gradient_saves_one_call(self):
+        # The cached anchor gradient stands in for a third gradient call.
         co = counted(QuarticObjective(np.eye(2), np.ones(2), 0.5))
         x, s = np.zeros(2), np.ones(2)
         g0 = co.grad(x)
         co.reset()
-        fd_third_action(co, x, s, 1e-2)
-        assert co.n_grad == 3
-        co.reset()
-        fd_third_action(co, x, s, 1e-2, g0=g0)
+        fd_third_action(co, x, s, 1e-2, g0)
         assert co.n_grad == 2
 
     def test_nonpositive_step_rejected(self):
         orc = QuarticObjective(np.eye(1), np.zeros(1), 1.0)
         with pytest.raises(ValueError):
-            fd_third_action(orc, np.zeros(1), np.ones(1), 0.0)
+            fd_third_action(orc, np.zeros(1), np.ones(1), 0.0, np.zeros(1))
 
 
 class TestSetup:
@@ -142,11 +141,13 @@ class TestSetup:
         assert st.ball_radius == pytest.approx(BALL_EXAMPLE, rel=1e-12)
 
     def test_zero_gradient_short_circuit(self):
+        # A zero anchor gradient fails the floor test theta_abs < gamma*||g0||
+        # as 0 < 0: the anchor is the floor answer, with no step taken.
         orc = QuarticObjective(np.eye(2), np.zeros(2), 1.0)
         st = bdgm.setup(orc, np.zeros(2), eps=1e-8)
-        assert st.solved_reason == "zero_gradient"
+        assert st.solved_reason == "accuracy_floor"
         res = bdgm.solve(st)
-        assert res.iters == 0
+        assert (res.iters, res.reason) == (0, "accuracy_floor")
         np.testing.assert_array_equal(res.z, np.zeros(2))
 
     def test_accuracy_floor_short_circuit(self):

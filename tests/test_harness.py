@@ -443,7 +443,6 @@ class TestBaselineGd:
         orc = QuarticObjective(np.eye(2), np.zeros(2), 0.5)
         recs = baseline_gd(orc, np.zeros(2), 50).records
         assert len(recs) == 1
-        assert recs[0].reason == "stationary"
         assert recs[0].grad_norm == 0.0
 
     def test_nan_objective_raises(self):

@@ -698,6 +698,18 @@ class TestSolveEndToEnd:
         assert res.records == ()
         np.testing.assert_array_equal(res.y, np.zeros(2))
 
+    def test_exact_zero_gradient_start_is_stationary(self):
+        """natmi_exact at the optimum of a quartic: the model minimizer is
+        the anchor, whose zero gradient certifies (0 <= 0), and the search
+        returns it, so outer_loop stops stationary at x0 with no row."""
+        orc = QuarticObjective(np.eye(2), np.zeros(2), 1.0)
+        res = solve(NatmiConfig(subsolver="exact"), orc, np.zeros(2))
+        assert (res.status, res.converged, res.iters, res.records) == (
+            "stationary", True, 0, ())
+        np.testing.assert_array_equal(res.y, np.zeros(2))
+        assert res.grad_norm == 0.0
+        assert res.counts == {"value": 2, "grad": 2, "hess": 1, "third": 2}
+
     @pytest.mark.parametrize("reason", ["certified", "accuracy_floor"])
     def test_zero_gradient_answer_is_stationary(self, reason):
         """A builder that answers the optimum of x^2/2 from x0 = 2, with its

@@ -217,7 +217,15 @@ class TestCompositeSolve:
         res = solve_sliding(prob, np.zeros(2), NatmiConfig(eps=1e-8, k_max=10))
         assert res.counts["hess_g"] < res.counts["hess_h"]
 
-    def test_record_invariants(self):
+    def test_record_invariants(self, monkeypatch):
+        middle_solve = sliding._middle_solve
+        trials = []
+
+        def spy(*args):
+            trials.append(middle_solve(*args))
+            return trials[-1]
+
+        monkeypatch.setattr(sliding, "_middle_solve", spy)
         rng = np.random.default_rng(36)
         g = QuarticObjective(0.1 * np.eye(3), 0.1 * rng.standard_normal(3), 0.1)
         h = QuarticObjective(np.eye(3), rng.standard_normal(3), 1.0)
@@ -227,7 +235,9 @@ class TestCompositeSolve:
         grads = [rec.n_grad for rec in res.records]
         assert all(b > a for a, b in zip(grads, grads[1:]))
         for rec in res.records:
-            assert rec.reason == "certified"
+            # Each step is the answer of one outer trial, a certified one.
+            assert [t.reason for t in trials
+                    if np.array_equal(t.y, rec.y)] == ["certified"]
             assert rec.mid_iters >= 1
             assert 0.5 - 1e-12 <= rec.window_value <= 0.75 + 1e-12
             assert rec.sigma_observed <= 0.6 + 1e-8
@@ -247,6 +257,12 @@ class TestCompositeSolve:
         assert res.iters == 0
         assert res.records == ()
         np.testing.assert_array_equal(res.y, np.zeros(2))
+        # The outer builder takes g's model and h's gradient at x0. Its one
+        # middle trial's inner setup (h's gradient and Hessian, the g-model's
+        # gradient and Hessian: two third calls) answers the zero gradient at
+        # the floor, and the middle certificate (0 <= 0) takes g's gradient.
+        assert res.counts == {"value_g": 2, "grad_g": 2, "hess_g": 1, "third_g": 2,
+                              "value_h": 1, "grad_h": 2, "hess_h": 1, "third_h": 0}
 
     def test_invalid_regime_rejected(self):
         prob = CompositeProblem(

@@ -211,9 +211,10 @@ class SolveResult:
 
 def oracle_subproblem(cfg: NatmiConfig, oracle: ProblemOracle):
     """Subproblem builder for a single function: the regularized third-order
-    model of oracle at each anchor, solved by the inexact engine or, with
-    subsolver="exact", by the reference Newton minimizer; either answers
-    "certified" on the paper's certificate, else "accuracy_floor". The
+    model of oracle at each anchor, solved by the inexact engine, which
+    stops at its first certified iterate (bdgm.solve's certificate_stop),
+    or, with subsolver="exact", by the reference Newton minimizer; either
+    answers "certified" on the paper's certificate, else "accuracy_floor". The
     inexact builder takes (x_t, model=None, start=None), model a ModelSpec
     added as a second part (sliding's g-model, anchored at the outer anchor)
     and start the point bdgm.solve starts at when it lies in the anchor
@@ -233,7 +234,7 @@ def oracle_subproblem(cfg: NatmiConfig, oracle: ProblemOracle):
         def inexact(x_t: Vector, model: ModelSpec | None = None,
                     start: Vector | None = None) -> Trial:
             sub = bdgm.setup(oracle, x_t, cfg.eps, cfg.gamma, model)
-            res = bdgm.solve(sub, start=start)
+            res = bdgm.solve(sub, start=start, certificate_stop=True)
             return Trial(res.z, res.grad_at_z, res.iters, res.reason,
                          sub.grad_norm0, sub.hess_norm0, res.oracle_grad_at_z)
 

@@ -3,12 +3,15 @@
 Covers the difference formula for third-derivative actions, the setup
 arithmetic (difference step, ball radius, accuracy floor), single Bregman
 steps against scalar and dense reference solves, full certified solves
-against the damped-Newton reference minimizer, and the solve's oracle budget
-and step-scale contract.
+against the damped-Newton reference minimizer, the solve's oracle budget and
+step-scale contract, and the certificate stop of the outer loop's inner
+solves.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hyperfast import bdgm
 from hyperfast.bdgm import (
@@ -671,3 +674,99 @@ class TestWarmStart:
                 assert warm.reason in ("certified", "accuracy_floor")
                 assert np.linalg.norm(warm.z - cold.z) <= 1e-4 * (1.0 + np.linalg.norm(cold.z))
         assert warm_tries < cold_tries
+
+
+def _anchor(kind, seed):
+    """A subproblem anchor of the given kind: a convex quartic, a logistic
+    loss, or sliding's two parts, a logistic h beside the model of a
+    quartic g with 1e-3 of h's L3 (as on sliding_bench). Returns the
+    oracle, the anchor and the model part, or None."""
+    rng = np.random.default_rng(seed)
+    if kind == "quartic":
+        n = int(rng.integers(1, 5))
+        M = rng.standard_normal((n, n))
+        orc = QuarticObjective(M @ M.T / n, rng.standard_normal(n), rng.uniform(0.05, 1.0))
+        return orc, 0.5 * rng.standard_normal(n), None
+    n = int(rng.integers(2, 10))
+    orc = LogisticLoss(synth_logreg(seed, int(rng.integers(20, 80)), n), ridge=1e-3)
+    x = 0.5 * rng.standard_normal(n)
+    if kind == "logistic":
+        return orc, x, None
+    g = QuarticObjective(0.1 * np.eye(n), 0.1 * rng.standard_normal(n),
+                         1e-3 * orc.lipschitz_L3 / 6.0)
+    return orc, x, ModelSpec(g, x, H=1.5 * g.lipschitz_L3)
+
+
+class TestCertificateStop:
+    """solve(state, certificate_stop=True), the inner solve of the outer
+    loop's builder, also checks the certificate above the floor and answers
+    at the first iterate that passes."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(kind=st.sampled_from(["quartic", "logistic", "sliding"]),
+           seed=st.integers(0, 2**16), eps=st.sampled_from([1e-6, 1e-8, 1e-10]),
+           warm=st.booleans())
+    def test_answer_line_ball_steps_and_gradients(self, kind, seed, eps, warm):
+        """A certified answer meets the line recomputed from grad_at_z and
+        from the oracle, every answer lies in the ball, and the solve takes
+        no more accepted steps than the floor solve of the same state; an
+        accuracy_floor answer is the floor solve's. Its oracle gradients are
+        two per approx_grad, at each try and at a start inside the ball, plus
+        one per certificate check, with at most one check per iterate."""
+        orc, x, model = _anchor(kind, seed)
+        start = None
+        if warm:
+            near = x + 0.05 * np.random.default_rng(seed + 1).standard_normal(x.size)
+            start = bdgm.solve(bdgm.setup(orc, near, eps, model=model)).z
+        co = counted(orc)
+        state = bdgm.setup(co, x, eps, model=model)
+        floor = bdgm.solve(state, start)
+        started = (start is not None and state.solved_reason is None
+                   and np.linalg.norm(start - x) <= state.ball_radius)
+        with pytest.MonkeyPatch.context() as patch:
+            steps = _recording_steps(patch)
+            checks = []
+            target_grad = bdgm._target_grad
+
+            def counting(state, z):
+                checks.append(z.copy())
+                return target_grad(state, z)
+
+            patch.setattr(bdgm, "_target_grad", counting)
+            co.reset()
+            res = bdgm.solve(state, start, certificate_stop=True)
+            assert co.n_grad == 2 * (len(steps) + started) + len(checks)
+        assert len(checks) <= res.iters + 1
+        assert res.iters <= floor.iters
+        assert np.linalg.norm(res.z - x) <= state.ball_radius * (1.0 + 1e-9)
+        if res.reason == "accuracy_floor":
+            _same_result(res, floor)
+            return
+        assert res.reason == "certified"
+        lhs = np.linalg.norm(approx_grad(state, res.z))
+        trunc = (orc.lipschitz_L3 / 6.0 * state.parts[0].tau
+                 * np.linalg.norm(res.z - x) ** 3)
+        recomputed = orc.grad(res.z)
+        if model is not None:
+            recomputed = recomputed + model_grad(model, res.z)
+        for grad in (res.grad_at_z, recomputed):
+            assert lhs <= state.gamma * np.linalg.norm(grad) - state.theta_abs - trunc
+
+    def test_stops_before_the_floor(self):
+        """On logistic anchors, alone and with a model part, the stop saves
+        accepted steps and oracle gradients against the floor solve."""
+        for kind in ("logistic", "sliding"):
+            saved_steps = saved_grads = 0
+            for seed in range(4):
+                orc, x, model = _anchor(kind, seed)
+                co = counted(orc)
+                state = bdgm.setup(co, x, 1e-9, model=model)
+                co.reset()
+                floor = bdgm.solve(state)
+                floor_grads = co.n_grad
+                co.reset()
+                res = bdgm.solve(state, certificate_stop=True)
+                assert res.reason == "certified"
+                saved_steps += floor.iters - res.iters
+                saved_grads += floor_grads - co.n_grad
+            assert saved_steps > 0 and saved_grads > 0

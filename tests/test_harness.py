@@ -626,30 +626,31 @@ class TestRun:
 class TestNonFiniteGradient:
     """A NaN gradient in the middle of a solve stops it at once with a
     SubproblemError that names it, instead of failing later in a radius
-    solve."""
+    solve. The clean run makes 151 gradients and 8 steps, the 7th ending
+    at gradient 85, so a NaN from call 100 on fails step 8's search."""
 
     @pytest.fixture
-    def nan_from_call_200(self, monkeypatch):
+    def nan_from_call_100(self, monkeypatch):
         clean = LogisticLoss.grad
         calls = [0]
 
         def grad(self, x):
             calls[0] += 1
             g = clean(self, x)
-            return g * math.nan if calls[0] >= 200 else g
+            return g * math.nan if calls[0] >= 100 else g
 
         monkeypatch.setattr(LogisticLoss, "grad", grad)
 
-    def test_partial_trace_keeps_error_footer(self, tmp_path, nan_from_call_200):
+    def test_partial_trace_keeps_error_footer(self, tmp_path, nan_from_call_100):
         trace = tmp_path / "t.csv"
         with pytest.raises(SubproblemError, match="non-finite"):
             run(build_run_config({"problem": "logreg_fixture", "eps": "1e-9",
                                   "trace": str(trace)}))
         last = trace.read_text().splitlines()[-1]
         assert last.startswith("# ERROR: SubproblemError: non-finite")
-        assert 0 < len(read_trace(trace)) < 15
+        assert len(read_trace(trace)) == 7
 
-    def test_cli_exit_three(self, nan_from_call_200, capsys):
+    def test_cli_exit_three(self, nan_from_call_100, capsys):
         assert cli.main(["solve", "--problem", "logreg_fixture",
                          "--eps", "1e-9"]) == 3
         lines = capsys.readouterr().err.splitlines()

@@ -490,13 +490,15 @@ class TestOuterSearchStart:
         sliding_bench seed 36 at eps 1e-10 that start is the trial that finds
         the floor at step 3; a start scaled past lam_{k-1} takes a fourth
         step and more Hessians. Each middle trial after the first of its
-        search starts its inner solve at the previous trial's answer, which
-        moves the h-gradients only (330 when every solve started at x~)."""
+        search starts its inner solve at the previous trial's answer, and
+        every inner solve stops at its first certified iterate; both move
+        the h-gradients only (330 with cold floor solves, 272 with warm
+        floor solves)."""
         bundle, cfg = _sliding_bench(36, 1e-10)
         res = solve_sliding(bundle.composite(), bundle.x0, cfg)
         assert (res.status, res.iters) == ("accuracy_floor", 3)
         assert {key: res.counts[key] for key in ("hess_g", "hess_h", "grad_h")} == {
-            "hess_g": 7, "hess_h": 13, "grad_h": 272}
+            "hess_g": 7, "hess_h": 13, "grad_h": 189}
 
 
 class TestWrongL3Hint:

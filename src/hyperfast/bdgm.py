@@ -359,7 +359,7 @@ def _target_grad(state: BdgmState, z: Vector) -> tuple[Vector, Vector, float]:
     grad_z = sum(grads[1:], grads[0])
     grad_z_norm = _norm(grad_z)
     if not math.isfinite(grad_z_norm):
-        raise SubproblemError("non-finite target gradient at the answer")
+        raise SubproblemError("non-finite target gradient at a certificate check")
     return grad_z, grads[0], grad_z_norm
 
 

@@ -680,7 +680,7 @@ def _anchor(kind, seed):
     """A subproblem anchor of the given kind: a convex quartic, a logistic
     loss, or sliding's two parts, a logistic h beside the model of a
     quartic g with 1e-3 of h's L3 (as on sliding_bench). Returns the
-    oracle, the anchor and the model part, or None."""
+    oracle, the anchor and the model part (None without one)."""
     rng = np.random.default_rng(seed)
     if kind == "quartic":
         n = int(rng.integers(1, 5))

@@ -146,8 +146,8 @@ def setup(oracle: ProblemOracle, x_tilde: Vector, eps: float,
     eps alone sets the truncation budget delta = eps^1.5/(sqrt(||g0||) +
     ||B||^1.5/sqrt(L3)), and a margin past float64's range is the floor."""
     eps = np.float64(eps)
-    if eps <= 0.0:
-        raise ValueError("eps must be positive")
+    if not (0.0 < eps < math.inf):
+        raise ValueError("eps must be positive and finite")
     x_tilde = np.array(x_tilde, dtype=np.float64)
     own = ModelSpec(oracle, x_tilde, XI * oracle.lipschitz_L3, third=fd_third_action)
     own.quartic = oracle.lipschitz_L3  # 2*H/3 can miss L3 by an ulp

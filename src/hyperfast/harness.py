@@ -369,8 +369,7 @@ def baseline_gd(oracle: ProblemOracle, x0: Vector, steps: int) -> SolveResult:
                 A=0.0, inner_iters=0, n_grad=co.n_grad - base["grad"],
                 n_hess=co.n_hess - base["hess"], max_grad_norm=G_max,
                 max_hess_norm=hess_norm,
-                wall_ms=(time.perf_counter() - t_start) * 1e3,
-                n_value=co.n_value - base["value"], y=x.copy()))
+                wall_ms=(time.perf_counter() - t_start) * 1e3, y=x.copy()))
             if gn == 0.0:
                 break
     except SolverError as exc:

@@ -139,9 +139,10 @@ class Trial(NamedTuple):
     certificate) or "accuracy_floor", the anchor norms feed max_grad_norm /
     max_hess_norm, and sliding's levels pass h's gradient at y (part_grad)
     and the middle steps taken (mid_iters). accelerated_steps replaces the
-    anchor norms by the largest over every trial of its run so far, and the
-    search fills the rest, w being the window statistic lam*H*r^2/2, H =
-    xi*L3 and r = ||y - x~||.
+    anchor norms by the largest over every trial of its run so far and
+    fills the rest: r = ||y - x~|| and the window statistic w = lam*H*r^2/2,
+    H = xi*L3, which it alone forms. The first step's search then rescales
+    lam, a, A_next and w.
     """
 
     y: Vector
@@ -179,8 +180,6 @@ class IterationRecord:
     wall_ms: float
     sigma_observed: float = 0.0
     window_value: float = 0.0
-    n_value: int = 0
-    n_third: int = 0
     n_trials: int = 1
     y: Vector | None = None
     n_grad_g: int = 0
@@ -263,17 +262,18 @@ def oracle_subproblem(cfg: NatmiConfig, oracle: ProblemOracle):
     return exact
 
 
-def search_lambda(make_trial, L3: float, xi: float, lam_warm: float | None,
-                  A: float) -> tuple[Trial, int]:
+def search_lambda(make_trial, lam_warm: float | None, A: float) -> tuple[Trial, int]:
     """Find a step weight whose trial lands in the window.
 
-    The window statistic is w = lam*H*r^2/2 with H = xi*L3. With A = 0 (the
-    first step, where lam_warm is None) the anchor does not depend on
-    lambda, so a single subproblem solve fixes r and lambda is set
-    analytically to hit the window midpoint. An accuracy_floor answer is
-    returned as it is, on either path. So is an answer at the anchor (r = 0)
-    whose gradient is exactly zero, a stationary start where outer_loop
-    stops; r = 0 with a nonzero gradient is an error.
+    make_trial(lam) answers a Trial carrying its window statistic w; the
+    search reads only each trial's lam, w, r, reason and grad_y. With A = 0
+    (the first step, where lam_warm is None) the anchor does not depend on
+    lambda, so w is linear in lambda: a single subproblem solve at lambda =
+    1 gives w(1), and lambda = 0.625/w(1) hits the window midpoint. An
+    accuracy_floor answer is returned as it is, on either path. So is an
+    answer at the anchor (r = 0) whose gradient is exactly zero, a
+    stationary start where outer_loop stops; r = 0 with a nonzero gradient
+    is an error.
     Otherwise start at lam_warm (accelerated_steps passes the previous
     lambda, extrapolated and aimed at the midpoint while it grows steadily)
     and take secant steps on (log lambda, log w) aimed at the window
@@ -291,11 +291,10 @@ def search_lambda(make_trial, L3: float, xi: float, lam_warm: float | None,
         if t.r == 0.0:
             raise LambdaSearchError("subproblem returned the anchor with a "
                                     "nonzero gradient at the start point")
-        lam = _WINDOW_MID / (0.5 * xi * L3 * t.r * t.r)
+        lam = _WINDOW_MID / t.w
         # a = lam when A = 0, so the anchor and the solved subproblem are
         # unchanged; only the bookkeeping weights move.
-        return t._replace(lam=lam, a=lam, A_next=lam,
-                          w=lam * (0.5 * xi) * L3 * t.r * t.r), 1
+        return t._replace(lam=lam, a=lam, A_next=lam, w=lam * t.w), 1
 
     lam = lam_warm
     lo = hi = prev = None  # below-window, above-window and previous trials
@@ -323,23 +322,24 @@ def search_lambda(make_trial, L3: float, xi: float, lam_warm: float | None,
             lam *= min(max(step, 1.0 / _MAX_STEP), _MAX_STEP)
         prev = t
     raise LambdaSearchError(
-        f"window not hit within {_MAX_TRIALS} trials (L3 = {L3:.6g}, "
-        f"last lambda = {t.lam:.6g}, w = {t.w:.6g}); check the oracle's L3")
+        f"window not hit within {_MAX_TRIALS} trials (last lambda = "
+        f"{t.lam:.6g}, w = {t.w:.6g}); check the oracle's L3")
 
 
 def accelerated_steps(subproblem, L3: float, xi: float, x0: Vector, k_max: int):
     """The accelerated scheme: yield (trial, n_trials) per window search.
 
-    The window statistic is the paper's w = lam*H*r^2/2 with H = xi*L3.
     Each step blends the anchor x~ = (A*y + a*x)/(A + a) for a trial lambda,
     asks subproblem(x~, start=...) for a Trial, and lets search_lambda pick
-    the lambda whose answer lands in the window. start is None for a
-    search's first trial and the previous trial's y for each later one: the
-    anchors of one search lie on one segment, so their answers lie close
-    together, and the inexact builder starts its solve there. The generator
-    ends after an accuracy_floor answer and after k_max steps; otherwise,
-    when resumed, it takes the dual step x -= a*grad_y and moves y to the
-    answer. The caller decides whether to resume. Each yielded trial's anchor norms are the largest over every
+    the lambda whose answer lands in the window. Each trial carries the
+    paper's window statistic w = lam*H*r^2/2 with H = xi*L3, formed here and
+    nowhere else. start is None for a search's first trial and the previous
+    trial's y for each later one: the anchors of one search lie on one
+    segment, so their answers lie close together, and the inexact builder
+    starts its solve there. The generator ends after an accuracy_floor
+    answer and after k_max steps; otherwise, when resumed, it takes the dual
+    step x -= a*grad_y and moves y to the answer. The caller decides whether
+    to resume. Each yielded trial's anchor norms are the largest over every
     trial of the run so far.
 
     Each search starts at the previous step's lambda. From step 3 on, while
@@ -381,7 +381,7 @@ def accelerated_steps(subproblem, L3: float, xi: float, x0: Vector, k_max: int):
         seed = lam_prev
         if rho <= _MAX_EXTRAPOLATE:
             seed *= rho * (_WINDOW_MID / w_prev) ** (1.0 / _FIRST_SLOPE)
-        t, n_trials = search_lambda(make_trial, L3, xi, seed, A)
+        t, n_trials = search_lambda(make_trial, seed, A)
         yield t, n_trials
         if t.reason == "accuracy_floor":
             return
@@ -400,13 +400,14 @@ def start_point(objective: ProblemOracle, x0: Vector) -> Vector:
         raise ConfigError(f"x0: {exc}") from exc
 
 
-def outer_loop(subproblem, L3: float, x0: Vector, cfg: NatmiConfig,
+def outer_loop(subproblem, x0: Vector, cfg: NatmiConfig,
                objective, counts) -> SolveResult:
     """Run accelerated_steps for up to cfg.k_max steps and keep the records.
 
     objective is the minimized function's oracle, and counts() returns its
-    oracle call totals. The window uses H = cfg.xi*L3; the regime was
-    enforced when oracle_subproblem built the builder, and x0 passes
+    oracle call totals. The window uses H = cfg.xi*L3 with the modeled
+    part's L3: objective.g's for a composite, else objective's. The regime
+    was enforced when oracle_subproblem built the builder, and x0 passes
     start_point before the first oracle call.
 
     Stops, in the order tested: stationary (the first trial whose grad_y is
@@ -419,6 +420,7 @@ def outer_loop(subproblem, L3: float, x0: Vector, cfg: NatmiConfig,
     a row: the regime's contraction failed, most likely from an L3 below the
     true one, and the message adds bdgm.l3_hint.
     """
+    modeled = getattr(objective, "g", objective)
     base = counts()
     y = start_point(objective, x0)
     sigma_bound = validate_params(cfg).sigma
@@ -427,7 +429,8 @@ def outer_loop(subproblem, L3: float, x0: Vector, cfg: NatmiConfig,
     records: list[IterationRecord] = []
     t_start = time.perf_counter()
     try:
-        for t, n_trials in accelerated_steps(subproblem, L3, cfg.xi, y, cfg.k_max):
+        for t, n_trials in accelerated_steps(subproblem, modeled.lipschitz_L3,
+                                             cfg.xi, y, cfg.k_max):
             # t's anchor norms are the largest over every trial so far; the
             # gradient peak also takes the norms at accepted iterates.
             peak_grad = max(peak_grad, t.grad_anchor_norm)
@@ -450,11 +453,10 @@ def outer_loop(subproblem, L3: float, x0: Vector, cfg: NatmiConfig,
                 drift = t.y - (t.x_tilde - t.lam * t.grad_y)
                 sigma_obs = float(np.linalg.norm(drift)) / t.r
             if sigma_obs > sigma_bound:
-                # The window's L3 is the modeled part's: g's for a composite.
                 raise SolverError(
                     f"step {len(records) + 1}: sigma_observed {sigma_obs:.4g} "
                     f"exceeds the regime's sigma {sigma_bound:.4g}"
-                    + bdgm.l3_hint(getattr(objective, "g", objective)))
+                    + bdgm.l3_hint(modeled))
             y = t.y
             f_y = objective.value(y)
             wall_ms = (time.perf_counter() - t_start) * 1e3
@@ -465,7 +467,6 @@ def outer_loop(subproblem, L3: float, x0: Vector, cfg: NatmiConfig,
                 n_grad=_total(c, "grad"), n_hess=_total(c, "hess"),
                 max_grad_norm=peak_grad, max_hess_norm=peak_hess, wall_ms=wall_ms,
                 sigma_observed=sigma_obs, window_value=t.w,
-                n_value=_total(c, "value"), n_third=_total(c, "third"),
                 n_trials=n_trials, y=y.copy(),
                 n_grad_g=c.get("grad_g", 0), n_hess_g=c.get("hess_g", 0),
                 n_grad_h=c.get("grad_h", 0), n_hess_h=c.get("hess_h", 0),
@@ -502,5 +503,4 @@ def solve(cfg: NatmiConfig, oracle: ProblemOracle, x0: Vector) -> SolveResult:
     """Run the outer loop from x0 until k_max, grad_tol, or a terminal state;
     a failed certificate or contraction adds bdgm.l3_hint to its message."""
     co = counted(oracle)
-    return outer_loop(oracle_subproblem(cfg, co), co.lipschitz_L3, x0, cfg,
-                      co, lambda: co.counts)
+    return outer_loop(oracle_subproblem(cfg, co), x0, cfg, co, lambda: co.counts)

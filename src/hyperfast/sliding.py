@@ -130,7 +130,7 @@ def solve_sliding(prob: CompositeProblem, x0: Vector,
     g, h = prob.g, prob.h
     inner = oracle_subproblem(cfg, g if h.is_zero else h)
     if h.is_zero:
-        return outer_loop(inner, g.lipschitz_L3, x0, cfg, g, lambda: prob.counts)
+        return outer_loop(inner, x0, cfg, g, lambda: prob.counts)
     H_g = cfg.xi * g.lipschitz_L3
     last_T = None
 
@@ -142,5 +142,4 @@ def solve_sliding(prob: CompositeProblem, x0: Vector,
         last_T = t.y
         return t._replace(grad_anchor_norm=max(t.grad_anchor_norm, gf_norm))
 
-    return outer_loop(subproblem, g.lipschitz_L3, x0, cfg, prob,
-                      lambda: prob.counts)
+    return outer_loop(subproblem, x0, cfg, prob, lambda: prob.counts)

@@ -168,6 +168,15 @@ class TestSetup:
         with pytest.raises(ValueError):
             bdgm.setup(orc, np.zeros(1), eps=0.0)
 
+    @pytest.mark.parametrize("eps", [np.nan, np.inf])
+    def test_non_finite_eps_rejected(self, eps):
+        """NaN fails every comparison, so it passed an eps <= 0 test and
+        gave theta = nan, which the floor test read as accuracy_floor."""
+        orc = counted(QuarticObjective(np.eye(1), np.ones(1), 0.5))
+        with pytest.raises(ValueError, match="eps must be positive and finite"):
+            bdgm.setup(orc, np.zeros(1), eps=eps)
+        assert orc.counts == {"value": 0, "grad": 0, "hess": 0, "third": 0}
+
     def test_step_scale_constant(self):
         assert STEP_SCALE == pytest.approx(2.0 + np.sqrt(2.0), rel=1e-15)
 

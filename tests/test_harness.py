@@ -425,8 +425,10 @@ class TestBaselineGd:
         assert res.f == orc.value(res.y)
         # One Hessian for L1, a gradient at the start and at each step's
         # new point, and a value at the start and at each step's trial points.
-        assert res.counts == {"value": last.n_value, "grad": 13, "hess": 1, "third": 0}
-        assert last.n_value >= 13
+        assert {k: res.counts[k] for k in ("grad", "hess", "third")} == {
+            "grad": last.n_grad, "hess": last.n_hess, "third": 0}
+        assert (last.n_grad, last.n_hess) == (13, 1)
+        assert res.counts["value"] >= 13
 
     def test_each_row_reports_the_gradient_at_its_point(self):
         bundle = make_problem(RunConfig(problem="logreg_fixture"))

@@ -142,6 +142,12 @@ class TestStepWeight:
         assert step_weight(2.0, 0.0) == pytest.approx(2.0, rel=1e-15)
 
 
+#: The message of a search that exhausts its trials; the weight behind w is
+#: not the search's, so it names only the last trial.
+_SEARCH_FAILED = (r"^window not hit within 60 trials \(last lambda = \S+, "
+                  r"w = \S+\); check the oracle's L3$")
+
+
 def _fake_trial(lam, w, r=1.0, reason="certified"):
     return Trial(y=np.zeros(1), grad_y=None, inner_iters=0, reason=reason,
                  grad_anchor_norm=1.0, hess_anchor_norm=0.0, lam=lam, a=lam,
@@ -155,10 +161,11 @@ class TestSearchLambda:
         calls = []
 
         def make_trial(lam):
+            # At A = 0, w = lam*(xi/2)*L3*r^2: here xi = L3 = 3/2 and r = 2.
             calls.append(lam)
-            return _fake_trial(lam, w=0.0, r=2.0)
+            return _fake_trial(lam, w=lam * 4.5, r=2.0)
 
-        t, n = search_lambda(make_trial, L3=1.5, xi=1.5, lam_warm=None, A=0.0)
+        t, n = search_lambda(make_trial, lam_warm=None, A=0.0)
         assert calls == [1.0]
         assert n == 1
         # One solve, lambda set analytically: w = midpoint, a = lam = A_next.
@@ -166,31 +173,20 @@ class TestSearchLambda:
         assert t.lam == pytest.approx(2.5 / (3.0 * 1.5 * 4.0), rel=1e-12)
         assert t.a == t.lam and t.A_next == t.lam
 
-    def test_xi_sets_the_window_weight(self):
-        # w = lam*H*r^2/2 with H = xi*L3, and a failed search names the L3
-        # it was given, not xi*L3.
-        t, _ = search_lambda(lambda lam: _fake_trial(lam, w=0.0, r=2.0),
-                             L3=1.5, xi=3.0, lam_warm=None, A=0.0)
-        assert t.w == pytest.approx(0.625, abs=1e-12)
-        assert t.lam == pytest.approx(0.625 / (1.5 * 1.5 * 4.0), rel=1e-12)
-        with pytest.raises(LambdaSearchError, match="L3 = 2, last lambda"):
-            search_lambda(lambda lam: _fake_trial(lam, w=0.0, r=0.0),
-                          L3=2.0, xi=3.0, lam_warm=1.0, A=1.0)
-
     def test_cold_start_zero_radius_raises(self):
         make = lambda lam: _fake_trial(lam, w=0.0, r=0.0)._replace(grad_y=np.ones(1))
         with pytest.raises(LambdaSearchError):
-            search_lambda(make, L3=1.0, xi=1.5, lam_warm=None, A=0.0)
+            search_lambda(make, lam_warm=None, A=0.0)
 
     def test_warm_start_expands_upward(self):
         make = lambda lam: _fake_trial(lam, w=lam)
-        t, n = search_lambda(make, L3=1.0, xi=1.5, lam_warm=1e-3, A=1.0)
+        t, n = search_lambda(make, lam_warm=1e-3, A=1.0)
         assert WINDOW_LO <= t.w <= WINDOW_HI
         assert n <= 12
 
     def test_warm_start_shrinks_downward(self):
         make = lambda lam: _fake_trial(lam, w=lam)
-        t, n = search_lambda(make, L3=1.0, xi=1.5, lam_warm=100.0, A=1.0)
+        t, n = search_lambda(make, lam_warm=100.0, A=1.0)
         assert WINDOW_LO <= t.w <= WINDOW_HI
         assert n <= 12
 
@@ -207,7 +203,7 @@ class TestSearchLambda:
             w = {0: 0.49, 1: 50.0}.get(len(calls) - 1, 0.625)
             return _fake_trial(lam, w=w)
 
-        t, n = search_lambda(make_trial, L3=1.0, xi=1.5, lam_warm=1.0, A=1.0)
+        t, n = search_lambda(make_trial, lam_warm=1.0, A=1.0)
         s = math.log(0.625 / 0.49) / math.log(50.0 / 0.49)
         assert n == 3
         assert calls[1] == pytest.approx(1.20586, rel=1e-5)
@@ -225,21 +221,23 @@ class TestSearchLambda:
             w = {0: 0.0, 1: 50.0}.get(len(calls) - 1, 0.625)
             return _fake_trial(lam, w=w)
 
-        t, n = search_lambda(make_trial, L3=1.0, xi=1.5, lam_warm=1.0, A=1.0)
+        t, n = search_lambda(make_trial, lam_warm=1.0, A=1.0)
         assert n == 3
         assert calls[:2] == [1.0, natmi._MAX_STEP]
         assert calls[2] == pytest.approx(math.sqrt(natmi._MAX_STEP), rel=1e-12)
 
     def test_terminal_reason_short_circuits(self):
         make = lambda lam: _fake_trial(lam, w=0.0, r=0.0, reason="accuracy_floor")
-        t, n = search_lambda(make, L3=1.0, xi=1.5, lam_warm=5.0, A=1.0)
+        t, n = search_lambda(make, lam_warm=5.0, A=1.0)
         assert t.reason == "accuracy_floor"
         assert n == 1
 
     def test_flat_zero_curve_exhausts_bracket(self):
         make = lambda lam: _fake_trial(lam, w=0.0, r=0.0)
-        with pytest.raises(LambdaSearchError):
-            search_lambda(make, L3=1.0, xi=1.5, lam_warm=1.0, A=1.0)
+        with pytest.raises(LambdaSearchError, match=_SEARCH_FAILED) as info:
+            search_lambda(make, lam_warm=1.0, A=1.0)
+        # Each trial moves lambda by 64x, so the 60th is at 64^59 = 2^354.
+        assert f"last lambda = {2.0 ** 354:.6g}, w = 0)" in str(info.value)
 
 
 #: Trials a search may take on a drawn curve: the worst seen over 40,000
@@ -280,9 +278,26 @@ class TestSearchLambdaProperties:
     def test_lands_in_window(self, kinked, data):
         lam0, curve = data.draw(_window_curves(kinked))
         t, n = search_lambda(lambda lam: _fake_trial(lam, w=curve(lam)),
-                             L3=1.0, xi=1.5, lam_warm=lam0, A=1.0)
+                             lam_warm=lam0, A=1.0)
         assert WINDOW_LO <= t.w <= WINDOW_HI
         assert n <= _SEARCH_TRIALS
+
+    @settings(max_examples=300, deadline=None)
+    @given(w1=st.floats(1e-300, 1e300), r=st.floats(1e-6, 1e6))
+    def test_first_step_lands_at_the_midpoint(self, w1, r):
+        """At A = 0 the anchor does not move with lambda, so w is linear in
+        lambda: one trial at lambda = 1 gives w(1), and the step lands at
+        lambda = 0.625/w(1) exactly and at w = 0.625 within one ulp."""
+        calls = []
+
+        def make_trial(lam):
+            calls.append(lam)
+            return _fake_trial(lam, w=lam * w1, r=r)
+
+        t, n = search_lambda(make_trial, lam_warm=None, A=0.0)
+        assert (calls, n) == ([1.0], 1)
+        assert t.lam == t.a == t.A_next == 0.625 / w1
+        assert abs(t.w - 0.625) <= math.ulp(0.625)
 
     @settings(max_examples=100, deadline=None)
     @given(log_jump=st.floats(-6.0, 6.0), log_warm=st.floats(-6.0, 6.0),
@@ -299,8 +314,8 @@ class TestSearchLambdaProperties:
             w = (below if lam < lam_jump else above) * (lam / lam_jump) ** p
             return _fake_trial(lam, w=w)
 
-        with pytest.raises(LambdaSearchError, match="L3 = 1, last lambda"):
-            search_lambda(make_trial, L3=1.0, xi=1.5, lam_warm=lam_warm, A=1.0)
+        with pytest.raises(LambdaSearchError, match=_SEARCH_FAILED):
+            search_lambda(make_trial, lam_warm=lam_warm, A=1.0)
         assert len(calls) == natmi._MAX_TRIALS
 
 
@@ -312,9 +327,9 @@ def test_search_starts_at_extrapolated_lambda(monkeypatch):
     starts = []
     inner = natmi.search_lambda
 
-    def spy(make_trial, L3, xi, lam_warm, A):
+    def spy(make_trial, lam_warm, A):
         starts.append(lam_warm)
-        return inner(make_trial, L3, xi, lam_warm, A)
+        return inner(make_trial, lam_warm, A)
 
     monkeypatch.setattr(natmi, "search_lambda", spy)
     out = harness.run(harness.build_run_config(
@@ -330,6 +345,23 @@ def test_search_starts_at_extrapolated_lambda(monkeypatch):
         expected = lams[k - 2] * rho * aim if extrapolated else lams[k - 2]
         assert starts[k - 1] == pytest.approx(expected, rel=1e-12), k
     assert branches == {True, False}
+
+
+def test_window_takes_the_oracle_l3(monkeypatch):
+    """solve hands accelerated_steps, which alone forms the window weight
+    xi*L3, the oracle's L3 and the config's xi."""
+    seen = []
+    steps = natmi.accelerated_steps
+
+    def spy(subproblem, L3, xi, *rest):
+        seen.append((L3, xi))
+        return steps(subproblem, L3, xi, *rest)
+
+    monkeypatch.setattr(natmi, "accelerated_steps", spy)
+    orc = QuarticChain(4)
+    res = solve(NatmiConfig(eps=1e-8, k_max=3), orc, np.full(4, 0.5))
+    assert res.iters == 3
+    assert seen == [(orc.lipschitz_L3, 1.5)]
 
 
 def test_each_trial_after_the_first_starts_at_the_previous_answer():
@@ -724,8 +756,8 @@ class TestSolveEndToEnd:
             return Trial(y, orc.grad(y), 0, reason,
                          float(np.linalg.norm(orc.grad(x_t))), 1.0)
 
-        res = natmi.outer_loop(optimum, orc.lipschitz_L3, np.array([2.0]),
-                               NatmiConfig(), orc, lambda: orc.counts)
+        res = natmi.outer_loop(optimum, np.array([2.0]), NatmiConfig(), orc,
+                               lambda: orc.counts)
         assert (res.status, res.converged, res.iters, res.records) == (
             "stationary", True, 0, ())
         np.testing.assert_array_equal(res.y, np.zeros(1))
@@ -739,8 +771,8 @@ class TestSolveEndToEnd:
         def at_anchor(x_t, start=None):
             return Trial(x_t.copy(), orc.grad(x_t), 0, "certified", 0.0, 1.0)
 
-        res = natmi.outer_loop(at_anchor, orc.lipschitz_L3, np.zeros(1),
-                               NatmiConfig(), orc, lambda: orc.counts)
+        res = natmi.outer_loop(at_anchor, np.zeros(1), NatmiConfig(), orc,
+                               lambda: orc.counts)
         assert (res.status, res.converged, res.iters, res.records) == (
             "stationary", True, 0, ())
         np.testing.assert_array_equal(res.y, np.zeros(1))

@@ -501,6 +501,42 @@ class TestOuterSearchStart:
             "hess_g": 7, "hess_h": 13, "grad_h": 189}
 
 
+class TestWindowL3:
+    """The window's L3 at each level, as accelerated_steps receives it: g's
+    at the outer level (natmi's) and h's at the middle level (sliding's),
+    and g's on the one-part path, which has no middle level."""
+
+    @staticmethod
+    def spy(monkeypatch) -> dict:
+        seen = {"outer": [], "middle": []}
+        for module, level in ((natmi, "outer"), (sliding, "middle")):
+            def spied(subproblem, L3, *rest, steps=module.accelerated_steps,
+                      level=level):
+                seen[level].append(L3)
+                return steps(subproblem, L3, *rest)
+            monkeypatch.setattr(module, "accelerated_steps", spied)
+        return seen
+
+    def test_two_parts_take_g_outside_and_h_in_the_middle(self, monkeypatch):
+        seen = self.spy(monkeypatch)
+        bundle, _ = _sliding_bench(11, 1e-6)
+        prob = bundle.composite()
+        res = solve_sliding(prob, bundle.x0, NatmiConfig(eps=1e-6, k_max=2))
+        L3_g, L3_h = prob.g.lipschitz_L3, prob.h.lipschitz_L3
+        assert L3_g < L3_h
+        assert seen["outer"] == [L3_g]
+        # One middle loop per outer trial.
+        assert len(seen["middle"]) >= res.iters
+        assert set(seen["middle"]) == {L3_h}
+
+    def test_one_part_takes_g(self, monkeypatch):
+        seen = self.spy(monkeypatch)
+        g = QuarticObjective(np.zeros((2, 2)), np.zeros(2), 0.5)
+        prob = CompositeProblem(g, ZeroOracle(2))
+        solve_sliding(prob, np.ones(2), NatmiConfig(eps=1e-8, k_max=3))
+        assert seen == {"outer": [g.lipschitz_L3], "middle": []}
+
+
 class TestWrongL3Hint:
     """h = a quartic whose L3 (3) is reported at 1e-2, beside a g with L3
     6e-5: a middle-level inner solve finds no certificate, and the one-line
